@@ -49,17 +49,21 @@ END_TO_END = {
     "peak_rss_mb": "MB",
 }
 
-# The calibration task: the frozen reference code on fixed inputs, the same
-# kind of pure-Python set work as the program. CALIBRATION_S is a fixed
-# yardstick near its median time within runs (5.2-6.2 ms) on the 2-core x86
-# machine that the figures in README.md come from.
-CALIBRATION_S = 0.0050
+# Calibration tasks: the frozen reference code on fixed inputs, doing the
+# kind of set work that the workload's requests do (law scans and reports;
+# for load, big spaces and their listings). Each comes with a fixed
+# yardstick near its median time within runs (in seconds) on the 2-core
+# x86 machine that the figures in README.md come from.
 CALIBRATION_WINDOW = 21
 _CAL_SPACE = inputs.base_doc(random.Random(5), 5, 4, 0.5)
 _CAL_RELATION = inputs.relation_doc(random.Random(0), 10, (200, 300))
+_CAL_LOAD = (
+    inputs.relation_doc(random.Random(0), inputs.RELATION_SIZE, inputs.RELATION_OPENS),
+    inputs.chain_doc(random.Random(0), inputs.CHAIN_SIZE),
+)
 
 
-def calibrate() -> None:
+def calibrate_checks() -> None:
     space = Space(_CAL_SPACE)
     for pid in checks.FALSIFIABLE:
         space.first_violation(pid)
@@ -69,22 +73,37 @@ def calibrate() -> None:
     space.report(space.full // 3)
 
 
+def calibrate_load() -> None:
+    for doc in _CAL_LOAD:
+        space = Space(doc)
+        checks.topology_listing(space)
+        space.report(space.full // 3)
+
+
+CALIBRATION = {
+    "sweep": (calibrate_checks, 0.0050),
+    "verify": (calibrate_checks, 0.0050),
+    "load": (calibrate_load, 0.0110),
+}
+
+
 class Clock:
     """Times work in seconds at the machine's nominal speed.
 
     This machine's speed drifts by up to ~40 % in phases that last minutes,
     which no run length averages out. So every timing is preceded by one
-    calibration, and scaled by CALIBRATION_S over the median of the
-    CALIBRATION_WINDOW calibrations around it.
+    run of the workload's calibration task, and scaled by its yardstick over
+    the median of the CALIBRATION_WINDOW calibrations around it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, workload: str) -> None:
+        self.calibrate, self.nominal = CALIBRATION[workload]
         self.calibrations: list[float] = []
         self.timings: list[tuple[float, int]] = []  # (seconds, calibration index)
 
     def time(self, fn, *args):
         start = perf_counter()
-        calibrate()
+        self.calibrate()
         self.calibrations.append(perf_counter() - start)
         start = perf_counter()
         result = fn(*args)
@@ -93,7 +112,7 @@ class Clock:
 
     def factor(self, i: int) -> float:
         half = CALIBRATION_WINDOW // 2
-        return CALIBRATION_S / statistics.median(self.calibrations[max(i - half, 0):i + half + 1])
+        return self.nominal / statistics.median(self.calibrations[max(i - half, 0):i + half + 1])
 
     def scaled(self, first: int = 0) -> list[float]:
         """Timings from the ``first`` on, at nominal speed."""
@@ -153,7 +172,7 @@ class Run:
         self.warmup.name = f"warmup-{self.warmup.name}"
         self.workload, self.seed, self.trace = workload, seed, trace
         self.dir = RUNS / f"{workload}-{seed}-{os.getpid()}"
-        self.clock = Clock()
+        self.clock = Clock(workload)
         self.spaces: dict[str, Space] = {}
         self.errors: list[str] = []
         self.failed = 0

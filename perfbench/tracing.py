@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import replace
 from time import perf_counter
 
-# Per-layer metrics: name -> unit. Each is a mean per timed request (a
-# request that does not reach the layer adds 0), so the layers' self times
-# add up to the mean latency, 1 / requests_per_s.
+# Per-layer metrics: name -> unit. Each is a mean per traced request (a
+# request that does not reach the layer adds 0), so cli.self_ms plus the
+# spans directly under a request add up to the mean traced latency.
 LAYER_METRICS = {
     "cli.parse_ms": "ms",
     "cli.self_ms": "ms",
