@@ -9,13 +9,12 @@ is a pure function of (space, subset, direction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from weakref import WeakKeyDictionary
 
 from .order import PartialOrder
-from .topology import Topology
+from .topology import Topology, points_meeting, points_within
 from .universe import Subset, Universe
 
 
@@ -54,72 +53,74 @@ FAMILY_ORDER = (
 DIRECTION_ORDER = (Direction.INC, Direction.DEC)
 
 
+# Entries a space's memo may hold before it is cleared.
+MEMO_LIMIT = 1 << 13
+
+
 @dataclass(frozen=True, eq=False)
 class Gotas:
-    """A universe plus a topology and a partial order over it."""
+    """A universe plus a topology and a partial order over it.
+
+    ``kernel[d][x]`` is M_d(x), the smallest d-monotone open set holding x:
+    the transitive closure of N(x) with the up-set (Inc) or down-set (Dec)
+    of x. ``memo`` holds base-operator results, up to ``MEMO_LIMIT``.
+    """
 
     universe: Universe
     topology: Topology
     order: PartialOrder
+    kernel: dict[Direction, tuple[int, ...]] = field(init=False, repr=False)
+    memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.topology.universe is not self.universe:
             raise ValueError("topology is defined over a different universe")
         if self.order.universe is not self.universe:
             raise ValueError("order is defined over a different universe")
+        nbhd = self.topology.neighborhoods
+        object.__setattr__(self, "kernel", {
+            Direction.INC: _closure(nbhd, self.order.succ),
+            Direction.DEC: _closure(nbhd, self.order.pred),
+        })
 
 
-# Per-space memo for the directed base operators; composites reduce to a
-# handful of lookups. Keyed weakly so spaces stay collectable.
-_SPACE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _cache(g: Gotas) -> dict:
-    cached = _SPACE_CACHE.get(g)
-    if cached is None:
-        cached = _SPACE_CACHE[g] = {}
-    return cached
-
-
-def _monotone_family(g: Gotas, d: Direction, closed: bool) -> tuple[int, ...]:
-    cache = _cache(g)
-    key = ("family", d, closed)
-    fam = cache.get(key)
-    if fam is None:
-        sets = g.topology.closeds if closed else g.topology.opens
-        keep = g.order.is_increasing if d is Direction.INC else g.order.is_decreasing
-        fam = tuple(s.bits for s in sets if keep(s))
-        cache[key] = fam
-    return fam
+def _closure(nbhd: tuple[int, ...], reach: tuple[int, ...]) -> tuple[int, ...]:
+    """Warshall's transitive closure of x -> N(x) ∪ reach(x), per point."""
+    m = [n | r for n, r in zip(nbhd, reach)]
+    for k in range(len(m)):
+        bit, mk = 1 << k, m[k]
+        for i, mi in enumerate(m):
+            if mi & bit:
+                m[i] = mi | mk
+    return tuple(m)
 
 
 def r_lower(g: Gotas, a: Subset, d: Direction) -> Subset:
-    """Greatest d-monotone open subset of ``a`` (the union of all of them)."""
-    cache = _cache(g)
+    """Greatest d-monotone open subset of ``a``: the points x with
+    M_d(x) inside ``a``."""
     key = (a.bits, d, "lower")
-    bits = cache.get(key)
+    bits = g.memo.get(key)
     if bits is None:
-        bits = 0
-        for o in _monotone_family(g, d, closed=False):
-            if o & ~a.bits == 0:
-                bits |= o
-        cache[key] = bits
+        bits = _remember(g, key, points_within(g.kernel[d], a.bits))
     return g.universe.from_bits(bits)
 
 
 def r_upper(g: Gotas, a: Subset, d: Direction) -> Subset:
-    """Smallest d-monotone closed superset of ``a`` (the intersection of all
-    of them)."""
-    cache = _cache(g)
+    """Smallest d-monotone closed superset of ``a``: the points x whose
+    M_{d.opposite}(x) meets ``a`` (its complement is the greatest
+    opposite-monotone open set outside ``a``)."""
     key = (a.bits, d, "upper")
-    bits = cache.get(key)
+    bits = g.memo.get(key)
     if bits is None:
-        bits = g.universe.full_mask
-        for c in _monotone_family(g, d, closed=True):
-            if a.bits & ~c == 0:
-                bits &= c
-        cache[key] = bits
+        bits = _remember(g, key, points_meeting(g.kernel[d.opposite], a.bits))
     return g.universe.from_bits(bits)
+
+
+def _remember(g: Gotas, key: tuple, bits: int) -> int:
+    if len(g.memo) >= MEMO_LIMIT:
+        g.memo.clear()
+    g.memo[key] = bits
+    return bits
 
 
 def semi_lower(g: Gotas, a: Subset, d: Direction) -> Subset:

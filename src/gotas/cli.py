@@ -203,10 +203,8 @@ def main() -> None:
 @click.argument("file", type=click.Path())
 def cmd_topology(file: str) -> None:
     """Print every open set of the generated topology."""
-    g = _space_or_exit(file)
-    for open_set in g.topology.opens:
-        click.echo(str(open_set))
-    click.echo(f"count: {len(g.topology.opens)}")
+    opens = _space_or_exit(file).topology.opens
+    click.echo("\n".join([*map(str, opens), f"count: {len(opens)}"]))
 
 
 def _report_rows(g: Gotas, a: Subset, family: OperatorFamily | None, direction: Direction | None):

@@ -23,9 +23,12 @@ class OrderAxiomError(ValueError):
 
 
 class PartialOrder:
-    """Validated partial order; build via :func:`validate_order`."""
+    """Validated partial order; build via :func:`validate_order`.
 
-    __slots__ = ("universe", "pairs", "_succ", "_pred")
+    ``succ[x]`` is the up-set of x and ``pred[x]`` its down-set, as bitmasks.
+    """
+
+    __slots__ = ("universe", "pairs", "succ", "pred")
 
     def __init__(self, universe: Universe, pairs: frozenset[tuple[int, int]]) -> None:
         self.universe = universe
@@ -35,8 +38,8 @@ class PartialOrder:
         for x, y in pairs:
             succ[x] |= 1 << y
             pred[y] |= 1 << x
-        self._succ = tuple(succ)
-        self._pred = tuple(pred)
+        self.succ = tuple(succ)
+        self.pred = tuple(pred)
 
     def holds(self, x: str, y: str) -> bool:
         """Whether x is below-or-equal y."""
@@ -48,7 +51,7 @@ class PartialOrder:
             raise UniverseMismatchError("subset belongs to a different universe")
         bits = a.bits
         for pos in range(self.universe.size):
-            if bits >> pos & 1 and self._succ[pos] & ~bits:
+            if bits >> pos & 1 and self.succ[pos] & ~bits:
                 return False
         return True
 
@@ -58,7 +61,7 @@ class PartialOrder:
             raise UniverseMismatchError("subset belongs to a different universe")
         bits = a.bits
         for pos in range(self.universe.size):
-            if bits >> pos & 1 and self._pred[pos] & ~bits:
+            if bits >> pos & 1 and self.pred[pos] & ~bits:
                 return False
         return True
 
@@ -85,6 +88,8 @@ def validate_order(
     if auto_reflexive:
         pairs |= {(i, i) for i in range(universe.size)}
 
+    order = PartialOrder(universe, frozenset(pairs))
+    succ, pred = order.succ, order.pred
     labels = universe.labels
     for i in range(universe.size):
         if (i, i) not in pairs:
@@ -93,17 +98,23 @@ def validate_order(
                 (labels[i], labels[i]),
                 f"reflexivity violated: ({labels[i]}, {labels[i]}) missing",
             )
-    for x, y in sorted(pairs):
-        if x != y and (y, x) in pairs:
+    # Witnesses come in the order of the sorted pairs: x ascending, then y,
+    # then the lowest offending z.
+    for x in range(universe.size):
+        both = succ[x] & pred[x] & ~(1 << x)
+        if both:
+            y = _lowest(both)
             raise OrderAxiomError(
                 "antisymmetry",
                 (labels[x], labels[y]),
                 f"antisymmetry violated: both ({labels[x]}, {labels[y]}) "
                 f"and ({labels[y]}, {labels[x]}) present",
             )
-    for x, y in sorted(pairs):
-        for y2, z in sorted(pairs):
-            if y == y2 and (x, z) not in pairs:
+    for x in range(universe.size):
+        for y in range(universe.size):
+            missing = succ[y] & ~succ[x]
+            if succ[x] >> y & 1 and missing:
+                z = _lowest(missing)
                 raise OrderAxiomError(
                     "transitivity",
                     (labels[x], labels[z]),
@@ -111,7 +122,11 @@ def validate_order(
                     f"({labels[y]}, {labels[z]}) present but ({labels[x]}, "
                     f"{labels[z]}) missing",
                 )
-    return PartialOrder(universe, frozenset(pairs))
+    return order
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
 
 def equality_order(universe: Universe) -> PartialOrder:

@@ -1,9 +1,12 @@
 """Topologies on a finite universe.
 
-A topology is materialized as the explicit family of open sets, generated
-from an arbitrary binary relation (right neighborhoods as a subbase) or
-from a user-supplied family of generator subsets. Interior and closure are
-linear scans over that family.
+A topology is generated from an arbitrary binary relation (right
+neighborhoods as a subbase) or from a user-supplied family of generator
+subsets. Every finite topology is Alexandrov, so it is held as its minimal
+neighborhoods N(x), the intersection of the generators that contain x:
+a set is open iff it contains N(x) for each of its points. Interior and
+closure are one pass over the points; the open family itself is listed
+only when asked for.
 """
 
 from __future__ import annotations
@@ -43,50 +46,93 @@ class BinaryRelation:
         return f"BinaryRelation({self.universe!r}, {len(self.pairs)} pairs)"
 
 
-class Topology:
-    """Explicit family of open sets with its derived closed family.
+def points_within(masks: tuple[int, ...], bits: int) -> int:
+    """Bitmask of the points x whose ``masks[x]`` lies inside ``bits``."""
+    outside = ~bits
+    found = 0
+    point = 1
+    for m in masks:
+        if not m & outside:
+            found |= point
+        point <<= 1
+    return found
 
-    Construct via :func:`generate_topology`; the constructor trusts its
-    input to already satisfy the topology axioms.
+
+def points_meeting(masks: tuple[int, ...], bits: int) -> int:
+    """Bitmask of the points x whose ``masks[x]`` meets ``bits``."""
+    found = 0
+    point = 1
+    for m in masks:
+        if m & bits:
+            found |= point
+        point <<= 1
+    return found
+
+
+class Topology:
+    """The topology generated by a family of subsets, held as the minimal
+    neighborhood of each point.
+
+    Construct via :func:`generate_topology`. ``generators`` is the subbase
+    it was built from; ``neighborhoods[x]`` is N(x) as a bitmask.
     """
 
-    __slots__ = ("universe", "opens", "closeds", "_open_bits", "_closed_bits")
+    __slots__ = ("universe", "generators", "neighborhoods", "_opens", "_closeds")
 
-    def __init__(self, universe: Universe, opens: Iterable[Subset]) -> None:
+    def __init__(self, universe: Universe, generators: Iterable[Subset]) -> None:
         self.universe = universe
-        self.opens = tuple(sorted(opens, key=Subset.sort_key))
-        self.closeds = tuple(
-            sorted((o.complement() for o in self.opens), key=Subset.sort_key)
-        )
-        self._open_bits = frozenset(o.bits for o in self.opens)
-        self._closed_bits = frozenset(c.bits for c in self.closeds)
+        self.generators = tuple(generators)
+        masks = [g.bits for g in self.generators]
+        neighborhoods = []
+        for x in range(universe.size):
+            n = universe.full_mask
+            for m in masks:
+                if m >> x & 1:
+                    n &= m
+            neighborhoods.append(n)
+        self.neighborhoods = tuple(neighborhoods)
+        self._opens: tuple[Subset, ...] | None = None
+        self._closeds: tuple[Subset, ...] | None = None
+
+    @property
+    def opens(self) -> tuple[Subset, ...]:
+        """Every open set in canonical order: the unions of the minimal
+        neighborhoods. Listed on first use, since n points can carry up to
+        2**n opens."""
+        if self._opens is None:
+            family = {0}
+            for n in set(self.neighborhoods):
+                family |= {o | n for o in family}
+            self._opens = _canonical(self.universe, family)
+        return self._opens
+
+    @property
+    def closeds(self) -> tuple[Subset, ...]:
+        """Complements of the opens, in canonical order."""
+        if self._closeds is None:
+            full = self.universe.full_mask
+            self._closeds = _canonical(self.universe, {full ^ o.bits for o in self.opens})
+        return self._closeds
 
     def is_open(self, s: Subset) -> bool:
-        return s.universe is self.universe and s.bits in self._open_bits
+        return s.universe is self.universe and points_within(self.neighborhoods, s.bits) == s.bits
 
     def is_closed(self, s: Subset) -> bool:
-        return s.universe is self.universe and s.bits in self._closed_bits
+        return self.is_open(s.complement())
 
     def interior(self, a: Subset) -> Subset:
-        """Union of all opens contained in ``a``: the greatest open subset."""
+        """Points whose minimal neighborhood lies inside ``a``: the greatest
+        open subset."""
         if a.universe is not self.universe:
             raise UniverseMismatchError("subset belongs to a different universe")
-        acc = 0
-        for o in self.opens:
-            if o.bits & ~a.bits == 0:
-                acc |= o.bits
-        return self.universe.from_bits(acc)
+        return self.universe.from_bits(points_within(self.neighborhoods, a.bits))
 
     def closure(self, a: Subset) -> Subset:
-        """Intersection of all closeds containing ``a``: the smallest closed
+        """Points whose minimal neighborhood meets ``a``: the smallest closed
         superset."""
         if a.universe is not self.universe:
             raise UniverseMismatchError("subset belongs to a different universe")
-        acc = self.universe.full_mask
-        for c in self.closeds:
-            if a.bits & ~c.bits == 0:
-                acc &= c.bits
-        return self.universe.from_bits(acc)
+        return self.universe.from_bits(points_meeting(self.neighborhoods, a.bits))
 
     def __iter__(self) -> Iterator[Subset]:
         return iter(self.opens)
@@ -94,34 +140,26 @@ class Topology:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Topology):
             return NotImplemented
-        return self.universe is other.universe and self._open_bits == other._open_bits
+        return self.universe is other.universe and self.neighborhoods == other.neighborhoods
 
     def __hash__(self) -> int:
-        return hash((id(self.universe), self._open_bits))
+        return hash((id(self.universe), self.neighborhoods))
 
     def __repr__(self) -> str:
-        return f"Topology({len(self.opens)} opens over {self.universe!r})"
+        return f"Topology({len(self.generators)} generators over {self.universe!r})"
+
+
+def _canonical(universe: Universe, family: Iterable[int]) -> tuple[Subset, ...]:
+    return tuple(sorted((universe.from_bits(bits) for bits in family), key=Subset.sort_key))
 
 
 def generate_topology(universe: Universe, base: Iterable[Subset]) -> Topology:
-    """Smallest topology containing ``base``.
-
-    Adds the empty set and the whole universe, then repeatedly closes the
-    family under pairwise intersection and pairwise union until a fixpoint;
-    on a finite universe that yields closure under arbitrary unions.
-    """
-    family = {0, universe.full_mask}
+    """Smallest topology containing ``base``."""
+    base = tuple(base)
     for s in base:
         if s.universe is not universe:
             raise UniverseMismatchError("generator subset belongs to a different universe")
-        family.add(s.bits)
-    while True:
-        size = len(family)
-        family |= {a & b for a in family for b in family}
-        family |= {a | b for a in family for b in family}
-        if len(family) == size:
-            break
-    return Topology(universe, [universe.from_bits(bits) for bits in family])
+    return Topology(universe, base)
 
 
 def topology_from_relation(relation: BinaryRelation) -> Topology:

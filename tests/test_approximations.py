@@ -210,6 +210,15 @@ def test_duality_on_random_spaces():
             assert ap.r_lower(g, a, DEC) == ap.r_upper(g, comp, INC).complement()
 
 
+def test_memo_stays_within_its_bound():
+    u = Universe([f"e{i}" for i in range(40)])
+    g = Gotas(u, generate_topology(u, []), equality_order(u))
+    rng = random.Random(0)
+    for _ in range(4000):
+        ap.full_report(g, u.from_bits(rng.getrandbits(40)))
+        assert len(g.memo) <= ap.MEMO_LIMIT
+
+
 def test_gotas_rejects_mismatched_components():
     g = make_example_space()
     other = Universe(["a", "b", "c", "d"])

@@ -77,6 +77,17 @@ class TestTopologyCommand:
         assert "antisymmetry" in result.stderr
 
 
+    def test_identity_relation_on_twelve_points(self, runner, tmp_path):
+        labels = [f"e{i}" for i in range(12)]
+        doc = write_doc(
+            tmp_path,
+            {"universe": labels, "relation": [[x, x] for x in labels], "order": []},
+        )
+        result = runner.invoke(main, ["topology", doc])
+        assert result.exit_code == 0
+        assert result.output.endswith("\ncount: 4096\n")
+
+
 class TestAnalyzeCommand:
     def test_beta_dec_row(self, runner, example_doc):
         result = runner.invoke(
@@ -141,6 +152,24 @@ class TestAnalyzeCommand:
         result = runner.invoke(main, ["analyze", str(example_doc), "--set", "a,z"])
         assert result.exit_code == EXIT_INPUT_ERROR
         assert "unknown label" in result.stderr
+
+
+    def test_discrete_forty_points_lists_no_opens(self, runner, tmp_path):
+        # The identity relation on 40 points gives the discrete topology,
+        # with 2**40 opens: only a run that never lists them can finish.
+        labels = ["a", "b", *(f"e{i}" for i in range(38))]
+        doc = write_doc(
+            tmp_path,
+            {"universe": labels, "relation": [[x, x] for x in labels], "order": []},
+        )
+        result = runner.invoke(main, ["analyze", doc, "--set", "a,b", "--format", "json"])
+        assert result.exit_code == 0
+        rows = json.loads(result.output)["rows"]
+        r_rows = [row for row in rows if row["family"] == "R"]
+        assert len(r_rows) == 2
+        for row in r_rows:
+            assert row["lower"] == ["a", "b"]
+            assert row["upper"] == ["a", "b"]
 
 
 class TestCheckCommand:

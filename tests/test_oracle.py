@@ -3,7 +3,14 @@ import random
 import pytest
 
 import gotas.approximations as ap
-from gotas import Direction, Universe, equality_order, generate_topology
+from gotas import (
+    BinaryRelation,
+    Direction,
+    Universe,
+    equality_order,
+    generate_topology,
+    topology_from_relation,
+)
 from gotas.approximations import Gotas
 from gotas.oracle import (
     CapExceededError,
@@ -14,6 +21,7 @@ from gotas.oracle import (
     oracle_r_lower,
     oracle_r_upper,
     partition_space,
+    random_order,
     random_partition,
     random_space,
 )
@@ -38,8 +46,19 @@ class TestOracleOperators:
 
     def test_agreement_with_fast_operators_on_random_spaces(self):
         rng = random.Random(1234)
-        for i in range(40):
-            space = random_space(rng, 1 + i % 4)
+        spaces = [random_space(rng, 1 + i % 7) for i in range(56)]
+        for i in range(28):
+            # Relation-built spaces: the fast operators read the minimal
+            # neighborhoods of the right neighborhoods.
+            size = 1 + i % 7
+            u = Universe([f"e{k}" for k in range(size)])
+            pairs = [(x, y) for x in range(size) for y in range(size) if rng.random() < 0.3]
+            spaces.append(Gotas(
+                u,
+                topology_from_relation(BinaryRelation(u, pairs)),
+                random_order(rng, u),
+            ))
+        for space in spaces:
             comparisons, mismatches = oracle_diff(space)
             assert mismatches == []
             assert comparisons == 4 * 2 ** space.universe.size

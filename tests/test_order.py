@@ -40,6 +40,20 @@ def test_transitivity_violation_reports_witness():
     assert "(a, c) missing" in str(err.value)
 
 
+def test_first_of_several_transitivity_violations_is_reported():
+    # Violations: (a,c)(c,b), (a,c)(c,e), (a,d)(d,b) and (c,d)(d,b). The
+    # first comes from the sorted pairs: x ascending, then y, then the
+    # lowest missing z.
+    u = Universe(["a", "b", "c", "d", "e"])
+    with pytest.raises(OrderAxiomError) as err:
+        validate_order(u, [(0, 2), (2, 1), (2, 3), (2, 4), (0, 3), (3, 1)])
+    assert err.value.axiom == "transitivity"
+    assert err.value.witness == ("a", "b")
+    assert str(err.value) == (
+        "transitivity violated: (a, c) and (c, b) present but (a, b) missing"
+    )
+
+
 def test_missing_loops_are_an_error_without_auto_reflexive():
     u = Universe(["a", "b"])
     with pytest.raises(OrderAxiomError) as err:

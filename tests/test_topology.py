@@ -8,6 +8,7 @@ from gotas import (
     generate_topology,
     topology_from_relation,
 )
+from gotas.oracle import open_family
 
 from strategies import topology_with_subsets, universe_with_base
 
@@ -108,6 +109,8 @@ def test_generated_family_is_a_topology(t):
     assert {c.bits for c in topology.closeds} == {u.full_mask ^ b for b in bits}
     for s in base:
         assert s.bits in bits
+    # The listing from the minimal neighborhoods equals the oracle's fixpoint.
+    assert bits == open_family(topology)
 
 
 @given(topology_with_subsets())

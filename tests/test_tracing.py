@@ -1,0 +1,52 @@
+"""The traced benchmark run wraps the layer boundaries of ``gotas`` from
+outside (``perfbench/tracing.py``). A refactor that renames or bypasses one
+of those boundaries would leave its layer reading 0 without any error, so
+this runs one request of each kind through the installed tracer."""
+
+import importlib.util
+
+from click.testing import CliRunner
+
+import gotas.approximations as approx
+from gotas import cli, oracle
+
+from conftest import EXAMPLE_DOC, REPO_ROOT
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO_ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_every_layer():
+    tracer = _load_tracing().Tracer()
+    runner = CliRunner()
+    results = []
+    tracer.install(cli, oracle, approx)
+    try:
+        for args in (
+            ["topology", str(EXAMPLE_DOC)],
+            ["analyze", str(EXAMPLE_DOC), "--set", "a,c"],
+            ["check", str(EXAMPLE_DOC), "--exhaustive"],
+        ):
+            results.append(tracer.request(lambda a: runner.invoke(cli.main, a), args))
+    finally:
+        tracer.uninstall()
+    assert [r.exit_code for r in results] == [0, 0, 0]
+    assert cli.full_report is approx.full_report  # originals restored
+
+    topology, analyze, check = tracer.records
+    for record in tracer.records:
+        assert record["topology.build_ms"] > 0
+        assert record["topology.opens"] == 6
+        assert record["order.validate_ms"] > 0
+        assert record["order.pairs"] == 9
+    assert "approximations.base_calls" not in topology
+    assert analyze["approximations.report_ms"] > 0
+    assert analyze["approximations.base_calls"] > 0
+    assert check["oracle.law_instances"] > 0
+    assert check["approximations.base_calls"] > 0
