@@ -18,10 +18,8 @@ from .approximations import (
     full_report,
     gamma_lower,
     gamma_upper,
-    is_exact,
     lower,
     negative,
-    positive,
     pre_lower,
     pre_upper,
     r_lower,
@@ -64,10 +62,8 @@ __all__ = [
     "gamma_lower",
     "gamma_upper",
     "generate_topology",
-    "is_exact",
     "lower",
     "negative",
-    "positive",
     "pre_lower",
     "pre_upper",
     "r_lower",

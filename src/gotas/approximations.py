@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 from .order import PartialOrder
 from .topology import Topology, points_meeting, points_within
@@ -155,14 +156,16 @@ def beta_upper(g: Gotas, a: Subset, d: Direction) -> Subset:
     return a | r_lower(g, r_upper(g, r_lower(g, a, d), d), d)
 
 
-_LOWER = {
+OpFn = Callable[[Gotas, Subset, Direction], Subset]
+
+_LOWER: dict[OperatorFamily, OpFn] = {
     OperatorFamily.R: r_lower,
     OperatorFamily.S: semi_lower,
     OperatorFamily.P: pre_lower,
     OperatorFamily.GAMMA: gamma_lower,
     OperatorFamily.BETA: beta_lower,
 }
-_UPPER = {
+_UPPER: dict[OperatorFamily, OpFn] = {
     OperatorFamily.R: r_upper,
     OperatorFamily.S: semi_upper,
     OperatorFamily.P: pre_upper,
@@ -171,56 +174,63 @@ _UPPER = {
 }
 
 
-def lower(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-    return _LOWER[family](g, a, d)
-
-
-def upper(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-    return _UPPER[family](g, a, d)
-
-
-def boundary(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-    return upper(g, a, family, d) - lower(g, a, family, d)
-
-
-def positive(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-    return lower(g, a, family, d)
-
-
-def negative(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-    # Cross-direction by definition: the Inc negative region subtracts the
-    # Dec upper approximation, and vice versa.
-    return upper(g, a, family, d.opposite).complement()
-
-
-def accuracy(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Fraction:
-    """Exact cardinality ratio of lower to upper approximation.
+def _ratio(lo: Subset, up: Subset) -> Fraction:
+    """Exact cardinality ratio of a lower to an upper approximation.
 
     The empty set is a total-function extension: it is exact for every
     family, so its accuracy is 1.
     """
-    up = upper(g, a, family, d)
     if up.is_empty():
         return Fraction(1)
-    return Fraction(lower(g, a, family, d).cardinality(), up.cardinality())
+    return Fraction(lo.cardinality(), up.cardinality())
 
 
-def is_exact(
-    g: Gotas,
-    a: Subset,
-    family: OperatorFamily,
-    d: Direction,
-    *,
-    mixed_directions: bool = False,
-) -> bool:
-    """Whether the lower and upper approximations coincide.
+@dataclass(frozen=True)
+class OperatorSuite:
+    """The base operators and the family tables, with the regions and the
+    accuracy derived from them. The law checker runs against a suite, so a
+    corrupted table entry can be swapped in without touching the real
+    operators; ``r_lower``/``r_upper`` are the base operators the checker's
+    duality and exactness laws call directly."""
 
-    Both operators are taken in the same direction. ``mixed_directions`` is
-    a diagnostic that compares the lower approximation against the
-    opposite-direction upper instead; it is not used by any report.
-    """
-    up_direction = d.opposite if mixed_directions else d
-    return lower(g, a, family, d) == upper(g, a, family, up_direction)
+    r_lower: OpFn
+    r_upper: OpFn
+    lower: dict[OperatorFamily, OpFn]
+    upper: dict[OperatorFamily, OpFn]
+
+    def boundary(self, g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
+        return self.upper[family](g, a, d) - self.lower[family](g, a, d)
+
+    def negative(self, g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
+        # Cross-direction by definition: the Inc negative region subtracts the
+        # Dec upper approximation, and vice versa.
+        return self.upper[family](g, a, d.opposite).complement()
+
+    def accuracy(self, g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Fraction:
+        return _ratio(self.lower[family](g, a, d), self.upper[family](g, a, d))
+
+
+DEFAULT_SUITE = OperatorSuite(r_lower, r_upper, _LOWER, _UPPER)
+
+
+def lower(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
+    return DEFAULT_SUITE.lower[family](g, a, d)
+
+
+def upper(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
+    return DEFAULT_SUITE.upper[family](g, a, d)
+
+
+def boundary(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
+    return DEFAULT_SUITE.boundary(g, a, family, d)
+
+
+def negative(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
+    return DEFAULT_SUITE.negative(g, a, family, d)
+
+
+def accuracy(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Fraction:
+    return DEFAULT_SUITE.accuracy(g, a, family, d)
 
 
 @dataclass(frozen=True)
@@ -251,7 +261,7 @@ def full_report(
                 boundary=up - lo,
                 positive=lo,
                 negative=negative(g, a, family, d),
-                accuracy=accuracy(g, a, family, d),
+                accuracy=_ratio(lo, up),
                 exact=lo == up,
             )
     return table

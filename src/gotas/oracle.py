@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import approximations as approx
@@ -25,15 +24,14 @@ from .approximations import (
     Direction,
     Gotas,
     OperatorFamily,
+    OperatorSuite,
 )
 from .order import PartialOrder, equality_order, validate_order
 from .topology import Topology, generate_topology
 from .universe import Subset, Universe
 
-DEFAULT_ORACLE_CAP = 20
+DEFAULT_ORACLE_CAP = 10
 EXHAUSTIVE_CAP = 5
-
-OpFn = Callable[[Gotas, Subset, Direction], Subset]
 
 
 class CapExceededError(ValueError):
@@ -145,63 +143,7 @@ def oracle_diff(g: Gotas, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, list[str]
     return comparisons, mismatches
 
 
-# ---------------------------------------------------------------------------
-# Operator suite: the checker works against this bundle so a corrupted
-# operator can be swapped in without touching the real implementations.
-
-
-@dataclass(frozen=True)
-class OperatorSuite:
-    r_lower: OpFn
-    r_upper: OpFn
-    semi_lower: OpFn
-    semi_upper: OpFn
-    pre_lower: OpFn
-    pre_upper: OpFn
-    gamma_lower: OpFn
-    gamma_upper: OpFn
-    beta_lower: OpFn
-    beta_upper: OpFn
-
-    _PREFIX = {
-        OperatorFamily.R: "r",
-        OperatorFamily.S: "semi",
-        OperatorFamily.P: "pre",
-        OperatorFamily.GAMMA: "gamma",
-        OperatorFamily.BETA: "beta",
-    }
-
-    def lower(self, family: OperatorFamily) -> OpFn:
-        return getattr(self, f"{self._PREFIX[family]}_lower")
-
-    def upper(self, family: OperatorFamily) -> OpFn:
-        return getattr(self, f"{self._PREFIX[family]}_upper")
-
-    def boundary(self, g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-        return self.upper(family)(g, a, d) - self.lower(family)(g, a, d)
-
-    def negative(self, g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-        return self.upper(family)(g, a, d.opposite).complement()
-
-    def accuracy(self, g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Fraction:
-        up = self.upper(family)(g, a, d)
-        if up.is_empty():
-            return Fraction(1)
-        return Fraction(self.lower(family)(g, a, d).cardinality(), up.cardinality())
-
-
-DEFAULT_SUITE = OperatorSuite(
-    r_lower=approx.r_lower,
-    r_upper=approx.r_upper,
-    semi_lower=approx.semi_lower,
-    semi_upper=approx.semi_upper,
-    pre_lower=approx.pre_lower,
-    pre_upper=approx.pre_upper,
-    gamma_lower=approx.gamma_lower,
-    gamma_upper=approx.gamma_upper,
-    beta_lower=approx.beta_lower,
-    beta_upper=approx.beta_upper,
-)
+DEFAULT_SUITE = approx.DEFAULT_SUITE
 
 
 def corrupted_gamma_upper(g: Gotas, a: Subset, d: Direction) -> Subset:
@@ -215,7 +157,10 @@ def corrupted_gamma_upper(g: Gotas, a: Subset, d: Direction) -> Subset:
 
 
 def corrupted_suite() -> OperatorSuite:
-    return replace(DEFAULT_SUITE, gamma_upper=corrupted_gamma_upper)
+    return replace(
+        DEFAULT_SUITE,
+        upper={**DEFAULT_SUITE.upper, OperatorFamily.GAMMA: corrupted_gamma_upper},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +187,8 @@ class PropositionReport:
 def _chk_sandwich(s, g, a):
     for family in FAMILY_ORDER:
         for d in DIRECTION_ORDER:
-            lo = s.lower(family)(g, a, d)
-            up = s.upper(family)(g, a, d)
+            lo = s.lower[family](g, a, d)
+            up = s.upper[family](g, a, d)
             if not (lo.is_subset(a) and a.is_subset(up)):
                 return (
                     f"{family.label} {d.label}: expected {lo} within {a} "
@@ -252,32 +197,16 @@ def _chk_sandwich(s, g, a):
     return None
 
 
-def _upper_laws(up, label):
+def _lattice_laws(op, label):
     def check(s, g, a, b):
-        fn = up(s)
+        fn = op(s)
         for d in DIRECTION_ORDER:
-            ua, ub = fn(g, a, d), fn(g, b, d)
-            if a.is_subset(b) and not ua.is_subset(ub):
+            xa, xb = fn(g, a, d), fn(g, b, d)
+            if a.is_subset(b) and not xa.is_subset(xb):
                 return f"{d.label}: {label} not monotone at A={a}, B={b}"
-            if not fn(g, a & b, d).is_subset(ua & ub):
+            if not fn(g, a & b, d).is_subset(xa & xb):
                 return f"{d.label}: {label}(A∩B) exceeds the intersection at A={a}, B={b}"
-            if not (ua | ub).is_subset(fn(g, a | b, d)):
-                return f"{d.label}: {label}(A∪B) misses the union at A={a}, B={b}"
-        return None
-
-    return check
-
-
-def _lower_laws(lo, label):
-    def check(s, g, a, b):
-        fn = lo(s)
-        for d in DIRECTION_ORDER:
-            la, lb = fn(g, a, d), fn(g, b, d)
-            if a.is_subset(b) and not la.is_subset(lb):
-                return f"{d.label}: {label} not monotone at A={a}, B={b}"
-            if not fn(g, a & b, d).is_subset(la & lb):
-                return f"{d.label}: {label}(A∩B) exceeds the intersection at A={a}, B={b}"
-            if not (la | lb).is_subset(fn(g, a | b, d)):
+            if not (xa | xb).is_subset(fn(g, a | b, d)):
                 return f"{d.label}: {label}(A∪B) misses the union at A={a}, B={b}"
         return None
 
@@ -288,7 +217,7 @@ def _exact_transfer(fam, label):
     def check(s, g, a):
         for d in DIRECTION_ORDER:
             if s.r_lower(g, a, d) == s.r_upper(g, a, d):
-                if s.lower(fam)(g, a, d) != s.upper(fam)(g, a, d):
+                if s.lower[fam](g, a, d) != s.upper[fam](g, a, d):
                     return f"{d.label}: A={a} is R exact but not {label} exact"
         return None
 
@@ -298,7 +227,7 @@ def _exact_transfer(fam, label):
 def _inclusion(first, second, text):
     def check(s, g, a):
         for d in DIRECTION_ORDER:
-            x, y = first(s, g, a, d), second(s, g, a, d)
+            x, y = first(s)(g, a, d), second(s)(g, a, d)
             if not x.is_subset(y):
                 return f"{d.label}: A={a}: {text}: {x} not within {y}"
         return None
@@ -310,7 +239,7 @@ def _inclusion_chain(steps):
     # steps: ((fn, name), ...) asserted pairwise along the chain
     def check(s, g, a):
         for d in DIRECTION_ORDER:
-            values = [(name, fn(s, g, a, d)) for fn, name in steps]
+            values = [(name, fn(s)(g, a, d)) for fn, name in steps]
             for (nx, x), (ny, y) in zip(values, values[1:]):
                 if not x.is_subset(y):
                     return f"{d.label}: A={a}: {nx} {x} not within {ny} {y}"
@@ -401,19 +330,19 @@ def _chk_duality(s, g, a):
 
 
 def _lo(fam):
-    return lambda s, g, a, d: s.lower(fam)(g, a, d)
+    return lambda s: s.lower[fam]
 
 
 def _up(fam):
-    return lambda s, g, a, d: s.upper(fam)(g, a, d)
+    return lambda s: s.upper[fam]
 
 
 _R, _S, _P, _G, _B = FAMILY_ORDER
 
 _CATALOGUE: tuple[tuple[str, str, Callable], ...] = (
     ("sandwich", "unary", _chk_sandwich),
-    ("3.2", "binary", _upper_laws(lambda s: s.gamma_upper, "gamma upper")),
-    ("3.3", "binary", _lower_laws(lambda s: s.gamma_lower, "gamma lower")),
+    ("3.2", "binary", _lattice_laws(_up(_G), "gamma upper")),
+    ("3.3", "binary", _lattice_laws(_lo(_G), "gamma lower")),
     ("3.4", "unary", _exact_transfer(_G, "gamma")),
     ("3.5", "unary", _inclusion(_lo(_R), _lo(_G), "R lower within gamma lower")),
     ("3.6", "unary", _inclusion(_up(_G), _up(_R), "gamma upper within R upper")),
@@ -421,8 +350,8 @@ _CATALOGUE: tuple[tuple[str, str, Callable], ...] = (
     ("3.8", "unary", _inclusion(_lo(_S), _lo(_G), "semi lower within gamma lower")),
     ("3.9", "unary", _inclusion(_up(_P), _up(_G), "pre upper within gamma upper")),
     ("3.10", "unary", _inclusion(_up(_B), _up(_P), "beta upper within pre upper")),
-    ("3.12", "binary", _upper_laws(lambda s: s.beta_upper, "beta upper")),
-    ("3.13", "binary", _lower_laws(lambda s: s.beta_lower, "beta lower")),
+    ("3.12", "binary", _lattice_laws(_up(_B), "beta upper")),
+    ("3.13", "binary", _lattice_laws(_lo(_B), "beta lower")),
     ("3.14", "unary", _exact_transfer(_B, "beta")),
     ("3.15", "unary", _inclusion(_lo(_R), _lo(_B), "R lower within beta lower")),
     ("3.16", "unary", _inclusion(_up(_B), _up(_R), "beta upper within R upper")),
@@ -461,17 +390,15 @@ def check_propositions(
     the first witness found for its law.
     """
     suite = suite if suite is not None else DEFAULT_SUITE
-    label = space_label or (
-        f"U={{{', '.join(g.universe.labels)}}} with {len(g.topology.opens)} opens"
-    )
     if samples is None:
         _guard_cap(g, exhaustive_cap, "exhaustive")
         subsets = list(g.universe.subsets())
         pairs = [(a, b) for a in subsets for b in subsets]
+        units = [(a,) for a in subsets]
     else:
         rng = rng if rng is not None else random.Random(0)
         size = g.universe.size
-        subsets = [g.universe.from_bits(rng.getrandbits(size)) for _ in range(samples)]
+        units = [(g.universe.from_bits(rng.getrandbits(size)),) for _ in range(samples)]
         pairs = [
             (
                 g.universe.from_bits(rng.getrandbits(size)),
@@ -480,24 +407,22 @@ def check_propositions(
             for _ in range(samples)
         ]
 
+    # The default label counts the opens, which lists them all; it is built
+    # only once a law fails.
+    label = space_label
     reports = []
     for pid, kind, checker in _CATALOGUE:
         violations: list[Violation] = []
         instances = 0
-        if kind == "unary":
-            for a in subsets:
-                instances += 1
-                detail = checker(suite, g, a)
-                if detail is not None:
-                    violations.append(Violation(label, detail))
-                    break
-        else:
-            for a, b in pairs:
-                instances += 1
-                detail = checker(suite, g, a, b)
-                if detail is not None:
-                    violations.append(Violation(label, detail))
-                    break
+        for case in units if kind == "unary" else pairs:
+            instances += 1
+            detail = checker(suite, g, *case)
+            if detail is not None:
+                if not label:
+                    opens = len(g.topology.opens)
+                    label = f"U={{{', '.join(g.universe.labels)}}} with {opens} opens"
+                violations.append(Violation(label, detail))
+                break
         reports.append(PropositionReport(pid, instances, violations))
     return reports
 

@@ -94,9 +94,9 @@ class TestRegions:
 
     def test_positive_golden(self, g):
         a = sub(g, "a", "c")
-        assert ap.positive(g, a, GAMMA, DEC) == sub(g, "a", "c")
-        assert ap.positive(g, a, S, DEC) == sub(g, "a")
-        assert ap.positive(g, g.universe.empty(), BETA, INC) == g.universe.empty()
+        assert ap.lower(g, a, GAMMA, DEC) == sub(g, "a", "c")
+        assert ap.lower(g, a, S, DEC) == sub(g, "a")
+        assert ap.lower(g, g.universe.empty(), BETA, INC) == g.universe.empty()
 
     def test_negative_uses_the_opposite_direction_upper(self, g):
         a = sub(g, "a", "c")
@@ -119,19 +119,13 @@ class TestAccuracyAndExactness:
 
     def test_exactness(self, g):
         a = sub(g, "a", "c")
-        assert not ap.is_exact(g, a, GAMMA, DEC)
+        assert not ap.full_report(g, a)[(GAMMA, DEC)].exact
+        full = ap.full_report(g, g.universe.full())
+        empty = ap.full_report(g, g.universe.empty())
         for family in FAMILY_ORDER:
             for d in DIRECTION_ORDER:
-                assert ap.is_exact(g, g.universe.full(), family, d)
-                assert ap.is_exact(g, g.universe.empty(), family, d)
-
-    def test_mixed_direction_diagnostic(self, g):
-        a = sub(g, "a", "c")
-        # pre/Inc is exact under the same-direction comparison but not under
-        # the mixed one: the Dec upper approximation is {a, b, c}.
-        assert ap.is_exact(g, a, P, INC)
-        assert not ap.is_exact(g, a, P, INC, mixed_directions=True)
-        assert not ap.is_exact(g, a, GAMMA, DEC, mixed_directions=True)
+                assert full[(family, d)].exact
+                assert empty[(family, d)].exact
 
 
 class TestFullReport:

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from gotas import cli
 from gotas.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -213,6 +214,22 @@ class TestCheckCommand:
         result = runner.invoke(main, ["check", doc, "--samples", "40", "--seed", "7"])
         assert result.exit_code == 0
 
+    def test_identity_twenty_points_lists_no_opens(self, runner, tmp_path, monkeypatch):
+        # The discrete topology on 20 points has 2**20 opens; a check in
+        # which every law holds must not list them to label its witnesses.
+        labels = [f"e{i}" for i in range(20)]
+        doc = write_doc(
+            tmp_path,
+            {"universe": labels, "relation": [[x, x] for x in labels], "order": []},
+        )
+        spaces = []
+        load = cli.load_space
+        monkeypatch.setattr(cli, "load_space", lambda path: spaces.append(load(path)) or spaces[0])
+        result = runner.invoke(main, ["check", doc, "--samples", "4"])
+        assert result.exit_code == 0
+        assert result.output.endswith("result: all laws hold\n")
+        assert spaces[0].topology._opens is None
+
     def test_exclusive_flags(self, runner, example_doc):
         result = runner.invoke(
             main, ["check", str(example_doc), "--exhaustive", "--samples", "5"]
@@ -244,6 +261,15 @@ class TestOracleDiffCommand:
         result = runner.invoke(main, ["oracle-diff", str(example_doc)])
         assert result.exit_code == EXIT_INPUT_ERROR
         assert "cap 3" in result.stderr
+
+    def test_default_cap_rejects_eleven_points(self, runner, tmp_path):
+        doc = write_doc(
+            tmp_path,
+            {"universe": [f"e{i}" for i in range(11)], "base": [], "order": []},
+        )
+        result = runner.invoke(main, ["oracle-diff", doc])
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert result.stderr == "error: universe size 11 exceeds the oracle cap 10\n"
 
     def test_invalid_cap_value(self, runner, example_doc, monkeypatch):
         monkeypatch.setenv("GOTAS_ORACLE_CAP", "lots")

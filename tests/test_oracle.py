@@ -13,6 +13,7 @@ from gotas import (
 )
 from gotas.approximations import Gotas
 from gotas.oracle import (
+    DEFAULT_SUITE,
     CapExceededError,
     PROPOSITION_IDS,
     check_propositions,
@@ -117,6 +118,20 @@ class TestCheckPropositions:
         for r in reports:
             if not r.passed:
                 assert r.violations[0].detail
+
+    def test_no_gamma_upper_meets_both_3_9_and_3_21(self, probe):
+        # 3.9 asks pre upper ⊆ gamma upper and 3.21 gamma upper ⊆ semi
+        # upper, so together they need pre upper ⊆ semi upper, which fails
+        # here. Whichever gamma upper is plugged in, one of them breaks.
+        u = probe.universe
+        a = u.subset(["a"])
+        pre, semi = ap.pre_upper(probe, a, INC), ap.semi_upper(probe, a, INC)
+        assert pre == u.subset(["a", "c"])
+        assert semi == u.subset(["a"])
+        assert not pre.is_subset(semi)
+        for suite in (DEFAULT_SUITE, corrupted_suite()):
+            reports = check_propositions(probe, suite=suite)
+            assert {r.proposition for r in reports if not r.passed} & {"3.9", "3.21"}
 
     def test_corrupted_gamma_upper_is_caught(self, probe):
         reports = check_propositions(probe, suite=corrupted_suite())
