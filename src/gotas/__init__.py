@@ -35,12 +35,13 @@ from .topology import (
     generate_topology,
     topology_from_relation,
 )
-from .universe import Subset, Universe, UniverseMismatchError
+from .universe import Batch, Subset, Universe, UniverseMismatchError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApproxReport",
+    "Batch",
     "BinaryRelation",
     "DIRECTION_ORDER",
     "Direction",

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .order import PartialOrder
 from .topology import Topology, points_meeting, points_within
-from .universe import Subset, Universe
+from .universe import Batch, Subset, Universe
 
 
 class Direction(Enum):
@@ -64,7 +65,8 @@ class Gotas:
 
     ``kernel[d][x]`` is M_d(x), the smallest d-monotone open set holding x:
     the transitive closure of N(x) with the up-set (Inc) or down-set (Dec)
-    of x. ``memo`` holds base-operator results, up to ``MEMO_LIMIT``.
+    of x. ``memo`` holds base-operator results on subsets, up to
+    ``MEMO_LIMIT``; batches skip it.
     """
 
     universe: Universe
@@ -84,6 +86,16 @@ class Gotas:
             Direction.DEC: _closure(nbhd, self.order.pred),
         })
 
+    @cached_property
+    def kernel_points(self) -> dict[Direction, tuple[tuple[int, ...], ...]]:
+        """``kernel`` with each M_d(x) as its tuple of points, which is what
+        the base operators read on a batch."""
+        n = self.universe.size
+        return {
+            d: tuple(tuple(y for y in range(n) if m >> y & 1) for m in masks)
+            for d, masks in self.kernel.items()
+        }
+
 
 def _closure(nbhd: tuple[int, ...], reach: tuple[int, ...]) -> tuple[int, ...]:
     """Warshall's transitive closure of x -> N(x) ∪ reach(x), per point."""
@@ -96,9 +108,16 @@ def _closure(nbhd: tuple[int, ...], reach: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(m)
 
 
-def r_lower(g: Gotas, a: Subset, d: Direction) -> Subset:
+# The operators act on one subset or, lane by lane, on a batch of them.
+Sets = Subset | Batch
+
+
+def r_lower(g: Gotas, a: Sets, d: Direction) -> Sets:
     """Greatest d-monotone open subset of ``a``: the points x with
-    M_d(x) inside ``a``."""
+    M_d(x) inside ``a``. On a batch, column x is the AND of the columns
+    of M_d(x)."""
+    if isinstance(a, Batch):
+        return a.all_of(g.kernel_points[d])
     key = (a.bits, d, "lower")
     bits = g.memo.get(key)
     if bits is None:
@@ -106,10 +125,13 @@ def r_lower(g: Gotas, a: Subset, d: Direction) -> Subset:
     return g.universe.from_bits(bits)
 
 
-def r_upper(g: Gotas, a: Subset, d: Direction) -> Subset:
+def r_upper(g: Gotas, a: Sets, d: Direction) -> Sets:
     """Smallest d-monotone closed superset of ``a``: the points x whose
     M_{d.opposite}(x) meets ``a`` (its complement is the greatest
-    opposite-monotone open set outside ``a``)."""
+    opposite-monotone open set outside ``a``). On a batch, column x is the
+    OR of the columns of M_{d.opposite}(x)."""
+    if isinstance(a, Batch):
+        return a.any_of(g.kernel_points[d.opposite])
     key = (a.bits, d, "upper")
     bits = g.memo.get(key)
     if bits is None:
@@ -124,39 +146,39 @@ def _remember(g: Gotas, key: tuple, bits: int) -> int:
     return bits
 
 
-def semi_lower(g: Gotas, a: Subset, d: Direction) -> Subset:
+def semi_lower(g: Gotas, a: Sets, d: Direction) -> Sets:
     return a & r_upper(g, r_lower(g, a, d), d)
 
 
-def semi_upper(g: Gotas, a: Subset, d: Direction) -> Subset:
+def semi_upper(g: Gotas, a: Sets, d: Direction) -> Sets:
     return a | r_lower(g, r_upper(g, a, d), d)
 
 
-def pre_lower(g: Gotas, a: Subset, d: Direction) -> Subset:
+def pre_lower(g: Gotas, a: Sets, d: Direction) -> Sets:
     return a & r_lower(g, r_upper(g, a, d), d)
 
 
-def pre_upper(g: Gotas, a: Subset, d: Direction) -> Subset:
+def pre_upper(g: Gotas, a: Sets, d: Direction) -> Sets:
     return a | r_upper(g, r_lower(g, a, d), d)
 
 
-def gamma_lower(g: Gotas, a: Subset, d: Direction) -> Subset:
+def gamma_lower(g: Gotas, a: Sets, d: Direction) -> Sets:
     return a & (r_upper(g, r_lower(g, a, d), d) | r_lower(g, r_upper(g, a, d), d))
 
 
-def gamma_upper(g: Gotas, a: Subset, d: Direction) -> Subset:
+def gamma_upper(g: Gotas, a: Sets, d: Direction) -> Sets:
     return a | (r_upper(g, r_lower(g, a, d), d) | r_lower(g, r_upper(g, a, d), d))
 
 
-def beta_lower(g: Gotas, a: Subset, d: Direction) -> Subset:
+def beta_lower(g: Gotas, a: Sets, d: Direction) -> Sets:
     return a & r_upper(g, r_lower(g, r_upper(g, a, d), d), d)
 
 
-def beta_upper(g: Gotas, a: Subset, d: Direction) -> Subset:
+def beta_upper(g: Gotas, a: Sets, d: Direction) -> Sets:
     return a | r_lower(g, r_upper(g, r_lower(g, a, d), d), d)
 
 
-OpFn = Callable[[Gotas, Subset, Direction], Subset]
+OpFn = Callable[[Gotas, Sets, Direction], Sets]
 
 _LOWER: dict[OperatorFamily, OpFn] = {
     OperatorFamily.R: r_lower,
@@ -174,15 +196,41 @@ _UPPER: dict[OperatorFamily, OpFn] = {
 }
 
 
-def _ratio(lo: Subset, up: Subset) -> Fraction:
-    """Exact cardinality ratio of a lower to an upper approximation.
+def _terms(lo: int, up: int) -> tuple[int, int]:
+    """Numerator and denominator of the accuracy of a lower and an upper
+    approximation with ``lo`` and ``up`` points.
 
     The empty set is a total-function extension: it is exact for every
     family, so its accuracy is 1.
     """
-    if up.is_empty():
-        return Fraction(1)
-    return Fraction(lo.cardinality(), up.cardinality())
+    return (lo, up) if up else (1, 1)
+
+
+def _ratio(lo: Subset, up: Subset) -> Fraction:
+    """Exact cardinality ratio of a lower to an upper approximation."""
+    return Fraction(*_terms(lo.cardinality(), up.cardinality()))
+
+
+class Accuracies:
+    """The accuracy of each lane of a batch, kept as integer pairs so that
+    lanes compare by cross-multiplication; a Fraction is built only for a
+    lane that is asked for."""
+
+    def __init__(self, lo: Batch, up: Batch) -> None:
+        self.terms = [
+            _terms(x.bit_count(), y.bit_count()) for x, y in zip(lo.rows(), up.rows())
+        ]
+
+    def exceeds(self, other: Accuracies) -> int:
+        """Lanes where this accuracy is greater than ``other``'s."""
+        return sum(
+            1 << s
+            for s, ((n, d), (m, e)) in enumerate(zip(self.terms, other.terms))
+            if n * e > m * d
+        )
+
+    def lane(self, s: int) -> Fraction:
+        return Fraction(*self.terms[s])
 
 
 @dataclass(frozen=True)
@@ -198,16 +246,19 @@ class OperatorSuite:
     lower: dict[OperatorFamily, OpFn]
     upper: dict[OperatorFamily, OpFn]
 
-    def boundary(self, g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
+    def boundary(self, g: Gotas, a: Sets, family: OperatorFamily, d: Direction) -> Sets:
         return self.upper[family](g, a, d) - self.lower[family](g, a, d)
 
-    def negative(self, g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
+    def negative(self, g: Gotas, a: Sets, family: OperatorFamily, d: Direction) -> Sets:
         # Cross-direction by definition: the Inc negative region subtracts the
         # Dec upper approximation, and vice versa.
         return self.upper[family](g, a, d.opposite).complement()
 
-    def accuracy(self, g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Fraction:
-        return _ratio(self.lower[family](g, a, d), self.upper[family](g, a, d))
+    def accuracy(
+        self, g: Gotas, a: Sets, family: OperatorFamily, d: Direction
+    ) -> Fraction | Accuracies:
+        lo, up = self.lower[family](g, a, d), self.upper[family](g, a, d)
+        return Accuracies(lo, up) if isinstance(a, Batch) else _ratio(lo, up)
 
 
 DEFAULT_SUITE = OperatorSuite(r_lower, r_upper, _LOWER, _UPPER)

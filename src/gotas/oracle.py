@@ -4,10 +4,10 @@ The oracle recomputes the directed base approximations from their defining
 property by scanning the entire powerset against its own materialised open
 family, independently of the minimal-neighborhood kernel used by the fast
 operators. The checker runs a catalogue of algebraic laws over all subsets
-(and all pairs, for the binary laws) of a space and reports one result per
-law, with the first counterexample kept as a witness. A deliberately
-corrupted gamma-upper operator is provided so the checker's failure path
-itself stays under test.
+(and all pairs, for the binary laws) of a space, bit-sliced into batches,
+and reports one result per law, with the first counterexample kept as a
+witness. A deliberately corrupted gamma-upper operator is provided so the
+checker's failure path itself stays under test.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable
 
 from . import approximations as approx
@@ -28,7 +30,7 @@ from .approximations import (
 )
 from .order import PartialOrder, equality_order, validate_order
 from .topology import Topology, generate_topology
-from .universe import Subset, Universe
+from .universe import Batch, Subset, Universe
 
 DEFAULT_ORACLE_CAP = 10
 EXHAUSTIVE_CAP = 5
@@ -184,134 +186,114 @@ class PropositionReport:
         return not self.violations
 
 
-def _chk_sandwich(s, g, a):
+# Each law is a generator of claims over a batch of subsets (unary laws) or
+# over an A/B pair of batches (binary laws): (fail mask, witness template,
+# operands), in the order a check of one instance tests them. The template's
+# %s fields take the operands' values at the failing lane.
+
+
+def _sandwich(s, g, a):
     for family in FAMILY_ORDER:
         for d in DIRECTION_ORDER:
             lo = s.lower[family](g, a, d)
             up = s.upper[family](g, a, d)
-            if not (lo.is_subset(a) and a.is_subset(up)):
-                return (
-                    f"{family.label} {d.label}: expected {lo} within {a} "
-                    f"within {up}"
-                )
-    return None
+            yield (lo.outside(a) | a.outside(up),
+                   f"{family.label} {d.label}: expected %s within %s within %s", (lo, a, up))
 
 
 def _lattice_laws(op, label):
-    def check(s, g, a, b):
+    def claims(s, g, a, b):
         fn = op(s)
         for d in DIRECTION_ORDER:
             xa, xb = fn(g, a, d), fn(g, b, d)
-            if a.is_subset(b) and not xa.is_subset(xb):
-                return f"{d.label}: {label} not monotone at A={a}, B={b}"
-            if not fn(g, a & b, d).is_subset(xa & xb):
-                return f"{d.label}: {label}(A∩B) exceeds the intersection at A={a}, B={b}"
-            if not (xa | xb).is_subset(fn(g, a | b, d)):
-                return f"{d.label}: {label}(A∪B) misses the union at A={a}, B={b}"
-        return None
+            yield (~a.outside(b) & xa.outside(xb),
+                   f"{d.label}: {label} not monotone at A=%s, B=%s", (a, b))
+            yield (fn(g, a & b, d).outside(xa & xb),
+                   f"{d.label}: {label}(A∩B) exceeds the intersection at A=%s, B=%s", (a, b))
+            yield ((xa | xb).outside(fn(g, a | b, d)),
+                   f"{d.label}: {label}(A∪B) misses the union at A=%s, B=%s", (a, b))
 
-    return check
+    return claims
 
 
 def _exact_transfer(fam, label):
-    def check(s, g, a):
+    def claims(s, g, a):
         for d in DIRECTION_ORDER:
-            if s.r_lower(g, a, d) == s.r_upper(g, a, d):
-                if s.lower[fam](g, a, d) != s.upper[fam](g, a, d):
-                    return f"{d.label}: A={a} is R exact but not {label} exact"
-        return None
+            r_rough = s.r_lower(g, a, d).differs(s.r_upper(g, a, d))
+            rough = s.lower[fam](g, a, d).differs(s.upper[fam](g, a, d))
+            yield (~r_rough & rough, f"{d.label}: A=%s is R exact but not {label} exact", (a,))
 
-    return check
+    return claims
 
 
 def _inclusion(first, second, text):
-    def check(s, g, a):
+    def claims(s, g, a):
         for d in DIRECTION_ORDER:
             x, y = first(s)(g, a, d), second(s)(g, a, d)
-            if not x.is_subset(y):
-                return f"{d.label}: A={a}: {text}: {x} not within {y}"
-        return None
+            yield x.outside(y), f"{d.label}: A=%s: {text}: %s not within %s", (a, x, y)
 
-    return check
+    return claims
 
 
 def _inclusion_chain(steps):
     # steps: ((fn, name), ...) asserted pairwise along the chain
-    def check(s, g, a):
+    def claims(s, g, a):
         for d in DIRECTION_ORDER:
             values = [(name, fn(s)(g, a, d)) for fn, name in steps]
             for (nx, x), (ny, y) in zip(values, values[1:]):
-                if not x.is_subset(y):
-                    return f"{d.label}: A={a}: {nx} {x} not within {ny} {y}"
-        return None
+                yield x.outside(y), f"{d.label}: A=%s: {nx} %s not within {ny} %s", (a, x, y)
 
-    return check
+    return claims
 
 
 def _boundary_chain(fams):
-    def check(s, g, a):
+    def claims(s, g, a):
         for d in DIRECTION_ORDER:
             bounds = [s.boundary(g, a, f, d) for f in fams]
-            for (fx, bx), (fy, by) in zip(
-                zip(fams, bounds), zip(fams[1:], bounds[1:])
-            ):
-                if not bx.is_subset(by):
-                    return (
-                        f"{d.label}: A={a}: boundary {fx.label} {bx} not "
-                        f"within boundary {fy.label} {by}"
-                    )
-        return None
+            for fx, fy, bx, by in zip(fams, fams[1:], bounds, bounds[1:]):
+                yield (bx.outside(by),
+                       f"{d.label}: A=%s: boundary {fx.label} %s not within boundary {fy.label} %s",
+                       (a, bx, by))
 
-    return check
+    return claims
 
 
 def _neg_laws(fam):
-    def check(s, g, a, b):
+    def claims(s, g, a, b):
         for d in DIRECTION_ORDER:
             na = s.negative(g, a, fam, d)
             nb = s.negative(g, b, fam, d)
             nu = s.negative(g, a | b, fam, d)
             ni = s.negative(g, a & b, fam, d)
+            where = f"{d.label}: A=%s, B=%s"
             # Proof forms, which imply the looser stated forms.
-            if not nu.is_subset(na & nb):
-                return f"{d.label}: A={a}, B={b}: Neg(A∪B) {nu} not within Neg(A)∩Neg(B)"
-            if not (na | nb).is_subset(ni):
-                return f"{d.label}: A={a}, B={b}: Neg(A)∪Neg(B) not within Neg(A∩B) {ni}"
+            yield nu.outside(na & nb), f"{where}: Neg(A∪B) %s not within Neg(A)∩Neg(B)", (a, b, nu)
+            yield (na | nb).outside(ni), f"{where}: Neg(A)∪Neg(B) not within Neg(A∩B) %s", (a, b, ni)
             # Stated forms, asserted as well.
-            if not nu.is_subset(na | nb):
-                return f"{d.label}: A={a}, B={b}: Neg(A∪B) {nu} not within Neg(A)∪Neg(B)"
-            if not (na & nb).is_subset(ni):
-                return f"{d.label}: A={a}, B={b}: Neg(A)∩Neg(B) not within Neg(A∩B) {ni}"
-        return None
+            yield nu.outside(na | nb), f"{where}: Neg(A∪B) %s not within Neg(A)∪Neg(B)", (a, b, nu)
+            yield (na & nb).outside(ni), f"{where}: Neg(A)∩Neg(B) not within Neg(A∩B) %s", (a, b, ni)
 
-    return check
+    return claims
 
 
-def _chk_accuracy_floor(s, g, a):
-    if a.is_empty():
-        return None
+def _accuracy_floor(s, g, a):
     for d in DIRECTION_ORDER:
-        base = s.accuracy(g, a, OperatorFamily.R, d)
-        for fam in (OperatorFamily.GAMMA, OperatorFamily.BETA):
+        base = s.accuracy(g, a, _R, d)
+        for fam in (_G, _B):
             got = s.accuracy(g, a, fam, d)
-            if not base <= got:
-                return f"{d.label}: A={a}: R accuracy {base} > {fam.label} accuracy {got}"
-    return None
+            yield (a.nonempty() & base.exceeds(got),
+                   f"{d.label}: A=%s: R accuracy %s > {fam.label} accuracy %s", (a, base, got))
 
 
-def _chk_accuracy_chain(s, g, a):
-    if a.is_empty():
-        return None
+def _accuracy_chain(s, g, a):
     for d in DIRECTION_ORDER:
-        ar = s.accuracy(g, a, OperatorFamily.R, d)
-        ag = s.accuracy(g, a, OperatorFamily.GAMMA, d)
-        ab = s.accuracy(g, a, OperatorFamily.BETA, d)
-        if not ar <= ag <= ab:
-            return f"{d.label}: A={a}: accuracies R {ar}, gamma {ag}, beta {ab} not ascending"
-    return None
+        ar, ag, ab = (s.accuracy(g, a, fam, d) for fam in (_R, _G, _B))
+        yield (a.nonempty() & (ar.exceeds(ag) | ag.exceeds(ab)),
+               f"{d.label}: A=%s: accuracies R %s, gamma %s, beta %s not ascending",
+               (a, ar, ag, ab))
 
 
-def _chk_duality(s, g, a):
+def _duality(s, g, a):
     comp = a.complement()
     cases = (
         ("upper Inc vs lower Dec", s.r_upper(g, a, Direction.INC),
@@ -324,9 +306,7 @@ def _chk_duality(s, g, a):
          s.r_upper(g, comp, Direction.INC).complement()),
     )
     for name, left, right in cases:
-        if left != right:
-            return f"A={a}: duality {name}: {left} vs {right}"
-    return None
+        yield left.differs(right), f"A=%s: duality {name}: %s vs %s", (a, left, right)
 
 
 def _lo(fam):
@@ -340,7 +320,7 @@ def _up(fam):
 _R, _S, _P, _G, _B = FAMILY_ORDER
 
 _CATALOGUE: tuple[tuple[str, str, Callable], ...] = (
-    ("sandwich", "unary", _chk_sandwich),
+    ("sandwich", "unary", _sandwich),
     ("3.2", "binary", _lattice_laws(_up(_G), "gamma upper")),
     ("3.3", "binary", _lattice_laws(_lo(_G), "gamma lower")),
     ("3.4", "unary", _exact_transfer(_G, "gamma")),
@@ -361,13 +341,13 @@ _CATALOGUE: tuple[tuple[str, str, Callable], ...] = (
         ((_lo(_S), "semi lower"), (_lo(_G), "gamma lower"), (_lo(_B), "beta lower")))),
     ("3.21", "unary", _inclusion_chain(
         ((_up(_B), "beta upper"), (_up(_G), "gamma upper"), (_up(_S), "semi upper")))),
-    ("3.23", "unary", _chk_accuracy_floor),
+    ("3.23", "unary", _accuracy_floor),
     ("3.25", "unary", _boundary_chain((_B, _G, _S))),
     ("3.26", "unary", _boundary_chain((_G, _R))),
     ("3.27", "unary", _boundary_chain((_B, _R))),
-    ("3.28a", "unary", _chk_accuracy_chain),
+    ("3.28a", "unary", _accuracy_chain),
     ("3.28b", "unary", _inclusion(_lo(_G), _lo(_B), "gamma lower within beta lower")),
-    ("duality", "unary", _chk_duality),
+    ("duality", "unary", _duality),
 )
 
 PROPOSITION_IDS = tuple(pid for pid, _, _ in _CATALOGUE)
@@ -386,45 +366,46 @@ def check_propositions(
 
     Without ``samples`` the run is exhaustive (all subsets, all pairs) and
     the universe must not exceed ``exhaustive_cap``; with ``samples`` that
-    many random subsets/pairs are drawn instead. Each report keeps at most
-    the first witness found for its law.
+    many random subsets/pairs are drawn instead. Every law runs on all its
+    instances at once, one batch lane each; its first failing lane is the
+    instance a one-at-a-time check would stop at, so ``instances`` is that
+    lane's index plus one, and its first failing claim gives the witness.
     """
     suite = suite if suite is not None else DEFAULT_SUITE
+    u = g.universe
     if samples is None:
         _guard_cap(g, exhaustive_cap, "exhaustive")
-        subsets = list(g.universe.subsets())
-        pairs = [(a, b) for a in subsets for b in subsets]
-        units = [(a,) for a in subsets]
+        batches = {"unary": (Batch.powerset(u),), "binary": Batch.pairs(u)}
     else:
         rng = rng if rng is not None else random.Random(0)
-        size = g.universe.size
-        units = [(g.universe.from_bits(rng.getrandbits(size)),) for _ in range(samples)]
-        pairs = [
-            (
-                g.universe.from_bits(rng.getrandbits(size)),
-                g.universe.from_bits(rng.getrandbits(size)),
-            )
-            for _ in range(samples)
-        ]
+        units = [rng.getrandbits(u.size) for _ in range(samples)]
+        draws = [rng.getrandbits(u.size) for _ in range(2 * samples)]
+        batches = {
+            "unary": (Batch.of(u, units),),
+            "binary": (Batch.of(u, draws[0::2]), Batch.of(u, draws[1::2])),
+        }
 
-    # The default label counts the opens, which lists them all; it is built
-    # only once a law fails.
     label = space_label
     reports = []
-    for pid, kind, checker in _CATALOGUE:
-        violations: list[Violation] = []
-        instances = 0
-        for case in units if kind == "unary" else pairs:
-            instances += 1
-            detail = checker(suite, g, *case)
-            if detail is not None:
-                if not label:
-                    opens = len(g.topology.opens)
-                    label = f"U={{{', '.join(g.universe.labels)}}} with {opens} opens"
-                violations.append(Violation(label, detail))
-                break
-        reports.append(PropositionReport(pid, instances, violations))
+    for pid, kind, law in _CATALOGUE:
+        operands = batches[kind]
+        claims = list(law(suite, g, *operands))
+        failed = reduce(or_, (mask for mask, _, _ in claims), 0)
+        if not failed:
+            reports.append(PropositionReport(pid, operands[0].width))
+            continue
+        lane = (failed & -failed).bit_length() - 1
+        template, values = next((t, v) for mask, t, v in claims if mask >> lane & 1)
+        label = label or _space_label(g)
+        detail = template % tuple(v.lane(lane) for v in values)
+        reports.append(PropositionReport(pid, lane + 1, [Violation(label, detail)]))
     return reports
+
+
+def _space_label(g: Gotas) -> str:
+    count = g.topology.count_opens()
+    opens = f"{count} opens" if count is not None else "too many opens to count"
+    return f"U={{{', '.join(g.universe.labels)}}} with {opens}"
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 Elements carry string labels at the API surface and dense indices
 internally; a subset is an int bitmask over those indices, which keeps
-membership, the set algebra and powerset scans cheap.
+membership, the set algebra and powerset scans cheap. A batch holds many
+subsets at once, bit-sliced, so that one int operation acts on all of them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from functools import reduce
+from operator import and_, or_
+from typing import Iterable, Iterator, Sequence
 
 
 class UniverseMismatchError(ValueError):
@@ -161,3 +164,129 @@ class Subset:
 
     def __repr__(self) -> str:
         return f"Subset({str(self)})"
+
+
+class Batch:
+    """W subsets of a Universe at once, held bit-sliced.
+
+    ``columns[x]`` has bit s set when point x is in lane s, so each int
+    operation acts on all W lanes, as in Biham's bit-sliced DES (1997). The
+    set algebra is Subset's, lane by lane; comparisons return the mask of
+    the lanes where they fail instead of a bool.
+    """
+
+    __slots__ = ("universe", "columns", "width", "lanes")
+
+    def __init__(self, universe: Universe, columns: tuple[int, ...], width: int) -> None:
+        self.universe = universe
+        self.columns = columns
+        self.width = width
+        self.lanes = (1 << width) - 1
+
+    @classmethod
+    def of(cls, universe: Universe, rows: Sequence[int]) -> Batch:
+        """Batch whose lane s is the subset with bitmask ``rows[s]``."""
+        return cls(universe, tuple(_transpose(rows, universe.size)), len(rows))
+
+    @classmethod
+    def powerset(cls, universe: Universe) -> Batch:
+        """Every subset: lane s holds the subset with bitmask s."""
+        n = universe.size
+        return cls(universe, tuple(_counting_columns(n)), 1 << n)
+
+    @classmethod
+    def pairs(cls, universe: Universe) -> tuple[Batch, Batch]:
+        """Every ordered pair of subsets (A, B): lane a·2ⁿ + b holds the
+        subsets with bitmasks a and b."""
+        n = universe.size
+        columns = _counting_columns(2 * n)
+        return (cls(universe, tuple(columns[n:]), 1 << 2 * n),
+                cls(universe, tuple(columns[:n]), 1 << 2 * n))
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        """The columns: hashable, like ``Subset.bits``."""
+        return self.columns
+
+    def rows(self) -> list[int]:
+        """The bitmask of each lane; the inverse of ``Batch.of``."""
+        return _transpose(self.columns, self.width)
+
+    def lane(self, s: int) -> Subset:
+        """The subset in lane s."""
+        bits = 0
+        for x, column in enumerate(self.columns):
+            bits |= (column >> s & 1) << x
+        return Subset(self.universe, bits)
+
+    def _guard(self, other: Batch) -> None:
+        if self.universe is not other.universe or self.width != other.width:
+            raise UniverseMismatchError("batches belong to different universes or widths")
+
+    def _zip(self, other: Batch, op) -> Batch:
+        self._guard(other)
+        return Batch(self.universe, tuple(map(op, self.columns, other.columns)), self.width)
+
+    def __or__(self, other: Batch) -> Batch:
+        return self._zip(other, or_)
+
+    def __and__(self, other: Batch) -> Batch:
+        return self._zip(other, and_)
+
+    def __sub__(self, other: Batch) -> Batch:
+        return self._zip(other, lambda x, y: x & ~y)
+
+    def complement(self) -> Batch:
+        lanes = self.lanes
+        return Batch(self.universe, tuple(c ^ lanes for c in self.columns), self.width)
+
+    def all_of(self, groups: Sequence[Sequence[int]]) -> Batch:
+        """Column x is the AND of the columns of the points in ``groups[x]``:
+        the lanes holding all of them."""
+        cols = self.columns
+        return Batch(self.universe, tuple(
+            reduce(and_, map(cols.__getitem__, points), self.lanes) for points in groups
+        ), self.width)
+
+    def any_of(self, groups: Sequence[Sequence[int]]) -> Batch:
+        """Column x is the OR of the columns of the points in ``groups[x]``:
+        the lanes meeting them."""
+        cols = self.columns
+        return Batch(self.universe, tuple(
+            reduce(or_, map(cols.__getitem__, points), 0) for points in groups
+        ), self.width)
+
+    def outside(self, other: Batch) -> int:
+        """Lanes where this subset is not within ``other``'s."""
+        self._guard(other)
+        return reduce(or_, (x & ~y for x, y in zip(self.columns, other.columns)), 0)
+
+    def differs(self, other: Batch) -> int:
+        """Lanes where the two subsets differ."""
+        self._guard(other)
+        return reduce(or_, map(int.__xor__, self.columns, other.columns), 0)
+
+    def nonempty(self) -> int:
+        """Lanes holding at least one point."""
+        return reduce(or_, self.columns, 0)
+
+
+def _counting_columns(m: int) -> list[int]:
+    """Over 2**m lanes, where lane s holds the bitmask s: for each bit k,
+    the lanes with bit k set, which are 2**k clear lanes then 2**k set ones,
+    repeated."""
+    every = (1 << (1 << m)) - 1
+    return [
+        (((1 << (1 << k)) - 1) << (1 << k)) * (every // ((1 << (2 << k)) - 1))
+        for k in range(m)
+    ]
+
+
+def _transpose(values: Sequence[int], width: int) -> list[int]:
+    """Bit matrix transpose: bit s of result[x] is bit x of ``values[s]``,
+    for ``width`` bits per value. Goes through binary strings, which keeps
+    the loop in C."""
+    if not values:
+        return [0] * width
+    text = [format(v, f"0{width}b") for v in reversed(values)]
+    return [int("".join(bits), 2) for bits in zip(*text)][::-1]

@@ -1,0 +1,80 @@
+"""A batch holds many subsets bit-sliced. Every operator must act on each
+lane exactly as it acts on that lane's subset alone."""
+
+import random
+
+import gotas.approximations as ap
+from gotas import (
+    DIRECTION_ORDER,
+    FAMILY_ORDER,
+    Batch,
+    BinaryRelation,
+    Gotas,
+    Universe,
+    topology_from_relation,
+)
+from gotas.oracle import corrupted_gamma_upper, random_order, random_space
+
+
+def _spaces(rng):
+    for i in range(40):
+        size = 1 + i % 9
+        if i % 2:
+            yield random_space(rng, size)
+        else:
+            u = Universe([f"e{k}" for k in range(size)])
+            pairs = [(x, y) for x in range(size) for y in range(size) if rng.random() < 0.3]
+            yield Gotas(u, topology_from_relation(BinaryRelation(u, pairs)), random_order(rng, u))
+
+
+def test_every_lane_matches_the_subset_operators():
+    rng = random.Random(6)
+    operators = [
+        *(table[f] for table in (ap._LOWER, ap._UPPER) for f in FAMILY_ORDER),
+        corrupted_gamma_upper,
+    ]
+    for g in _spaces(rng):
+        u = g.universe
+        rows = [rng.getrandbits(u.size) for _ in range(rng.randint(1, 64))]
+        batch = Batch.of(u, rows)
+        assert batch.rows() == rows
+        assert [batch.lane(s).bits for s in range(batch.width)] == rows
+        for op in operators:
+            for d in DIRECTION_ORDER:
+                got = op(g, batch, d)
+                assert got.rows() == [op(g, u.from_bits(r), d).bits for r in rows], (op, d)
+        for d in DIRECTION_ORDER:
+            accuracies = [ap.DEFAULT_SUITE.accuracy(g, batch, f, d) for f in FAMILY_ORDER]
+            for f, acc in zip(FAMILY_ORDER, accuracies):
+                want = [ap.accuracy(g, u.from_bits(r), f, d) for r in rows]
+                assert [acc.lane(s) for s in range(len(rows))] == want
+            first, second = accuracies[0], accuracies[3]
+            assert first.exceeds(second) == sum(
+                1 << s for s in range(len(rows)) if first.lane(s) > second.lane(s)
+            )
+
+
+def test_set_algebra_and_lane_masks():
+    rng = random.Random(7)
+    u = Universe(list("abcdefg"))
+    xs = [rng.getrandbits(7) for _ in range(50)]
+    ys = [rng.getrandbits(7) for _ in range(50)]
+    a, b = Batch.of(u, xs), Batch.of(u, ys)
+    assert (a | b).rows() == [x | y for x, y in zip(xs, ys)]
+    assert (a & b).rows() == [x & y for x, y in zip(xs, ys)]
+    assert (a - b).rows() == [x & ~y for x, y in zip(xs, ys)]
+    assert a.complement().rows() == [x ^ u.full_mask for x in xs]
+
+    def mask(flags):
+        return sum(1 << s for s, flag in enumerate(flags) if flag)
+
+    assert a.outside(b) == mask(x & ~y for x, y in zip(xs, ys))
+    assert a.differs(b) == mask(x != y for x, y in zip(xs, ys))
+    assert a.nonempty() == mask(xs)
+
+
+def test_powerset_and_pairs_enumerate_in_bitmask_order():
+    u = Universe(list("abc"))
+    assert Batch.powerset(u).rows() == list(range(8))
+    a, b = Batch.pairs(u)
+    assert list(zip(a.rows(), b.rows())) == [(x, y) for x in range(8) for y in range(8)]

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -230,6 +232,45 @@ class TestCheckCommand:
         assert result.output.endswith("result: all laws hold\n")
         assert spaces[0].topology._opens is None
 
+    def _failing_check(self, runner, tmp_path, monkeypatch, doc):
+        spaces = []
+        load = cli.load_space
+        monkeypatch.setattr(cli, "load_space", lambda path: spaces.append(load(path)) or spaces[0])
+        started = time.monotonic()
+        result = runner.invoke(
+            main, ["check", write_doc(tmp_path, doc), "--samples", "16", "--format", "json"]
+        )
+        elapsed = time.monotonic() - started
+        assert result.exit_code == EXIT_CHECK_FAILED
+        assert spaces[0].topology._opens is None
+        labels = {
+            v["space"] for p in json.loads(result.output)["propositions"] for v in p["violations"]
+        }
+        return spaces[0], labels, elapsed
+
+    def test_sparse_thirty_point_relation_counts_its_opens(self, runner, tmp_path, monkeypatch):
+        # Loops plus each pair with probability 2/30: law 3.21 fails, and the
+        # label counts ~2**29 opens without listing them.
+        rng = random.Random(0)
+        labels = [f"e{i}" for i in range(30)]
+        relation = [[x, y] for x in labels for y in labels if x == y or rng.random() < 2 / 30]
+        doc = {"universe": labels, "relation": relation, "order": []}
+        g, seen, elapsed = self._failing_check(runner, tmp_path, monkeypatch, doc)
+        count = g.topology.count_opens()
+        assert count is not None and count > 1 << 20
+        assert seen == {f"U={{{', '.join(labels)}}} with {count} opens"}
+        assert elapsed < 2.0
+
+    def test_uncountable_opens_have_a_fixed_label(self, runner, tmp_path, monkeypatch):
+        rng = random.Random(0)
+        labels = [f"e{i}" for i in range(60)]
+        relation = [[x, x] for x in labels]
+        relation += [[labels[x], labels[y]] for x in range(30) for y in range(30, 60)
+                     if rng.random() < 0.5]
+        doc = {"universe": labels, "relation": relation, "order": []}
+        _, seen, _ = self._failing_check(runner, tmp_path, monkeypatch, doc)
+        assert seen == {f"U={{{', '.join(labels)}}} with too many opens to count"}
+
     def test_exclusive_flags(self, runner, example_doc):
         result = runner.invoke(
             main, ["check", str(example_doc), "--exhaustive", "--samples", "5"]
@@ -242,6 +283,192 @@ class TestCheckCommand:
         assert result.exit_code == EXIT_CHECK_FAILED
         assert "FAIL" in result.output
         assert "result: violations found" in result.output
+
+
+# The exact output of `check`, instance counts and witness texts included.
+# The JSON outputs are written compactly here and compared after
+# re-indenting.
+PROBE_CHECK = """\
+sandwich       8 instances  PASS
+3.2           64 instances  PASS
+3.3           64 instances  PASS
+3.4            8 instances  PASS
+3.5            8 instances  PASS
+3.6            8 instances  PASS
+3.7            8 instances  PASS
+3.8            8 instances  PASS
+3.9            8 instances  PASS
+3.10           8 instances  PASS
+3.12          64 instances  PASS
+3.13          64 instances  PASS
+3.14           8 instances  PASS
+3.15           8 instances  PASS
+3.16           8 instances  PASS
+3.18          64 instances  PASS
+3.19          64 instances  PASS
+3.20           8 instances  PASS
+3.21           2 instances  FAIL
+          witness: Inc: A={a}: gamma upper {a, c} not within semi upper {a}
+3.23           8 instances  PASS
+3.25           2 instances  FAIL
+          witness: Inc: A={a}: boundary gamma {c} not within boundary S {}
+3.26           8 instances  PASS
+3.27           8 instances  PASS
+3.28a          8 instances  PASS
+3.28b          8 instances  PASS
+duality        8 instances  PASS
+result: violations found
+"""
+
+PROBE_CHECK_CORRUPT = """\
+sandwich       8 instances  PASS
+3.2           64 instances  PASS
+3.3           64 instances  PASS
+3.4            8 instances  PASS
+3.5            8 instances  PASS
+3.6            8 instances  PASS
+3.7            8 instances  PASS
+3.8            8 instances  PASS
+3.9            2 instances  FAIL
+          witness: Inc: A={a}: pre upper within gamma upper: {a, c} not within {a}
+3.10           8 instances  PASS
+3.12          64 instances  PASS
+3.13          64 instances  PASS
+3.14           8 instances  PASS
+3.15           8 instances  PASS
+3.16           8 instances  PASS
+3.18          64 instances  PASS
+3.19          64 instances  PASS
+3.20           8 instances  PASS
+3.21           8 instances  PASS
+3.23           8 instances  PASS
+3.25           8 instances  PASS
+3.26           8 instances  PASS
+3.27           8 instances  PASS
+3.28a          8 instances  PASS
+3.28b          8 instances  PASS
+duality        8 instances  PASS
+result: violations found
+"""
+
+PROBE_CHECK_JSON = """\
+{"mode": "exhaustive", "seed": 0, "all_pass": false, "propositions": [
+  {"id": "sandwich", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.2", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.3", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.4", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.5", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.6", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.7", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.8", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.9", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.10", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.12", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.13", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.14", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.15", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.16", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.18", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.19", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.20", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.21", "instances": 2, "pass": false, "violations": [{"space": "U={a, b, c} with 5 opens", "detail": "Inc: A={a}: gamma upper {a, c} not within semi upper {a}"}]},
+  {"id": "3.23", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.25", "instances": 2, "pass": false, "violations": [{"space": "U={a, b, c} with 5 opens", "detail": "Inc: A={a}: boundary gamma {c} not within boundary S {}"}]},
+  {"id": "3.26", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.27", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.28a", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.28b", "instances": 8, "pass": true, "violations": []},
+  {"id": "duality", "instances": 8, "pass": true, "violations": []}
+]}
+"""
+
+PROBE_CHECK_CORRUPT_JSON = """\
+{"mode": "exhaustive", "seed": 0, "all_pass": false, "propositions": [
+  {"id": "sandwich", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.2", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.3", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.4", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.5", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.6", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.7", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.8", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.9", "instances": 2, "pass": false, "violations": [{"space": "U={a, b, c} with 5 opens", "detail": "Inc: A={a}: pre upper within gamma upper: {a, c} not within {a}"}]},
+  {"id": "3.10", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.12", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.13", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.14", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.15", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.16", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.18", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.19", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.20", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.21", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.23", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.25", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.26", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.27", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.28a", "instances": 8, "pass": true, "violations": []},
+  {"id": "3.28b", "instances": 8, "pass": true, "violations": []},
+  {"id": "duality", "instances": 8, "pass": true, "violations": []}
+]}
+"""
+
+EIGHT_DOC = {
+    "universe": list("abcdefgh"),
+    "base": [[x] for x in "abdefgh"],
+    "order": [["a", "d"], ["e", "f"]],
+}
+
+EIGHT_SAMPLED_JSON = """\
+{"mode": "sampled:64", "seed": 3, "all_pass": false, "propositions": [
+  {"id": "sandwich", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.2", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.3", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.4", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.5", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.6", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.7", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.8", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.9", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.10", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.12", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.13", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.14", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.15", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.16", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.18", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.19", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.20", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.21", "instances": 3, "pass": false, "violations": [{"space": "U={a, b, c, d, e, f, g, h} with 129 opens", "detail": "Inc: A={a, b, d, h}: gamma upper {a, b, c, d, h} not within semi upper {a, b, d, h}"}]},
+  {"id": "3.23", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.25", "instances": 3, "pass": false, "violations": [{"space": "U={a, b, c, d, e, f, g, h} with 129 opens", "detail": "Inc: A={a, b, d, h}: boundary gamma {c} not within boundary S {}"}]},
+  {"id": "3.26", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.27", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.28a", "instances": 64, "pass": true, "violations": []},
+  {"id": "3.28b", "instances": 64, "pass": true, "violations": []},
+  {"id": "duality", "instances": 64, "pass": true, "violations": []}
+]}
+"""
+
+
+def _indented(compact_json):
+    return json.dumps(json.loads(compact_json), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc, args, expected", [
+    (PROBE_DOC, ["--exhaustive"], PROBE_CHECK),
+    (PROBE_DOC, ["--exhaustive", "--corrupt-gamma"], PROBE_CHECK_CORRUPT),
+    (PROBE_DOC, ["--exhaustive", "--format", "json"], _indented(PROBE_CHECK_JSON)),
+    (PROBE_DOC, ["--exhaustive", "--corrupt-gamma", "--format", "json"],
+     _indented(PROBE_CHECK_CORRUPT_JSON)),
+    (EIGHT_DOC, ["--samples", "64", "--seed", "3", "--format", "json"],
+     _indented(EIGHT_SAMPLED_JSON)),
+], ids=["probe", "probe-corrupt", "probe-json", "probe-corrupt-json", "eight-sampled-json"])
+def test_check_output_bytes(runner, tmp_path, doc, args, expected):
+    result = runner.invoke(main, ["check", write_doc(tmp_path, doc), *args])
+    assert result.exit_code == EXIT_CHECK_FAILED
+    assert result.stderr == ""
+    assert result.stdout == expected
 
 
 class TestOracleDiffCommand:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -8,7 +10,7 @@ from gotas import (
     generate_topology,
     topology_from_relation,
 )
-from gotas.oracle import open_family
+from gotas.oracle import open_family, random_space
 
 from strategies import topology_with_subsets, universe_with_base
 
@@ -130,3 +132,18 @@ def test_interior_closure_laws(t):
     # monotone: a∩b is below both
     assert topology.interior(a & b).is_subset(ia)
     assert topology.closure(a & b).is_subset(ca)
+
+
+def test_count_opens_matches_the_oracle_family():
+    rng = random.Random(3)
+    for i in range(120):
+        size = 1 + i % 9
+        if i % 2:
+            topology = random_space(rng, size, max_generators=6).topology
+        else:
+            u = Universe([f"e{k}" for k in range(size)])
+            pairs = [(x, y) for x in range(size) for y in range(size) if rng.random() < 0.25]
+            topology = topology_from_relation(BinaryRelation(u, pairs))
+        assert topology.count_opens() == len(open_family(topology))
+        assert topology._opens is None
+
