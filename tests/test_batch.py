@@ -2,6 +2,7 @@
 lane exactly as it acts on that lane's subset alone."""
 
 import random
+from itertools import product
 
 import gotas.approximations as ap
 from gotas import (
@@ -10,10 +11,11 @@ from gotas import (
     Batch,
     BinaryRelation,
     Gotas,
+    OperatorFamily,
     Universe,
     topology_from_relation,
 )
-from gotas.oracle import corrupted_gamma_upper, random_order, random_space
+from gotas.oracle import corrupted_gamma_upper, corrupted_suite, random_order, random_space
 
 
 def _spaces(rng):
@@ -43,15 +45,32 @@ def test_every_lane_matches_the_subset_operators():
             for d in DIRECTION_ORDER:
                 got = op(g, batch, d)
                 assert got.rows() == [op(g, u.from_bits(r), d).bits for r in rows], (op, d)
-        for d in DIRECTION_ORDER:
-            accuracies = [ap.DEFAULT_SUITE.accuracy(g, batch, f, d) for f in FAMILY_ORDER]
-            for f, acc in zip(FAMILY_ORDER, accuracies):
-                want = [ap.accuracy(g, u.from_bits(r), f, d) for r in rows]
-                assert [acc.lane(s) for s in range(len(rows))] == want
-            first, second = accuracies[0], accuracies[3]
-            assert first.exceeds(second) == sum(
-                1 << s for s in range(len(rows)) if first.lane(s) > second.lane(s)
-            )
+
+
+def test_every_batch_row_matches_the_rows_of_its_lanes():
+    rng = random.Random(8)
+    fields = ("lower", "upper", "negative", "positive", "boundary")
+    for g in _spaces(rng):
+        u = g.universe
+        rows = [rng.getrandbits(u.size) for _ in range(rng.randint(1, 64))]
+        for suite in (ap.DEFAULT_SUITE, corrupted_suite()):
+            table = ap.Rows(g, Batch.of(u, rows), suite)
+            singles = [ap.Rows(g, u.from_bits(r), suite) for r in rows]
+            for key in product(FAMILY_ORDER, DIRECTION_ORDER):
+                row, want = table[key], [single[key] for single in singles]
+                for field in fields:
+                    got = getattr(row, field).rows()
+                    assert got == [getattr(w, field).bits for w in want], (key, field)
+                indices = range(len(rows))
+                assert [row.accuracy.lane(s) for s in indices] == [w.accuracy for w in want]
+                assert [bool(row.exact >> s & 1) for s in indices] == [w.exact for w in want]
+                assert row.exact >> len(rows) == 0
+            for d in DIRECTION_ORDER:
+                first = table[OperatorFamily.R, d].accuracy
+                second = table[OperatorFamily.GAMMA, d].accuracy
+                assert first.exceeds(second) == sum(
+                    1 << s for s in range(len(rows)) if first.lane(s) > second.lane(s)
+                )
 
 
 def test_set_algebra_and_lane_masks():

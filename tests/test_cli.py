@@ -277,6 +277,19 @@ class TestCheckCommand:
         )
         assert result.exit_code == EXIT_INPUT_ERROR
 
+    def test_samples_above_the_cap_exit_before_any_draw(self, runner, example_doc, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(
+            cli.oracle, "check_propositions", lambda g, **kw: drawn.append(kw["samples"]) or []
+        )
+        result = runner.invoke(main, ["check", str(example_doc), "--samples", "65536"])
+        assert result.exit_code == 0
+        for samples in ("65537", str(10**12)):
+            result = runner.invoke(main, ["check", str(example_doc), "--samples", samples])
+            assert result.exit_code == EXIT_INPUT_ERROR
+            assert result.stderr == "error: --samples must be at most 65536\n"
+        assert drawn == [65536]
+
     def test_corrupted_fixture_mode_fails(self, runner, tmp_path):
         doc = write_doc(tmp_path, PROBE_DOC)
         result = runner.invoke(main, ["check", doc, "--exhaustive", "--corrupt-gamma"])

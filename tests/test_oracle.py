@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +31,7 @@ from gotas.oracle import (
 from conftest import make_example_space
 
 INC, DEC = Direction.INC, Direction.DEC
+R, GAMMA, BETA = ap.OperatorFamily.R, ap.OperatorFamily.GAMMA, ap.OperatorFamily.BETA
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,100 @@ class TestCheckPropositions:
         # so the corruption is invisible here; the probe space above is what
         # guards the failure path.
         assert all(r.passed for r in check_propositions(g, suite=corrupted_suite()))
+
+
+# Deliberately wrong operators, so that every law of the catalogue has a
+# pinned counterexample. None of them is monotone.
+def _outside_closure_lower(g, a, d):
+    return a & ap.r_upper(g, a.complement(), d)
+
+
+def _outside_interior_upper(g, a, d):
+    return a | ap.r_lower(g, a.complement(), d)
+
+
+def _minus_interior_lower(g, a, d):
+    return a - ap.r_lower(g, a, d)
+
+
+def _outside_opposite_interior_upper(g, a, d):
+    return a | ap.r_lower(g, a.complement(), d.opposite)
+
+
+def _opposite_r_lower(g, a, d):
+    return ap.r_lower(g, a, d.opposite)
+
+
+def _wrong_suites():
+    lower, upper = DEFAULT_SUITE.lower, DEFAULT_SUITE.upper
+    return {
+        "nonmonotone": replace(
+            DEFAULT_SUITE,
+            lower={**lower, GAMMA: _outside_closure_lower, BETA: _minus_interior_lower},
+            upper={**upper, GAMMA: _outside_interior_upper,
+                   BETA: _outside_opposite_interior_upper},
+        ),
+        # The r_lower/r_upper fields always match the R entries.
+        "swapped_r": replace(
+            DEFAULT_SUITE, r_lower=ap.r_upper, r_upper=ap.r_lower,
+            lower={**lower, R: ap.r_upper}, upper={**upper, R: ap.r_lower},
+        ),
+        "flipped_r": replace(
+            DEFAULT_SUITE, r_lower=_opposite_r_lower, lower={**lower, R: _opposite_r_lower},
+        ),
+    }
+
+
+# (suite, law) -> (instances, witness) of every law each wrong suite fails
+# on the worked example, exhaustively. Together they reach all 26 laws.
+WRONG_SUITE_WITNESSES = {
+    ('nonmonotone', '3.2'): (2, 'Inc: gamma upper not monotone at A={}, B={a}'),
+    ('nonmonotone', '3.3'): (19, 'Inc: gamma lower(A∪B) misses the union at A={a}, B={b}'),
+    ('nonmonotone', '3.4'): (1, 'Inc: A={} is R exact but not gamma exact'),
+    ('nonmonotone', '3.5'): (16, 'Inc: A={a, b, c, d}: R lower within gamma lower: {a, b, c, d} not within {}'),
+    ('nonmonotone', '3.6'): (1, 'Inc: A={}: gamma upper within R upper: {a, b, c, d} not within {}'),
+    ('nonmonotone', '3.7'): (2, 'Inc: A={a}: pre lower within gamma lower: {a} not within {}'),
+    ('nonmonotone', '3.8'): (16, 'Inc: A={a, b, c, d}: semi lower within gamma lower: {a, b, c, d} not within {}'),
+    ('nonmonotone', '3.9'): (2, 'Dec: A={a}: pre upper within gamma upper: {a, b} not within {a}'),
+    ('nonmonotone', '3.10'): (1, 'Inc: A={}: beta upper within pre upper: {a, b, c, d} not within {}'),
+    ('nonmonotone', '3.12'): (2, 'Inc: beta upper not monotone at A={}, B={a}'),
+    ('nonmonotone', '3.13'): (19, 'Dec: beta lower(A∪B) misses the union at A={a}, B={b}'),
+    ('nonmonotone', '3.14'): (1, 'Inc: A={} is R exact but not beta exact'),
+    ('nonmonotone', '3.15'): (2, 'Dec: A={a}: R lower within beta lower: {a} not within {}'),
+    ('nonmonotone', '3.16'): (1, 'Inc: A={}: beta upper within R upper: {a, b, c, d} not within {}'),
+    ('nonmonotone', '3.18'): (2, 'Inc: A={}, B={a}: Neg(A∪B) {b, c, d} not within Neg(A)∩Neg(B)'),
+    ('nonmonotone', '3.19'): (2, 'Inc: A={}, B={a}: Neg(A∪B) {b} not within Neg(A)∩Neg(B)'),
+    ('nonmonotone', '3.20'): (2, 'Dec: A={a}: gamma lower {a} not within beta lower {}'),
+    ('nonmonotone', '3.21'): (1, 'Inc: A={}: gamma upper {a, b, c, d} not within semi upper {}'),
+    ('nonmonotone', '3.23'): (2, 'Dec: A={a}: R accuracy 1/2 > beta accuracy 0'),
+    ('nonmonotone', '3.25'): (1, 'Inc: A={}: boundary gamma {a, b, c, d} not within boundary S {}'),
+    ('nonmonotone', '3.26'): (1, 'Inc: A={}: boundary gamma {a, b, c, d} not within boundary R {}'),
+    ('nonmonotone', '3.27'): (1, 'Inc: A={}: boundary beta {a, b, c, d} not within boundary R {}'),
+    ('nonmonotone', '3.28a'): (2, 'Dec: A={a}: accuracies R 1/2, gamma 1, beta 0 not ascending'),
+    ('nonmonotone', '3.28b'): (2, 'Dec: A={a}: gamma lower within beta lower: {a} not within {}'),
+    ('swapped_r', 'sandwich'): (2, 'R Inc: expected {a, b, c, d} within {a} within {}'),
+    ('swapped_r', '3.5'): (2, 'Inc: A={a}: R lower within gamma lower: {a, b, c, d} not within {a}'),
+    ('swapped_r', '3.6'): (2, 'Inc: A={a}: gamma upper within R upper: {a, b, c, d} not within {}'),
+    ('swapped_r', '3.15'): (2, 'Inc: A={a}: R lower within beta lower: {a, b, c, d} not within {a}'),
+    ('swapped_r', '3.16'): (2, 'Inc: A={a}: beta upper within R upper: {a} not within {}'),
+    ('swapped_r', '3.23'): (2, 'Inc: A={a}: R accuracy 1 > gamma accuracy 1/4'),
+    ('swapped_r', '3.26'): (2, 'Inc: A={a}: boundary gamma {b, c, d} not within boundary R {}'),
+    ('swapped_r', '3.27'): (2, 'Dec: A={a}: boundary beta {b} not within boundary R {}'),
+    ('swapped_r', '3.28a'): (2, 'Inc: A={a}: accuracies R 1, gamma 1/4, beta 1 not ascending'),
+    ('flipped_r', 'duality'): (2, 'A={a}: duality upper Inc vs lower Dec: {a, b, c, d} vs {a, b}'),
+}
+
+
+def test_wrong_suites_fail_every_law_with_pinned_witnesses(g):
+    got = {}
+    for name, suite in _wrong_suites().items():
+        for r in check_propositions(g, suite=suite):
+            if not r.passed:
+                [violation] = r.violations
+                assert violation.space == "U={a, b, c, d} with 6 opens"
+                got[name, r.proposition] = (r.instances, violation.detail)
+    assert got == WRONG_SUITE_WITNESSES
+    assert {pid for _, pid in got} == set(PROPOSITION_IDS)
 
 
 class TestGenerators:

@@ -1,16 +1,39 @@
 import importlib
 
+import pytest
+
 from gotas.oracle import PROPOSITION_IDS
 
 from conftest import REPO_ROOT
 
 
-def test_sweep_prints_one_line_per_law(capsys, monkeypatch):
+@pytest.fixture
+def sweep(monkeypatch):
     monkeypatch.syspath_prepend(str(REPO_ROOT / "scripts"))
-    sweep = importlib.import_module("random_sweep")
+    return importlib.import_module("random_sweep")
+
+
+def test_sweep_prints_one_line_per_law(capsys, sweep):
     code = sweep.run(sweep.SweepConfig(count=6, sizes=(3, 4)))
     header, *laws = capsys.readouterr().out.splitlines()
     assert code == 0
     assert header.startswith("6 spaces, sizes (3, 4), seed 0, ")
     assert [line.split()[0] for line in laws] == list(PROPOSITION_IDS)
     assert all(line.endswith("failed on 0 spaces") for line in laws)
+
+
+def test_sweep_runs_six_point_spaces(capsys, sweep):
+    # Above the library's default exhaustive cap of 5.
+    code = sweep.main(["--count", "3", "--sizes", "6", "--show-witnesses", "0"])
+    header, *laws = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert header.startswith("3 spaces, sizes (6,), seed 0, ")
+    assert [line.split()[0] for line in laws] == list(PROPOSITION_IDS)
+    assert all(line.endswith("failed on 0 spaces") for line in laws)
+
+
+def test_size_above_the_cap_is_a_usage_error(capsys, sweep):
+    with pytest.raises(SystemExit) as exit_info:
+        sweep.main(["--sizes", "3,9"])
+    assert exit_info.value.code == 2
+    assert "sizes must lie within 1-8: 3,9" in capsys.readouterr().err
