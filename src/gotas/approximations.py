@@ -247,19 +247,23 @@ DEFAULT_SUITE = OperatorSuite(r_lower, r_upper, _LOWER, _UPPER)
 @dataclass(frozen=True)
 class ApproxReport:
     """One (family, direction) row of a subset or, lane by lane, of a batch:
-    the lower and upper approximations and the negative region, which is
-    the complement of the opposite direction's upper approximation. The
-    other regions, the accuracy and exactness are derived here only; on a
-    batch, ``accuracy`` is an ``Accuracies`` and ``exact`` the mask of the
-    exact lanes."""
+    the lower and upper approximations and the opposite direction's upper
+    approximation, whose complement is the negative region. The regions,
+    the accuracy and exactness are derived here only; on a batch,
+    ``accuracy`` is an ``Accuracies`` and ``exact`` the mask of the exact
+    lanes."""
 
     lower: Sets
     upper: Sets
-    negative: Sets
+    opposite_upper: Sets
 
     @property
     def positive(self) -> Sets:
         return self.lower
+
+    @property
+    def negative(self) -> Sets:
+        return self.opposite_upper.complement()
 
     @cached_property
     def boundary(self) -> Sets:
@@ -292,7 +296,7 @@ class Rows(dict):
         lo = {d: self.suite.lower[family](g, a, d) for d in DIRECTION_ORDER}
         up = {d: self.suite.upper[family](g, a, d) for d in DIRECTION_ORDER}
         for d in DIRECTION_ORDER:
-            self[family, d] = ApproxReport(lo[d], up[d], up[d.opposite].complement())
+            self[family, d] = ApproxReport(lo[d], up[d], up[d.opposite])
         return self[key]
 
 

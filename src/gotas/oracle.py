@@ -1,11 +1,15 @@
 """Brute-force reference operators and a mechanized law checker.
 
 The oracle recomputes the directed base approximations from their defining
-property by scanning the entire powerset against its own materialised open
-family, independently of the minimal-neighborhood kernel used by the fast
-operators. The checker runs a catalogue of algebraic laws over all subsets
-(and all pairs, for the binary laws) of a space, bit-sliced into batches,
-and reports one result per law, with the first counterexample kept as a
+property, independently of the minimal-neighborhood kernel used by the fast
+operators. It builds its own open family from a base of the generators,
+lists once per direction the monotone opens and monotone closeds by one
+scan of the powerset, and for each subset picks the greatest candidate
+inside it (or the smallest around it), asserting that pick is unique.
+
+The checker runs a catalogue of algebraic laws over all subsets (and all
+pairs, for the binary laws) of a space, bit-sliced into batches, and
+reports one result per law, with the first counterexample kept as a
 witness. Laws compare rows and call no operator: each operand batch has one
 row table for the whole check, so every row is derived once. A deliberately
 corrupted gamma-upper operator is provided so the checker's failure path
@@ -18,7 +22,7 @@ import random
 import string
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 from typing import Callable, Iterable
 
 from . import approximations as approx
@@ -34,7 +38,7 @@ from .order import PartialOrder, equality_order, validate_order
 from .topology import Topology, generate_topology
 from .universe import Batch, Subset, Universe
 
-DEFAULT_ORACLE_CAP = 10
+DEFAULT_ORACLE_CAP = 11
 EXHAUSTIVE_CAP = 5
 
 
@@ -52,20 +56,20 @@ def _guard_cap(g: Gotas, cap: int, what: str) -> None:
 def open_family(topology: Topology) -> frozenset[int]:
     """The open sets as bitmasks, materialised from the generators.
 
-    Adds the empty set and the whole universe, then repeatedly closes the
-    family under pairwise intersection and pairwise union until a fixpoint;
-    on a finite universe that yields closure under arbitrary unions. This is
-    the oracle's own route to the topology: it shares nothing with the
-    minimal neighborhoods the fast operators read.
+    The generators plus the whole universe, closed under intersection, are
+    a base; the opens are the unions of base sets. Base sets are added to
+    the family smallest first, each one joined to every open found so far,
+    and a base set that is already a union of earlier ones adds nothing.
+    This is the oracle's own route to the topology: it shares nothing with
+    the minimal neighborhoods the fast operators read.
     """
-    family = {0, topology.universe.full_mask}
-    family |= {s.bits for s in topology.generators}
-    while True:
-        size = len(family)
-        family |= {a & b for a in family for b in family}
-        family |= {a | b for a in family for b in family}
-        if len(family) == size:
-            break
+    base = {topology.universe.full_mask}
+    for m in {s.bits for s in topology.generators}:
+        base |= {b & m for b in base}
+    family = {0}
+    for b in sorted(base, key=int.bit_count):
+        if b not in family:
+            family |= {o | b for o in family}
     return frozenset(family)
 
 
@@ -74,12 +78,13 @@ def oracle_r_lower(
 ) -> Subset:
     """Greatest d-monotone open subset of ``a``, by exhaustive search.
 
-    Scans every subset of the universe for the defining property and
-    asserts the surviving candidates have a unique maximum under inclusion;
-    that uniqueness is the existence fact the fast operator relies on.
+    Lists every d-monotone open from its defining property and asserts the
+    ones inside ``a`` have a unique maximum under inclusion; that
+    uniqueness is the existence fact the fast operator relies on.
     """
     _guard_cap(g, cap, "oracle")
-    return _scan_lower(g, open_family(g.topology), a, d)
+    opens, _ = _monotone(g, open_family(g.topology), d)
+    return g.universe.from_bits(_greatest_inside(g.universe, opens, a.bits))
 
 
 def oracle_r_upper(
@@ -87,39 +92,44 @@ def oracle_r_upper(
 ) -> Subset:
     """Smallest d-monotone closed superset of ``a``, by exhaustive search."""
     _guard_cap(g, cap, "oracle")
-    return _scan_upper(g, open_family(g.topology), a, d)
+    _, closeds = _monotone(g, open_family(g.topology), d)
+    return g.universe.from_bits(_smallest_around(g.universe, closeds, a.bits))
 
 
-def _scan_lower(g: Gotas, opens: frozenset[int], a: Subset, d: Direction) -> Subset:
+def _monotone(g: Gotas, opens: frozenset[int], d: Direction) -> tuple[list[int], list[int]]:
+    """The d-monotone opens and the d-monotone closeds, in bitmask order:
+    one scan of the powerset for the order, then membership in ``opens``."""
     mono = g.order.is_increasing if d is Direction.INC else g.order.is_decreasing
-    candidates = [
-        s
-        for s in g.universe.subsets()
-        if s.bits in opens and s.is_subset(a) and mono(s)
-    ]
-    best = max(candidates, key=Subset.cardinality)
-    for c in candidates:
-        if not c.is_subset(best):
-            raise RuntimeError(
-                f"no unique greatest candidate inside {a}: {best} vs {c}"
-            )
+    full = g.universe.full_mask
+    monotone = [s.bits for s in g.universe.subsets() if mono(s)]
+    return [s for s in monotone if s in opens], [s for s in monotone if full ^ s in opens]
+
+
+def _greatest_inside(u: Universe, candidates: list[int], a: int) -> int:
+    """The greatest candidate inside ``a``; every other candidate inside
+    ``a`` must lie within it."""
+    inside = [c for c in candidates if not c & ~a]
+    best = max(inside, key=int.bit_count)
+    if reduce(or_, inside) != best:
+        c = next(c for c in inside if c & ~best)
+        raise RuntimeError(
+            f"no unique greatest candidate inside {u.from_bits(a)}: "
+            f"{u.from_bits(best)} vs {u.from_bits(c)}"
+        )
     return best
 
 
-def _scan_upper(g: Gotas, opens: frozenset[int], a: Subset, d: Direction) -> Subset:
-    mono = g.order.is_increasing if d is Direction.INC else g.order.is_decreasing
-    full = g.universe.full_mask
-    candidates = [
-        s
-        for s in g.universe.subsets()
-        if full ^ s.bits in opens and a.is_subset(s) and mono(s)
-    ]
-    best = min(candidates, key=Subset.cardinality)
-    for c in candidates:
-        if not best.is_subset(c):
-            raise RuntimeError(
-                f"no unique smallest candidate around {a}: {best} vs {c}"
-            )
+def _smallest_around(u: Universe, candidates: list[int], a: int) -> int:
+    """The smallest candidate around ``a``; it must lie within every other
+    candidate around ``a``."""
+    around = [c for c in candidates if not a & ~c]
+    best = min(around, key=int.bit_count)
+    if reduce(and_, around) != best:
+        c = next(c for c in around if best & ~c)
+        raise RuntimeError(
+            f"no unique smallest candidate around {u.from_bits(a)}: "
+            f"{u.from_bits(best)} vs {u.from_bits(c)}"
+        )
     return best
 
 
@@ -127,22 +137,25 @@ def oracle_diff(g: Gotas, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, list[str]
     """Compare the fast base operators against the oracle on every subset,
     both operators, both directions. Returns (comparisons, mismatches)."""
     _guard_cap(g, cap, "oracle")
+    u = g.universe
     opens = open_family(g.topology)
+    families = {d: _monotone(g, opens, d) for d in DIRECTION_ORDER}
     comparisons = 0
     mismatches: list[str] = []
+    # Each check pairs with the family of the same position in ``_monotone``.
     checks = (
-        ("r_lower", approx.r_lower, _scan_lower),
-        ("r_upper", approx.r_upper, _scan_upper),
+        ("r_lower", approx.r_lower, _greatest_inside),
+        ("r_upper", approx.r_upper, _smallest_around),
     )
-    for a in g.universe.subsets():
+    for a in u.subsets():
         for d in DIRECTION_ORDER:
-            for name, fast, slow in checks:
+            for (name, fast, pick), candidates in zip(checks, families[d]):
                 comparisons += 1
                 got = fast(g, a, d)
-                want = slow(g, opens, a, d)
-                if got != want:
+                want = pick(u, candidates, a.bits)
+                if got.bits != want:
                     mismatches.append(
-                        f"{name} {d.label} of {a}: main {got}, oracle {want}"
+                        f"{name} {d.label} of {a}: main {got}, oracle {u.from_bits(want)}"
                     )
     return comparisons, mismatches
 

@@ -6,7 +6,14 @@ import string
 
 import hypothesis.strategies as st
 
-from gotas import Universe, generate_topology, validate_order
+from gotas import (
+    BinaryRelation,
+    Gotas,
+    Universe,
+    generate_topology,
+    topology_from_relation,
+    validate_order,
+)
 
 
 def _universe(size: int) -> Universe:
@@ -55,6 +62,13 @@ def order_with_subset(draw, max_size: int = 5):
     and transitively) together with one subset."""
     size = draw(st.integers(min_value=1, max_value=max_size))
     u = _universe(size)
+    order = _draw_order(draw, u)
+    a = u.from_bits(draw(st.integers(min_value=0, max_value=u.full_mask)))
+    return u, order, a
+
+
+def _draw_order(draw, u: Universe):
+    size = u.size
     succ = [1 << i for i in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
@@ -65,6 +79,21 @@ def order_with_subset(draw, max_size: int = 5):
             if succ[i] >> k & 1:
                 succ[i] |= succ[k]
     pairs = {(i, j) for i in range(size) for j in range(size) if succ[i] >> j & 1}
-    order = validate_order(u, pairs)
+    return validate_order(u, pairs)
+
+
+@st.composite
+def space_with_subset(draw, max_size: int = 11):
+    """A space built either from a generator family or from a binary
+    relation, with a random partial order, together with one subset."""
+    if draw(st.booleans()):
+        u, base = draw(universe_with_base(max_size=max_size))
+        topology = generate_topology(u, base)
+    else:
+        u = _universe(draw(st.integers(min_value=1, max_value=max_size)))
+        cells = st.tuples(st.integers(0, u.size - 1), st.integers(0, u.size - 1))
+        pairs = draw(st.lists(cells, max_size=2 * u.size))
+        topology = topology_from_relation(BinaryRelation(u, pairs))
+    g = Gotas(u, topology, _draw_order(draw, u))
     a = u.from_bits(draw(st.integers(min_value=0, max_value=u.full_mask)))
-    return u, order, a
+    return g, a

@@ -502,14 +502,25 @@ class TestOracleDiffCommand:
         assert result.exit_code == EXIT_INPUT_ERROR
         assert "cap 3" in result.stderr
 
-    def test_default_cap_rejects_eleven_points(self, runner, tmp_path):
+    def test_default_cap_admits_eleven_points(self, runner, tmp_path):
+        labels = [f"e{i}" for i in range(11)]
+        doc = write_doc(tmp_path, {
+            "universe": labels,
+            "base": [labels[:4], labels[2:7], labels[6:]],
+            "order": [[labels[i], labels[i + 1]] for i in range(0, 10, 2)],
+        })
+        result = runner.invoke(main, ["oracle-diff", doc])
+        assert result.exit_code == 0
+        assert result.output == "0 mismatches / 8192 comparisons\n"
+
+    def test_default_cap_rejects_twelve_points(self, runner, tmp_path):
         doc = write_doc(
             tmp_path,
-            {"universe": [f"e{i}" for i in range(11)], "base": [], "order": []},
+            {"universe": [f"e{i}" for i in range(12)], "base": [], "order": []},
         )
         result = runner.invoke(main, ["oracle-diff", doc])
         assert result.exit_code == EXIT_INPUT_ERROR
-        assert result.stderr == "error: universe size 11 exceeds the oracle cap 10\n"
+        assert result.stderr == "error: universe size 12 exceeds the oracle cap 11\n"
 
     def test_invalid_cap_value(self, runner, example_doc, monkeypatch):
         monkeypatch.setenv("GOTAS_ORACLE_CAP", "lots")

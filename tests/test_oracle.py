@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 import gotas.approximations as ap
 from gotas import (
@@ -11,6 +12,7 @@ from gotas import (
     equality_order,
     generate_topology,
     topology_from_relation,
+    validate_order,
 )
 from gotas.approximations import Gotas
 from gotas.oracle import (
@@ -26,9 +28,12 @@ from gotas.oracle import (
     random_order,
     random_partition,
     random_space,
+    _greatest_inside,
+    _smallest_around,
 )
 
 from conftest import make_example_space
+from strategies import space_with_subset
 
 INC, DEC = Direction.INC, Direction.DEC
 R, GAMMA, BETA = ap.OperatorFamily.R, ap.OperatorFamily.GAMMA, ap.OperatorFamily.BETA
@@ -72,6 +77,73 @@ class TestOracleOperators:
             oracle_r_lower(space, space.universe.empty(), INC, cap=5)
         with pytest.raises(CapExceededError):
             oracle_diff(space, cap=5)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(space_with_subset(max_size=11))
+def test_fast_base_operators_match_the_oracle(case):
+    g, a = case
+    for d in (INC, DEC):
+        assert ap.r_lower(g, a, d) == oracle_r_lower(g, a, d)
+        assert ap.r_upper(g, a, d) == oracle_r_upper(g, a, d)
+
+
+def test_pick_asserts_a_unique_greatest_and_smallest():
+    # {a} and {b} lie inside {a, b} but their union is not a candidate;
+    # {a, c} and {b, c} lie around {c} but their intersection is not.
+    u = Universe(["a", "b", "c"])
+    with pytest.raises(RuntimeError) as lower:
+        _greatest_inside(u, [0b000, 0b001, 0b010], 0b011)
+    assert str(lower.value) == "no unique greatest candidate inside {a, b}: {a} vs {b}"
+    with pytest.raises(RuntimeError) as upper:
+        _smallest_around(u, [0b101, 0b110, 0b111], 0b100)
+    assert str(upper.value) == "no unique smallest candidate around {c}: {a, c} vs {b, c}"
+
+
+# oracle_diff's lines when the fast r_lower reads the opposite direction.
+FLIPPED_R_LOWER_LINES = {
+    "worked example": (64, [
+        "r_lower Inc of {a}: main {a}, oracle {}",
+        "r_lower Dec of {a}: main {}, oracle {a}",
+        "r_lower Inc of {a, b}: main {a, b}, oracle {}",
+        "r_lower Dec of {a, b}: main {}, oracle {a, b}",
+        "r_lower Inc of {a, c}: main {a}, oracle {}",
+        "r_lower Dec of {a, c}: main {}, oracle {a}",
+        "r_lower Inc of {a, b, c}: main {a, b}, oracle {}",
+        "r_lower Dec of {a, b, c}: main {}, oracle {a, b}",
+        "r_lower Inc of {a, d}: main {a}, oracle {}",
+        "r_lower Dec of {a, d}: main {}, oracle {a}",
+        "r_lower Inc of {a, b, d}: main {a, b}, oracle {}",
+        "r_lower Dec of {a, b, d}: main {}, oracle {a, b}",
+        "r_lower Inc of {c, d}: main {}, oracle {c, d}",
+        "r_lower Dec of {c, d}: main {c, d}, oracle {}",
+        "r_lower Inc of {a, c, d}: main {a}, oracle {c, d}",
+        "r_lower Dec of {a, c, d}: main {c, d}, oracle {a}",
+        "r_lower Inc of {b, c, d}: main {}, oracle {c, d}",
+        "r_lower Dec of {b, c, d}: main {c, d}, oracle {}",
+    ]),
+    "three points": (32, [
+        "r_lower Inc of {b}: main {}, oracle {b}",
+        "r_lower Dec of {b}: main {b}, oracle {}",
+        "r_lower Inc of {a, b}: main {a, b}, oracle {b}",
+        "r_lower Dec of {a, b}: main {b}, oracle {a, b}",
+        "r_lower Inc of {b, c}: main {}, oracle {b, c}",
+        "r_lower Dec of {b, c}: main {b, c}, oracle {}",
+    ]),
+}
+
+
+def test_oracle_diff_reports_a_direction_flipped_r_lower(g, monkeypatch):
+    u = Universe(["a", "b", "c"])
+    three = Gotas(
+        u,
+        generate_topology(u, [u.subset(["a", "b"]), u.subset(["b", "c"])]),
+        validate_order(u, [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)]),
+    )
+    r_lower = ap.r_lower
+    monkeypatch.setattr(ap, "r_lower", lambda g, a, d: r_lower(g, a, d.opposite))
+    got = {"worked example": oracle_diff(g), "three points": oracle_diff(three)}
+    assert got == FLIPPED_R_LOWER_LINES
 
 
 class TestCheckPropositions:
