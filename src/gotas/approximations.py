@@ -57,6 +57,10 @@ DIRECTION_ORDER = (Direction.INC, Direction.DEC)
 
 # Entries a space's memo may hold before it is cleared.
 MEMO_LIMIT = 1 << 13
+# Memo keys are plain ints, since hashing an Enum member runs Python code:
+# the subset's bits shifted left by two, bit 1 set for the upper operator and
+# bit 0 for Dec.
+_DEC = Direction.DEC
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +76,6 @@ class Gotas:
     universe: Universe
     topology: Topology
     order: PartialOrder
-    kernel: dict[Direction, tuple[int, ...]] = field(init=False, repr=False)
     memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -80,11 +83,16 @@ class Gotas:
             raise ValueError("topology is defined over a different universe")
         if self.order.universe is not self.universe:
             raise ValueError("order is defined over a different universe")
+
+    @cached_property
+    def kernel(self) -> dict[Direction, tuple[int, ...]]:
+        """Built on first use, so a space that only lists its opens skips
+        the two closures."""
         nbhd = self.topology.neighborhoods
-        object.__setattr__(self, "kernel", {
+        return {
             Direction.INC: _closure(nbhd, self.order.succ),
             Direction.DEC: _closure(nbhd, self.order.pred),
-        })
+        }
 
     @cached_property
     def kernel_points(self) -> dict[Direction, tuple[tuple[int, ...], ...]]:
@@ -118,7 +126,7 @@ def r_lower(g: Gotas, a: Sets, d: Direction) -> Sets:
     of M_d(x)."""
     if isinstance(a, Batch):
         return a.all_of(g.kernel_points[d])
-    key = (a.bits, d, "lower")
+    key = a.bits << 2 | (d is _DEC)
     bits = g.memo.get(key)
     if bits is None:
         bits = _remember(g, key, points_within(g.kernel[d], a.bits))
@@ -132,14 +140,14 @@ def r_upper(g: Gotas, a: Sets, d: Direction) -> Sets:
     OR of the columns of M_{d.opposite}(x)."""
     if isinstance(a, Batch):
         return a.any_of(g.kernel_points[d.opposite])
-    key = (a.bits, d, "upper")
+    key = a.bits << 2 | 2 | (d is _DEC)
     bits = g.memo.get(key)
     if bits is None:
         bits = _remember(g, key, points_meeting(g.kernel[d.opposite], a.bits))
     return g.universe.from_bits(bits)
 
 
-def _remember(g: Gotas, key: tuple, bits: int) -> int:
+def _remember(g: Gotas, key: int, bits: int) -> int:
     if len(g.memo) >= MEMO_LIMIT:
         g.memo.clear()
     g.memo[key] = bits

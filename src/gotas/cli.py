@@ -45,6 +45,8 @@ EXIT_INPUT_ERROR = 2
 # A sampled check's memory grows with the sample count: 65536 samples on 200 points
 # peak near 220 MB.
 MAX_SAMPLES = 1 << 16
+# The most opens `topology` lists; n points can carry up to 2**n.
+MAX_OPENS = 1 << 16
 
 
 class DocumentError(ValueError):
@@ -206,8 +208,11 @@ def main() -> None:
 @click.argument("file", type=click.Path())
 def cmd_topology(file: str) -> None:
     """Print every open set of the generated topology."""
-    opens = _space_or_exit(file).topology.opens
-    click.echo("\n".join([*map(str, opens), f"count: {len(opens)}"]))
+    g = _space_or_exit(file)
+    opens = g.topology.open_masks(MAX_OPENS)
+    if opens is None:
+        _fail_input(f"the topology has more than {MAX_OPENS} opens, too many to list")
+    click.echo("\n".join([*map(g.universe.text, opens), f"count: {len(opens)}"]))
 
 
 def _report_rows(g: Gotas, a: Subset, family: OperatorFamily | None, direction: Direction | None):

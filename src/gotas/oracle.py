@@ -459,8 +459,7 @@ def random_partition(rng: random.Random, universe: Universe) -> tuple[Subset, ..
     for pos in range(universe.size):
         bucket = rng.randrange(buckets)
         masks[bucket] = masks.get(bucket, 0) | (1 << pos)
-    blocks = [universe.from_bits(m) for m in masks.values()]
-    return tuple(sorted(blocks, key=Subset.sort_key))
+    return universe.canonical(masks.values())
 
 
 def partition_space(universe: Universe, blocks: Iterable[Subset]) -> Gotas:

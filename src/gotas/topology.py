@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .universe import Subset, Universe, UniverseMismatchError
+from .universe import Subset, Universe, UniverseMismatchError, canonical_order
 
 
 class BinaryRelation:
@@ -39,8 +39,7 @@ class BinaryRelation:
         masks = [0] * self.universe.size
         for x, y in self.pairs:
             masks[x] |= 1 << y
-        unique = {self.universe.from_bits(m) for m in masks}
-        return tuple(sorted(unique, key=Subset.sort_key))
+        return self.universe.canonical(set(masks))
 
     def __repr__(self) -> str:
         return f"BinaryRelation({self.universe!r}, {len(self.pairs)} pairs)"
@@ -112,16 +111,25 @@ class Topology:
         self._opens: tuple[Subset, ...] | None = None
         self._closeds: tuple[Subset, ...] | None = None
 
+    def open_masks(self, limit: int | None = None) -> list[int] | None:
+        """Every open set as a bit-reversed mask (see ``Universe.reverse``),
+        in canonical order: the unions of the minimal neighborhoods. None as
+        soon as more than ``limit`` are found, so at most 2 * ``limit``
+        masks are ever held."""
+        family = {0}
+        for n in set(map(self.universe.reverse, self.neighborhoods)):
+            family |= {o | n for o in family}
+            if limit is not None and len(family) > limit:
+                return None
+        return canonical_order(family)
+
     @property
     def opens(self) -> tuple[Subset, ...]:
-        """Every open set in canonical order: the unions of the minimal
-        neighborhoods. Listed on first use, since n points can carry up to
-        2**n opens."""
+        """Every open set in canonical order. Listed on first use, since n
+        points can carry up to 2**n opens."""
         if self._opens is None:
-            family = {0}
-            for n in set(self.neighborhoods):
-                family |= {o | n for o in family}
-            self._opens = _canonical(self.universe, family)
+            u = self.universe
+            self._opens = tuple(Subset(u, u.reverse(r)) for r in self.open_masks())
         return self._opens
 
     def count_opens(self) -> int | None:
@@ -182,7 +190,7 @@ class Topology:
         """Complements of the opens, in canonical order."""
         if self._closeds is None:
             full = self.universe.full_mask
-            self._closeds = _canonical(self.universe, {full ^ o.bits for o in self.opens})
+            self._closeds = self.universe.canonical(full ^ o.bits for o in self.opens)
         return self._closeds
 
     def is_open(self, s: Subset) -> bool:
@@ -218,10 +226,6 @@ class Topology:
 
     def __repr__(self) -> str:
         return f"Topology({len(self.generators)} generators over {self.universe!r})"
-
-
-def _canonical(universe: Universe, family: Iterable[int]) -> tuple[Subset, ...]:
-    return tuple(sorted((universe.from_bits(bits) for bits in family), key=Subset.sort_key))
 
 
 def generate_topology(universe: Universe, base: Iterable[Subset]) -> Topology:

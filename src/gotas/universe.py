@@ -9,8 +9,13 @@ subsets at once, bit-sliced, so that one int operation acts on all of them.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
+
+# Maps the digits of a binary string to the bytes 0 and 1, so that the
+# encoded string selects labels in ``itertools.compress``.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class UniverseMismatchError(ValueError):
@@ -24,7 +29,7 @@ class Universe:
     same Universe object, not merely an equal label list.
     """
 
-    __slots__ = ("labels", "full_mask", "_index")
+    __slots__ = ("labels", "full_mask", "_index", "_digits")
 
     def __init__(self, labels: Iterable[str]) -> None:
         labels = tuple(labels)
@@ -38,6 +43,7 @@ class Universe:
         self.labels = labels
         self.full_mask = (1 << len(labels)) - 1
         self._index = index
+        self._digits = f"0{len(labels)}b"
 
     @property
     def size(self) -> int:
@@ -56,6 +62,26 @@ class Universe:
         for label in labels:
             bits |= 1 << self.index(label)
         return Subset(self, bits)
+
+    def reverse(self, bits: int) -> int:
+        """``bits`` bit-reversed over the universe, so that point 0 sits in
+        the top bit; reversing twice gives ``bits`` back."""
+        return int(format(bits, self._digits)[::-1], 2)
+
+    def labels_of(self, rbits: int) -> Iterator[str]:
+        """Labels of the points of the bit-reversed mask ``rbits``, in
+        universe order. The mask's binary string, point 0 first, selects
+        the labels; the loop stays in C."""
+        return compress(self.labels, format(rbits, self._digits).encode().translate(_DIGIT_VALUES))
+
+    def text(self, rbits: int) -> str:
+        """The bit-reversed mask ``rbits`` written as ``{a, b}``."""
+        return "{" + ", ".join(self.labels_of(rbits)) + "}"
+
+    def canonical(self, masks: Iterable[int]) -> tuple[Subset, ...]:
+        """The subsets with these bitmasks, in canonical order."""
+        reverse = self.reverse
+        return tuple(Subset(self, reverse(r)) for r in canonical_order(map(reverse, masks)))
 
     def from_bits(self, bits: int) -> Subset:
         return Subset(self, bits)
@@ -93,16 +119,8 @@ class Subset:
             )
 
     def members(self) -> tuple[str, ...]:
-        return tuple(
-            label
-            for pos, label in enumerate(self.universe.labels)
-            if self.bits >> pos & 1
-        )
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(
-            pos for pos in range(self.universe.size) if self.bits >> pos & 1
-        )
+        u = self.universe
+        return tuple(u.labels_of(u.reverse(self.bits)))
 
     def cardinality(self) -> int:
         return self.bits.bit_count()
@@ -128,11 +146,6 @@ class Subset:
 
     def is_empty(self) -> bool:
         return self.bits == 0
-
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        """Canonical ordering: cardinality first, then lexicographic in
-        universe order."""
-        return (self.cardinality(), self.indices())
 
     __or__ = union
     __and__ = intersect
@@ -160,10 +173,22 @@ class Subset:
         return hash((id(self.universe), self.bits))
 
     def __str__(self) -> str:
-        return "{" + ", ".join(self.members()) + "}"
+        u = self.universe
+        return u.text(u.reverse(self.bits))
 
     def __repr__(self) -> str:
         return f"Subset({str(self)})"
+
+
+def canonical_order(rmasks: Iterable[int]) -> list[int]:
+    """Bit-reversed masks in canonical order: cardinality first, then
+    lexicographic in universe order. With point 0 in the top bit, the second
+    key is descending mask order, so each cardinality's bucket takes a plain
+    reverse sort."""
+    buckets: dict[int, list[int]] = {}
+    for r in rmasks:
+        buckets.setdefault(r.bit_count(), []).append(r)
+    return [r for size in sorted(buckets) for r in sorted(buckets[size], reverse=True)]
 
 
 class Batch:

@@ -213,6 +213,14 @@ def test_memo_stays_within_its_bound():
         assert len(g.memo) <= ap.MEMO_LIMIT
 
 
+def test_memo_keys_are_ints_and_the_kernel_is_built_on_first_use():
+    g = random_space(random.Random(4), 5)
+    assert "kernel" not in vars(g)
+    ap.full_report(g, g.universe.from_bits(5))
+    assert "kernel" in vars(g)
+    assert g.memo and all(type(key) is int for key in g.memo)
+
+
 def test_gotas_rejects_mismatched_components():
     g = make_example_space()
     other = Universe(["a", "b", "c", "d"])

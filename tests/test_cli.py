@@ -90,6 +90,61 @@ class TestTopologyCommand:
         assert result.exit_code == 0
         assert result.output.endswith("\ncount: 4096\n")
 
+    def test_relation_listing_matches_its_definition(self, runner, tmp_path):
+        # A 12-point relation; the expected listing is built from the
+        # definition: a set is open iff it holds, with each of its points,
+        # the intersection of the right neighborhoods holding that point.
+        rng = random.Random(12)
+        labels = [*"abcdefghij", "e10", "e11"]
+        n = len(labels)
+        pairs = [(x, y) for x in range(n) for y in range(n) if x == y or rng.random() < 0.12]
+        doc = write_doc(tmp_path, {
+            "universe": labels,
+            "relation": [[labels[x], labels[y]] for x, y in pairs],
+            "order": [],
+        })
+        right = [{y for x2, y in pairs if x2 == x} for x in range(n)]
+        smallest = [set.intersection(set(range(n)), *(r for r in right if x in r))
+                    for x in range(n)]
+        opens = []
+        for bits in range(1 << n):
+            points = [x for x in range(n) if bits >> x & 1]
+            if all(smallest[x] <= set(points) for x in points):
+                opens.append(points)
+        opens.sort(key=lambda points: (len(points), points))
+        want = [("{" + ", ".join(labels[x] for x in o) + "}") for o in opens]
+        result = runner.invoke(main, ["topology", doc])
+        assert result.exit_code == 0
+        assert result.output == "\n".join([*want, f"count: {len(opens)}"]) + "\n"
+        assert 100 < len(opens) < 1 << n
+
+    def test_identity_relation_on_sixteen_points_lists_the_cap(self, runner, tmp_path):
+        labels = [f"e{i}" for i in range(16)]
+        doc = write_doc(
+            tmp_path,
+            {"universe": labels, "relation": [[x, x] for x in labels], "order": []},
+        )
+        result = runner.invoke(main, ["topology", doc])
+        assert result.exit_code == 0
+        assert result.output.endswith("\ncount: 65536\n")
+        assert cli.MAX_OPENS == 65536
+
+    def test_dense_two_layers_exit_before_listing(self, runner, tmp_path):
+        # 60 points: each of 30 upper points sits above a random half of the
+        # 30 lower ones, so the topology has more than 2**30 opens.
+        rng = random.Random(60)
+        lower = [f"l{i}" for i in range(30)]
+        upper = [f"u{i}" for i in range(30)]
+        relation = [[x, x] for x in lower + upper]
+        relation += [[u, l] for u in upper for l in rng.sample(lower, 15)]
+        doc = write_doc(tmp_path, {"universe": lower + upper, "relation": relation, "order": []})
+        start = time.perf_counter()
+        result = runner.invoke(main, ["topology", doc])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert result.stdout == ""
+        assert f"more than {cli.MAX_OPENS} opens" in result.stderr
+
 
 class TestAnalyzeCommand:
     def test_beta_dec_row(self, runner, example_doc):

@@ -134,6 +134,15 @@ def test_interior_closure_laws(t):
     assert topology.closure(a & b).is_subset(ca)
 
 
+def test_open_masks_stop_past_the_limit():
+    u = Universe("abcde")
+    topology = generate_topology(u, [u.subset([x]) for x in "abcde"])
+    listed = topology.open_masks(32)
+    assert len(listed) == 32
+    assert [u.from_bits(u.reverse(r)) for r in listed] == list(topology.opens)
+    assert topology.open_masks(31) is None
+
+
 def test_count_opens_matches_the_oracle_family():
     rng = random.Random(3)
     for i in range(120):

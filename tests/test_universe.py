@@ -1,7 +1,9 @@
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from gotas import Universe, UniverseMismatchError
+from gotas.universe import canonical_order
 
 from strategies import universe_with_subsets
 
@@ -84,3 +86,31 @@ def test_mutual_inclusion_is_equality(t):
 def test_cardinality_inclusion_exclusion(t):
     _, a, b = t
     assert (a | b).cardinality() + (a & b).cardinality() == a.cardinality() + b.cardinality()
+
+
+def _labels(n):
+    return [f"e{i}" for i in range(n)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=60))))
+def test_canonical_order_is_cardinality_then_universe_order(t):
+    n, family = t
+    u = Universe(_labels(n))
+    want = sorted(family, key=lambda b: (b.bit_count(), [x for x in range(n) if b >> x & 1]))
+    assert [s.bits for s in u.canonical(family)] == want
+    assert canonical_order(map(u.reverse, family)) == [u.reverse(b) for b in want]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_rendered_labels_match_a_scan_of_the_points(t):
+    n, bits = t
+    u = Universe(_labels(n))
+    want = tuple(label for pos, label in enumerate(u.labels) if bits >> pos & 1)
+    assert u.reverse(u.reverse(bits)) == bits
+    assert tuple(u.labels_of(u.reverse(bits))) == want
+    assert u.from_bits(bits).members() == want
+    assert str(u.from_bits(bits)) == "{" + ", ".join(want) + "}"
