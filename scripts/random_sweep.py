@@ -69,19 +69,13 @@ def _sizes(text: str) -> tuple[int, ...]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=100)
-    parser.add_argument("--sizes", type=_sizes, default="3,4,5",
+    defaults = SweepConfig()
+    parser.add_argument("--count", type=int, default=defaults.count)
+    parser.add_argument("--sizes", type=_sizes, default=defaults.sizes,
                         help=f"comma separated universe sizes within 1-{EXHAUSTIVE_CAP}, cycled")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--show-witnesses", type=int, default=3)
-    args = parser.parse_args(argv)
-    config = SweepConfig(
-        count=args.count,
-        sizes=args.sizes,
-        seed=args.seed,
-        show_witnesses=args.show_witnesses,
-    )
-    return run(config)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--show-witnesses", type=int, default=defaults.show_witnesses)
+    return run(SweepConfig(**vars(parser.parse_args(argv))))
 
 
 if __name__ == "__main__":

@@ -24,6 +24,8 @@ class Direction(Enum):
     INC = "inc"
     DEC = "dec"
 
+    __hash__ = object.__hash__  # members are singletons; skips Python-level Enum.__hash__
+
     @property
     def opposite(self) -> Direction:
         return Direction.DEC if self is Direction.INC else Direction.INC
@@ -39,6 +41,8 @@ class OperatorFamily(Enum):
     P = "p"
     GAMMA = "gamma"
     BETA = "beta"
+
+    __hash__ = object.__hash__  # as for Direction
 
     @property
     def label(self) -> str:
@@ -57,8 +61,8 @@ DIRECTION_ORDER = (Direction.INC, Direction.DEC)
 
 # Entries a space's memo may hold before it is cleared.
 MEMO_LIMIT = 1 << 13
-# Memo keys are plain ints, since hashing an Enum member runs Python code:
-# the subset's bits shifted left by two, bit 1 set for the upper operator and
+# Memo keys are plain ints, one per (subset, operator, direction): the
+# subset's bits shifted left by two, bit 1 set for the upper operator and
 # bit 0 for Dec.
 _DEC = Direction.DEC
 

@@ -18,7 +18,6 @@ Document schema::
 from __future__ import annotations
 
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -184,16 +183,6 @@ def _parse_set(g: Gotas, labels: str) -> Subset:
     return g.universe.subset(names)
 
 
-def _oracle_cap() -> int:
-    raw = os.environ.get("GOTAS_ORACLE_CAP")
-    if raw is None:
-        return oracle.DEFAULT_ORACLE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise DocumentError(f"GOTAS_ORACLE_CAP must be an integer, got {raw!r}") from None
-
-
 _FAMILY_CHOICES = {f.value: f for f in FAMILY_ORDER}
 _DIRECTION_CHOICES = {d.value: d for d in DIRECTION_ORDER}
 
@@ -357,13 +346,9 @@ def cmd_check(file: str, exhaustive: bool, samples: int | None, seed: int,
 def cmd_oracle_diff(file: str) -> None:
     """Compare the fast base operators against the powerset oracle on every
     subset, both operators, both directions."""
-    try:
-        cap = _oracle_cap()
-    except DocumentError as e:
-        _fail_input(str(e))
     g = _space_or_exit(file)
     try:
-        comparisons, mismatches = oracle.oracle_diff(g, cap)
+        comparisons, mismatches = oracle.oracle_diff(g)
     except oracle.CapExceededError as e:
         _fail_input(str(e))
     for line in mismatches:

@@ -6,6 +6,8 @@ operators. It builds its own open family from a base of the generators,
 lists once per direction the monotone opens and monotone closeds by one
 scan of the powerset, and for each subset picks the greatest candidate
 inside it (or the smallest around it), asserting that pick is unique.
+``oracle_diff`` compares those picks with the fast operators run on the
+powerset batch, the bit-sliced path the law checker reads.
 
 The checker runs a catalogue of algebraic laws over all subsets (and all
 pairs, for the binary laws) of a space, bit-sliced into batches, and
@@ -38,7 +40,7 @@ from .order import PartialOrder, equality_order, validate_order
 from .topology import Topology, generate_topology
 from .universe import Batch, Subset, Universe
 
-DEFAULT_ORACLE_CAP = 11
+ORACLE_CAP = 11
 EXHAUSTIVE_CAP = 5
 
 
@@ -73,25 +75,21 @@ def open_family(topology: Topology) -> frozenset[int]:
     return frozenset(family)
 
 
-def oracle_r_lower(
-    g: Gotas, a: Subset, d: Direction, cap: int = DEFAULT_ORACLE_CAP
-) -> Subset:
+def oracle_r_lower(g: Gotas, a: Subset, d: Direction) -> Subset:
     """Greatest d-monotone open subset of ``a``, by exhaustive search.
 
     Lists every d-monotone open from its defining property and asserts the
     ones inside ``a`` have a unique maximum under inclusion; that
     uniqueness is the existence fact the fast operator relies on.
     """
-    _guard_cap(g, cap, "oracle")
+    _guard_cap(g, ORACLE_CAP, "oracle")
     opens, _ = _monotone(g, open_family(g.topology), d)
     return g.universe.from_bits(_greatest_inside(g.universe, opens, a.bits))
 
 
-def oracle_r_upper(
-    g: Gotas, a: Subset, d: Direction, cap: int = DEFAULT_ORACLE_CAP
-) -> Subset:
+def oracle_r_upper(g: Gotas, a: Subset, d: Direction) -> Subset:
     """Smallest d-monotone closed superset of ``a``, by exhaustive search."""
-    _guard_cap(g, cap, "oracle")
+    _guard_cap(g, ORACLE_CAP, "oracle")
     _, closeds = _monotone(g, open_family(g.topology), d)
     return g.universe.from_bits(_smallest_around(g.universe, closeds, a.bits))
 
@@ -133,31 +131,35 @@ def _smallest_around(u: Universe, candidates: list[int], a: int) -> int:
     return best
 
 
-def oracle_diff(g: Gotas, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, list[str]]:
-    """Compare the fast base operators against the oracle on every subset,
-    both operators, both directions. Returns (comparisons, mismatches)."""
-    _guard_cap(g, cap, "oracle")
+def oracle_diff(g: Gotas) -> tuple[int, list[str]]:
+    """Compare the fast base operators, run once per operator and direction
+    on the powerset batch, against the oracle on every subset. Returns
+    (comparisons, mismatches), the mismatches by subset, then direction,
+    then operator."""
+    _guard_cap(g, ORACLE_CAP, "oracle")
     u = g.universe
     opens = open_family(g.topology)
-    families = {d: _monotone(g, opens, d) for d in DIRECTION_ORDER}
-    comparisons = 0
-    mismatches: list[str] = []
-    # Each check pairs with the family of the same position in ``_monotone``.
-    checks = (
+    powerset = Batch.powerset(u)
+    # Each operator pairs with the family of the same position in ``_monotone``.
+    operators = (
         ("r_lower", approx.r_lower, _greatest_inside),
         ("r_upper", approx.r_upper, _smallest_around),
     )
-    for a in u.subsets():
-        for d in DIRECTION_ORDER:
-            for (name, fast, pick), candidates in zip(checks, families[d]):
-                comparisons += 1
-                got = fast(g, a, d)
-                want = pick(u, candidates, a.bits)
-                if got.bits != want:
-                    mismatches.append(
-                        f"{name} {d.label} of {a}: main {got}, oracle {u.from_bits(want)}"
-                    )
-    return comparisons, mismatches
+    checks = [
+        (f"{name} {d.label}", fast(g, powerset, d).rows(), pick, candidates)
+        for d in DIRECTION_ORDER
+        for (name, fast, pick), candidates in zip(operators, _monotone(g, opens, d))
+    ]
+    mismatches: list[str] = []
+    for a in range(powerset.width):
+        for what, got, pick, candidates in checks:
+            want = pick(u, candidates, a)
+            if got[a] != want:
+                mismatches.append(
+                    f"{what} of {u.from_bits(a)}: main {u.from_bits(got[a])}, "
+                    f"oracle {u.from_bits(want)}"
+                )
+    return len(checks) * powerset.width, mismatches
 
 
 DEFAULT_SUITE = approx.DEFAULT_SUITE

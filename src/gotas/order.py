@@ -47,21 +47,19 @@ class PartialOrder:
 
     def is_increasing(self, a: Subset) -> bool:
         """True iff every element above a member of ``a`` is itself a member."""
-        if a.universe is not self.universe:
-            raise UniverseMismatchError("subset belongs to a different universe")
-        bits = a.bits
-        for pos in range(self.universe.size):
-            if bits >> pos & 1 and self.succ[pos] & ~bits:
-                return False
-        return True
+        return self._closed_under(a, self.succ)
 
     def is_decreasing(self, a: Subset) -> bool:
         """True iff every element below a member of ``a`` is itself a member."""
+        return self._closed_under(a, self.pred)
+
+    def _closed_under(self, a: Subset, reach: tuple[int, ...]) -> bool:
+        """True iff ``reach[x]`` lies within ``a`` for every member x."""
         if a.universe is not self.universe:
             raise UniverseMismatchError("subset belongs to a different universe")
         bits = a.bits
-        for pos in range(self.universe.size):
-            if bits >> pos & 1 and self.pred[pos] & ~bits:
+        for pos, reached in enumerate(reach):
+            if bits >> pos & 1 and reached & ~bits:
                 return False
         return True
 

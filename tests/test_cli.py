@@ -551,12 +551,6 @@ class TestOracleDiffCommand:
         assert result.exit_code == 0
         assert result.output == "0 mismatches / 8 comparisons\n"
 
-    def test_cap_from_environment(self, runner, example_doc, monkeypatch):
-        monkeypatch.setenv("GOTAS_ORACLE_CAP", "3")
-        result = runner.invoke(main, ["oracle-diff", str(example_doc)])
-        assert result.exit_code == EXIT_INPUT_ERROR
-        assert "cap 3" in result.stderr
-
     def test_default_cap_admits_eleven_points(self, runner, tmp_path):
         labels = [f"e{i}" for i in range(11)]
         doc = write_doc(tmp_path, {
@@ -576,11 +570,6 @@ class TestOracleDiffCommand:
         result = runner.invoke(main, ["oracle-diff", doc])
         assert result.exit_code == EXIT_INPUT_ERROR
         assert result.stderr == "error: universe size 12 exceeds the oracle cap 11\n"
-
-    def test_invalid_cap_value(self, runner, example_doc, monkeypatch):
-        monkeypatch.setenv("GOTAS_ORACLE_CAP", "lots")
-        result = runner.invoke(main, ["oracle-diff", str(example_doc)])
-        assert result.exit_code == EXIT_INPUT_ERROR
 
 
 def _space_signature(g):

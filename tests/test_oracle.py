@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 import gotas.approximations as ap
 from gotas import (
+    Batch,
     BinaryRelation,
     Direction,
     Universe,
@@ -70,13 +71,28 @@ class TestOracleOperators:
             comparisons, mismatches = oracle_diff(space)
             assert mismatches == []
             assert comparisons == 4 * 2 ** space.universe.size
+            # oracle_diff reads the batch; the scalar path must agree with it.
+            powerset = Batch.powerset(space.universe)
+            for d in (INC, DEC):
+                lower = ap.r_lower(space, powerset, d).rows()
+                upper = ap.r_upper(space, powerset, d).rows()
+                for a in space.universe.subsets():
+                    assert ap.r_lower(space, a, d).bits == lower[a.bits]
+                    assert ap.r_upper(space, a, d).bits == upper[a.bits]
 
     def test_cap_is_enforced(self):
-        space = random_space(random.Random(7), 6)
+        space = random_space(random.Random(7), 12)
         with pytest.raises(CapExceededError):
-            oracle_r_lower(space, space.universe.empty(), INC, cap=5)
+            oracle_r_lower(space, space.universe.empty(), INC)
         with pytest.raises(CapExceededError):
-            oracle_diff(space, cap=5)
+            oracle_r_upper(space, space.universe.empty(), INC)
+        with pytest.raises(CapExceededError):
+            oracle_diff(space)
+
+    def test_diff_leaves_the_memo_empty(self):
+        space = random_space(random.Random(8), 8)
+        assert oracle_diff(space) == (1024, [])
+        assert space.memo == {}
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -144,6 +160,16 @@ def test_oracle_diff_reports_a_direction_flipped_r_lower(g, monkeypatch):
     monkeypatch.setattr(ap, "r_lower", lambda g, a, d: r_lower(g, a, d.opposite))
     got = {"worked example": oracle_diff(g), "three points": oracle_diff(three)}
     assert got == FLIPPED_R_LOWER_LINES
+
+
+def test_oracle_diff_checks_the_batch_engine(g, monkeypatch):
+    # r_lower on a batch ANDs kernel columns; with an OR in its place the
+    # scalar path is untouched, so only a diff over the batch can see it.
+    monkeypatch.setattr(Batch, "all_of", Batch.any_of)
+    comparisons, mismatches = oracle_diff(g)
+    assert comparisons == 64
+    assert mismatches
+    assert all(line.startswith("r_lower ") for line in mismatches)
 
 
 class TestCheckPropositions:

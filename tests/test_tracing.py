@@ -32,14 +32,15 @@ def test_tracer_sees_every_layer():
             ["topology", str(EXAMPLE_DOC)],
             ["analyze", str(EXAMPLE_DOC), "--set", "a,c"],
             ["check", str(EXAMPLE_DOC), "--exhaustive"],
+            ["oracle-diff", str(EXAMPLE_DOC)],
         ):
             results.append(tracer.request(lambda a: runner.invoke(cli.main, a), args))
     finally:
         tracer.uninstall()
-    assert [r.exit_code for r in results] == [0, 0, 0]
+    assert [r.exit_code for r in results] == [0, 0, 0, 0]
     assert cli.full_report is approx.full_report  # originals restored
 
-    topology, analyze, check = tracer.records
+    topology, analyze, check, diff = tracer.records
     for record in tracer.records:
         assert record["topology.build_ms"] > 0
         assert record["topology.opens"] == 6
@@ -53,3 +54,7 @@ def test_tracer_sees_every_layer():
     assert 0 < analyze["approximations.base_calls"] < 72
     assert check["oracle.law_instances"] > 0
     assert 0 < check["approximations.base_calls"] <= 264
+    # oracle-diff runs each base operator once per direction on the
+    # powerset batch; one call per subset would take 64.
+    assert diff["oracle.diff_ms"] > 0
+    assert diff["approximations.base_calls"] == 4
