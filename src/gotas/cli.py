@@ -4,6 +4,11 @@ Reads a space document (JSON), builds the space and runs reports or
 checks. Exit codes are a stable contract: 0 success / all checks pass,
 1 check failure, 2 input error.
 
+Building is two steps. ``parse_document`` checks the shape of the JSON
+object and returns it, with its options filled in. ``build_space`` then
+resolves each label once, straight into bitmasks: the minimal
+neighborhoods of the topology and the up-/down-sets of the order.
+
 Document schema::
 
     {
@@ -20,7 +25,6 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
@@ -52,31 +56,18 @@ class DocumentError(ValueError):
     """A space document failed to parse or validate."""
 
 
-@dataclass
-class SpaceDocument:
-    universe: list[str]
-    relation: list[tuple[str, str]] | None
-    base: list[list[str]] | None
-    order: list[tuple[str, str]]
-    auto_reflexive: bool = True
-
-
-def _label_pairs(value: object, name: str) -> list[tuple[str, str]]:
+def _check_pairs(value: object, name: str) -> None:
     if not isinstance(value, list):
         raise DocumentError(f"field {name!r} must be a list of label pairs")
-    pairs = []
     for entry in value:
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(isinstance(x, str) for x in entry)
-        ):
+        if not (type(entry) is list and len(entry) == 2
+                and type(entry[0]) is str and type(entry[1]) is str):
             raise DocumentError(f"field {name!r}: {entry!r} is not a pair of labels")
-        pairs.append((entry[0], entry[1]))
-    return pairs
 
 
-def parse_document(text: str, source: str = "<document>") -> SpaceDocument:
+def parse_document(text: str, source: str = "<document>") -> dict:
+    """The document's JSON object, once its shape is checked, with
+    ``options`` filled in. Labels are resolved later, by ``build_space``."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -98,47 +89,35 @@ def parse_document(text: str, source: str = "<document>") -> SpaceDocument:
         raise DocumentError(f"{source}: field 'universe' must be a nonempty list of labels")
 
     has_relation = "relation" in raw
-    has_base = "base" in raw
-    if has_relation == has_base:
+    if has_relation == ("base" in raw):
         raise DocumentError(f"{source}: exactly one of 'relation' or 'base' is required")
 
-    relation = _label_pairs(raw["relation"], "relation") if has_relation else None
-
-    base = None
-    if has_base:
-        raw_base = raw["base"]
-        if not isinstance(raw_base, list):
+    if has_relation:
+        _check_pairs(raw["relation"], "relation")
+    else:
+        base = raw["base"]
+        if not isinstance(base, list):
             raise DocumentError(f"{source}: field 'base' must be a list of label lists")
-        base = []
-        for entry in raw_base:
+        for entry in base:
             if not (isinstance(entry, list) and all(isinstance(x, str) for x in entry)):
                 raise DocumentError(f"{source}: field 'base': {entry!r} is not a label list")
-            base.append(list(entry))
 
     if "order" not in raw:
         raise DocumentError(f"{source}: field 'order' is required")
-    order = _label_pairs(raw["order"], "order")
+    _check_pairs(raw["order"], "order")
 
-    options = raw.get("options", {})
+    options = raw.setdefault("options", {})
     if not isinstance(options, dict):
         raise DocumentError(f"{source}: field 'options' must be an object")
     for key in options:
         if key != "auto_reflexive":
             raise DocumentError(f"{source}: unknown option {key!r}")
-    auto_reflexive = options.get("auto_reflexive", True)
-    if not isinstance(auto_reflexive, bool):
+    if not isinstance(options.setdefault("auto_reflexive", True), bool):
         raise DocumentError(f"{source}: option 'auto_reflexive' must be a boolean")
-
-    return SpaceDocument(
-        universe=list(universe),
-        relation=relation,
-        base=base,
-        order=order,
-        auto_reflexive=auto_reflexive,
-    )
+    return raw
 
 
-def load_document(path: str | Path) -> SpaceDocument:
+def load_document(path: str | Path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -147,18 +126,20 @@ def load_document(path: str | Path) -> SpaceDocument:
     return parse_document(text, source=str(path))
 
 
-def build_space(doc: SpaceDocument) -> Gotas:
-    universe = Universe(doc.universe)
-    if doc.relation is not None:
-        topology = topology_from_relation(
-            BinaryRelation.from_labels(universe, doc.relation)
-        )
+def build_space(doc: dict) -> Gotas:
+    """The space of a document from ``parse_document``; each label is
+    resolved once, straight into the bitmasks of the topology and order."""
+    universe = Universe(doc["universe"])
+    index = universe.index
+    if "relation" in doc:
+        topology = topology_from_relation(BinaryRelation.from_labels(universe, doc["relation"]))
     else:
-        topology = generate_topology(
-            universe, [universe.subset(labels) for labels in doc.base or []]
-        )
-    index_pairs = [(universe.index(x), universe.index(y)) for x, y in doc.order]
-    order = validate_order(universe, index_pairs, auto_reflexive=doc.auto_reflexive)
+        topology = generate_topology(universe, map(universe.subset, doc["base"]))
+    order = validate_order(
+        universe,
+        [(index(x), index(y)) for x, y in doc["order"]],
+        auto_reflexive=doc["options"]["auto_reflexive"],
+    )
     return Gotas(universe, topology, order)
 
 
@@ -182,6 +163,9 @@ def _parse_set(g: Gotas, labels: str) -> Subset:
     names = [part.strip() for part in labels.split(",") if part.strip()]
     return g.universe.subset(names)
 
+
+# The sets of an analyze row, as JSON keys and table columns.
+_REGIONS = ("lower", "upper", "boundary", "positive", "negative")
 
 _FAMILY_CHOICES = {f.value: f for f in FAMILY_ORDER}
 _DIRECTION_CHOICES = {d.value: d for d in DIRECTION_ORDER}
@@ -243,11 +227,7 @@ def cmd_analyze(file: str, set_labels: str, family: str | None, direction: str |
                 {
                     "family": f.label,
                     "direction": dd.label,
-                    "lower": list(r.lower.members()),
-                    "upper": list(r.upper.members()),
-                    "boundary": list(r.boundary.members()),
-                    "positive": list(r.positive.members()),
-                    "negative": list(r.negative.members()),
+                    **{name: list(getattr(r, name).members()) for name in _REGIONS},
                     "accuracy": str(r.accuracy),
                     "exact": r.exact,
                 }
@@ -257,17 +237,12 @@ def cmd_analyze(file: str, set_labels: str, family: str | None, direction: str |
         click.echo(json.dumps(payload, indent=2))
         return
 
-    headers = ("family", "dir", "lower", "upper", "boundary", "positive",
-               "negative", "accuracy", "exactness")
+    headers = ("family", "dir", *_REGIONS, "accuracy", "exactness")
     body = [
         (
             f.label,
             dd.label,
-            str(r.lower),
-            str(r.upper),
-            str(r.boundary),
-            str(r.positive),
-            str(r.negative),
+            *(str(getattr(r, name)) for name in _REGIONS),
             str(r.accuracy),
             "exact" if r.exact else "rough",
         )

@@ -38,7 +38,7 @@ from .approximations import (
 )
 from .order import PartialOrder, equality_order, validate_order
 from .topology import Topology, generate_topology
-from .universe import Batch, Subset, Universe
+from .universe import Batch, Subset, Universe, _points
 
 ORACLE_CAP = 11
 EXHAUSTIVE_CAP = 5
@@ -439,10 +439,7 @@ def random_order(rng: random.Random, universe: Universe) -> PartialOrder:
         for i in range(n):
             if succ[i] >> k & 1:
                 succ[i] |= succ[k]
-    pairs = {
-        (i, j) for i in range(n) for j in range(n) if succ[i] >> j & 1
-    }
-    return validate_order(universe, pairs)
+    return validate_order(universe, ((i, j) for i in range(n) for j in _points(succ[i])))
 
 
 def random_space(rng: random.Random, size: int, max_generators: int = 4) -> Gotas:

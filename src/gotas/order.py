@@ -3,14 +3,16 @@
 ``validate_order`` is the only constructor: it checks reflexivity,
 antisymmetry and transitivity (in that order) and reports the first
 violated axiom with a witness. Nothing is silently repaired beyond the
-optional insertion of reflexive loops.
+optional insertion of reflexive loops. An order is held only as bitmasks,
+the up-set and the down-set of each point; its pairs are derived from them.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .universe import Subset, Universe, UniverseMismatchError
+from .topology import BinaryRelation
+from .universe import Subset, Universe, UniverseMismatchError, _points, _transpose
 
 
 class OrderAxiomError(ValueError):
@@ -28,22 +30,22 @@ class PartialOrder:
     ``succ[x]`` is the up-set of x and ``pred[x]`` its down-set, as bitmasks.
     """
 
-    __slots__ = ("universe", "pairs", "succ", "pred")
+    __slots__ = ("universe", "succ", "pred")
 
-    def __init__(self, universe: Universe, pairs: frozenset[tuple[int, int]]) -> None:
+    def __init__(self, universe: Universe, succ: Iterable[int]) -> None:
         self.universe = universe
-        self.pairs = pairs
-        succ = [0] * universe.size
-        pred = [0] * universe.size
-        for x, y in pairs:
-            succ[x] |= 1 << y
-            pred[y] |= 1 << x
         self.succ = tuple(succ)
-        self.pred = tuple(pred)
+        self.pred = tuple(_transpose(self.succ, universe.size))
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The index pairs (x, y) with x below-or-equal y."""
+        n = self.universe.size
+        return frozenset((x, y) for x, up in enumerate(self.succ) for y in range(n) if up >> y & 1)
 
     def holds(self, x: str, y: str) -> bool:
         """Whether x is below-or-equal y."""
-        return (self.universe.index(x), self.universe.index(y)) in self.pairs
+        return self.succ[self.universe.index(x)] >> self.universe.index(y) & 1 == 1
 
     def is_increasing(self, a: Subset) -> bool:
         """True iff every element above a member of ``a`` is itself a member."""
@@ -79,18 +81,15 @@ def validate_order(
     validation; with it off they are a reflexivity error. Missing transitive
     pairs are always an error, never auto-completed.
     """
-    pairs = set(pairs)
-    for x, y in pairs:
-        if not (0 <= x < universe.size and 0 <= y < universe.size):
-            raise ValueError(f"pair ({x}, {y}) references indices outside the universe")
+    succ = BinaryRelation(universe, pairs).rights
     if auto_reflexive:
-        pairs |= {(i, i) for i in range(universe.size)}
+        succ = [up | 1 << i for i, up in enumerate(succ)]
 
-    order = PartialOrder(universe, frozenset(pairs))
-    succ, pred = order.succ, order.pred
+    order = PartialOrder(universe, succ)
+    pred = order.pred
     labels = universe.labels
-    for i in range(universe.size):
-        if (i, i) not in pairs:
+    for i, up in enumerate(succ):
+        if not up >> i & 1:
             raise OrderAxiomError(
                 "reflexivity",
                 (labels[i], labels[i]),
@@ -98,21 +97,21 @@ def validate_order(
             )
     # Witnesses come in the order of the sorted pairs: x ascending, then y,
     # then the lowest offending z.
-    for x in range(universe.size):
-        both = succ[x] & pred[x] & ~(1 << x)
+    for x, up in enumerate(succ):
+        both = up & pred[x] & ~(1 << x)
         if both:
-            y = _lowest(both)
+            y = next(_points(both))
             raise OrderAxiomError(
                 "antisymmetry",
                 (labels[x], labels[y]),
                 f"antisymmetry violated: both ({labels[x]}, {labels[y]}) "
                 f"and ({labels[y]}, {labels[x]}) present",
             )
-    for x in range(universe.size):
-        for y in range(universe.size):
-            missing = succ[y] & ~succ[x]
-            if succ[x] >> y & 1 and missing:
-                z = _lowest(missing)
+    for x, up in enumerate(succ):
+        for y in _points(up):
+            missing = succ[y] & ~up
+            if missing:
+                z = next(_points(missing))
                 raise OrderAxiomError(
                     "transitivity",
                     (labels[x], labels[z]),
@@ -123,10 +122,6 @@ def validate_order(
     return order
 
 
-def _lowest(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1
-
-
 def equality_order(universe: Universe) -> PartialOrder:
     """The discrete order: x below y only when x = y."""
-    return PartialOrder(universe, frozenset((i, i) for i in range(universe.size)))
+    return PartialOrder(universe, [1 << i for i in range(universe.size)])

@@ -13,36 +13,38 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .universe import Subset, Universe, UniverseMismatchError, canonical_order
+from .universe import Subset, Universe, UniverseMismatchError, _points, canonical_order
 
 
 class BinaryRelation:
-    """Arbitrary binary relation over a universe; no axioms assumed."""
+    """Arbitrary binary relation over a universe; no axioms assumed.
 
-    __slots__ = ("universe", "pairs")
+    ``rights[x]`` is the right neighborhood xR = { y : x R y } as a bitmask.
+    """
+
+    __slots__ = ("universe", "rights")
 
     def __init__(self, universe: Universe, pairs: Iterable[tuple[int, int]]) -> None:
-        pairs = frozenset(pairs)
+        n = universe.size
+        rights = [0] * n
         for x, y in pairs:
-            if not (0 <= x < universe.size and 0 <= y < universe.size):
+            if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"pair ({x}, {y}) references indices outside the universe")
+            rights[x] |= 1 << y
         self.universe = universe
-        self.pairs = pairs
+        self.rights = tuple(rights)
 
     @classmethod
     def from_labels(cls, universe: Universe, pairs: Iterable[tuple[str, str]]) -> BinaryRelation:
         return cls(universe, [(universe.index(x), universe.index(y)) for x, y in pairs])
 
     def right_neighborhoods(self) -> tuple[Subset, ...]:
-        """The family { xR : x in U } where xR = { y : x R y }, duplicates
-        removed, in canonical order."""
-        masks = [0] * self.universe.size
-        for x, y in self.pairs:
-            masks[x] |= 1 << y
-        return self.universe.canonical(set(masks))
+        """The family { xR : x in U }, duplicates removed, in canonical order."""
+        return self.universe.canonical(set(self.rights))
 
     def __repr__(self) -> str:
-        return f"BinaryRelation({self.universe!r}, {len(self.pairs)} pairs)"
+        size = sum(m.bit_count() for m in self.rights)
+        return f"BinaryRelation({self.universe!r}, {size} pairs)"
 
 
 def points_within(masks: tuple[int, ...], bits: int) -> int:
@@ -76,14 +78,6 @@ MAX_COUNT_DEPTH = 200
 
 class _OverBudget(Exception):
     pass
-
-
-def _points(bits: int) -> Iterator[int]:
-    """Indices of the set bits, lowest first."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 class Topology:

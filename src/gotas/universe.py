@@ -307,6 +307,14 @@ def _counting_columns(m: int) -> list[int]:
     ]
 
 
+def _points(bits: int) -> Iterator[int]:
+    """Indices of the set bits, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 def _transpose(values: Sequence[int], width: int) -> list[int]:
     """Bit matrix transpose: bit s of result[x] is bit x of ``values[s]``,
     for ``width`` bits per value. Goes through binary strings, which keeps

@@ -627,3 +627,49 @@ class TestDocumentParsing:
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["topology", "no-such-file.json"])
         assert result.exit_code == EXIT_INPUT_ERROR
+
+
+_VALID = {"universe": ["a", "b"], "base": [["a"]], "order": [["a", "b"]]}
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{\n  "universe": [,]\n}', "doc.json: line 2: Expecting value"),
+    ("[]", "doc.json: top level must be an object"),
+    (json.dumps({**_VALID, "extra": 1}), "doc.json: unknown field 'extra'"),
+    (json.dumps({**_VALID, "universe": []}),
+     "doc.json: field 'universe' must be a nonempty list of labels"),
+    (json.dumps({**_VALID, "universe": ["a", 1]}),
+     "doc.json: field 'universe' must be a nonempty list of labels"),
+    (json.dumps({**_VALID, "relation": []}),
+     "doc.json: exactly one of 'relation' or 'base' is required"),
+    (json.dumps({"universe": ["a"], "order": []}),
+     "doc.json: exactly one of 'relation' or 'base' is required"),
+    (json.dumps({"universe": ["a"], "relation": {}, "order": []}),
+     "field 'relation' must be a list of label pairs"),
+    (json.dumps({"universe": ["a"], "relation": [["a", "a"], ["a"]], "order": []}),
+     "field 'relation': ['a'] is not a pair of labels"),
+    (json.dumps({**_VALID, "base": "a"}),
+     "doc.json: field 'base' must be a list of label lists"),
+    (json.dumps({**_VALID, "base": [["a"], ["b", 2]]}),
+     "doc.json: field 'base': ['b', 2] is not a label list"),
+    (json.dumps({"universe": ["a"], "base": []}), "doc.json: field 'order' is required"),
+    (json.dumps({**_VALID, "order": None}), "field 'order' must be a list of label pairs"),
+    (json.dumps({**_VALID, "order": [["a", "b"], ["a", "b", "c"]]}),
+     "field 'order': ['a', 'b', 'c'] is not a pair of labels"),
+    (json.dumps({**_VALID, "order": [["a", None]]}),
+     "field 'order': ['a', None] is not a pair of labels"),
+    (json.dumps({**_VALID, "options": []}), "doc.json: field 'options' must be an object"),
+    (json.dumps({**_VALID, "options": {"strict": True}}), "doc.json: unknown option 'strict'"),
+    (json.dumps({**_VALID, "options": {"auto_reflexive": 1}}),
+     "doc.json: option 'auto_reflexive' must be a boolean"),
+])
+def test_parse_document_error_text(text, message):
+    with pytest.raises(DocumentError) as err:
+        parse_document(text, source="doc.json")
+    assert str(err.value) == message
+
+
+def test_parse_document_returns_the_object_with_options_defaulted():
+    assert parse_document(json.dumps(_VALID)) == {**_VALID, "options": {"auto_reflexive": True}}
+    off = {**_VALID, "options": {"auto_reflexive": False}}
+    assert parse_document(json.dumps(off)) == off

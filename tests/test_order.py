@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gotas import OrderAxiomError, Universe, equality_order, validate_order
 from gotas.oracle import random_order
@@ -115,3 +116,69 @@ def test_monotone_families_closed_under_union_and_intersection(seed):
             for y in family:
                 assert check(x | y)
                 assert check(x & y)
+
+
+def _reference_check(n, pairs, auto_reflexive):
+    """The axiom, witness and message ``validate_order`` must report for
+    these index pairs, or None for a valid order: reflexivity at the lowest
+    missing loop, then, over the sorted pairs (x, y), antisymmetry at the
+    first with (y, x) present, then transitivity at the first with some
+    (y, z) present and (x, z) missing, taking the lowest such z."""
+    pairs = set(pairs)
+    if auto_reflexive:
+        pairs |= {(i, i) for i in range(n)}
+    name = "abcdef"
+    for i in range(n):
+        if (i, i) not in pairs:
+            a = name[i]
+            return "reflexivity", (a, a), f"reflexivity violated: ({a}, {a}) missing"
+    for x, y in sorted(pairs):
+        if x != y and (y, x) in pairs:
+            a, b = name[x], name[y]
+            return ("antisymmetry", (a, b),
+                    f"antisymmetry violated: both ({a}, {b}) and ({b}, {a}) present")
+    for x, y in sorted(pairs):
+        for z in range(n):
+            if (y, z) in pairs and (x, z) not in pairs:
+                a, b, c = name[x], name[y], name[z]
+                return ("transitivity", (a, c),
+                        f"transitivity violated: ({a}, {b}) and ({b}, {c}) present "
+                        f"but ({a}, {c}) missing")
+    return None
+
+
+@st.composite
+def _pair_lists(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    cell = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(cell, cell), max_size=3 * n))
+    if draw(st.booleans()):
+        # Listing every loop lets the later axioms fail with auto_reflexive off.
+        pairs += [(i, i) for i in range(n)]
+    return n, pairs
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_pair_lists())
+def test_order_witnesses_match_the_reference(case):
+    n, pairs = case
+    u = Universe("abcdef"[:n])
+    for auto_reflexive in (True, False):
+        want = _reference_check(n, pairs, auto_reflexive)
+        if want is None:
+            order = validate_order(u, pairs, auto_reflexive=auto_reflexive)
+            loops = {(i, i) for i in range(n)} if auto_reflexive else set()
+            assert order.pairs == frozenset(pairs) | loops
+            continue
+        with pytest.raises(OrderAxiomError) as err:
+            validate_order(u, pairs, auto_reflexive=auto_reflexive)
+        assert (err.value.axiom, err.value.witness, str(err.value)) == want
+
+
+def test_first_out_of_range_pair_in_input_order_is_reported():
+    u = Universe(["a", "b"])
+    for pairs in ([(0, 7), (5, 0), (0, -1)], [(5, 0), (0, 7)], [(0, -1), (0, 7)]):
+        with pytest.raises(ValueError) as err:
+            validate_order(u, pairs)
+        x, y = pairs[0]
+        assert str(err.value) == f"pair ({x}, {y}) references indices outside the universe"
