@@ -46,7 +46,7 @@ from .universe import Subset, Universe
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 # A sampled check's memory grows with the sample count: 65536 samples on 200 points
-# peak near 220 MB.
+# peak near 180 MB.
 MAX_SAMPLES = 1 << 16
 # The most opens `topology` lists; n points can carry up to 2**n.
 MAX_OPENS = 1 << 16
@@ -72,6 +72,10 @@ def parse_document(text: str, source: str = "<document>") -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(f"{source}: line {e.lineno}: {e.msg}") from None
+    except RecursionError:
+        raise DocumentError(f"{source}: nested too deeply") from None
+    except ValueError:  # an integer literal past Python's limit on digits
+        raise DocumentError(f"{source}: an integer literal is too long") from None
     if not isinstance(raw, dict):
         raise DocumentError(f"{source}: top level must be an object")
 
@@ -123,6 +127,8 @@ def load_document(path: str | Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise DocumentError(f"{path}: byte {e.start} is not valid UTF-8") from None
     return parse_document(text, source=str(path))
 
 

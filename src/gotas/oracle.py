@@ -4,10 +4,11 @@ The oracle recomputes the directed base approximations from their defining
 property, independently of the minimal-neighborhood kernel used by the fast
 operators. It builds its own open family from a base of the generators,
 lists once per direction the monotone opens and monotone closeds by one
-scan of the powerset, and for each subset picks the greatest candidate
-inside it (or the smallest around it), asserting that pick is unique.
-``oracle_diff`` compares those picks with the fast operators run on the
-powerset batch, the bit-sliced path the law checker reads.
+scan of the powerset, and for every subset picks the greatest candidate
+inside it (or the smallest around it), asserting that pick is unique. The
+picks form one table per space, ``oracle_table``; ``oracle_diff`` compares
+it with the fast operators run on the powerset batch, the bit-sliced path
+the law checker reads.
 
 The checker runs a catalogue of algebraic laws over all subsets (and all
 pairs, for the binary laws) of a space, bit-sliced into batches, and
@@ -75,23 +76,19 @@ def open_family(topology: Topology) -> frozenset[int]:
     return frozenset(family)
 
 
-def oracle_r_lower(g: Gotas, a: Subset, d: Direction) -> Subset:
-    """Greatest d-monotone open subset of ``a``, by exhaustive search.
-
-    Lists every d-monotone open from its defining property and asserts the
-    ones inside ``a`` have a unique maximum under inclusion; that
-    uniqueness is the existence fact the fast operator relies on.
-    """
+def oracle_table(g: Gotas) -> dict[Direction, tuple[list[int], list[int]]]:
+    """The oracle's r_lower and r_upper of every subset, per direction, as
+    two bitmask lists indexed by the subset's bitmask: the greatest
+    d-monotone open inside it and the smallest d-monotone closed around it."""
     _guard_cap(g, ORACLE_CAP, "oracle")
-    opens, _ = _monotone(g, open_family(g.topology), d)
-    return g.universe.from_bits(_greatest_inside(g.universe, opens, a.bits))
-
-
-def oracle_r_upper(g: Gotas, a: Subset, d: Direction) -> Subset:
-    """Smallest d-monotone closed superset of ``a``, by exhaustive search."""
-    _guard_cap(g, ORACLE_CAP, "oracle")
-    _, closeds = _monotone(g, open_family(g.topology), d)
-    return g.universe.from_bits(_smallest_around(g.universe, closeds, a.bits))
+    u, opens = g.universe, open_family(g.topology)
+    subsets = range(1 << u.size)
+    table = {}
+    for d in DIRECTION_ORDER:
+        inside, around = _monotone(g, opens, d)
+        table[d] = ([_greatest_inside(u, inside, a) for a in subsets],
+                    [_smallest_around(u, around, a) for a in subsets])
+    return table
 
 
 def _monotone(g: Gotas, opens: frozenset[int], d: Direction) -> tuple[list[int], list[int]]:
@@ -133,32 +130,24 @@ def _smallest_around(u: Universe, candidates: list[int], a: int) -> int:
 
 def oracle_diff(g: Gotas) -> tuple[int, list[str]]:
     """Compare the fast base operators, run once per operator and direction
-    on the powerset batch, against the oracle on every subset. Returns
-    (comparisons, mismatches), the mismatches by subset, then direction,
-    then operator."""
-    _guard_cap(g, ORACLE_CAP, "oracle")
+    on the powerset batch, against the oracle table. Returns (comparisons,
+    mismatches), the mismatches by subset, then direction, then operator."""
+    table = oracle_table(g)
     u = g.universe
-    opens = open_family(g.topology)
     powerset = Batch.powerset(u)
-    # Each operator pairs with the family of the same position in ``_monotone``.
-    operators = (
-        ("r_lower", approx.r_lower, _greatest_inside),
-        ("r_upper", approx.r_upper, _smallest_around),
-    )
     checks = [
-        (f"{name} {d.label}", fast(g, powerset, d).rows(), pick, candidates)
+        (f"{name} {d.label}", fast(g, powerset, d).rows(), want)
         for d in DIRECTION_ORDER
-        for (name, fast, pick), candidates in zip(operators, _monotone(g, opens, d))
+        for (name, fast), want in zip(
+            (("r_lower", approx.r_lower), ("r_upper", approx.r_upper)), table[d]
+        )
     ]
-    mismatches: list[str] = []
-    for a in range(powerset.width):
-        for what, got, pick, candidates in checks:
-            want = pick(u, candidates, a)
-            if got[a] != want:
-                mismatches.append(
-                    f"{what} of {u.from_bits(a)}: main {u.from_bits(got[a])}, "
-                    f"oracle {u.from_bits(want)}"
-                )
+    mismatches = [
+        f"{what} of {u.from_bits(a)}: main {u.from_bits(got[a])}, oracle {u.from_bits(want[a])}"
+        for a in range(powerset.width)
+        for what, got, want in checks
+        if got[a] != want[a]
+    ]
     return len(checks) * powerset.width, mismatches
 
 

@@ -4,9 +4,15 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from gotas import Gotas, Universe, equality_order, generate_topology, validate_order
 from gotas.oracle import random_space
+
+# Every hypothesis test draws the same examples on each run; a test's own
+# @settings override only the values it names.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE_DOC = REPO_ROOT / "examples" / "ex-3-24.json"

@@ -83,9 +83,9 @@ def _draw_order(draw, u: Universe):
 
 
 @st.composite
-def space_with_subset(draw, max_size: int = 11):
+def spaces(draw, max_size: int = 11):
     """A space built either from a generator family or from a binary
-    relation, with a random partial order, together with one subset."""
+    relation, with a random partial order."""
     if draw(st.booleans()):
         u, base = draw(universe_with_base(max_size=max_size))
         topology = generate_topology(u, base)
@@ -94,6 +94,4 @@ def space_with_subset(draw, max_size: int = 11):
         cells = st.tuples(st.integers(0, u.size - 1), st.integers(0, u.size - 1))
         pairs = draw(st.lists(cells, max_size=2 * u.size))
         topology = topology_from_relation(BinaryRelation(u, pairs))
-    g = Gotas(u, topology, _draw_order(draw, u))
-    a = u.from_bits(draw(st.integers(min_value=0, max_value=u.full_mask)))
-    return g, a
+    return Gotas(u, topology, _draw_order(draw, u))

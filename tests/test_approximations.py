@@ -6,14 +6,17 @@ import pytest
 import gotas.approximations as ap
 from gotas import (
     DIRECTION_ORDER,
+    Batch,
+    BinaryRelation,
     Direction,
     FAMILY_ORDER,
     Gotas,
     Universe,
     equality_order,
     generate_topology,
+    topology_from_relation,
 )
-from gotas.oracle import random_space
+from gotas.oracle import oracle_table, random_order, random_space
 
 from conftest import make_example_space
 
@@ -166,31 +169,69 @@ class TestFullReport:
                 assert row.positive == row.lower
                 assert row.exact == (row.lower == row.upper)
 
-    def test_singleton_rows_match_oracle_recomputation(self, g):
-        # recompute every row from the powerset oracle composed per the
-        # family formulas, independently of the fast operators
-        from gotas.oracle import oracle_r_lower as olo, oracle_r_upper as oup
 
-        a = sub(g, "a")
-        table = ap.full_report(g, a)
-        for d in DIRECTION_ORDER:
-            want = {
-                R: (olo(g, a, d), oup(g, a, d)),
-                S: (a & oup(g, olo(g, a, d), d), a | olo(g, oup(g, a, d), d)),
-                P: (a & olo(g, oup(g, a, d), d), a | oup(g, olo(g, a, d), d)),
-                GAMMA: (
-                    a & (oup(g, olo(g, a, d), d) | olo(g, oup(g, a, d), d)),
-                    a | (oup(g, olo(g, a, d), d) | olo(g, oup(g, a, d), d)),
-                ),
-                BETA: (
-                    a & oup(g, olo(g, oup(g, a, d), d), d),
-                    a | olo(g, oup(g, olo(g, a, d), d), d),
-                ),
-            }
-            for family, (lo, up) in want.items():
-                row = table[(family, d)]
-                assert row.lower == lo
-                assert row.upper == up
+def _row_test_spaces():
+    """The worked example, then 72 seeded spaces, generator-built and
+    relation-built alternately, six of each kind at each size from 1 to 6
+    points."""
+    yield make_example_space()
+    rng = random.Random(12)
+    for i in range(72):
+        size = 1 + i // 2 % 6
+        if i % 2:
+            yield random_space(rng, size)
+        else:
+            u = Universe([f"e{k}" for k in range(size)])
+            pairs = [(x, y) for x in range(size) for y in range(size) if rng.random() < 0.3]
+            yield Gotas(u, topology_from_relation(BinaryRelation(u, pairs)), random_order(rng, u))
+
+
+def _composed(table, d, a):
+    """Each family's (lower, upper) of bitmask ``a`` in direction ``d``,
+    composed from the oracle table by the README's family formulas."""
+    lo, up = table[d]
+    return {
+        R: (lo[a], up[a]),
+        S: (a & up[lo[a]], a | lo[up[a]]),
+        P: (a & lo[up[a]], a | up[lo[a]]),
+        GAMMA: (a & (up[lo[a]] | lo[up[a]]), a | up[lo[a]] | lo[up[a]]),
+        BETA: (a & up[lo[up[a]]], a | lo[up[lo[a]]]),
+    }
+
+
+_SETS = ("lower", "upper", "boundary", "positive", "negative")
+
+
+def test_every_row_matches_the_oracle_table():
+    # Every field of every row, from full_report and from the powerset
+    # batch, against the oracle composed independently of the fast operators.
+    for g in _row_test_spaces():
+        u = g.universe
+        table = oracle_table(g)
+        batch = ap.Rows(g, Batch.powerset(u))
+        columns = {(f, d): {name: getattr(batch[f, d], name).rows() for name in _SETS}
+                   for f in FAMILY_ORDER for d in DIRECTION_ORDER}
+        for a in range(1 << u.size):
+            want = {d: _composed(table, d, a) for d in DIRECTION_ORDER}
+            for key, row in ap.full_report(g, u.from_bits(a)).items():
+                family, d = key
+                lower, upper = want[d][family]
+                expected = {
+                    "lower": lower,
+                    "upper": upper,
+                    "boundary": upper & ~lower,
+                    "positive": lower,
+                    "negative": u.full_mask ^ want[d.opposite][family][1],
+                    "accuracy": Fraction(lower.bit_count(), upper.bit_count()) if upper else 1,
+                    "exact": lower == upper,
+                }
+                scalar = {name: getattr(row, name).bits for name in _SETS}
+                scalar.update(accuracy=row.accuracy, exact=row.exact)
+                lane = {name: columns[key][name][a] for name in _SETS}
+                lane.update(accuracy=batch[key].accuracy.lane(a),
+                            exact=bool(batch[key].exact >> a & 1))
+                assert scalar == expected, (u.from_bits(a), key)
+                assert lane == expected, (u.from_bits(a), key)
 
 
 def test_duality_on_random_spaces():

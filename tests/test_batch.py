@@ -4,6 +4,8 @@ lane exactly as it acts on that lane's subset alone."""
 import random
 from itertools import product
 
+import pytest
+
 import gotas.approximations as ap
 from gotas import (
     DIRECTION_ORDER,
@@ -13,6 +15,7 @@ from gotas import (
     Gotas,
     OperatorFamily,
     Universe,
+    UniverseMismatchError,
     topology_from_relation,
 )
 from gotas.oracle import corrupted_gamma_upper, corrupted_suite, random_order, random_space
@@ -90,6 +93,14 @@ def test_set_algebra_and_lane_masks():
     assert a.outside(b) == mask(x & ~y for x, y in zip(xs, ys))
     assert a.differs(b) == mask(x != y for x, y in zip(xs, ys))
     assert a.nonempty() == mask(xs)
+
+
+def test_set_algebra_rejects_other_universes_and_widths():
+    u = Universe(list("ab"))
+    a = Batch.of(u, [0, 1, 2])
+    for other in (Batch.of(Universe(list("ab")), [0, 1, 2]), Batch.of(u, [0, 1])):
+        with pytest.raises(UniverseMismatchError):
+            a | other
 
 
 def test_powerset_and_pairs_enumerate_in_bitmask_order():

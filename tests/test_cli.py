@@ -5,6 +5,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+import gotas.approximations as ap
 from gotas import cli
 from gotas.cli import (
     EXIT_CHECK_FAILED,
@@ -16,6 +17,7 @@ from gotas.cli import (
 )
 
 from conftest import make_example_space
+from test_oracle import FLIPPED_R_LOWER_LINES
 
 TOPOLOGY_GOLDEN = """\
 {}
@@ -345,6 +347,18 @@ class TestCheckCommand:
             assert result.stderr == "error: --samples must be at most 65536\n"
         assert drawn == [65536]
 
+    def test_zero_samples_is_an_input_error(self, runner, example_doc):
+        result = runner.invoke(main, ["check", str(example_doc), "--samples", "0"])
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert result.stderr == "error: --samples must be positive\n"
+
+    def test_over_the_exhaustive_cap_without_flags_samples_256(self, runner, tmp_path):
+        doc = write_doc(tmp_path, {"universe": list("abcdef"), "base": [["a"]], "order": []})
+        result = runner.invoke(main, ["check", doc, "--format", "json"])
+        payload = json.loads(result.output)
+        assert payload["mode"] == "sampled:256"
+        assert {p["instances"] for p in payload["propositions"] if p["pass"]} == {256}
+
     def test_corrupted_fixture_mode_fails(self, runner, tmp_path):
         doc = write_doc(tmp_path, PROBE_DOC)
         result = runner.invoke(main, ["check", doc, "--exhaustive", "--corrupt-gamma"])
@@ -562,6 +576,15 @@ class TestOracleDiffCommand:
         assert result.exit_code == 0
         assert result.output == "0 mismatches / 8192 comparisons\n"
 
+    def test_direction_flipped_r_lower_fails(self, runner, example_doc, monkeypatch):
+        r_lower = ap.r_lower
+        monkeypatch.setattr(ap, "r_lower", lambda g, a, d: r_lower(g, a, d.opposite))
+        result = runner.invoke(main, ["oracle-diff", str(example_doc)])
+        _, lines = FLIPPED_R_LOWER_LINES["worked example"]
+        assert result.exit_code == EXIT_CHECK_FAILED
+        assert result.stdout.splitlines() == [*lines, "18 mismatches / 64 comparisons"]
+        assert result.stderr == ""
+
     def test_default_cap_rejects_twelve_points(self, runner, tmp_path):
         doc = write_doc(
             tmp_path,
@@ -667,6 +690,22 @@ def test_parse_document_error_text(text, message):
     with pytest.raises(DocumentError) as err:
         parse_document(text, source="doc.json")
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"universe": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "nested too deeply"),
+    (b'{"universe": ["\xff"]}', "byte 15 is not valid UTF-8"),
+    (b'{"universe": [' + b"7" * 5000 + b"]}", "an integer literal is too long"),
+], ids=["deep", "latin-1", "long-integer"])
+def test_unreadable_document_is_an_input_error_naming_the_file(
+    runner, tmp_path, content, message
+):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    result = runner.invoke(main, ["topology", str(path)])
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert result.stdout == ""
+    assert result.stderr == f"error: {path}: {message}\n"
 
 
 def test_parse_document_returns_the_object_with_options_defaulted():

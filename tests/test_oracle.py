@@ -23,8 +23,7 @@ from gotas.oracle import (
     check_propositions,
     corrupted_suite,
     oracle_diff,
-    oracle_r_lower,
-    oracle_r_upper,
+    oracle_table,
     partition_space,
     random_order,
     random_partition,
@@ -34,7 +33,7 @@ from gotas.oracle import (
 )
 
 from conftest import make_example_space
-from strategies import space_with_subset
+from strategies import spaces
 
 INC, DEC = Direction.INC, Direction.DEC
 R, GAMMA, BETA = ap.OperatorFamily.R, ap.OperatorFamily.GAMMA, ap.OperatorFamily.BETA
@@ -47,11 +46,13 @@ def g():
 
 class TestOracleOperators:
     def test_golden_values(self, g):
-        a = g.universe.subset(["a", "c"])
-        assert oracle_r_lower(g, a, DEC) == g.universe.subset(["a"])
-        assert oracle_r_upper(g, a, DEC) == g.universe.full()
-        assert oracle_r_lower(g, g.universe.empty(), INC) == g.universe.empty()
-        assert oracle_r_upper(g, g.universe.full(), DEC) == g.universe.full()
+        table = oracle_table(g)
+        a, full = g.universe.subset(["a", "c"]).bits, g.universe.full_mask
+        assert table[DEC][0][a] == g.universe.subset(["a"]).bits
+        assert table[DEC][1][a] == full
+        assert table[INC][0][0] == 0
+        assert table[DEC][1][full] == full
+        assert [len(rows) for d in (INC, DEC) for rows in table[d]] == [16] * 4
 
     def test_agreement_with_fast_operators_on_random_spaces(self):
         rng = random.Random(1234)
@@ -83,9 +84,7 @@ class TestOracleOperators:
     def test_cap_is_enforced(self):
         space = random_space(random.Random(7), 12)
         with pytest.raises(CapExceededError):
-            oracle_r_lower(space, space.universe.empty(), INC)
-        with pytest.raises(CapExceededError):
-            oracle_r_upper(space, space.universe.empty(), INC)
+            oracle_table(space)
         with pytest.raises(CapExceededError):
             oracle_diff(space)
 
@@ -96,12 +95,14 @@ class TestOracleOperators:
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(space_with_subset(max_size=11))
-def test_fast_base_operators_match_the_oracle(case):
-    g, a = case
+@given(spaces(max_size=11))
+def test_fast_base_operators_match_the_oracle(g):
+    table = oracle_table(g)
     for d in (INC, DEC):
-        assert ap.r_lower(g, a, d) == oracle_r_lower(g, a, d)
-        assert ap.r_upper(g, a, d) == oracle_r_upper(g, a, d)
+        lower, upper = table[d]
+        for a in g.universe.subsets():
+            assert ap.r_lower(g, a, d).bits == lower[a.bits]
+            assert ap.r_upper(g, a, d).bits == upper[a.bits]
 
 
 def test_pick_asserts_a_unique_greatest_and_smallest():
