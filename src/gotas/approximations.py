@@ -17,7 +17,7 @@ from typing import Callable
 
 from .order import PartialOrder
 from .topology import Topology, points_meeting, points_within
-from .universe import Batch, Subset, Universe
+from .universe import Batch, Plan, Subset, Universe
 
 
 class Direction(Enum):
@@ -73,7 +73,13 @@ class Gotas:
 
     ``kernel[d][x]`` is M_d(x), the smallest d-monotone open set holding x:
     the transitive closure of N(x) with the up-set (Inc) or down-set (Dec)
-    of x. ``memo`` holds base-operator results on subsets, up to
+    of x. It holds x, and M_d(y) lies inside M_d(x) for each of its points
+    y, so a space has few distinct M_d(x), nested in one another.
+    ``kernel_plan[d]`` lists them as classes, smallest first, each with its
+    own points and its covers (the greatest classes inside it); a batch
+    call folds each class once, from its own points' columns and its
+    covers' results where those are fewer than its points, and every point
+    takes its class's result. ``memo`` holds base-operator results on subsets, up to
     ``MEMO_LIMIT``; batches skip it.
     """
 
@@ -99,14 +105,10 @@ class Gotas:
         }
 
     @cached_property
-    def kernel_points(self) -> dict[Direction, tuple[tuple[int, ...], ...]]:
-        """``kernel`` with each M_d(x) as its tuple of points, which is what
-        the base operators read on a batch."""
-        n = self.universe.size
-        return {
-            d: tuple(tuple(y for y in range(n) if m >> y & 1) for m in masks)
-            for d, masks in self.kernel.items()
-        }
+    def kernel_plan(self) -> dict[Direction, Plan]:
+        """``kernel`` as the plan the base operators fold a batch over: each
+        distinct M_d(x) once, from its own points and its covers."""
+        return {d: Plan.of(masks) for d, masks in self.kernel.items()}
 
 
 def _closure(nbhd: tuple[int, ...], reach: tuple[int, ...]) -> tuple[int, ...]:
@@ -129,7 +131,7 @@ def r_lower(g: Gotas, a: Sets, d: Direction) -> Sets:
     M_d(x) inside ``a``. On a batch, column x is the AND of the columns
     of M_d(x)."""
     if isinstance(a, Batch):
-        return a.all_of(g.kernel_points[d])
+        return a.all_of(g.kernel_plan[d])
     key = a.bits << 2 | (d is _DEC)
     bits = g.memo.get(key)
     if bits is None:
@@ -143,7 +145,7 @@ def r_upper(g: Gotas, a: Sets, d: Direction) -> Sets:
     opposite-monotone open set outside ``a``). On a batch, column x is the
     OR of the columns of M_{d.opposite}(x)."""
     if isinstance(a, Batch):
-        return a.any_of(g.kernel_points[d.opposite])
+        return a.any_of(g.kernel_plan[d.opposite])
     key = a.bits << 2 | 2 | (d is _DEC)
     bits = g.memo.get(key)
     if bits is None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import random
+import reprlib
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -56,13 +57,20 @@ class DocumentError(ValueError):
     """A space document failed to parse or validate."""
 
 
-def _check_pairs(value: object, name: str) -> None:
+# Writes a malformed entry into its error message: nested lists as [...], at
+# most four items, long strings cut, so the message stays short.
+_ENTRY = reprlib.Repr()
+_ENTRY.maxlevel, _ENTRY.maxlist = 1, 4
+
+
+def _check_pairs(value: object, name: str, source: str) -> None:
     if not isinstance(value, list):
-        raise DocumentError(f"field {name!r} must be a list of label pairs")
+        raise DocumentError(f"{source}: field {name!r} must be a list of label pairs")
     for entry in value:
         if not (type(entry) is list and len(entry) == 2
                 and type(entry[0]) is str and type(entry[1]) is str):
-            raise DocumentError(f"field {name!r}: {entry!r} is not a pair of labels")
+            raise DocumentError(
+                f"{source}: field {name!r}: {_ENTRY.repr(entry)} is not a pair of labels")
 
 
 def parse_document(text: str, source: str = "<document>") -> dict:
@@ -97,18 +105,19 @@ def parse_document(text: str, source: str = "<document>") -> dict:
         raise DocumentError(f"{source}: exactly one of 'relation' or 'base' is required")
 
     if has_relation:
-        _check_pairs(raw["relation"], "relation")
+        _check_pairs(raw["relation"], "relation", source)
     else:
         base = raw["base"]
         if not isinstance(base, list):
             raise DocumentError(f"{source}: field 'base' must be a list of label lists")
         for entry in base:
             if not (isinstance(entry, list) and all(isinstance(x, str) for x in entry)):
-                raise DocumentError(f"{source}: field 'base': {entry!r} is not a label list")
+                raise DocumentError(
+                    f"{source}: field 'base': {_ENTRY.repr(entry)} is not a label list")
 
     if "order" not in raw:
         raise DocumentError(f"{source}: field 'order' is required")
-    _check_pairs(raw["order"], "order")
+    _check_pairs(raw["order"], "order", source)
 
     options = raw.setdefault("options", {})
     if not isinstance(options, dict):

@@ -9,9 +9,9 @@ subsets at once, bit-sliced, so that one int operation acts on all of them.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress
 from operator import and_, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Maps the digits of a binary string to the bytes 0 and 1, so that the
 # encoded string selects labels in ``itertools.compress``.
@@ -191,6 +191,49 @@ def canonical_order(rmasks: Iterable[int]) -> list[int]:
     return [r for size in sorted(buckets) for r in sorted(buckets[size], reverse=True)]
 
 
+class Plan(NamedTuple):
+    """How a batch folds its columns over point masks M(x) with x ∈ M(x)
+    and M(y) ⊆ M(x) for each y in M(x). ``masks`` are the distinct M(x),
+    the classes, smallest first; ``classes[x]`` indexes M(x) among them.
+    Class c folds the columns and class results of ``steps[c]``, a pair
+    (points, covers): its own points (those x with M(x) = M_c) and its
+    covers (the greatest classes inside M_c), or, where that pair is no
+    shorter, every point of M_c and no cover."""
+
+    masks: tuple[int, ...]
+    steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    classes: tuple[int, ...]
+
+    @classmethod
+    def of(cls, masks: Sequence[int]) -> Plan:
+        """The plan of ``masks`` (M(x) = ``masks[x]``), in one pass over the
+        classes. Each class mask is renumbered with the points in class
+        order, so the top point left in it lies in a greatest class below
+        it, a cover; the covers found take their masks away, so finding
+        them takes one step each, with no scan over pairs of classes."""
+        members: dict[int, list[int]] = {}
+        for x, m in enumerate(masks):
+            members.setdefault(m, []).append(x)
+        distinct = sorted(members, key=int.bit_count)
+        pick = [x for m in reversed(distinct) for x in reversed(members[m])]
+        owner = [c for c, m in enumerate(distinct) for _ in members[m]]
+        digits, ranked, steps, start = f"0{len(masks)}b", [], [], 0
+        for c, m in enumerate(distinct):
+            bit_of = format(m, digits)[::-1]
+            ranked.append(int("".join(map(bit_of.__getitem__, pick)), 2))
+            own, covers, rest = members[m], [], ranked[c] & ((1 << start) - 1)
+            while rest:
+                covers.append(owner[rest.bit_length() - 1])
+                rest &= ~ranked[covers[-1]]
+            start += len(own)
+            if len(own) + len(covers) < m.bit_count():
+                steps.append((tuple(own), tuple(covers)))
+            else:
+                steps.append((tuple(_points(m)), ()))
+        index = {m: c for c, m in enumerate(distinct)}
+        return cls(tuple(distinct), tuple(steps), tuple(map(index.__getitem__, masks)))
+
+
 class Batch:
     """W subsets of a Universe at once, held bit-sliced.
 
@@ -265,21 +308,24 @@ class Batch:
         lanes = self.lanes
         return Batch(self.universe, tuple(c ^ lanes for c in self.columns), self.width)
 
-    def all_of(self, groups: Sequence[Sequence[int]]) -> Batch:
-        """Column x is the AND of the columns of the points in ``groups[x]``:
-        the lanes holding all of them."""
-        cols = self.columns
-        return Batch(self.universe, tuple(
-            reduce(and_, map(cols.__getitem__, points), self.lanes) for points in groups
-        ), self.width)
+    def all_of(self, plan: Plan) -> Batch:
+        """Column x is the AND of the columns of M(x), x's mask in ``plan``:
+        the lanes holding all of its points."""
+        return self._fold(plan, and_)
 
-    def any_of(self, groups: Sequence[Sequence[int]]) -> Batch:
-        """Column x is the OR of the columns of the points in ``groups[x]``:
-        the lanes meeting them."""
-        cols = self.columns
-        return Batch(self.universe, tuple(
-            reduce(or_, map(cols.__getitem__, points), 0) for points in groups
-        ), self.width)
+    def any_of(self, plan: Plan) -> Batch:
+        """Column x is the OR of the columns of M(x), x's mask in ``plan``:
+        the lanes meeting it."""
+        return self._fold(plan, or_)
+
+    def _fold(self, plan: Plan, op) -> Batch:
+        """One result per class of ``plan``, folding its own points'
+        columns with its covers' results; each point takes its class's."""
+        cols, done = self.columns, []
+        for points, covers in plan.steps:
+            done.append(reduce(op, chain(map(cols.__getitem__, points),
+                                         map(done.__getitem__, covers))))
+        return Batch(self.universe, tuple(map(done.__getitem__, plan.classes)), self.width)
 
     def outside(self, other: Batch) -> int:
         """Lanes where this subset is not within ``other``'s."""

@@ -2,7 +2,9 @@
 lane exactly as it acts on that lane's subset alone."""
 
 import random
+from functools import reduce
 from itertools import product
+from operator import and_, or_
 
 import pytest
 
@@ -16,9 +18,18 @@ from gotas import (
     OperatorFamily,
     Universe,
     UniverseMismatchError,
+    generate_topology,
     topology_from_relation,
+    validate_order,
 )
-from gotas.oracle import corrupted_gamma_upper, corrupted_suite, random_order, random_space
+from gotas.oracle import (
+    corrupted_gamma_upper,
+    corrupted_suite,
+    partition_space,
+    random_order,
+    random_partition,
+    random_space,
+)
 
 
 def _spaces(rng):
@@ -108,3 +119,46 @@ def test_powerset_and_pairs_enumerate_in_bitmask_order():
     assert Batch.powerset(u).rows() == list(range(8))
     a, b = Batch.pairs(u)
     assert list(zip(a.rows(), b.rows())) == [(x, y) for x in range(8) for y in range(8)]
+
+
+def _plan_spaces(rng):
+    """Spaces of 1-12 points whose kernels have many classes: discrete
+    topologies under a chain (in shuffled index order) or a random order,
+    partition spaces, and relation spaces."""
+    for i in range(160):
+        u = Universe([f"e{k}" for k in range(1 + i % 12)])
+        n = u.size
+        discrete = generate_topology(u, [u.from_bits(1 << x) for x in range(n)])
+        if i % 4 == 0:
+            chain = rng.sample(range(n), n)
+            pairs = [(x, y) for k, x in enumerate(chain) for y in chain[k:]]
+            yield Gotas(u, discrete, validate_order(u, pairs))
+        elif i % 4 == 1:
+            yield Gotas(u, discrete, random_order(rng, u))
+        elif i % 4 == 2:
+            yield partition_space(u, random_partition(rng, u))
+        else:
+            pairs = [(x, y) for x in range(n) for y in range(n) if rng.random() < 0.2]
+            yield Gotas(u, topology_from_relation(BinaryRelation(u, pairs)), random_order(rng, u))
+
+
+def test_plan_folds_agree_with_the_flat_folds_over_every_kernel_mask():
+    rng = random.Random(13)
+    deepest = 0
+    for g in _plan_spaces(rng):
+        u = g.universe
+        batch = Batch.of(u, [rng.getrandbits(u.size) for _ in range(rng.randint(1, 64))])
+        cols = batch.columns
+        for d in DIRECTION_ORDER:
+            plan, kernel = g.kernel_plan[d], g.kernel[d]
+            assert [plan.masks[c] for c in plan.classes] == list(kernel)
+            assert sorted(plan.masks) == sorted(set(kernel))
+            assert list(plan.masks) == sorted(plan.masks, key=int.bit_count)
+            for mask, (points, covers) in zip(plan.masks, plan.steps):
+                assert len(points) + len(covers) <= mask.bit_count()
+                assert reduce(or_, [1 << x for x in points] + [plan.masks[c] for c in covers]) == mask
+            deepest = max(deepest, len(plan.masks))
+            flat = [[cols[y] for y in range(u.size) if m >> y & 1] for m in kernel]
+            assert batch.all_of(plan).columns == tuple(reduce(and_, f, batch.lanes) for f in flat)
+            assert batch.any_of(plan).columns == tuple(reduce(or_, f, 0) for f in flat)
+    assert deepest == 12

@@ -289,6 +289,21 @@ class TestCheckCommand:
         assert result.output.endswith("result: all laws hold\n")
         assert spaces[0].topology._opens is None
 
+    def test_dense_kernel_folds_in_one_step_per_direction(self, runner, tmp_path, monkeypatch):
+        # With no generators and no order pairs every M_d(x) is the whole
+        # universe: one class, folded once per batch, not once per point.
+        labels = [f"e{i}" for i in range(300)]
+        doc = write_doc(tmp_path, {"universe": labels, "base": [], "order": []})
+        spaces = []
+        load = cli.load_space
+        monkeypatch.setattr(cli, "load_space", lambda path: spaces.append(load(path)) or spaces[0])
+        result = runner.invoke(main, ["check", doc, "--samples", "1"])
+        assert result.exit_code == 0
+        for plan in spaces[0].kernel_plan.values():
+            assert plan.masks == (spaces[0].universe.full_mask,)
+            assert plan.steps == ((tuple(range(300)), ()),)
+            assert plan.classes == (0,) * 300
+
     def _failing_check(self, runner, tmp_path, monkeypatch, doc):
         spaces = []
         load = cli.load_space
@@ -668,19 +683,19 @@ _VALID = {"universe": ["a", "b"], "base": [["a"]], "order": [["a", "b"]]}
     (json.dumps({"universe": ["a"], "order": []}),
      "doc.json: exactly one of 'relation' or 'base' is required"),
     (json.dumps({"universe": ["a"], "relation": {}, "order": []}),
-     "field 'relation' must be a list of label pairs"),
+     "doc.json: field 'relation' must be a list of label pairs"),
     (json.dumps({"universe": ["a"], "relation": [["a", "a"], ["a"]], "order": []}),
-     "field 'relation': ['a'] is not a pair of labels"),
+     "doc.json: field 'relation': ['a'] is not a pair of labels"),
     (json.dumps({**_VALID, "base": "a"}),
      "doc.json: field 'base' must be a list of label lists"),
     (json.dumps({**_VALID, "base": [["a"], ["b", 2]]}),
      "doc.json: field 'base': ['b', 2] is not a label list"),
     (json.dumps({"universe": ["a"], "base": []}), "doc.json: field 'order' is required"),
-    (json.dumps({**_VALID, "order": None}), "field 'order' must be a list of label pairs"),
+    (json.dumps({**_VALID, "order": None}), "doc.json: field 'order' must be a list of label pairs"),
     (json.dumps({**_VALID, "order": [["a", "b"], ["a", "b", "c"]]}),
-     "field 'order': ['a', 'b', 'c'] is not a pair of labels"),
+     "doc.json: field 'order': ['a', 'b', 'c'] is not a pair of labels"),
     (json.dumps({**_VALID, "order": [["a", None]]}),
-     "field 'order': ['a', None] is not a pair of labels"),
+     "doc.json: field 'order': ['a', None] is not a pair of labels"),
     (json.dumps({**_VALID, "options": []}), "doc.json: field 'options' must be an object"),
     (json.dumps({**_VALID, "options": {"strict": True}}), "doc.json: unknown option 'strict'"),
     (json.dumps({**_VALID, "options": {"auto_reflexive": 1}}),
@@ -706,6 +721,19 @@ def test_unreadable_document_is_an_input_error_naming_the_file(
     assert result.exit_code == EXIT_INPUT_ERROR
     assert result.stdout == ""
     assert result.stderr == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("field", ["order", "relation"])
+def test_a_nested_pair_entry_gives_a_short_error_line(runner, tmp_path, field):
+    # 400 levels parse well inside the recursion limit, even under pytest.
+    nested = "[" * 400 + "]" * 400
+    other = ', "base": []' if field == "order" else ', "order": []'
+    path = tmp_path / "space.json"
+    path.write_text(f'{{"universe": ["a"]{other}, "{field}": [["a", "a"], {nested}]}}')
+    result = runner.invoke(main, ["topology", str(path)])
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert result.stderr == f"error: {path}: field {field!r}: [[...]] is not a pair of labels\n"
+    assert len(result.stderr) < 200
 
 
 def test_parse_document_returns_the_object_with_options_defaulted():
