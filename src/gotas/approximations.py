@@ -78,9 +78,9 @@ class Gotas:
     ``kernel_plan[d]`` lists them as classes, smallest first, each with its
     own points and its covers (the greatest classes inside it); a batch
     call folds each class once, from its own points' columns and its
-    covers' results where those are fewer than its points, and every point
-    takes its class's result. ``memo`` holds base-operator results on subsets, up to
-    ``MEMO_LIMIT``; batches skip it.
+    covers' results, and every point takes its class's result. ``memo``
+    holds base-operator results on subsets, up to ``MEMO_LIMIT``; batches
+    skip it.
     """
 
     universe: Universe

@@ -67,7 +67,7 @@ def open_family(topology: Topology) -> frozenset[int]:
     the minimal neighborhoods the fast operators read.
     """
     base = {topology.universe.full_mask}
-    for m in {s.bits for s in topology.generators}:
+    for m in set(topology.generators):
         base |= {b & m for b in base}
     family = {0}
     for b in sorted(base, key=int.bit_count):
@@ -379,7 +379,10 @@ def check_propositions(
     tables: dict[tuple, approx.Rows] = {}
 
     def rep(x: Batch) -> approx.Rows:
-        return tables.setdefault((x.width, x.bits), approx.Rows(g, x, suite))
+        key = (x.width, x.columns)
+        if key not in tables:
+            tables[key] = approx.Rows(g, x, suite)
+        return tables[key]
 
     label = space_label
     reports = []

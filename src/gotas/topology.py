@@ -11,9 +11,9 @@ only when asked for.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .universe import Subset, Universe, UniverseMismatchError, _points, canonical_order
+from .universe import Subset, Universe, UniverseMismatchError, _points, _transpose, canonical_order
 
 
 class BinaryRelation:
@@ -84,16 +84,16 @@ class Topology:
     """The topology generated by a family of subsets, held as the minimal
     neighborhood of each point.
 
-    Construct via :func:`generate_topology`. ``generators`` is the subbase
-    it was built from; ``neighborhoods[x]`` is N(x) as a bitmask.
+    Build it with :func:`generate_topology` or :func:`topology_from_relation`.
+    ``generators`` are the bitmasks of the subbase it was built from;
+    ``neighborhoods[x]`` is N(x) as a bitmask.
     """
 
-    __slots__ = ("universe", "generators", "neighborhoods", "_opens", "_closeds")
+    __slots__ = ("universe", "generators", "neighborhoods")
 
-    def __init__(self, universe: Universe, generators: Iterable[Subset]) -> None:
+    def __init__(self, universe: Universe, generators: Iterable[int]) -> None:
         self.universe = universe
-        self.generators = tuple(generators)
-        masks = [g.bits for g in self.generators]
+        self.generators = masks = tuple(generators)
         neighborhoods = []
         for x in range(universe.size):
             n = universe.full_mask
@@ -102,8 +102,6 @@ class Topology:
                     n &= m
             neighborhoods.append(n)
         self.neighborhoods = tuple(neighborhoods)
-        self._opens: tuple[Subset, ...] | None = None
-        self._closeds: tuple[Subset, ...] | None = None
 
     def open_masks(self, limit: int | None = None) -> list[int] | None:
         """Every open set as a bit-reversed mask (see ``Universe.reverse``),
@@ -119,12 +117,20 @@ class Topology:
 
     @property
     def opens(self) -> tuple[Subset, ...]:
-        """Every open set in canonical order. Listed on first use, since n
-        points can carry up to 2**n opens."""
-        if self._opens is None:
-            u = self.universe
-            self._opens = tuple(Subset(u, u.reverse(r)) for r in self.open_masks())
-        return self._opens
+        """Every open set in canonical order, listed anew on each call, since
+        n points can carry up to 2**n opens."""
+        return self._subsets(self.open_masks())
+
+    @property
+    def closeds(self) -> tuple[Subset, ...]:
+        """Complements of the opens, in canonical order. Reversal commutes
+        with complement over the full mask, so they come from the same masks."""
+        full = self.universe.full_mask
+        return self._subsets(canonical_order(full ^ r for r in self.open_masks()))
+
+    def _subsets(self, rmasks: list[int]) -> tuple[Subset, ...]:
+        u = self.universe
+        return tuple(Subset(u, u.reverse(r)) for r in rmasks)
 
     def count_opens(self) -> int | None:
         """The number of opens, without listing them; None if counting takes
@@ -139,10 +145,7 @@ class Topology:
         budget.
         """
         below = self.neighborhoods
-        above = [0] * len(below)
-        for x, m in enumerate(below):
-            for y in _points(m):
-                above[y] |= 1 << x
+        above = _transpose(below, len(below))
         linked = [b | a for b, a in zip(below, above)]
         memo = {0: 1}
         steps = 0
@@ -179,14 +182,6 @@ class Topology:
         except _OverBudget:
             return None
 
-    @property
-    def closeds(self) -> tuple[Subset, ...]:
-        """Complements of the opens, in canonical order."""
-        if self._closeds is None:
-            full = self.universe.full_mask
-            self._closeds = self.universe.canonical(full ^ o.bits for o in self.opens)
-        return self._closeds
-
     def is_open(self, s: Subset) -> bool:
         return s.universe is self.universe and points_within(self.neighborhoods, s.bits) == s.bits
 
@@ -207,17 +202,6 @@ class Topology:
             raise UniverseMismatchError("subset belongs to a different universe")
         return self.universe.from_bits(points_meeting(self.neighborhoods, a.bits))
 
-    def __iter__(self) -> Iterator[Subset]:
-        return iter(self.opens)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Topology):
-            return NotImplemented
-        return self.universe is other.universe and self.neighborhoods == other.neighborhoods
-
-    def __hash__(self) -> int:
-        return hash((id(self.universe), self.neighborhoods))
-
     def __repr__(self) -> str:
         return f"Topology({len(self.generators)} generators over {self.universe!r})"
 
@@ -228,9 +212,9 @@ def generate_topology(universe: Universe, base: Iterable[Subset]) -> Topology:
     for s in base:
         if s.universe is not universe:
             raise UniverseMismatchError("generator subset belongs to a different universe")
-    return Topology(universe, base)
+    return Topology(universe, [s.bits for s in base])
 
 
 def topology_from_relation(relation: BinaryRelation) -> Topology:
     """Topology generated with the relation's right neighborhoods as subbase."""
-    return generate_topology(relation.universe, relation.right_neighborhoods())
+    return Topology(relation.universe, set(relation.rights))

@@ -197,8 +197,7 @@ class Plan(NamedTuple):
     the classes, smallest first; ``classes[x]`` indexes M(x) among them.
     Class c folds the columns and class results of ``steps[c]``, a pair
     (points, covers): its own points (those x with M(x) = M_c) and its
-    covers (the greatest classes inside M_c), or, where that pair is no
-    shorter, every point of M_c and no cover."""
+    covers (the greatest classes inside M_c)."""
 
     masks: tuple[int, ...]
     steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -226,10 +225,7 @@ class Plan(NamedTuple):
                 covers.append(owner[rest.bit_length() - 1])
                 rest &= ~ranked[covers[-1]]
             start += len(own)
-            if len(own) + len(covers) < m.bit_count():
-                steps.append((tuple(own), tuple(covers)))
-            else:
-                steps.append((tuple(_points(m)), ()))
+            steps.append((tuple(own), tuple(covers)))
         index = {m: c for c, m in enumerate(distinct)}
         return cls(tuple(distinct), tuple(steps), tuple(map(index.__getitem__, masks)))
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from gotas import Gotas, Universe, equality_order, generate_topology, validate_order
+from gotas import Gotas, Topology, Universe, equality_order, generate_topology, validate_order
 from gotas.oracle import random_space
 
 # Every hypothesis test draws the same examples on each run; a test's own
@@ -70,3 +70,12 @@ def probe() -> Gotas:
 @pytest.fixture
 def example_doc() -> Path:
     return EXAMPLE_DOC
+
+
+@pytest.fixture
+def no_open_listing(monkeypatch) -> None:
+    """Makes any listing of a topology's opens fail the test."""
+    def refuse(self, limit=None):
+        raise AssertionError("the opens were listed")
+
+    monkeypatch.setattr(Topology, "open_masks", refuse)

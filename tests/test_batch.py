@@ -154,7 +154,8 @@ def test_plan_folds_agree_with_the_flat_folds_over_every_kernel_mask():
             assert [plan.masks[c] for c in plan.classes] == list(kernel)
             assert sorted(plan.masks) == sorted(set(kernel))
             assert list(plan.masks) == sorted(plan.masks, key=int.bit_count)
-            for mask, (points, covers) in zip(plan.masks, plan.steps):
+            for k, (mask, (points, covers)) in enumerate(zip(plan.masks, plan.steps)):
+                assert points == tuple(x for x in range(u.size) if plan.classes[x] == k)
                 assert len(points) + len(covers) <= mask.bit_count()
                 assert reduce(or_, [1 << x for x in points] + [plan.masks[c] for c in covers]) == mask
             deepest = max(deepest, len(plan.masks))

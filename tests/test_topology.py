@@ -143,7 +143,7 @@ def test_open_masks_stop_past_the_limit():
     assert topology.open_masks(31) is None
 
 
-def test_count_opens_matches_the_oracle_family():
+def test_count_opens_matches_the_oracle_family(no_open_listing):
     rng = random.Random(3)
     for i in range(120):
         size = 1 + i % 9
@@ -154,5 +154,20 @@ def test_count_opens_matches_the_oracle_family():
             pairs = [(x, y) for x in range(size) for y in range(size) if rng.random() < 0.25]
             topology = topology_from_relation(BinaryRelation(u, pairs))
         assert topology.count_opens() == len(open_family(topology))
-        assert topology._opens is None
+
+
+def test_relation_topology_matches_its_right_neighborhoods_as_a_base():
+    rng = random.Random(5)
+    for i in range(200):
+        size = 1 + i % 12
+        u = Universe([f"e{k}" for k in range(size)])
+        p = rng.random()
+        rel = BinaryRelation(
+            u, [(x, y) for x in range(size) for y in range(size) if rng.random() < p])
+        topology = topology_from_relation(rel)
+        based = generate_topology(u, rel.right_neighborhoods())
+        assert topology.neighborhoods == based.neighborhoods
+        assert set(topology.generators) == set(based.generators)
+        full = u.full_mask
+        assert topology.closeds == u.canonical(full ^ o.bits for o in topology.opens)
 
