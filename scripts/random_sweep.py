@@ -75,7 +75,12 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"comma separated universe sizes within 1-{EXHAUSTIVE_CAP}, cycled")
     parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--show-witnesses", type=int, default=defaults.show_witnesses)
-    return run(SweepConfig(**vars(parser.parse_args(argv))))
+    args = parser.parse_args(argv)
+    if args.count < 1:
+        parser.error(f"argument --count: must be at least 1: {args.count}")
+    if args.show_witnesses < 0:
+        parser.error(f"argument --show-witnesses: must be at least 0: {args.show_witnesses}")
+    return run(SweepConfig(**vars(args)))
 
 
 if __name__ == "__main__":

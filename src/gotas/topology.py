@@ -93,14 +93,11 @@ class Topology:
 
     def __init__(self, universe: Universe, generators: Iterable[int]) -> None:
         self.universe = universe
-        self.generators = masks = tuple(generators)
-        neighborhoods = []
-        for x in range(universe.size):
-            n = universe.full_mask
-            for m in masks:
-                if m >> x & 1:
-                    n &= m
-            neighborhoods.append(n)
+        self.generators = tuple(generators)
+        neighborhoods = [universe.full_mask] * universe.size
+        for m in self.generators:
+            for x in _points(m):
+                neighborhoods[x] &= m
         self.neighborhoods = tuple(neighborhoods)
 
     def open_masks(self, limit: int | None = None) -> list[int] | None:

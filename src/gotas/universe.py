@@ -197,7 +197,7 @@ class Plan(NamedTuple):
     the classes, smallest first; ``classes[x]`` indexes M(x) among them.
     Class c folds the columns and class results of ``steps[c]``, a pair
     (points, covers): its own points (those x with M(x) = M_c) and its
-    covers (the greatest classes inside M_c)."""
+    covers (the greatest classes inside M_c), largest first."""
 
     masks: tuple[int, ...]
     steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -205,26 +205,26 @@ class Plan(NamedTuple):
 
     @classmethod
     def of(cls, masks: Sequence[int]) -> Plan:
-        """The plan of ``masks`` (M(x) = ``masks[x]``), in one pass over the
-        classes. Each class mask is renumbered with the points in class
-        order, so the top point left in it lies in a greatest class below
-        it, a cover; the covers found take their masks away, so finding
-        them takes one step each, with no scan over pairs of classes."""
+        """The plan of ``masks`` (M(x) = ``masks[x]``). For class c, the
+        points of M_c outside its own are left to cover; the classes below
+        c are scanned downwards while any are left. A class whose first
+        point is still left lies in M_c and in no cover taken so far, so by
+        the nesting it is a greatest class inside M_c: it is a cover, and
+        its mask is taken away."""
         members: dict[int, list[int]] = {}
         for x, m in enumerate(masks):
             members.setdefault(m, []).append(x)
         distinct = sorted(members, key=int.bit_count)
-        pick = [x for m in reversed(distinct) for x in reversed(members[m])]
-        owner = [c for c, m in enumerate(distinct) for _ in members[m]]
-        digits, ranked, steps, start = f"0{len(masks)}b", [], [], 0
+        probes = [1 << members[m][0] for m in distinct]
+        steps = []
         for c, m in enumerate(distinct):
-            bit_of = format(m, digits)[::-1]
-            ranked.append(int("".join(map(bit_of.__getitem__, pick)), 2))
-            own, covers, rest = members[m], [], ranked[c] & ((1 << start) - 1)
+            own, covers, b = members[m], [], c
+            rest = m & ~sum(1 << x for x in own)
             while rest:
-                covers.append(owner[rest.bit_length() - 1])
-                rest &= ~ranked[covers[-1]]
-            start += len(own)
+                b -= 1
+                if rest & probes[b]:
+                    covers.append(b)
+                    rest &= ~distinct[b]
             steps.append((tuple(own), tuple(covers)))
         index = {m: c for c, m in enumerate(distinct)}
         return cls(tuple(distinct), tuple(steps), tuple(map(index.__getitem__, masks)))

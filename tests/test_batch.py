@@ -30,6 +30,7 @@ from gotas.oracle import (
     random_partition,
     random_space,
 )
+from gotas.universe import Plan
 
 
 def _spaces(rng):
@@ -142,24 +143,51 @@ def _plan_spaces(rng):
             yield Gotas(u, topology_from_relation(BinaryRelation(u, pairs)), random_order(rng, u))
 
 
+def _nested_shapes():
+    """Raw point masks with M(y) ⊆ M(x) for each y in M(x), at 200 points:
+    a chain of up-sets, a discrete kernel, and 100 singletons under 100
+    incomparable tops that each hold all of them."""
+    full = (1 << 200) - 1
+    yield [full ^ ((1 << x) - 1) for x in range(200)]
+    yield [1 << x for x in range(200)]
+    bottom = (1 << 100) - 1
+    yield [1 << x for x in range(100)] + [bottom | 1 << x for x in range(100, 200)]
+
+
+def _assert_plan_folds(batch, kernel):
+    """``Plan.of(kernel)`` is well formed, its covers are exactly the
+    greatest classes inside each class, and its folds of ``batch`` agree with
+    the flat folds; returns its class count."""
+    u, plan = batch.universe, Plan.of(kernel)
+    assert [plan.masks[c] for c in plan.classes] == list(kernel)
+    assert sorted(plan.masks) == sorted(set(kernel))
+    assert list(plan.masks) == sorted(plan.masks, key=int.bit_count)
+    # The classes strictly inside each class; its covers are the greatest of them.
+    inside = [{b for b, m in enumerate(plan.masks) if b != c and m & ~mask == 0}
+              for c, mask in enumerate(plan.masks)]
+    for k, (mask, (points, covers)) in enumerate(zip(plan.masks, plan.steps)):
+        assert points == tuple(x for x in range(u.size) if plan.classes[x] == k)
+        assert len(points) + len(covers) <= mask.bit_count()
+        assert reduce(or_, [1 << x for x in points] + [plan.masks[c] for c in covers]) == mask
+        assert list(covers) == sorted(set(covers), reverse=True)
+        assert set(covers) == inside[k] - set().union(*(inside[b] for b in inside[k]))
+    cols = batch.columns
+    flat = [[cols[y] for y in range(u.size) if m >> y & 1] for m in kernel]
+    assert batch.all_of(plan).columns == tuple(reduce(and_, f, batch.lanes) for f in flat)
+    assert batch.any_of(plan).columns == tuple(reduce(or_, f, 0) for f in flat)
+    return len(plan.masks)
+
+
 def test_plan_folds_agree_with_the_flat_folds_over_every_kernel_mask():
     rng = random.Random(13)
     deepest = 0
     for g in _plan_spaces(rng):
         u = g.universe
         batch = Batch.of(u, [rng.getrandbits(u.size) for _ in range(rng.randint(1, 64))])
-        cols = batch.columns
         for d in DIRECTION_ORDER:
-            plan, kernel = g.kernel_plan[d], g.kernel[d]
-            assert [plan.masks[c] for c in plan.classes] == list(kernel)
-            assert sorted(plan.masks) == sorted(set(kernel))
-            assert list(plan.masks) == sorted(plan.masks, key=int.bit_count)
-            for k, (mask, (points, covers)) in enumerate(zip(plan.masks, plan.steps)):
-                assert points == tuple(x for x in range(u.size) if plan.classes[x] == k)
-                assert len(points) + len(covers) <= mask.bit_count()
-                assert reduce(or_, [1 << x for x in points] + [plan.masks[c] for c in covers]) == mask
-            deepest = max(deepest, len(plan.masks))
-            flat = [[cols[y] for y in range(u.size) if m >> y & 1] for m in kernel]
-            assert batch.all_of(plan).columns == tuple(reduce(and_, f, batch.lanes) for f in flat)
-            assert batch.any_of(plan).columns == tuple(reduce(or_, f, 0) for f in flat)
+            assert g.kernel_plan[d] == Plan.of(g.kernel[d])
+            deepest = max(deepest, _assert_plan_folds(batch, g.kernel[d]))
     assert deepest == 12
+    u = Universe([f"e{k}" for k in range(200)])
+    for kernel in _nested_shapes():
+        _assert_plan_folds(Batch.of(u, [rng.getrandbits(200) for _ in range(8)]), kernel)

@@ -727,6 +727,22 @@ def test_unreadable_document_is_an_input_error_naming_the_file(
     assert result.stderr == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({**_VALID, "base": [["a"], ["z"]]}, "unknown label 'z'"),
+    ({"universe": ["a"], "relation": [["a", "z"]], "order": []}, "unknown label 'z'"),
+    ({**_VALID, "order": [["a", "z"]]}, "unknown label 'z'"),
+    ({**_VALID, "universe": ["a", "b", "a"]}, "duplicate label 'a'"),
+    ({**_VALID, "order": [["a", "b"], ["b", "a"]]},
+     "antisymmetry violated: both (a, b) and (b, a) present"),
+], ids=["base-label", "relation-label", "order-label", "duplicate-label", "antisymmetry"])
+def test_build_errors_name_the_document(runner, tmp_path, doc, message):
+    path = write_doc(tmp_path, doc, name="doc.json")
+    result = runner.invoke(main, ["topology", path])
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert result.stdout == ""
+    assert result.stderr == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("field", ["order", "relation"])
 def test_a_nested_pair_entry_gives_a_short_error_line(runner, tmp_path, field):
     # 400 levels parse well inside the recursion limit, even under pytest.

@@ -37,3 +37,15 @@ def test_size_above_the_cap_is_a_usage_error(capsys, sweep):
         sweep.main(["--sizes", "3,9"])
     assert exit_info.value.code == 2
     assert "sizes must lie within 1-8: 3,9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--count", "0"], "argument --count: must be at least 1: 0"),
+    (["--count", "-5"], "argument --count: must be at least 1: -5"),
+    (["--show-witnesses", "-1"], "argument --show-witnesses: must be at least 0: -1"),
+])
+def test_count_below_one_or_negative_witnesses_is_a_usage_error(capsys, sweep, args, message):
+    with pytest.raises(SystemExit) as exit_info:
+        sweep.main(args)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given
@@ -113,6 +115,11 @@ def test_generated_family_is_a_topology(t):
         assert s.bits in bits
     # The listing from the minimal neighborhoods equals the oracle's fixpoint.
     assert bits == open_family(topology)
+    # N(x) is the AND of the generators holding x, or the full mask when none
+    # does; repeated and empty generators change nothing.
+    for x, n in enumerate(topology.neighborhoods):
+        assert n == reduce(and_, [s.bits for s in base if s.bits >> x & 1], u.full_mask)
+    assert generate_topology(u, [*base, *base, u.empty()]).neighborhoods == topology.neighborhoods
 
 
 @given(topology_with_subsets())
