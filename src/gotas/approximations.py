@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import gt, mul
 from typing import Callable
 
 from .order import PartialOrder
 from .topology import Topology, points_meeting, points_within
-from .universe import Batch, Plan, Subset, Universe
+from .universe import Batch, Plan, Subset, Universe, _points
 
 
 class Direction(Enum):
@@ -210,6 +211,10 @@ _UPPER: dict[OperatorFamily, OpFn] = {
 }
 
 
+# Maps flag bytes 0 and 1 to the digits of a binary string.
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _terms(lo: int, up: int) -> tuple[int, int]:
     """Numerator and denominator of the accuracy of a lower and an upper
     approximation with ``lo`` and ``up`` points.
@@ -221,25 +226,25 @@ def _terms(lo: int, up: int) -> tuple[int, int]:
 
 
 class Accuracies:
-    """The accuracy of each lane of a batch, kept as integer pairs so that
-    lanes compare by cross-multiplication; a Fraction is built only for a
-    lane that is asked for."""
+    """The accuracy of each lane of a batch, kept as integer numerators and
+    denominators so that lanes compare by cross-multiplication; a Fraction
+    is built only for a lane that is asked for."""
 
     def __init__(self, lo: Batch, up: Batch) -> None:
-        self.terms = [
-            _terms(x.bit_count(), y.bit_count()) for x, y in zip(lo.rows(), up.rows())
-        ]
+        self.num, self.den = lo.counts(), up.counts()
+        # Lanes with an empty upper approximation read 1/1, as in ``_terms``.
+        for s in _points(up.lanes & ~up.nonempty()):
+            self.num[s] = self.den[s] = 1
 
     def exceeds(self, other: Accuracies) -> int:
-        """Lanes where this accuracy is greater than ``other``'s."""
-        return sum(
-            1 << s
-            for s, ((n, d), (m, e)) in enumerate(zip(self.terms, other.terms))
-            if n * e > m * d
-        )
+        """Lanes where this accuracy is greater than ``other``'s. One flag
+        byte per lane, lane 0 last, reads as the binary digits of the mask;
+        the leading 0 keeps a batch of no lanes readable."""
+        flags = bytes(map(gt, map(mul, self.num, other.den), map(mul, other.num, self.den)))
+        return int(b"0" + flags[::-1].translate(_BINARY_DIGITS), 2)
 
     def lane(self, s: int) -> Fraction:
-        return Fraction(*self.terms[s])
+        return Fraction(self.num[s], self.den[s])
 
 
 @dataclass(frozen=True)

@@ -136,17 +136,18 @@ def oracle_diff(g: Gotas) -> tuple[int, list[str]]:
     u = g.universe
     powerset = Batch.powerset(u)
     checks = [
-        (f"{name} {d.label}", fast(g, powerset, d).rows(), want)
+        (f"{name} {d.label}", fast(g, powerset, d), want)
         for d in DIRECTION_ORDER
         for (name, fast), want in zip(
             (("r_lower", approx.r_lower), ("r_upper", approx.r_upper)), table[d]
         )
     ]
+    differs = [got.differs(Batch.of(u, want)) for _, got, want in checks]
     mismatches = [
-        f"{what} of {u.from_bits(a)}: main {u.from_bits(got[a])}, oracle {u.from_bits(want[a])}"
-        for a in range(powerset.width)
-        for what, got, want in checks
-        if got[a] != want[a]
+        f"{what} of {u.from_bits(a)}: main {got.lane(a)}, oracle {u.from_bits(want[a])}"
+        for a in _points(reduce(or_, differs, 0))
+        for (what, got, want), mask in zip(checks, differs)
+        if mask >> a & 1
     ]
     return len(checks) * powerset.width, mismatches
 

@@ -40,8 +40,7 @@ class PartialOrder:
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
         """The index pairs (x, y) with x below-or-equal y."""
-        n = self.universe.size
-        return frozenset((x, y) for x, up in enumerate(self.succ) for y in range(n) if up >> y & 1)
+        return frozenset((x, y) for x, up in enumerate(self.succ) for y in _points(up))
 
     def holds(self, x: str, y: str) -> bool:
         """Whether x is below-or-equal y."""
@@ -66,7 +65,7 @@ class PartialOrder:
         return True
 
     def __repr__(self) -> str:
-        return f"PartialOrder({len(self.pairs)} pairs over {self.universe!r})"
+        return f"PartialOrder({sum(map(int.bit_count, self.succ))} pairs over {self.universe!r})"
 
 
 def validate_order(

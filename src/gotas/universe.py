@@ -9,12 +9,13 @@ subsets at once, bit-sliced, so that one int operation acts on all of them.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, compress
-from operator import and_, or_
+from itertools import chain, compress, repeat
+from operator import add, and_, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Maps the digits of a binary string to the bytes 0 and 1, so that the
-# encoded string selects labels in ``itertools.compress``.
+# encoded string selects labels in ``itertools.compress`` or reads as one
+# byte per digit in ``int.from_bytes``.
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -276,6 +277,21 @@ class Batch:
         """The bitmask of each lane; the inverse of ``Batch.of``."""
         return _transpose(self.columns, self.width)
 
+    def counts(self) -> list[int]:
+        """The number of points in each lane: the sum of the columns, each
+        spread to one field per lane (lane 0 lowest) holding that lane's
+        bit, with fields wide enough to count every point."""
+        size, width = (self.universe.size.bit_length() + 7) // 8, self.width
+        total, spread = 0, bytearray(size * width)
+        for column in filter(None, self.columns):
+            spread[size - 1::size] = format(column, f"0{width}b").encode().translate(_DIGIT_VALUES)
+            total += int.from_bytes(spread, "big")
+        raw = total.to_bytes(size * width, "little")
+        counts = list(raw[::size])
+        for k in range(1, size):
+            counts = list(map(add, counts, map((256 ** k).__mul__, raw[k::size])))
+        return counts
+
     def lane(self, s: int) -> Subset:
         """The subset in lane s."""
         bits = 0
@@ -342,11 +358,13 @@ def _counting_columns(m: int) -> list[int]:
     """Over 2**m lanes, where lane s holds the bitmask s: for each bit k,
     the lanes with bit k set, which are 2**k clear lanes then 2**k set ones,
     repeated."""
-    every = (1 << (1 << m)) - 1
-    return [
-        (((1 << (1 << k)) - 1) << (1 << k)) * (every // ((1 << (2 << k)) - 1))
-        for k in range(m)
-    ]
+    columns = []
+    for k in range(m):
+        column = ((1 << (1 << k)) - 1) << (1 << k)  # one period, 2**(k+1) lanes
+        for j in range(k + 1, m):
+            column |= column << (1 << j)  # doubled to 2**(j+1) lanes
+        columns.append(column)
+    return columns
 
 
 def _points(bits: int) -> Iterator[int]:
@@ -359,9 +377,9 @@ def _points(bits: int) -> Iterator[int]:
 
 def _transpose(values: Sequence[int], width: int) -> list[int]:
     """Bit matrix transpose: bit s of result[x] is bit x of ``values[s]``,
-    for ``width`` bits per value. Goes through binary strings, which keeps
-    the loop in C."""
+    for ``width`` bits per value. Each result is a strided slice of the
+    values' joined binary strings, which keeps the loop in C."""
     if not values:
         return [0] * width
-    text = [format(v, f"0{width}b") for v in reversed(values)]
-    return [int("".join(bits), 2) for bits in zip(*text)][::-1]
+    text = "".join(map(format, reversed(values), repeat(f"0{width}b")))
+    return [int(text[x::width], 2) for x in range(width - 1, -1, -1)]

@@ -2,6 +2,7 @@
 lane exactly as it acts on that lane's subset alone."""
 
 import random
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import and_, or_
@@ -30,7 +31,7 @@ from gotas.oracle import (
     random_partition,
     random_space,
 )
-from gotas.universe import Plan
+from gotas.universe import Plan, _counting_columns, _transpose
 
 
 def _spaces(rng):
@@ -120,6 +121,65 @@ def test_powerset_and_pairs_enumerate_in_bitmask_order():
     assert Batch.powerset(u).rows() == list(range(8))
     a, b = Batch.pairs(u)
     assert list(zip(a.rows(), b.rows())) == [(x, y) for x in range(8) for y in range(8)]
+
+
+def test_counting_columns_match_the_division_form():
+    for m in range(17):
+        every = (1 << (1 << m)) - 1
+        want = [(((1 << (1 << k)) - 1) << (1 << k)) * (every // ((1 << (2 << k)) - 1))
+                for k in range(m)]
+        assert _counting_columns(m) == want, m
+
+
+def test_transpose_round_trips():
+    rng = random.Random(11)
+    for count, width in ((0, 5), (1, 1), (16, 256), (256, 16), (33, 33)):
+        values = [rng.getrandbits(width) for _ in range(count)]
+        columns = _transpose(values, width)
+        assert len(columns) == width
+        assert all(c >> count == 0 for c in columns)
+        assert columns == [sum((v >> x & 1) << s for s, v in enumerate(values))
+                           for x in range(width)]
+        assert _transpose(columns, count) == values
+
+
+def test_counts_are_the_popcounts_of_the_rows():
+    # 255 points fit a one-byte field per lane; 256 and 300 take two.
+    rng = random.Random(12)
+    for size in (1, 8, 255, 256, 300):
+        u = Universe([f"e{k}" for k in range(size)])
+        for width in (1, 7, 8, 9, 256, 1024):
+            rows = [rng.getrandbits(size) for _ in range(width)]
+            rows[-1], rows[0] = u.full_mask, 0
+            batch = Batch.of(u, rows)
+            assert batch.counts() == [r.bit_count() for r in batch.rows()], (size, width)
+    assert Batch.of(u, []).counts() == []
+
+
+def test_exceeds_matches_the_fraction_compare_lane_by_lane():
+    # 300 points take two-byte count fields. Lane 0 holds the empty subset,
+    # whose upper approximations are empty; the raw batches also put
+    # nonempty lowers under empty uppers.
+    rng = random.Random(14)
+    u = Universe([f"e{k}" for k in range(300)])
+    g = partition_space(u, random_partition(rng, u))
+    rows = ap.Rows(g, Batch.of(u, [0] + [rng.getrandbits(300) | rng.getrandbits(300)
+                                         for _ in range(255)]))
+    cases = [(r.accuracy, r.lower.rows(), r.upper.rows())
+             for r in (rows[f, d] for f in FAMILY_ORDER for d in DIRECTION_ORDER)]
+    for _ in range(2):
+        lows = [rng.getrandbits(300) for _ in range(256)]
+        ups = [rng.getrandbits(300) if rng.random() < 0.7 else 0 for _ in range(256)]
+        cases.append((ap.Accuracies(Batch.of(u, lows), Batch.of(u, ups)), lows, ups))
+    wants = []
+    for accuracy, lows, ups in cases:
+        want = [Fraction(*ap._terms(lo.bit_count(), up.bit_count())) for lo, up in zip(lows, ups)]
+        assert [accuracy.lane(s) for s in range(256)] == want
+        wants.append(want)
+    assert cases[0][2][0] == 0 and len(set(wants[0])) > 10
+    for (first, *_), x in zip(cases, wants):
+        for (second, *_), y in zip(cases, wants):
+            assert first.exceeds(second) == sum(1 << s for s in range(256) if x[s] > y[s])
 
 
 def _plan_spaces(rng):

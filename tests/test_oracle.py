@@ -173,6 +173,27 @@ def test_oracle_diff_checks_the_batch_engine(g, monkeypatch):
     assert all(line.startswith("r_lower ") for line in mismatches)
 
 
+def test_checker_and_diff_read_batches_without_rows(g, probe, monkeypatch):
+    # Counts, accuracy compares and the oracle diff read columns; a witness
+    # reads one lane through Batch.lane.
+    def runs():
+        return [
+            [(r.proposition, r.instances, r.violations) for r in reports]
+            for space in (g, probe)
+            for reports in (check_propositions(space),
+                            check_propositions(space, samples=64, rng=random.Random(2)))
+        ] + [oracle_diff(g)]
+
+    want = runs()
+    assert {r[0] for r in want[2] if r[2]} == {"3.21", "3.25"}
+
+    def refuse(self):
+        raise AssertionError("Batch.rows called")
+
+    monkeypatch.setattr(Batch, "rows", refuse)
+    assert runs() == want
+
+
 class TestCheckPropositions:
     def test_worked_example_all_pass(self, g):
         reports = check_propositions(g)

@@ -14,6 +14,7 @@ from strategies import order_with_subset
 def test_worked_example_order_is_valid():
     g = make_example_space()
     assert len(g.order.pairs) == len(EXAMPLE_ORDER)
+    assert repr(g.order) == f"PartialOrder({len(EXAMPLE_ORDER)} pairs over {g.universe!r})"
     assert g.order.holds("a", "d")
     assert not g.order.holds("d", "a")
 
