@@ -17,10 +17,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from gotas.oracle import PROPOSITION_IDS, check_propositions, random_space
-
-# Largest universe swept; the exhaustive check takes tens of ms at this size.
-EXHAUSTIVE_CAP = 8
+from gotas.oracle import EXHAUSTIVE_CAP, PROPOSITION_IDS, check_propositions, random_space
 
 
 @dataclass
@@ -40,7 +37,7 @@ def run(config: SweepConfig) -> int:
         size = config.sizes[i % len(config.sizes)]
         space = random_space(rng, size)
         label = f"space #{i} (size {size})"
-        for report in check_propositions(space, exhaustive_cap=EXHAUSTIVE_CAP, space_label=label):
+        for report in check_propositions(space, space_label=label):
             if not report.passed:
                 failing_spaces[report.proposition] += 1
                 if len(witnesses) < config.show_witnesses:

@@ -3,10 +3,11 @@
 The oracle recomputes the directed base approximations from their defining
 property, independently of the minimal-neighborhood kernel used by the fast
 operators. It builds its own open family from a base of the generators,
-lists once per direction the monotone opens and monotone closeds by one
-scan of the powerset, and for every subset picks the greatest candidate
-inside it (or the smallest around it), asserting that pick is unique. The
-picks form one table per space, ``oracle_table``; ``oracle_diff`` compares
+lists per direction the monotone opens and monotone closeds from the
+closure of every subset under the order, and for every subset picks the
+greatest candidate inside it (or the smallest around it) by a subset-union
+(subset-intersection) transform, asserting that pick is unique. The picks
+form one table per space, ``oracle_table``; ``oracle_diff`` compares
 it with the fast operators run on the powerset batch, the bit-sliced path
 the law checker reads.
 
@@ -42,7 +43,7 @@ from .topology import Topology, generate_topology
 from .universe import Batch, Subset, Universe, _points
 
 ORACLE_CAP = 11
-EXHAUSTIVE_CAP = 5
+EXHAUSTIVE_CAP = 10
 
 
 class CapExceededError(ValueError):
@@ -79,25 +80,46 @@ def open_family(topology: Topology) -> frozenset[int]:
 def oracle_table(g: Gotas) -> dict[Direction, tuple[list[int], list[int]]]:
     """The oracle's r_lower and r_upper of every subset, per direction, as
     two bitmask lists indexed by the subset's bitmask: the greatest
-    d-monotone open inside it and the smallest d-monotone closed around it."""
+    d-monotone open inside it and the smallest d-monotone closed around it.
+
+    The union of the candidates inside a subset is the greatest one iff it
+    is itself a candidate (dually for the intersection around it), so the
+    unions and intersections are checked against the candidates; the first
+    subset that fails is handed to the per-subset pick, which raises."""
     _guard_cap(g, ORACLE_CAP, "oracle")
     u, opens = g.universe, open_family(g.topology)
-    subsets = range(1 << u.size)
+    n, full = u.size, u.full_mask
     table = {}
     for d in DIRECTION_ORDER:
-        inside, around = _monotone(g, opens, d)
-        table[d] = ([_greatest_inside(u, inside, a) for a in subsets],
-                    [_smallest_around(u, around, a) for a in subsets])
+        # out[a] is the union of reach[x] over x in a; a is d-monotone iff
+        # that adds nothing (the order is reflexive).
+        out = [0]
+        for r in g.order.succ if d is Direction.INC else g.order.pred:
+            out += [o | r for o in out]
+        monotone = [a for a, c in enumerate(out) if a == c]
+        inside = [a for a in monotone if a in opens]
+        around = [a for a in monotone if full ^ a in opens]
+        lo, up = [0] * len(out), [full] * len(out)
+        for a in inside:
+            lo[a] = a
+        for a in around:
+            up[a] = a
+        # Each round joins every entry whose lowest index bit is set with the
+        # entry without it (or meets every entry without it with the one
+        # with it), then a perfect shuffle rotates the index bits one place
+        # right: after n rounds every bit has been folded once and the
+        # entries are back in bitmask order.
+        for _ in range(n):
+            lo[1::2] = map(or_, lo[1::2], lo[0::2])
+            up[0::2] = map(and_, up[0::2], up[1::2])
+            lo, up = lo[0::2] + lo[1::2], up[0::2] + up[1::2]
+        for picks, candidates, pick in ((lo, inside, _greatest_inside),
+                                        (up, around, _smallest_around)):
+            allowed = set(candidates)
+            if not allowed.issuperset(picks):
+                pick(u, candidates, next(a for a, p in enumerate(picks) if p not in allowed))
+        table[d] = (lo, up)
     return table
-
-
-def _monotone(g: Gotas, opens: frozenset[int], d: Direction) -> tuple[list[int], list[int]]:
-    """The d-monotone opens and the d-monotone closeds, in bitmask order:
-    one scan of the powerset for the order, then membership in ``opens``."""
-    mono = g.order.is_increasing if d is Direction.INC else g.order.is_decreasing
-    full = g.universe.full_mask
-    monotone = [s.bits for s in g.universe.subsets() if mono(s)]
-    return [s for s in monotone if s in opens], [s for s in monotone if full ^ s in opens]
 
 
 def _greatest_inside(u: Universe, candidates: list[int], a: int) -> int:
@@ -350,13 +372,12 @@ def check_propositions(
     suite: OperatorSuite | None = None,
     samples: int | None = None,
     rng: random.Random | None = None,
-    exhaustive_cap: int = EXHAUSTIVE_CAP,
     space_label: str | None = None,
 ) -> list[PropositionReport]:
     """Run the whole law catalogue over a space.
 
     Without ``samples`` the run is exhaustive (all subsets, all pairs) and
-    the universe must not exceed ``exhaustive_cap``; with ``samples`` that
+    the universe must not exceed ``EXHAUSTIVE_CAP``; with ``samples`` that
     many random subsets/pairs are drawn instead. Every law runs on all its
     instances at once, one batch lane each; its first failing lane is the
     instance a one-at-a-time check would stop at, so ``instances`` is that
@@ -365,7 +386,7 @@ def check_propositions(
     suite = suite if suite is not None else DEFAULT_SUITE
     u = g.universe
     if samples is None:
-        _guard_cap(g, exhaustive_cap, "exhaustive")
+        _guard_cap(g, EXHAUSTIVE_CAP, "exhaustive")
         batches = {"unary": (Batch.powerset(u),), "binary": Batch.pairs(u)}
     else:
         rng = rng if rng is not None else random.Random(0)

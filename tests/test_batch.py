@@ -24,6 +24,7 @@ from gotas import (
     validate_order,
 )
 from gotas.oracle import (
+    EXHAUSTIVE_CAP,
     corrupted_gamma_upper,
     corrupted_suite,
     partition_space,
@@ -127,6 +128,18 @@ def test_counting_columns_match_the_division_form():
     for m in range(17):
         every = (1 << (1 << m)) - 1
         want = [(((1 << (1 << k)) - 1) << (1 << k)) * (every // ((1 << (2 << k)) - 1))
+                for k in range(m)]
+        assert _counting_columns(m) == want, m
+
+
+def test_counting_columns_repeat_their_period_up_to_the_pairs_at_the_cap():
+    # Column k holds bit k of each lane's index: 2**k zeros, then 2**k ones,
+    # repeated. An exhaustive check at the cap reads 2 * EXHAUSTIVE_CAP of them.
+    low = (0xAA, 0xCC, 0xF0)
+    for m in range(3, 2 * EXHAUSTIVE_CAP + 1):
+        want = [int.from_bytes(bytes([low[k]]) * (1 << m - 3) if k < 3 else
+                               (bytes(1 << k - 3) + b"\xff" * (1 << k - 3)) * (1 << m - k - 1),
+                               "little")
                 for k in range(m)]
         assert _counting_columns(m) == want, m
 

@@ -255,7 +255,7 @@ class TestCheckCommand:
     def test_exhaustive_over_cap_is_an_input_error(self, runner, tmp_path):
         doc = write_doc(
             tmp_path,
-            {"universe": list("abcdef"), "base": [], "order": []},
+            {"universe": list("abcdefghijk"), "base": [], "order": []},
         )
         result = runner.invoke(main, ["check", doc, "--exhaustive"])
         assert result.exit_code == EXIT_INPUT_ERROR
@@ -370,11 +370,18 @@ class TestCheckCommand:
         assert result.stderr == "error: --samples must be positive\n"
 
     def test_over_the_exhaustive_cap_without_flags_samples_256(self, runner, tmp_path):
-        doc = write_doc(tmp_path, {"universe": list("abcdef"), "base": [["a"]], "order": []})
+        doc = write_doc(tmp_path, {"universe": list("abcdefghijk"), "base": [["a"]], "order": []})
         result = runner.invoke(main, ["check", doc, "--format", "json"])
         payload = json.loads(result.output)
         assert payload["mode"] == "sampled:256"
         assert {p["instances"] for p in payload["propositions"] if p["pass"]} == {256}
+
+    def test_up_to_the_exhaustive_cap_without_flags_runs_exhaustively(self, runner, tmp_path):
+        doc = write_doc(tmp_path, {"universe": list("abcdefghij"), "base": [["a"]], "order": []})
+        result = runner.invoke(main, ["check", doc, "--format", "json"])
+        payload = json.loads(result.output)
+        assert payload["mode"] == "exhaustive"
+        assert {p["instances"] for p in payload["propositions"] if p["pass"]} == {2**10, 4**10}
 
     def test_corrupted_fixture_mode_fails(self, runner, tmp_path):
         doc = write_doc(tmp_path, PROBE_DOC)
@@ -588,6 +595,15 @@ class TestOracleDiffCommand:
             "universe": labels,
             "base": [labels[:4], labels[2:7], labels[6:]],
             "order": [[labels[i], labels[i + 1]] for i in range(0, 10, 2)],
+        })
+        result = runner.invoke(main, ["oracle-diff", doc])
+        assert result.exit_code == 0
+        assert result.output == "0 mismatches / 8192 comparisons\n"
+
+    def test_discrete_space_at_the_cap_has_no_mismatch(self, runner, tmp_path):
+        labels = [f"e{i}" for i in range(11)]
+        doc = write_doc(tmp_path, {
+            "universe": labels, "base": [[x] for x in labels], "order": [],
         })
         result = runner.invoke(main, ["oracle-diff", doc])
         assert result.exit_code == 0

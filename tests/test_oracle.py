@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import gotas.approximations as ap
+import gotas.oracle as oracle
 from gotas import (
     Batch,
     BinaryRelation,
@@ -18,6 +19,7 @@ from gotas import (
 from gotas.approximations import Gotas
 from gotas.oracle import (
     DEFAULT_SUITE,
+    EXHAUSTIVE_CAP,
     CapExceededError,
     PROPOSITION_IDS,
     check_propositions,
@@ -117,6 +119,82 @@ def test_pick_asserts_a_unique_greatest_and_smallest():
     assert str(upper.value) == "no unique smallest candidate around {c}: {a, c} vs {b, c}"
 
 
+def _scanned_table(g):
+    """The oracle table by one candidate scan per subset, from the order's
+    own monotone tests: the reference for ``oracle_table``."""
+    u, opens, full = g.universe, oracle.open_family(g.topology), g.universe.full_mask
+    table = {}
+    for d, mono in ((INC, g.order.is_increasing), (DEC, g.order.is_decreasing)):
+        monotone = [a.bits for a in u.subsets() if mono(a)]
+        inside = [a for a in monotone if a in opens]
+        around = [a for a in monotone if full ^ a in opens]
+        table[d] = ([_greatest_inside(u, inside, a) for a in range(full + 1)],
+                    [_smallest_around(u, around, a) for a in range(full + 1)])
+    return table
+
+
+def _reference_spaces():
+    rng = random.Random(17)
+    for i in range(64):
+        yield random_space(rng, 1 + i % 8, max_generators=1 + i % 6)
+    for size in range(1, 9):
+        u = Universe([f"e{k}" for k in range(size)])
+        yield partition_space(u, random_partition(rng, u))
+        yield Gotas(u, generate_topology(u, [u.subset([x]) for x in u.labels]), equality_order(u))
+        yield Gotas(u, generate_topology(u, []), random_order(rng, u))
+        pairs = [(x, y) for x in range(size) for y in range(size) if rng.random() < 0.3]
+        yield Gotas(u, topology_from_relation(BinaryRelation(u, pairs)), random_order(rng, u))
+
+
+def test_table_equals_the_per_subset_scan():
+    for space in _reference_spaces():
+        assert oracle_table(space) == _scanned_table(space), space
+
+
+@pytest.mark.parametrize("family, text", [
+    # {a} and {b} are opens inside {a, b}, but their union is not.
+    ({0b000, 0b001, 0b010, 0b111}, "no unique greatest candidate inside {a, b}: {a} vs {b}"),
+    # Without the empty set no candidate lies inside {}: the pick's max() raises.
+    ({0b001, 0b111}, None),
+])
+def test_a_family_without_unique_picks_raises_as_the_scan_does(monkeypatch, family, text):
+    u = Universe(["a", "b", "c"])
+    space = Gotas(u, generate_topology(u, []), equality_order(u))
+    monkeypatch.setattr(oracle, "open_family", lambda topology: frozenset(family))
+    raised = []
+    for build in (oracle_table, _scanned_table):
+        with pytest.raises((RuntimeError, ValueError)) as info:
+            build(space)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is (RuntimeError if text else ValueError)
+    assert text in (None, raised[0][1])
+
+
+def test_table_uses_no_batch_and_no_kernel(monkeypatch):
+    spaces = [random_space(random.Random(23), size) for size in (1, 4, 8)]
+    want = [oracle_table(space) for space in spaces]
+
+    def refuse(*args):
+        raise AssertionError("the oracle table read the fast path")
+
+    monkeypatch.setattr(Batch, "powerset", classmethod(refuse))
+    monkeypatch.setattr(Batch, "of", classmethod(refuse))
+    monkeypatch.setattr(Gotas, "kernel", property(refuse))
+    monkeypatch.setattr(Gotas, "kernel_plan", property(refuse))
+    fresh = [random_space(random.Random(23), size) for size in (1, 4, 8)]
+    assert [oracle_table(space) for space in fresh] == want
+
+
+def test_discrete_space_at_the_oracle_cap_is_exact():
+    # Every subset is a monotone open and a monotone closed under the
+    # equality order: the widest candidate lists the oracle can meet.
+    u = Universe([f"e{k}" for k in range(11)])
+    space = Gotas(u, generate_topology(u, [u.subset([x]) for x in u.labels]), equality_order(u))
+    every = list(range(1 << 11))
+    assert oracle_table(space) == {INC: (every, every), DEC: (every, every)}
+
+
 # oracle_diff's lines when the fast r_lower reads the opposite direction.
 FLIPPED_R_LOWER_LINES = {
     "worked example": (64, [
@@ -213,9 +291,16 @@ class TestCheckPropositions:
         assert all(r.passed for r in check_propositions(g))
 
     def test_exhaustive_cap(self):
-        space = random_space(random.Random(3), 6)
+        space = random_space(random.Random(3), EXHAUSTIVE_CAP + 1)
         with pytest.raises(CapExceededError):
             check_propositions(space)
+
+    def test_exhaustive_check_at_the_cap(self):
+        u = Universe([f"e{k}" for k in range(EXHAUSTIVE_CAP)])
+        blocks = random_partition(random.Random(4), u)
+        reports = check_propositions(partition_space(u, blocks))
+        assert all(r.passed for r in reports)
+        assert {r.instances for r in reports} == {2 ** EXHAUSTIVE_CAP, 4 ** EXHAUSTIVE_CAP}
 
     def test_sampled_mode(self):
         u = Universe(list("abcdef"))

@@ -23,7 +23,7 @@ def test_sweep_prints_one_line_per_law(capsys, sweep):
 
 
 def test_sweep_runs_six_point_spaces(capsys, sweep):
-    # Above the library's default exhaustive cap of 5.
+    # Sizes above the worked example's and the acceptance sweep's 3-5.
     code = sweep.main(["--count", "3", "--sizes", "6", "--show-witnesses", "0"])
     header, *laws = capsys.readouterr().out.splitlines()
     assert code == 0
@@ -34,9 +34,9 @@ def test_sweep_runs_six_point_spaces(capsys, sweep):
 
 def test_size_above_the_cap_is_a_usage_error(capsys, sweep):
     with pytest.raises(SystemExit) as exit_info:
-        sweep.main(["--sizes", "3,9"])
+        sweep.main(["--sizes", "3,11"])
     assert exit_info.value.code == 2
-    assert "sizes must lie within 1-8: 3,9" in capsys.readouterr().err
+    assert "sizes must lie within 1-10: 3,11" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, message", [
