@@ -14,10 +14,11 @@ the law checker reads.
 The checker runs a catalogue of algebraic laws over all subsets (and all
 pairs, for the binary laws) of a space, bit-sliced into batches, and
 reports one result per law, with the first counterexample kept as a
-witness. Laws compare rows and call no operator: each operand batch has one
-row table for the whole check, so every row is derived once. A deliberately
-corrupted gamma-upper operator is provided so the checker's failure path
-itself stays under test.
+witness. The check builds each operand batch once, with one row table
+each: A for the unary laws (duality adds its complement), and A, B, A∩B and
+A∪B for the binary ones. Each law gets its tables, compares rows and calls
+no operator, so every row is derived once. A deliberately corrupted gamma-upper operator is provided so
+the checker's failure path itself stays under test.
 """
 
 from __future__ import annotations
@@ -215,16 +216,17 @@ class PropositionReport:
         return not self.violations
 
 
-# Each law is a generator of claims over a batch of subsets (unary laws) or
-# over an A/B pair of batches (binary laws): (fail mask, witness template,
-# operands), in the order a check of one instance tests them. The template's
-# %s fields take the operands' values at the failing lane. A law reads the
-# rows of an operand batch x from its table, ``rep(x)``. A value in a law
-# is named by its (family, row field).
+# Each law is a generator of claims over the row table of a batch of subsets
+# (unary laws) or over the tables of A, B, A∩B and A∪B (binary laws): (fail
+# mask, witness template, operands), in the order a check of one instance
+# tests them. The template's %s fields take the operands' values at the
+# failing lane. A table's batch is its ``a``; a value in a law is named by
+# its (family, row field). Only duality reads the complement of A, so it
+# builds that table itself.
 
 
-def _sandwich(rep, a):
-    rows = rep(a)
+def _sandwich(rows):
+    a = rows.a
     for family in FAMILY_ORDER:
         for d in DIRECTION_ORDER:
             lo, up = rows[family, d].lower, rows[family, d].upper
@@ -233,8 +235,8 @@ def _sandwich(rep, a):
 
 
 def _lattice_laws(fam, field, label):
-    def claims(rep, a, b):
-        ra, rb, ri, ru = rep(a), rep(b), rep(a & b), rep(a | b)
+    def claims(ra, rb, ri, ru):
+        a, b = ra.a, rb.a
         for d in DIRECTION_ORDER:
             xa, xb = getattr(ra[fam, d], field), getattr(rb[fam, d], field)
             yield (~a.outside(b) & xa.outside(xb),
@@ -248,42 +250,39 @@ def _lattice_laws(fam, field, label):
 
 
 def _exact_transfer(fam, label):
-    def claims(rep, a):
-        rows = rep(a)
+    def claims(rows):
         for d in DIRECTION_ORDER:
             yield (rows[_R, d].exact & ~rows[fam, d].exact,
-                   f"{d.label}: A=%s is R exact but not {label} exact", (a,))
+                   f"{d.label}: A=%s is R exact but not {label} exact", (rows.a,))
 
     return claims
 
 
 def _inclusion(first, second, text):
-    def claims(rep, a):
-        rows = rep(a)
+    def claims(rows):
         for d in DIRECTION_ORDER:
             x, y = (getattr(rows[fam, d], field) for fam, field in (first, second))
-            yield x.outside(y), f"{d.label}: A=%s: {text}: %s not within %s", (a, x, y)
+            yield x.outside(y), f"{d.label}: A=%s: {text}: %s not within %s", (rows.a, x, y)
 
     return claims
 
 
 def _inclusion_chain(*steps):
     # steps: (family, row field, name), asserted pairwise along the chain
-    def claims(rep, a):
-        rows = rep(a)
+    def claims(rows):
         for d in DIRECTION_ORDER:
             values = [(name, getattr(rows[fam, d], field)) for fam, field, name in steps]
             for (nx, x), (ny, y) in zip(values, values[1:]):
-                yield x.outside(y), f"{d.label}: A=%s: {nx} %s not within {ny} %s", (a, x, y)
+                yield x.outside(y), f"{d.label}: A=%s: {nx} %s not within {ny} %s", (rows.a, x, y)
 
     return claims
 
 
 def _neg_laws(fam):
-    def claims(rep, a, b):
-        tables = rep(a), rep(b), rep(a | b), rep(a & b)
+    def claims(ra, rb, ri, ru):
+        a, b = ra.a, rb.a
         for d in DIRECTION_ORDER:
-            na, nb, nu, ni = (rows[fam, d].negative for rows in tables)
+            na, nb, ni, nu = (rows[fam, d].negative for rows in (ra, rb, ri, ru))
             where = f"{d.label}: A=%s, B=%s"
             # Proof forms, which imply the looser stated forms.
             yield nu.outside(na & nb), f"{where}: Neg(A∪B) %s not within Neg(A)∩Neg(B)", (a, b, nu)
@@ -295,8 +294,8 @@ def _neg_laws(fam):
     return claims
 
 
-def _accuracy_floor(rep, a):
-    rows = rep(a)
+def _accuracy_floor(rows):
+    a = rows.a
     for d in DIRECTION_ORDER:
         base = rows[_R, d].accuracy
         for fam in (_G, _B):
@@ -305,8 +304,8 @@ def _accuracy_floor(rep, a):
                    f"{d.label}: A=%s: R accuracy %s > {fam.label} accuracy %s", (a, base, got))
 
 
-def _accuracy_chain(rep, a):
-    rows = rep(a)
+def _accuracy_chain(rows):
+    a = rows.a
     for d in DIRECTION_ORDER:
         ar, ag, ab = (rows[fam, d].accuracy for fam in (_R, _G, _B))
         yield (a.nonempty() & (ar.exceeds(ag) | ag.exceeds(ab)),
@@ -314,8 +313,9 @@ def _accuracy_chain(rep, a):
                (a, ar, ag, ab))
 
 
-def _duality(rep, a):
-    rows, comp = rep(a), rep(a.complement())
+def _duality(rows):
+    a = rows.a
+    comp = approx.Rows(rows.g, a.complement(), rows.suite)
     cases = [("upper", "lower", d, rows[_R, d].upper, comp[_R, d.opposite].lower.complement())
              for d in DIRECTION_ORDER]
     # A negative region is the complement of the opposite direction's upper.
@@ -387,33 +387,25 @@ def check_propositions(
     u = g.universe
     if samples is None:
         _guard_cap(g, EXHAUSTIVE_CAP, "exhaustive")
-        batches = {"unary": (Batch.powerset(u),), "binary": Batch.pairs(u)}
+        unit, (a, b) = Batch.powerset(u), Batch.pairs(u)
     else:
         rng = rng if rng is not None else random.Random(0)
         units = [rng.getrandbits(u.size) for _ in range(samples)]
         draws = [rng.getrandbits(u.size) for _ in range(2 * samples)]
-        batches = {
-            "unary": (Batch.of(u, units),),
-            "binary": (Batch.of(u, draws[0::2]), Batch.of(u, draws[1::2])),
-        }
-
+        unit, a, b = (Batch.of(u, x) for x in (units, draws[0::2], draws[1::2]))
     # One row table per operand batch, kept for the whole call.
-    tables: dict[tuple, approx.Rows] = {}
-
-    def rep(x: Batch) -> approx.Rows:
-        key = (x.width, x.columns)
-        if key not in tables:
-            tables[key] = approx.Rows(g, x, suite)
-        return tables[key]
+    tables = {
+        "unary": (approx.Rows(g, unit, suite),),
+        "binary": tuple(approx.Rows(g, x, suite) for x in (a, b, a & b, a | b)),
+    }
 
     label = space_label
     reports = []
     for pid, kind, law in _CATALOGUE:
-        operands = batches[kind]
-        claims = list(law(rep, *operands))
+        claims = list(law(*tables[kind]))
         failed = reduce(or_, (mask for mask, _, _ in claims), 0)
         if not failed:
-            reports.append(PropositionReport(pid, operands[0].width))
+            reports.append(PropositionReport(pid, tables[kind][0].a.width))
             continue
         lane = (failed & -failed).bit_length() - 1
         template, values = next((t, v) for mask, t, v in claims if mask >> lane & 1)
@@ -449,10 +441,7 @@ def random_order(rng: random.Random, universe: Universe) -> PartialOrder:
         for j in range(i + 1, n):
             if rng.random() < 0.5:
                 succ[i] |= 1 << j
-    for k in range(n):
-        for i in range(n):
-            if succ[i] >> k & 1:
-                succ[i] |= succ[k]
+    succ = approx._closure(succ, succ)
     return validate_order(universe, ((i, j) for i in range(n) for j in _points(succ[i])))
 
 

@@ -8,6 +8,7 @@ subsets at once, bit-sliced, so that one int operation acts on all of them.
 
 from __future__ import annotations
 
+import reprlib
 from functools import reduce
 from itertools import chain, compress, repeat
 from operator import add, and_, or_
@@ -39,7 +40,7 @@ class Universe:
         index: dict[str, int] = {}
         for pos, label in enumerate(labels):
             if label in index:
-                raise ValueError(f"duplicate label {label!r}")
+                raise ValueError(f"duplicate label {reprlib.repr(label)}")
             index[label] = pos
         self.labels = labels
         self.full_mask = (1 << len(labels)) - 1
@@ -54,7 +55,7 @@ class Universe:
         try:
             return self._index[label]
         except KeyError:
-            raise ValueError(f"unknown label {label!r}") from None
+            raise ValueError(f"unknown label {reprlib.repr(label)}") from None
 
     def subset(self, labels: Iterable[str]) -> Subset:
         """Subset holding exactly the named elements; input order and
@@ -270,7 +271,8 @@ class Batch:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        """The columns: hashable, like ``Subset.bits``."""
+        """The columns: hashable, like ``Subset.bits``. Nothing in the
+        package hashes them; perfbench/tracing.py keys base calls by them."""
         return self.columns
 
     def rows(self) -> list[int]:

@@ -759,6 +759,26 @@ def test_build_errors_name_the_document(runner, tmp_path, doc, message):
     assert result.stderr == f"error: {path}: {message}\n"
 
 
+# A label's repr is cut to 30 characters in an error line.
+_HUGE, _HUGE_REPR = "x" * 200_000, "'" + "x" * 12 + "..." + "x" * 13 + "'"
+
+
+@pytest.mark.parametrize("doc, args, message", [
+    ({**_VALID, "base": [["a"], [_HUGE]]}, [], f"unknown label {_HUGE_REPR}"),
+    ({**_VALID, "universe": ["a", "b", _HUGE, _HUGE]}, [], f"duplicate label {_HUGE_REPR}"),
+    (_VALID, ["--set", "a," + _HUGE[:100_000]], f"unknown label {_HUGE_REPR}"),
+], ids=["base-label", "duplicate-label", "set-label"])
+def test_a_huge_label_gives_a_short_error_line(runner, tmp_path, doc, args, message):
+    path = write_doc(tmp_path, doc, name="doc.json")
+    result = runner.invoke(main, ["analyze", path, *(args or ["--set", "a"])])
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert result.stdout == ""
+    # Only a build error names the document; --set is read after the build.
+    where = "" if args else f"{path}: "
+    assert result.stderr == f"error: {where}{message}\n"
+    assert len(result.stderr) < len(path) + 80
+
+
 @pytest.mark.parametrize("field", ["order", "relation"])
 def test_a_nested_pair_entry_gives_a_short_error_line(runner, tmp_path, field):
     # 400 levels parse well inside the recursion limit, even under pytest.

@@ -1,0 +1,113 @@
+"""The CLI's bytes on a seeded corpus of documents, pinned by digest.
+
+Each case runs one command in process on one document and hashes its exit
+code, stdout and stderr. The document is always written to the same
+relative path, ``doc.json``, so error lines do not depend on where the test
+runs. ``cli_digests.json`` holds the expected digests: a change to any
+output, message or exit code on the corpus shows up as a mismatched case.
+
+For a deliberate change of output, ``PYTHONPATH=src python
+tests/test_cli_digests.py`` rewrites that table from the current code.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from gotas.cli import main
+
+TABLE = Path(__file__).with_name("cli_digests.json")
+DOC = "doc.json"
+
+COMMANDS = {
+    "topology": ["topology", DOC],
+    "analyze": ["analyze", DOC, "--set", "{set}"],
+    "analyze-json": ["analyze", DOC, "--set", "{set}", "--format", "json"],
+    "check": ["check", DOC, "--format", "json"],
+    "check-samples": ["check", DOC, "--format", "json", "--samples", "32"],
+    "check-corrupt": ["check", DOC, "--format", "json", "--corrupt-gamma"],
+    "oracle-diff": ["oracle-diff", DOC],
+}
+
+WORKED_EXAMPLE = {
+    "universe": ["a", "b", "c", "d"],
+    "base": [["a"], ["a", "b"], ["c", "d"]],
+    "order": [["a", "b"], ["b", "d"], ["a", "d"], ["a", "c"], ["c", "d"]],
+}
+# Opens {}, {a}, {b}, {a, b}, U under equality: laws 3.21 and 3.25 fail.
+PROBE = {"universe": ["a", "b", "c"], "base": [["a"], ["b"]], "order": []}
+_PAIR = {"universe": ["a", "b"], "base": [["a"]], "order": [["a", "b"]]}
+
+
+def _order(rng: random.Random, labels: list[str]) -> list[list[str]]:
+    """A random partial order as label pairs: forward edges over the label
+    order, closed transitively, loops left to ``auto_reflexive``."""
+    n = len(labels)
+    up = [{j for j in range(i + 1, n) if rng.random() < 0.4} for i in range(n)]
+    for i in reversed(range(n)):
+        for j in sorted(up[i]):
+            up[i] |= up[j]
+    return [[labels[i], labels[j]] for i in range(n) for j in sorted(up[i])]
+
+
+def corpus() -> list[tuple[str, str, str]]:
+    """(name, document text, ``--set`` labels) of every document."""
+    rng = random.Random(1510)
+    docs = [("worked", json.dumps(WORKED_EXAMPLE), "a,c"), ("probe", json.dumps(PROBE), "a")]
+    for i in range(32):
+        size = 1 + i % 8
+        labels = [chr(ord("a") + k) for k in range(size)]
+        doc: dict = {"universe": labels}
+        if i % 2:
+            doc["relation"] = [[x, y] for x in labels for y in labels if rng.random() < 0.3]
+        else:
+            doc["base"] = [[x for x in labels if rng.random() < 0.5]
+                           for _ in range(rng.randint(0, 4))]
+        doc["order"] = _order(rng, labels)
+        if i % 5 == 0:
+            doc["order"] += [[x, x] for x in labels]
+            doc["options"] = {"auto_reflexive": False}
+        chosen = ",".join(x for x in labels if rng.random() < 0.5)
+        docs.append((f"random{i:02d}", json.dumps(doc), chosen))
+    docs += [
+        ("unknown-set-label", json.dumps(_PAIR), "a,z"),
+        ("unknown-base-label", json.dumps({**_PAIR, "base": [["a"], ["z"]]}), "a"),
+        ("duplicate-label", json.dumps({**_PAIR, "universe": ["a", "b", "a"]}), "a"),
+        ("antisymmetry", json.dumps({**_PAIR, "order": [["a", "b"], ["b", "a"]]}), "a"),
+        ("missing-order", json.dumps({"universe": ["a"], "base": []}), "a"),
+        ("malformed", '{\n  "universe": [,]\n}', "a"),
+    ]
+    return docs
+
+
+def digests(runner: CliRunner) -> dict[str, str]:
+    """Digest of (exit code, stdout, stderr) per "document command" case;
+    run inside the directory that is to hold ``doc.json``."""
+    out = {}
+    for name, text, chosen in corpus():
+        Path(DOC).write_text(text, encoding="utf-8")
+        for command, args in COMMANDS.items():
+            result = runner.invoke(main, [arg.format(set=chosen) for arg in args])
+            case = json.dumps([result.exit_code, result.stdout, result.stderr])
+            out[f"{name} {command}"] = hashlib.sha256(case.encode()).hexdigest()[:16]
+    return out
+
+
+def test_cli_bytes_match_the_digest_table(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert digests(CliRunner()) == json.loads(TABLE.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    table = TABLE.resolve()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        table.write_text(json.dumps(digests(CliRunner()), indent=1) + "\n", encoding="utf-8")

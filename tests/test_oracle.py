@@ -251,6 +251,47 @@ def test_oracle_diff_checks_the_batch_engine(g, monkeypatch):
     assert all(line.startswith("r_lower ") for line in mismatches)
 
 
+@pytest.fixture
+def built_rows(monkeypatch):
+    """The operand batch of every row table built from here on."""
+    built = []
+
+    class Recorded(ap.Rows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.a)
+
+    monkeypatch.setattr(ap, "Rows", Recorded)
+    return built
+
+
+def test_check_builds_each_operand_once(g, built_rows, monkeypatch):
+    # Every base operator on a batch is one fold over the kernel plan.
+    folds = []
+    for name in ("all_of", "any_of"):
+        fold = getattr(Batch, name)
+        monkeypatch.setattr(Batch, name,
+                            lambda self, plan, fold=fold: folds.append(1) or fold(self, plan))
+    assert all(r.passed for r in check_propositions(g))
+    unit, (a, b) = Batch.powerset(g.universe), Batch.pairs(g.universe)
+    want = (unit, unit.complement(), a, b, a & b, a | b)
+    assert len(built_rows) == 6
+    assert (sorted((x.width, x.columns) for x in built_rows)
+            == sorted((x.width, x.columns) for x in want))
+    assert len(folds) == 164
+
+
+def test_operands_equal_by_value_keep_their_own_tables(built_rows):
+    # One point, one sample: A∩B and A∪B each equal A or B by value.
+    u = Universe(["a"])
+    space = Gotas(u, generate_topology(u, []), equality_order(u))
+    for seed in range(8):
+        reports = check_propositions(space, samples=1, rng=random.Random(seed))
+        assert [(r.passed, r.instances) for r in reports] == [(True, 1)] * len(PROPOSITION_IDS)
+    assert len(built_rows) == 6 * 8
+    assert len({x.columns for x in built_rows[:6]}) < 6
+
+
 def test_checker_and_diff_read_batches_without_rows(g, probe, monkeypatch):
     # Counts, accuracy compares and the oracle diff read columns; a witness
     # reads one lane through Batch.lane.
