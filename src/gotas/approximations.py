@@ -80,8 +80,8 @@ class Gotas:
     own points and its covers (the greatest classes inside it); a batch
     call folds each class once, from its own points' columns and its
     covers' results, and every point takes its class's result. ``memo``
-    holds base-operator results on subsets, up to ``MEMO_LIMIT``; batches
-    skip it.
+    holds base-operator results on subsets, up to ``MEMO_LIMIT``; a batch
+    remembers its own folds instead, which ``Rows`` drops once built.
     """
 
     universe: Universe
@@ -302,21 +302,25 @@ class ApproxReport:
 
 
 class Rows(dict):
-    """The rows of one operand, keyed by (family, direction). A missing row
-    is derived on first use together with the other direction's row of its
-    family, whose upper approximation gives its negative region."""
+    """The rows of one operand for ``families``, keyed by (family,
+    direction) in canonical order. Both directions of a family are derived
+    together, so each row's negative region is the other direction's upper
+    approximation. The families are compositions of the base operators and
+    share terms (r_lower A, r_upper(r_lower A), ...); on a batch, each term
+    is folded once per direction, since a batch remembers its folds, and
+    the folds are dropped once the rows are built."""
 
-    def __init__(self, g: Gotas, a: Sets, suite: OperatorSuite = DEFAULT_SUITE) -> None:
+    def __init__(self, g: Gotas, a: Sets, suite: OperatorSuite = DEFAULT_SUITE,
+                 families: tuple[OperatorFamily, ...] = FAMILY_ORDER) -> None:
         super().__init__()
         self.g, self.a, self.suite = g, a, suite
-
-    def __missing__(self, key: tuple[OperatorFamily, Direction]) -> ApproxReport:
-        family, g, a = key[0], self.g, self.a
-        lo = {d: self.suite.lower[family](g, a, d) for d in DIRECTION_ORDER}
-        up = {d: self.suite.upper[family](g, a, d) for d in DIRECTION_ORDER}
-        for d in DIRECTION_ORDER:
-            self[family, d] = ApproxReport(lo[d], up[d], up[d.opposite])
-        return self[key]
+        for family in families:
+            lo = {d: suite.lower[family](g, a, d) for d in DIRECTION_ORDER}
+            up = {d: suite.upper[family](g, a, d) for d in DIRECTION_ORDER}
+            for d in DIRECTION_ORDER:
+                self[family, d] = ApproxReport(lo[d], up[d], up[d.opposite])
+        if isinstance(a, Batch):
+            a.forget()
 
 
 def lower(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
@@ -328,20 +332,19 @@ def upper(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
 
 
 def boundary(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-    return Rows(g, a)[family, d].boundary
+    return Rows(g, a, families=(family,))[family, d].boundary
 
 
 def negative(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-    return Rows(g, a)[family, d].negative
+    return Rows(g, a, families=(family,))[family, d].negative
 
 
 def accuracy(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Fraction:
-    return Rows(g, a)[family, d].accuracy
+    return Rows(g, a, families=(family,))[family, d].accuracy
 
 
 def full_report(
     g: Gotas, a: Subset
 ) -> dict[tuple[OperatorFamily, Direction], ApproxReport]:
     """All ten (family, direction) rows, in canonical order."""
-    rows = Rows(g, a)
-    return {(f, d): rows[f, d] for f in FAMILY_ORDER for d in DIRECTION_ORDER}
+    return dict(Rows(g, a))

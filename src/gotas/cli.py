@@ -47,7 +47,7 @@ from .universe import Subset, Universe
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 # A sampled check's memory grows with the sample count: 65536 samples on a 200-point
-# sparse relation take about 2 s and peak near 150 MB.
+# sparse relation take about 1.5 s and peak near 145 MB.
 MAX_SAMPLES = 1 << 16
 # The most opens `topology` lists; n points can carry up to 2**n.
 MAX_OPENS = 1 << 16

@@ -16,9 +16,11 @@ pairs, for the binary laws) of a space, bit-sliced into batches, and
 reports one result per law, with the first counterexample kept as a
 witness. The check builds each operand batch once, with one row table
 each: A for the unary laws (duality adds its complement), and A, B, A∩B and
-A∪B for the binary ones. Each law gets its tables, compares rows and calls
-no operator, so every row is derived once. A deliberately corrupted gamma-upper operator is provided so
-the checker's failure path itself stays under test.
+A∪B for the binary ones. A table holds the families its laws read and
+derives them in one pass, folding each base term of its batch once per
+direction. Each law gets its tables, compares rows and calls no operator.
+A deliberately corrupted gamma-upper operator is provided so the checker's
+failure path itself stays under test.
 """
 
 from __future__ import annotations
@@ -221,8 +223,8 @@ class PropositionReport:
 # mask, witness template, operands), in the order a check of one instance
 # tests them. The template's %s fields take the operands' values at the
 # failing lane. A table's batch is its ``a``; a value in a law is named by
-# its (family, row field). Only duality reads the complement of A, so it
-# builds that table itself.
+# its (family, row field). Only duality reads the complement of A, and only
+# its R rows, so it builds that table itself.
 
 
 def _sandwich(rows):
@@ -315,7 +317,7 @@ def _accuracy_chain(rows):
 
 def _duality(rows):
     a = rows.a
-    comp = approx.Rows(rows.g, a.complement(), rows.suite)
+    comp = approx.Rows(rows.g, a.complement(), rows.suite, (_R,))
     cases = [("upper", "lower", d, rows[_R, d].upper, comp[_R, d.opposite].lower.complement())
              for d in DIRECTION_ORDER]
     # A negative region is the complement of the opposite direction's upper.
@@ -327,6 +329,8 @@ def _duality(rows):
 
 
 _R, _S, _P, _G, _B = FAMILY_ORDER
+# The families the binary laws read.
+_BINARY_FAMILIES = (_G, _B)
 
 _CATALOGUE: tuple[tuple[str, str, Callable], ...] = (
     ("sandwich", "unary", _sandwich),
@@ -396,7 +400,8 @@ def check_propositions(
     # One row table per operand batch, kept for the whole call.
     tables = {
         "unary": (approx.Rows(g, unit, suite),),
-        "binary": tuple(approx.Rows(g, x, suite) for x in (a, b, a & b, a | b)),
+        "binary": tuple(approx.Rows(g, x, suite, _BINARY_FAMILIES)
+                        for x in (a, b, a & b, a | b)),
     }
 
     label = space_label

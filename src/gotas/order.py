@@ -9,6 +9,7 @@ the up-set and the down-set of each point; its pairs are derived from them.
 
 from __future__ import annotations
 
+import reprlib
 from typing import Iterable
 
 from .topology import BinaryRelation
@@ -89,10 +90,11 @@ def validate_order(
     labels = universe.labels
     for i, up in enumerate(succ):
         if not up >> i & 1:
+            a = _quote(labels[i])
             raise OrderAxiomError(
                 "reflexivity",
                 (labels[i], labels[i]),
-                f"reflexivity violated: ({labels[i]}, {labels[i]}) missing",
+                f"reflexivity violated: ({a}, {a}) missing",
             )
     # Witnesses come in the order of the sorted pairs: x ascending, then y,
     # then the lowest offending z.
@@ -100,25 +102,31 @@ def validate_order(
         both = up & pred[x] & ~(1 << x)
         if both:
             y = next(_points(both))
+            a, b = _quote(labels[x]), _quote(labels[y])
             raise OrderAxiomError(
                 "antisymmetry",
                 (labels[x], labels[y]),
-                f"antisymmetry violated: both ({labels[x]}, {labels[y]}) "
-                f"and ({labels[y]}, {labels[x]}) present",
+                f"antisymmetry violated: both ({a}, {b}) and ({b}, {a}) present",
             )
     for x, up in enumerate(succ):
         for y in _points(up):
             missing = succ[y] & ~up
             if missing:
                 z = next(_points(missing))
+                a, b, c = _quote(labels[x]), _quote(labels[y]), _quote(labels[z])
                 raise OrderAxiomError(
                     "transitivity",
                     (labels[x], labels[z]),
-                    f"transitivity violated: ({labels[x]}, {labels[y]}) and "
-                    f"({labels[y]}, {labels[z]}) present but ({labels[x]}, "
-                    f"{labels[z]}) missing",
+                    f"transitivity violated: ({a}, {b}) and ({b}, {c}) present "
+                    f"but ({a}, {c}) missing",
                 )
     return order
+
+
+def _quote(label: str) -> str:
+    """A label as an error message writes it: as is, or, past 30
+    characters, cut the way ``Universe.index`` cuts it."""
+    return label if len(label) <= 30 else reprlib.repr(label)
 
 
 def equality_order(universe: Universe) -> PartialOrder:

@@ -55,25 +55,31 @@ def _order(rng: random.Random, labels: list[str]) -> list[list[str]]:
     return [[labels[i], labels[j]] for i in range(n) for j in sorted(up[i])]
 
 
+def _random_doc(rng: random.Random, size: int, relation: bool,
+                reflexive: bool) -> tuple[str, str]:
+    """A random base or relation document of ``size`` points, with its
+    loops listed and ``auto_reflexive`` off if ``reflexive``, and random
+    ``--set`` labels."""
+    labels = [chr(ord("a") + k) for k in range(size)]
+    doc: dict = {"universe": labels}
+    if relation:
+        doc["relation"] = [[x, y] for x in labels for y in labels if rng.random() < 0.3]
+    else:
+        doc["base"] = [[x for x in labels if rng.random() < 0.5]
+                       for _ in range(rng.randint(0, 4))]
+    doc["order"] = _order(rng, labels)
+    if reflexive:
+        doc["order"] += [[x, x] for x in labels]
+        doc["options"] = {"auto_reflexive": False}
+    return json.dumps(doc), ",".join(x for x in labels if rng.random() < 0.5)
+
+
 def corpus() -> list[tuple[str, str, str]]:
     """(name, document text, ``--set`` labels) of every document."""
     rng = random.Random(1510)
     docs = [("worked", json.dumps(WORKED_EXAMPLE), "a,c"), ("probe", json.dumps(PROBE), "a")]
     for i in range(32):
-        size = 1 + i % 8
-        labels = [chr(ord("a") + k) for k in range(size)]
-        doc: dict = {"universe": labels}
-        if i % 2:
-            doc["relation"] = [[x, y] for x in labels for y in labels if rng.random() < 0.3]
-        else:
-            doc["base"] = [[x for x in labels if rng.random() < 0.5]
-                           for _ in range(rng.randint(0, 4))]
-        doc["order"] = _order(rng, labels)
-        if i % 5 == 0:
-            doc["order"] += [[x, x] for x in labels]
-            doc["options"] = {"auto_reflexive": False}
-        chosen = ",".join(x for x in labels if rng.random() < 0.5)
-        docs.append((f"random{i:02d}", json.dumps(doc), chosen))
+        docs.append((f"random{i:02d}", *_random_doc(rng, 1 + i % 8, i % 2 == 1, i % 5 == 0)))
     docs += [
         ("unknown-set-label", json.dumps(_PAIR), "a,z"),
         ("unknown-base-label", json.dumps({**_PAIR, "base": [["a"], ["z"]]}), "a"),
@@ -82,6 +88,10 @@ def corpus() -> list[tuple[str, str, str]]:
         ("missing-order", json.dumps({"universe": ["a"], "base": []}), "a"),
         ("malformed", '{\n  "universe": [,]\n}', "a"),
     ]
+    # Up to the exhaustive cap, where check runs every subset and pair.
+    for size in (9, 10):
+        for kind in ("base", "relation"):
+            docs.append((f"{kind}{size}", *_random_doc(rng, size, kind == "relation", False)))
     return docs
 
 

@@ -265,20 +265,65 @@ def built_rows(monkeypatch):
     return built
 
 
-def test_check_builds_each_operand_once(g, built_rows, monkeypatch):
-    # Every base operator on a batch is one fold over the kernel plan.
-    folds = []
-    for name in ("all_of", "any_of"):
-        fold = getattr(Batch, name)
-        monkeypatch.setattr(Batch, name,
-                            lambda self, plan, fold=fold: folds.append(1) or fold(self, plan))
+@pytest.fixture
+def folds(monkeypatch):
+    """One entry per fold of a batch over a kernel plan from here on; a
+    base operator on a batch whose result is remembered folds nothing."""
+    done = []
+    fold = Batch._fold
+    monkeypatch.setattr(Batch, "_fold",
+                        lambda self, plan, op: done.append(op) or fold(self, plan, op))
+    return done
+
+
+# Per operand batch and direction, the distinct base terms: r_lower A,
+# r_upper A, r_upper(r_lower A), r_lower(r_upper A), and for beta
+# r_lower(r_upper(r_lower A)), r_upper(r_lower(r_upper A)). Six each for
+# A and the four binary operands, R's two for the complement of A:
+# (5 · 6 + 2) · 2 = 64 folds, against 164 base-operator calls.
+FOLDS_PER_CHECK = 64
+
+
+def test_check_builds_each_operand_once(g, built_rows, folds):
     assert all(r.passed for r in check_propositions(g))
     unit, (a, b) = Batch.powerset(g.universe), Batch.pairs(g.universe)
     want = (unit, unit.complement(), a, b, a & b, a | b)
     assert len(built_rows) == 6
     assert (sorted((x.width, x.columns) for x in built_rows)
             == sorted((x.width, x.columns) for x in want))
-    assert len(folds) == 164
+    assert len(folds) == FOLDS_PER_CHECK
+
+
+def test_a_sampled_check_folds_each_base_term_once(g, folds):
+    assert all(r.passed for r in check_propositions(g, samples=256))
+    assert len(folds) == FOLDS_PER_CHECK
+
+
+def test_no_operand_batch_keeps_its_folds(g, probe, built_rows):
+    for space in (g, probe):
+        check_propositions(space)
+        check_propositions(space, samples=64, rng=random.Random(3))
+    assert len(built_rows) == 4 * 6
+    assert all(x.folds == {} for x in built_rows)
+    rows = ap.Rows(g, Batch.powerset(g.universe))
+    assert all(x.folds == {} for row in rows.values()
+               for x in (row.lower, row.upper, row.opposite_upper))
+
+
+def test_a_batch_gets_each_space_its_own_folds():
+    # Two spaces over one universe: the same batch, passed through both,
+    # keeps both spaces' folds and must hand each space its own.
+    u = Universe(["a", "b", "c"])
+    chain = validate_order(u, [(0, 1), (1, 2), (0, 2)])
+    spaces = [Gotas(u, generate_topology(u, [u.subset(["a"])]), equality_order(u)),
+              Gotas(u, generate_topology(u, [u.subset(["b", "c"])]), chain)]
+    batch = Batch.powerset(u)
+    for op in (ap.r_lower, ap.r_upper):
+        for d in (INC, DEC):
+            got = [op(space, batch, d).rows() for space in spaces]
+            assert got == [[op(space, x, d).bits for x in u.subsets()] for space in spaces]
+            assert got[0] != got[1]
+    assert len(batch.folds) == 8
 
 
 def test_operands_equal_by_value_keep_their_own_tables(built_rows):
