@@ -9,7 +9,8 @@ is a pure function of (space, subset, direction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextvars import ContextVar
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -60,14 +61,6 @@ FAMILY_ORDER = (
 DIRECTION_ORDER = (Direction.INC, Direction.DEC)
 
 
-# Entries a space's memo may hold before it is cleared.
-MEMO_LIMIT = 1 << 13
-# Memo keys are plain ints, one per (subset, operator, direction): the
-# subset's bits shifted left by two, bit 1 set for the upper operator and
-# bit 0 for Dec.
-_DEC = Direction.DEC
-
-
 @dataclass(frozen=True, eq=False)
 class Gotas:
     """A universe plus a topology and a partial order over it.
@@ -79,15 +72,14 @@ class Gotas:
     ``kernel_plan[d]`` lists them as classes, smallest first, each with its
     own points and its covers (the greatest classes inside it); a batch
     call folds each class once, from its own points' columns and its
-    covers' results, and every point takes its class's result. ``memo``
-    holds base-operator results on subsets, up to ``MEMO_LIMIT``; a batch
-    remembers its own folds instead, which ``Rows`` drops once built.
+    covers' results, and every point takes its class's result. The space
+    keeps no results of the operators: ``Rows`` remembers them while it
+    builds one table.
     """
 
     universe: Universe
     topology: Topology
     order: PartialOrder
-    memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.topology.universe is not self.universe:
@@ -131,13 +123,7 @@ def r_lower(g: Gotas, a: Sets, d: Direction) -> Sets:
     """Greatest d-monotone open subset of ``a``: the points x with
     M_d(x) inside ``a``. On a batch, column x is the AND of the columns
     of M_d(x)."""
-    if isinstance(a, Batch):
-        return a.all_of(g.kernel_plan[d])
-    key = a.bits << 2 | (d is _DEC)
-    bits = g.memo.get(key)
-    if bits is None:
-        bits = _remember(g, key, points_within(g.kernel[d], a.bits))
-    return g.universe.from_bits(bits)
+    return _base(g, a, d, False)
 
 
 def r_upper(g: Gotas, a: Sets, d: Direction) -> Sets:
@@ -145,20 +131,31 @@ def r_upper(g: Gotas, a: Sets, d: Direction) -> Sets:
     M_{d.opposite}(x) meets ``a`` (its complement is the greatest
     opposite-monotone open set outside ``a``). On a batch, column x is the
     OR of the columns of M_{d.opposite}(x)."""
-    if isinstance(a, Batch):
-        return a.any_of(g.kernel_plan[d.opposite])
-    key = a.bits << 2 | 2 | (d is _DEC)
-    bits = g.memo.get(key)
-    if bits is None:
-        bits = _remember(g, key, points_meeting(g.kernel[d.opposite], a.bits))
-    return g.universe.from_bits(bits)
+    return _base(g, a, d.opposite, True)
 
 
-def _remember(g: Gotas, key: int, bits: int) -> int:
-    if len(g.memo) >= MEMO_LIMIT:
-        g.memo.clear()
-    g.memo[key] = bits
-    return bits
+# The base-operator results of the row table being built, keyed by (space,
+# operand, kernel direction, meets); unset outside a table. A Subset keys by
+# value and a Batch by identity; the dict holds each key, so no id is reused
+# while it lives. A context variable keeps each thread's tables apart.
+_MEMO: ContextVar[dict] = ContextVar("gotas_base_memo")
+
+
+def _base(g: Gotas, a: Sets, d: Direction, meets: bool) -> Sets:
+    """The points x whose M_d(x) meets ``a`` (``meets``) or lies inside
+    it, computed once per row table; outside a table, afresh."""
+    memo = _MEMO.get({})
+    key = (g, a, d, meets)
+    result = memo.get(key)
+    if result is None:
+        if isinstance(a, Batch):
+            plan = g.kernel_plan[d]
+            result = a.any_of(plan) if meets else a.all_of(plan)
+        else:
+            test = points_meeting if meets else points_within
+            result = g.universe.from_bits(test(g.kernel[d], a.bits))
+        memo[key] = result
+    return result
 
 
 def semi_lower(g: Gotas, a: Sets, d: Direction) -> Sets:
@@ -306,21 +303,24 @@ class Rows(dict):
     direction) in canonical order. Both directions of a family are derived
     together, so each row's negative region is the other direction's upper
     approximation. The families are compositions of the base operators and
-    share terms (r_lower A, r_upper(r_lower A), ...); on a batch, each term
-    is folded once per direction, since a batch remembers its folds, and
-    the folds are dropped once the rows are built."""
+    share terms (r_lower A, r_upper(r_lower A), ...): while the table is
+    built, each base-operator result is remembered, so each term is
+    computed (on a batch, folded) once per direction. The memo is dropped
+    once the rows are built, also when a suite raises."""
 
     def __init__(self, g: Gotas, a: Sets, suite: OperatorSuite = DEFAULT_SUITE,
                  families: tuple[OperatorFamily, ...] = FAMILY_ORDER) -> None:
         super().__init__()
         self.g, self.a, self.suite = g, a, suite
-        for family in families:
-            lo = {d: suite.lower[family](g, a, d) for d in DIRECTION_ORDER}
-            up = {d: suite.upper[family](g, a, d) for d in DIRECTION_ORDER}
-            for d in DIRECTION_ORDER:
-                self[family, d] = ApproxReport(lo[d], up[d], up[d.opposite])
-        if isinstance(a, Batch):
-            a.forget()
+        token = _MEMO.set({})
+        try:
+            for family in families:
+                lo = {d: suite.lower[family](g, a, d) for d in DIRECTION_ORDER}
+                up = {d: suite.upper[family](g, a, d) for d in DIRECTION_ORDER}
+                for d in DIRECTION_ORDER:
+                    self[family, d] = ApproxReport(lo[d], up[d], up[d.opposite])
+        finally:
+            _MEMO.reset(token)
 
 
 def lower(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:

@@ -77,8 +77,9 @@ def _check_pairs(value: object, name: str, source: str) -> None:
 
 
 def parse_document(text: str, source: str = "<document>") -> dict:
-    """The document's JSON object, once its shape is checked, with
-    ``options`` filled in. Labels are resolved later, by ``build_space``."""
+    """The document's JSON object, once its shape is checked and each
+    universe label is one ``--set`` can name, with ``options`` filled in.
+    Labels are resolved later, by ``build_space``."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -104,6 +105,12 @@ def parse_document(text: str, source: str = "<document>") -> dict:
         raise DocumentError(f"{source}: field 'universe' must be a nonempty list of labels")
     if len(universe) > MAX_POINTS:
         raise DocumentError(f"{source}: field 'universe' holds more than {MAX_POINTS} labels")
+    for label in universe:
+        # --set splits on commas and strips each name, so it could not name these.
+        if not label or label.strip() != label or "," in label:
+            raise DocumentError(
+                f"{source}: field 'universe': label {reprlib.repr(label)} is empty, "
+                "holds a comma or starts or ends with whitespace")
 
     has_relation = "relation" in raw
     if has_relation == ("base" in raw):

@@ -17,8 +17,9 @@ reports one result per law, with the first counterexample kept as a
 witness. The check builds each operand batch once, with one row table
 each: A for the unary laws (duality adds its complement), and A, B, A∩B and
 A∪B for the binary ones. A table holds the families its laws read and
-derives them in one pass, folding each base term of its batch once per
-direction. Each law gets its tables, compares rows and calls no operator.
+derives them in one pass; it remembers each base-operator result while it
+is built, so each base term of its batch is folded once per direction.
+Each law gets its tables, compares rows and calls no operator.
 A deliberately corrupted gamma-upper operator is provided so the checker's
 failure path itself stays under test.
 """
@@ -439,14 +440,17 @@ def _labels_for(size: int) -> tuple[str, ...]:
 def random_order(rng: random.Random, universe: Universe) -> PartialOrder:
     """Random partial order: a DAG over the index order (each forward edge
     with probability 1/2) closed reflexively and transitively; forward-only
-    edges keep it antisymmetric by construction."""
+    edges keep it antisymmetric by construction. Each point's successors
+    come later, so one pass from the last point closes it."""
     n = universe.size
     succ = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.5:
                 succ[i] |= 1 << j
-    succ = approx._closure(succ, succ)
+    for i in reversed(range(n)):
+        for j in _points(succ[i]):
+            succ[i] |= succ[j]
     return validate_order(universe, ((i, j) for i in range(n) for j in _points(succ[i])))
 
 

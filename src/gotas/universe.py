@@ -12,7 +12,7 @@ import reprlib
 from functools import reduce
 from itertools import chain, compress, repeat
 from operator import add, and_, or_
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Maps the digits of a binary string to the bytes 0 and 1, so that the
 # encoded string selects labels in ``itertools.compress`` or reads as one
@@ -239,20 +239,15 @@ class Batch:
     operation acts on all W lanes, as in Biham's bit-sliced DES (1997). The
     set algebra is Subset's, lane by lane; comparisons return the mask of
     the lanes where they fail instead of a bool.
-
-    ``folds`` remembers the result of each ``all_of``/``any_of`` call,
-    keyed by the operation and the plan's identity; each entry keeps its
-    plan, so that the id stays taken. ``forget`` drops them.
     """
 
-    __slots__ = ("universe", "columns", "width", "lanes", "folds")
+    __slots__ = ("universe", "columns", "width", "lanes")
 
     def __init__(self, universe: Universe, columns: tuple[int, ...], width: int) -> None:
         self.universe = universe
         self.columns = columns
         self.width = width
         self.lanes = (1 << width) - 1
-        self.folds: dict[tuple[Callable, int], tuple[Plan, Batch]] = {}
 
     @classmethod
     def of(cls, universe: Universe, rows: Sequence[int]) -> Batch:
@@ -330,25 +325,12 @@ class Batch:
     def all_of(self, plan: Plan) -> Batch:
         """Column x is the AND of the columns of M(x), x's mask in ``plan``:
         the lanes holding all of its points."""
-        return self._folded(plan, and_)
+        return self._fold(plan, and_)
 
     def any_of(self, plan: Plan) -> Batch:
         """Column x is the OR of the columns of M(x), x's mask in ``plan``:
         the lanes meeting it."""
-        return self._folded(plan, or_)
-
-    def _folded(self, plan: Plan, op) -> Batch:
-        key = (op, id(plan))
-        hit = self.folds.get(key)
-        if hit is None:
-            hit = self.folds[key] = (plan, self._fold(plan, op))
-        return hit[1]
-
-    def forget(self) -> None:
-        """Drop the remembered folds, and those of their results."""
-        folds, self.folds = self.folds, {}
-        for _, result in folds.values():
-            result.forget()
+        return self._fold(plan, or_)
 
     def _fold(self, plan: Plan, op) -> Batch:
         """One result per class of ``plan``, folding its own points'

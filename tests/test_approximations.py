@@ -1,4 +1,8 @@
 import random
+import sys
+import threading
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -245,21 +249,108 @@ def test_duality_on_random_spaces():
             assert ap.r_lower(g, a, DEC) == ap.r_upper(g, comp, INC).complement()
 
 
-def test_memo_stays_within_its_bound():
+# A space's three parts. Besides them it holds only its kernel and the
+# kernel's plan, each built on first use.
+_PARTS = {"universe", "topology", "order"}
+
+
+def test_a_space_holds_only_its_kernel_caches():
     u = Universe([f"e{i}" for i in range(40)])
     g = Gotas(u, generate_topology(u, []), equality_order(u))
+    assert set(vars(g)) == _PARTS
     rng = random.Random(0)
     for _ in range(4000):
         ap.full_report(g, u.from_bits(rng.getrandbits(40)))
-        assert len(g.memo) <= ap.MEMO_LIMIT
+    assert set(vars(g)) == _PARTS | {"kernel"}
 
 
-def test_memo_keys_are_ints_and_the_kernel_is_built_on_first_use():
-    g = random_space(random.Random(4), 5)
-    assert "kernel" not in vars(g)
-    ap.full_report(g, g.universe.from_bits(5))
-    assert "kernel" in vars(g)
-    assert g.memo and all(type(key) is int for key in g.memo)
+@pytest.mark.parametrize("labels, computed", [
+    (("a", "c"), 12), (("a",), 10), ((), 4), (("a", "b", "c", "d"), 4),
+])
+def test_a_scalar_report_computes_each_base_term_once(monkeypatch, labels, computed):
+    # 48 base-operator calls per report; equal terms, within or across
+    # families, are computed once. A second report computes them afresh.
+    done = []
+    for name in ("points_within", "points_meeting"):
+        scan = getattr(ap, name)
+        monkeypatch.setattr(ap, name, lambda *args, scan=scan: done.append(1) or scan(*args))
+    g = make_example_space()
+    for _ in range(2):
+        ap.full_report(g, g.universe.subset(labels))
+    assert len(done) == 2 * computed
+
+
+def _with_r_lower(lower):
+    """The default suite with ``lower`` as R's lower operator."""
+    return replace(ap.DEFAULT_SUITE, lower={**ap._LOWER, R: lower})
+
+
+def _churning_suite(log):
+    """The default suite, but R's lower first runs the base operators on
+    temporaries, each built from random rows and dropped at once, in the
+    table's space and in a second space over the same universe, and logs
+    the results."""
+
+    def lower(g, a, d):
+        u, rng = g.universe, random.Random(len(log))
+        other = Gotas(u, generate_topology(u, [u.from_bits(1)]), equality_order(u))
+        for _ in range(4):
+            rows = [rng.getrandbits(u.size) for _ in range(a.width)]
+            x = Batch.of(u, rows)
+            for space in (g, other):
+                log.append((space, rows, d, ap.r_lower(space, x, d).rows(),
+                            ap.r_upper(space, x, d).rows()))
+            del x  # frees its id for the next temporary, unless a memo holds it
+        return ap.r_lower(g, a, d)
+
+    return _with_r_lower(lower)
+
+
+def test_base_operators_on_temporaries_inside_a_table_are_exact():
+    g = random_space(random.Random(2), 5)
+    powerset, log = Batch.powerset(g.universe), []
+    rows = ap.Rows(g, powerset, _churning_suite(log), (R,))
+    assert len(log) == 16
+    for space, operand, d, lower, upper in log:
+        x = Batch.of(g.universe, operand)
+        assert (lower, upper) == (ap.r_lower(space, x, d).rows(), ap.r_upper(space, x, d).rows())
+    for d in DIRECTION_ORDER:
+        assert rows[R, d].lower.rows() == ap.r_lower(g, powerset, d).rows()
+
+
+def test_threads_sharing_a_space_build_tables_with_their_own_memos():
+    g = random_space(random.Random(3), 6)
+    rng = random.Random(0)
+    operands = [Batch.of(g.universe, [rng.getrandbits(6) for _ in range(16)]) for _ in range(4)]
+    want = [[(r.lower.rows(), r.upper.rows()) for r in ap.Rows(g, x).values()] for x in operands]
+    memos, got = [], {}
+
+    def lower(space, a, d):
+        memo = ap._MEMO.get()
+        time.sleep(0.001)  # the other threads open and close tables meanwhile
+        memos.append(memo if ap._MEMO.get() is memo else None)
+        return ap.r_lower(space, a, d)
+
+    def build(k):
+        for _ in range(20):
+            rows = ap.Rows(g, operands[k % 4], _with_r_lower(lower))
+            got[k] = [(r.lower.rows(), r.upper.rows()) for r in rows.values()]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {k: want[k % 4] for k in range(8)}
+    # Each table keeps its own memo, read twice (Inc and Dec) while it is built.
+    assert None not in memos
+    assert len(memos) == 2 * 8 * 20 and len({id(m) for m in memos}) == 8 * 20
 
 
 def test_gotas_rejects_mismatched_components():

@@ -783,6 +783,21 @@ def test_a_huge_label_gives_a_short_error_line(runner, tmp_path, doc, args, mess
     assert len(result.stderr) < len(path) + 80 * message.count(_HUGE_REPR)
 
 
+# --set splits its value on commas and strips each name, so no --set names
+# these labels; a document that holds one is refused.
+@pytest.mark.parametrize("label, shown", [
+    ("", "''"), (" b", "' b'"), ("b\t", "'b\\t'"), ("c,d", "'c,d'"),
+    (_HUGE + ",", "'" + "x" * 12 + "..." + "x" * 12 + ",'"),
+], ids=["empty", "leading-space", "trailing-tab", "comma", "huge"])
+def test_a_label_that_set_cannot_name_is_an_input_error(runner, tmp_path, label, shown):
+    path = write_doc(tmp_path, {**_VALID, "universe": ["a", "b", label]}, name="doc.json")
+    result = runner.invoke(main, ["topology", path])
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert result.stdout == ""
+    assert result.stderr == (f"error: {path}: field 'universe': label {shown} is empty, "
+                             "holds a comma or starts or ends with whitespace\n")
+
+
 @pytest.mark.parametrize("field", ["order", "relation"])
 def test_a_nested_pair_entry_gives_a_short_error_line(runner, tmp_path, field):
     # 400 levels parse well inside the recursion limit, even under pytest.

@@ -7,7 +7,8 @@ runs. ``cli_digests.json`` holds the expected digests: a change to any
 output, message or exit code on the corpus shows up as a mismatched case.
 
 For a deliberate change of output, ``PYTHONPATH=src python
-tests/test_cli_digests.py`` rewrites that table from the current code.
+tests/test_cli_digests.py`` rewrites that table from the current code and
+prints the name of each case it adds, changes or removes.
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ def corpus() -> list[tuple[str, str, str]]:
     for size in (9, 10):
         for kind in ("base", "relation"):
             docs.append((f"{kind}{size}", *_random_doc(rng, size, kind == "relation", False)))
+    docs.append(("comma-label", json.dumps({**_PAIR, "universe": ["a", "b", "c,d"]}), "a"))
     return docs
 
 
@@ -118,6 +120,13 @@ if __name__ == "__main__":
     import tempfile
 
     table = TABLE.resolve()
+    old = json.loads(table.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
-        table.write_text(json.dumps(digests(CliRunner()), indent=1) + "\n", encoding="utf-8")
+        new = digests(CliRunner())
+    table.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
+    for name, digest in new.items():
+        if old.get(name) != digest:
+            print("changed" if name in old else "added", name)
+    for name in old.keys() - new.keys():
+        print("removed", name)

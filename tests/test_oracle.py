@@ -90,10 +90,10 @@ class TestOracleOperators:
         with pytest.raises(CapExceededError):
             oracle_diff(space)
 
-    def test_diff_leaves_the_memo_empty(self):
+    def test_diff_leaves_only_the_kernel_caches(self):
         space = random_space(random.Random(8), 8)
         assert oracle_diff(space) == (1024, [])
-        assert space.memo == {}
+        assert set(vars(space)) == {"universe", "topology", "order", "kernel", "kernel_plan"}
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -299,20 +299,33 @@ def test_a_sampled_check_folds_each_base_term_once(g, folds):
     assert len(folds) == FOLDS_PER_CHECK
 
 
-def test_no_operand_batch_keeps_its_folds(g, probe, built_rows):
+def test_no_memo_outlives_a_table(g, probe, folds):
     for space in (g, probe):
         check_propositions(space)
         check_propositions(space, samples=64, rng=random.Random(3))
-    assert len(built_rows) == 4 * 6
-    assert all(x.folds == {} for x in built_rows)
-    rows = ap.Rows(g, Batch.powerset(g.universe))
-    assert all(x.folds == {} for row in rows.values()
-               for x in (row.lower, row.upper, row.opposite_upper))
+        ap.Rows(space, space.universe.from_bits(5))
+    assert ap._MEMO.get(None) is None
+    seen = []
+
+    def failing(space, a, d):
+        seen.append(ap._MEMO.get(None))
+        raise RuntimeError("failing suite")
+
+    suite = replace(DEFAULT_SUITE, upper={**DEFAULT_SUITE.upper, GAMMA: failing})
+    with pytest.raises(RuntimeError, match="failing suite"):
+        ap.Rows(g, Batch.powerset(g.universe), suite)
+    assert seen and seen[0] is not None
+    assert ap._MEMO.get(None) is None
+    # Outside a table, each base call folds afresh.
+    folds.clear()
+    batch = Batch.powerset(g.universe)
+    assert ap.r_lower(g, batch, INC).rows() == ap.r_lower(g, batch, INC).rows()
+    assert len(folds) == 2
 
 
 def test_a_batch_gets_each_space_its_own_folds():
     # Two spaces over one universe: the same batch, passed through both,
-    # keeps both spaces' folds and must hand each space its own.
+    # must get each space its own results.
     u = Universe(["a", "b", "c"])
     chain = validate_order(u, [(0, 1), (1, 2), (0, 2)])
     spaces = [Gotas(u, generate_topology(u, [u.subset(["a"])]), equality_order(u)),
@@ -323,7 +336,6 @@ def test_a_batch_gets_each_space_its_own_folds():
             got = [op(space, batch, d).rows() for space in spaces]
             assert got == [[op(space, x, d).bits for x in u.subsets()] for space in spaces]
             assert got[0] != got[1]
-    assert len(batch.folds) == 8
 
 
 def test_operands_equal_by_value_keep_their_own_tables(built_rows):
