@@ -1,5 +1,7 @@
 import random
 from dataclasses import replace
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -278,25 +280,51 @@ def folds(monkeypatch):
 
 # Per operand batch and direction, the distinct base terms: r_lower A,
 # r_upper A, r_upper(r_lower A), r_lower(r_upper A), and for beta
-# r_lower(r_upper(r_lower A)), r_upper(r_lower(r_upper A)). Six each for
-# A and the four binary operands, R's two for the complement of A:
-# (5 · 6 + 2) · 2 = 64 folds, against 164 base-operator calls.
-FOLDS_PER_CHECK = 64
+# r_lower(r_upper(r_lower A)), r_upper(r_lower(r_upper A)). Six each for A
+# and for each binary operand whose table is built, R's two for the
+# complement of A. A passing exhaustive check decides the binary laws on A's
+# table and builds only A's and its complement's: (6 + 2) · 2 = 16 folds.
+# A sampled check, or an exhaustive one whose suite fails a binary law,
+# builds the four binary tables as well: (5 · 6 + 2) · 2 = 64 folds.
+FOLDS_PER_CHECK = 16
+FOLDS_WITH_PAIR_TABLES = 64
+
+
+def _minus_interior_lower(g, a, d):
+    return a - ap.r_lower(g, a, d)
+
+
+# A gamma lower that is not monotone but reads no base term beyond the six.
+NONMONOTONE_GAMMA_LOWER = replace(
+    DEFAULT_SUITE, lower={**DEFAULT_SUITE.lower, GAMMA: _minus_interior_lower})
 
 
 def test_check_builds_each_operand_once(g, built_rows, folds):
     assert all(r.passed for r in check_propositions(g))
-    unit, (a, b) = Batch.powerset(g.universe), Batch.pairs(g.universe)
-    want = (unit, unit.complement(), a, b, a & b, a | b)
+    unit = Batch.powerset(g.universe)
+    assert (sorted((x.width, x.columns) for x in built_rows)
+            == sorted((x.width, x.columns) for x in (unit, unit.complement())))
+    assert len(folds) == FOLDS_PER_CHECK
+
+
+def test_a_sampled_check_folds_each_base_term_once(g, built_rows, folds):
+    assert all(r.passed for r in check_propositions(g, samples=256))
     assert len(built_rows) == 6
+    assert len(folds) == FOLDS_WITH_PAIR_TABLES
+
+
+def test_a_failing_binary_law_builds_the_pair_tables_once(g, built_rows, folds, monkeypatch):
+    calls = []
+    pairs = Batch.pairs
+    monkeypatch.setattr(Batch, "pairs", classmethod(lambda cls, u: calls.append(u) or pairs(u)))
+    reports = check_propositions(g, suite=NONMONOTONE_GAMMA_LOWER)
+    assert "3.3" in {r.proposition for r in reports if not r.passed}
+    assert calls == [g.universe]
+    unit, (a, b) = Batch.powerset(g.universe), pairs(g.universe)
+    want = (unit, unit.complement(), a, b, a & b, a | b)
     assert (sorted((x.width, x.columns) for x in built_rows)
             == sorted((x.width, x.columns) for x in want))
-    assert len(folds) == FOLDS_PER_CHECK
-
-
-def test_a_sampled_check_folds_each_base_term_once(g, folds):
-    assert all(r.passed for r in check_propositions(g, samples=256))
-    assert len(folds) == FOLDS_PER_CHECK
+    assert len(folds) == FOLDS_WITH_PAIR_TABLES
 
 
 def test_no_memo_outlives_a_table(g, probe, folds):
@@ -393,7 +421,13 @@ class TestCheckPropositions:
         with pytest.raises(CapExceededError):
             check_propositions(space)
 
-    def test_exhaustive_check_at_the_cap(self):
+    def test_exhaustive_check_at_the_cap(self, monkeypatch):
+        # Every binary law passes on its cover pairs, so no pair batch of
+        # 4ⁿ lanes is built.
+        def refuse(*args):
+            raise AssertionError("a passing check built the pair batches")
+
+        monkeypatch.setattr(Batch, "pairs", classmethod(refuse))
         u = Universe([f"e{k}" for k in range(EXHAUSTIVE_CAP)])
         blocks = random_partition(random.Random(4), u)
         reports = check_propositions(partition_space(u, blocks))
@@ -460,10 +494,6 @@ def _outside_closure_lower(g, a, d):
 
 def _outside_interior_upper(g, a, d):
     return a | ap.r_lower(g, a.complement(), d)
-
-
-def _minus_interior_lower(g, a, d):
-    return a - ap.r_lower(g, a, d)
 
 
 def _outside_opposite_interior_upper(g, a, d):
@@ -544,6 +574,54 @@ def test_wrong_suites_fail_every_law_with_pinned_witnesses(g):
                 got[name, r.proposition] = (r.instances, violation.detail)
     assert got == WRONG_SUITE_WITNESSES
     assert {pid for _, pid in got} == set(PROPOSITION_IDS)
+
+
+def _pair_route(g, suite):
+    """(instances, witness details) of each binary law, run on the tables of
+    A, B, A∩B and A∪B over all 4ⁿ pairs as an exhaustive check ran them
+    before the cover-pair route: the reference for that route."""
+    a, b = Batch.pairs(g.universe)
+    tables = [ap.Rows(g, x, suite, oracle._BINARY_FAMILIES) for x in (a, b, a & b, a | b)]
+    got = {}
+    for pid, kind, law in oracle._CATALOGUE:
+        if kind != "binary":
+            continue
+        claims = list(law(*tables))
+        failed = reduce(or_, (mask for mask, _, _ in claims), 0)
+        if not failed:
+            got[pid] = (a.width, [])
+            continue
+        lane = (failed & -failed).bit_length() - 1
+        template, values = next((t, v) for mask, t, v in claims if mask >> lane & 1)
+        got[pid] = (lane + 1, [template % tuple(v.lane(lane) for v in values)])
+    return got
+
+
+def test_binary_laws_match_the_pair_route(g, probe):
+    lower, upper = DEFAULT_SUITE.lower, DEFAULT_SUITE.upper
+    suites = {
+        "default": DEFAULT_SUITE, "corrupted": corrupted_suite(), **_wrong_suites(),
+        # One non-monotone row each.
+        "gamma lower": NONMONOTONE_GAMMA_LOWER,
+        "gamma upper": replace(DEFAULT_SUITE, upper={**upper, GAMMA: _outside_interior_upper}),
+        "beta lower": replace(DEFAULT_SUITE, lower={**lower, BETA: _outside_closure_lower}),
+        "beta upper": replace(DEFAULT_SUITE,
+                              upper={**upper, BETA: _outside_opposite_interior_upper}),
+    }
+    rng = random.Random(21)
+    spaces = [g, probe] + [random_space(rng, 1 + i % 6) for i in range(36)]
+    failures = dict.fromkeys(suites, 0)
+    for space in spaces:
+        for name, suite in suites.items():
+            want = _pair_route(space, suite)
+            got = {r.proposition: (r.instances, [v.detail for v in r.violations])
+                   for r in check_propositions(space, suite=suite) if r.proposition in want}
+            assert got == want, (name, space.universe.size)
+            failures[name] += sum(bool(v) for _, v in want.values())
+    # Suites whose gamma and beta rows are monotone pass every binary law;
+    # each other one fails some, so the routes are compared on failures too.
+    assert [name for name, count in failures.items() if not count] == [
+        "default", "corrupted", "swapped_r", "flipped_r"]
 
 
 class TestGenerators:
