@@ -14,14 +14,14 @@ the law checker reads.
 The checker runs a catalogue of algebraic laws over all subsets (and all
 pairs, for the binary laws) of a space, bit-sliced into batches, and
 reports one result per law, with the first counterexample kept as a
-witness. The check builds each operand batch once, with one row table
-each: A for the unary laws (duality adds its complement), and A, B, A∩B and
-A∪B for the binary ones. An exhaustive check first decides each binary law
-on A's table, as the monotonicity of one row over cover pairs, and builds
-the four pair tables only when a law fails there, to find its witness. A
-table holds the families its laws read and derives them in one pass; it
-remembers each base-operator result while it is built, so each base term
-of its batch is folded once per direction.
+witness. Each binary law is one row that must be monotone (antitone, for a
+negative region); it is checked on comparable pairs X ⊆ Y. An exhaustive
+check reads the cover pairs (A, A ∪ {x}) off A's table, which decide every
+pair; a sampled check reads the four comparable pairs of each drawn A, B
+off the tables of A, B, A∩B and A∪B. A table holds the families its laws
+read and derives them in one pass; it remembers each base-operator result
+while it is built, so each base term of its batch is folded once per
+direction.
 Each law gets its tables, compares rows and calls no operator.
 A deliberately corrupted gamma-upper operator is provided so the checker's
 failure path itself stays under test.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field, replace
-from functools import cache, reduce
+from functools import reduce
 from operator import and_, or_
 from typing import Callable, Iterable
 
@@ -222,13 +222,19 @@ class PropositionReport:
         return not self.violations
 
 
-# Each law is a generator of claims over the row table of a batch of subsets
-# (unary laws) or over the tables of A, B, A∩B and A∪B (binary laws): (fail
-# mask, witness template, operands), in the order a check of one instance
-# tests them. The template's %s fields take the operands' values at the
-# failing lane. A table's batch is its ``a``; a value in a law is named by
-# its (family, row field). Only duality reads the complement of A, and only
-# its R rows, so it builds that table itself.
+# Each unary law is a generator of claims over the row table of a batch of
+# subsets: (fail mask, witness template, operands), in the order a check of
+# one instance tests them. The template's %s fields take the operands' values
+# at the failing lane. A table's batch is its ``a``; a value in a law is named
+# by its (family, row field). Only duality reads the complement of A, and
+# only its R rows, so it builds that table itself.
+#
+# Each binary law is one row that must be monotone (antitone, for a negative
+# region) in both directions: (family, row field, antitone, witness). It
+# holds on every pair A, B iff that row is. ⇐: each clause follows, since
+# f(A∩B) lies in f(A) and f(B) and both lie in f(A∪B). ⇒: at a pair A ⊆ B
+# that breaks monotonicity, A∩B = A and A∪B = B, so the stated ∩, ∪ or Neg
+# clause fails. ``_breaks`` turns the row into claims over comparable pairs.
 
 
 def _sandwich(rows):
@@ -238,21 +244,6 @@ def _sandwich(rows):
             lo, up = rows[family, d].lower, rows[family, d].upper
             yield (lo.outside(a) | a.outside(up),
                    f"{family.label} {d.label}: expected %s within %s within %s", (lo, a, up))
-
-
-def _lattice_laws(fam, field, label):
-    def claims(ra, rb, ri, ru):
-        a, b = ra.a, rb.a
-        for d in DIRECTION_ORDER:
-            xa, xb = getattr(ra[fam, d], field), getattr(rb[fam, d], field)
-            yield (~a.outside(b) & xa.outside(xb),
-                   f"{d.label}: {label} not monotone at A=%s, B=%s", (a, b))
-            yield (getattr(ri[fam, d], field).outside(xa & xb),
-                   f"{d.label}: {label}(A∩B) exceeds the intersection at A=%s, B=%s", (a, b))
-            yield ((xa | xb).outside(getattr(ru[fam, d], field)),
-                   f"{d.label}: {label}(A∪B) misses the union at A=%s, B=%s", (a, b))
-
-    return claims
 
 
 def _exact_transfer(fam, label):
@@ -280,22 +271,6 @@ def _inclusion_chain(*steps):
             values = [(name, getattr(rows[fam, d], field)) for fam, field, name in steps]
             for (nx, x), (ny, y) in zip(values, values[1:]):
                 yield x.outside(y), f"{d.label}: A=%s: {nx} %s not within {ny} %s", (rows.a, x, y)
-
-    return claims
-
-
-def _neg_laws(fam):
-    def claims(ra, rb, ri, ru):
-        a, b = ra.a, rb.a
-        for d in DIRECTION_ORDER:
-            na, nb, ni, nu = (rows[fam, d].negative for rows in (ra, rb, ri, ru))
-            where = f"{d.label}: A=%s, B=%s"
-            # Proof forms, which imply the looser stated forms.
-            yield nu.outside(na & nb), f"{where}: Neg(A∪B) %s not within Neg(A)∩Neg(B)", (a, b, nu)
-            yield (na | nb).outside(ni), f"{where}: Neg(A)∪Neg(B) not within Neg(A∩B) %s", (a, b, ni)
-            # Stated forms, asserted as well.
-            yield nu.outside(na | nb), f"{where}: Neg(A∪B) %s not within Neg(A)∪Neg(B)", (a, b, nu)
-            yield (na & nb).outside(ni), f"{where}: Neg(A)∩Neg(B) not within Neg(A∩B) %s", (a, b, ni)
 
     return claims
 
@@ -332,14 +307,40 @@ def _duality(rows):
                f"A=%s: duality {x} {d.label} vs {y} {d.opposite.label}: %s vs %s", (a, left, right))
 
 
-_R, _S, _P, _G, _B = FAMILY_ORDER
-# The families the binary laws read.
-_BINARY_FAMILIES = (_G, _B)
+def _breaks(family, field, antitone, witness, tables, pairs):
+    """The claims of a binary law on comparable pairs X ⊆ Y, each (lanes, i,
+    j, k): on those lanes, X's lane s is lane s of ``tables[i]`` and Y's is
+    lane s + k of ``tables[j]``. For each pair, then each direction, the
+    lanes where the row at X is not within the row at Y (the reverse, if
+    antitone). Only failing claims are yielded."""
+    rows = [{d: getattr(t[family, d], field) for d in DIRECTION_ORDER} for t in tables]
+    for lanes, i, j, k in pairs:
+        for d in DIRECTION_ORDER:
+            fx, fy = rows[i][d], rows[j][d]
+            fail = 0
+            for p, q in zip(fx.columns, fy.columns):
+                q >>= k
+                fail |= q & ~p if antitone else p & ~q
+            fail &= lanes
+            if fail:
+                x, y = tables[i].a, _shifted(tables[j].a, k)
+                # The negative-region witness names the row at Y, Neg(A∪B), too.
+                operands = (x, y, _shifted(fy, k)) if antitone else (x, y)
+                yield fail, f"{d.label}: {witness}", operands
 
-_CATALOGUE: tuple[tuple[str, str, Callable], ...] = (
+
+def _shifted(batch: Batch, k: int) -> Batch:
+    """Lane s of the result is lane s + k of ``batch``."""
+    return Batch(batch.universe, tuple(c >> k for c in batch.columns), batch.width)
+
+
+_R, _S, _P, _G, _B = FAMILY_ORDER
+_NEG_WITNESS = "A=%s, B=%s: Neg(A∪B) %s not within Neg(A)∩Neg(B)"
+
+_CATALOGUE: tuple[tuple[str, str, Callable | tuple], ...] = (
     ("sandwich", "unary", _sandwich),
-    ("3.2", "binary", _lattice_laws(_G, "upper", "gamma upper")),
-    ("3.3", "binary", _lattice_laws(_G, "lower", "gamma lower")),
+    ("3.2", "binary", (_G, "upper", False, "gamma upper not monotone at A=%s, B=%s")),
+    ("3.3", "binary", (_G, "lower", False, "gamma lower not monotone at A=%s, B=%s")),
     ("3.4", "unary", _exact_transfer(_G, "gamma")),
     ("3.5", "unary", _inclusion((_R, "lower"), (_G, "lower"), "R lower within gamma lower")),
     ("3.6", "unary", _inclusion((_G, "upper"), (_R, "upper"), "gamma upper within R upper")),
@@ -347,13 +348,13 @@ _CATALOGUE: tuple[tuple[str, str, Callable], ...] = (
     ("3.8", "unary", _inclusion((_S, "lower"), (_G, "lower"), "semi lower within gamma lower")),
     ("3.9", "unary", _inclusion((_P, "upper"), (_G, "upper"), "pre upper within gamma upper")),
     ("3.10", "unary", _inclusion((_B, "upper"), (_P, "upper"), "beta upper within pre upper")),
-    ("3.12", "binary", _lattice_laws(_B, "upper", "beta upper")),
-    ("3.13", "binary", _lattice_laws(_B, "lower", "beta lower")),
+    ("3.12", "binary", (_B, "upper", False, "beta upper not monotone at A=%s, B=%s")),
+    ("3.13", "binary", (_B, "lower", False, "beta lower not monotone at A=%s, B=%s")),
     ("3.14", "unary", _exact_transfer(_B, "beta")),
     ("3.15", "unary", _inclusion((_R, "lower"), (_B, "lower"), "R lower within beta lower")),
     ("3.16", "unary", _inclusion((_B, "upper"), (_R, "upper"), "beta upper within R upper")),
-    ("3.18", "binary", _neg_laws(_G)),
-    ("3.19", "binary", _neg_laws(_B)),
+    ("3.18", "binary", (_G, "negative", True, _NEG_WITNESS)),
+    ("3.19", "binary", (_B, "negative", True, _NEG_WITNESS)),
     ("3.20", "unary", _inclusion_chain(
         (_S, "lower", "semi lower"), (_G, "lower", "gamma lower"), (_B, "lower", "beta lower"))),
     ("3.21", "unary", _inclusion_chain(
@@ -373,40 +374,6 @@ _CATALOGUE: tuple[tuple[str, str, Callable], ...] = (
 
 PROPOSITION_IDS = tuple(pid for pid, _, _ in _CATALOGUE)
 
-# The row each binary law reads, as (family, row field, antitone). The law
-# holds on every pair iff that row is monotone (antitone, for a negative
-# region) in both directions. ⇐: each clause follows, since f(A∩B) lies in
-# f(A) and f(B) and both lie in f(A∪B). ⇒: at a pair A, B = A ∪ {x} that
-# breaks monotonicity, A∩B = A and A∪B = B, so the law's first clause fails.
-_COVER_ROWS = {
-    "3.2": (_G, "upper", False),
-    "3.3": (_G, "lower", False),
-    "3.12": (_B, "upper", False),
-    "3.13": (_B, "lower", False),
-    "3.18": (_G, "negative", True),
-    "3.19": (_B, "negative", True),
-}
-
-
-def _holds_on_covers(rows, family, field, antitone) -> bool:
-    """Whether the row ``field`` of ``family`` is monotone (or antitone) in
-    both directions, read off the row table of the powerset batch.
-
-    A map f is monotone iff f(A) ⊆ f(A ∪ {x}) for each cover pair: each A
-    and each point x outside it. Lane A ∪ {x} is lane A + 2**x, so shifting
-    a row column right by 2**x lines it up with lane A, and the lanes
-    without x are the complement of the powerset's column x."""
-    without = [rows.a.lanes & ~point for point in rows.a.columns]
-    for d in DIRECTION_ORDER:
-        for c in getattr(rows[family, d], field).columns:
-            for x, clear in enumerate(without):
-                lo, hi = c, c >> (1 << x)
-                if antitone:
-                    lo, hi = hi, lo
-                if lo & ~hi & clear:
-                    return False
-    return True
-
 
 def check_propositions(
     g: Gotas,
@@ -419,57 +386,62 @@ def check_propositions(
     """Run the whole law catalogue over a space.
 
     Without ``samples`` the run is exhaustive (all subsets, all pairs) and
-    the universe must not exceed ``EXHAUSTIVE_CAP``; with ``samples`` that
-    many random subsets/pairs are drawn instead. Every law runs on all its
-    instances at once, one batch lane each; its first failing lane is the
-    instance a one-at-a-time check would stop at, so ``instances`` is that
-    lane's index plus one, and its first failing claim gives the witness.
+    the universe must not exceed ``EXHAUSTIVE_CAP``; with ``samples`` (at
+    least 1) that many random subsets/pairs are drawn instead. Every law
+    runs on all its instances at once, one batch lane each; its first
+    failing lane is the instance a one-at-a-time check would stop at, so
+    ``instances`` is that lane's index plus one, and its first failing claim
+    gives the witness. A passing law reports all its instances.
 
-    An exhaustive check decides each binary law on the powerset table
-    first (``_COVER_ROWS``). A pass proves all 4ⁿ pairs and reports them
-    all; only a law that fails gets the tables of A, B, A∩B and A∪B over
-    all pairs, which give its first failing pair and its witness.
+    A binary law is checked as the monotonicity of one row on comparable
+    pairs X ⊆ Y, and its witness names the first pair that breaks it. An
+    exhaustive check reads the cover pairs (A, A ∪ {x}) off the powerset
+    table, by A and then x; by the catalogue's lemma they decide all 4ⁿ
+    pairs, and a failing law's ``instances`` is its witness's index
+    a·2ⁿ + b among them, plus one. A sampled check reads (A∩B, A),
+    (A∩B, B), (A, A∪B) and (B, A∪B) off the tables of the drawn A, B, A∩B
+    and A∪B; a drawn pair breaks the law's clauses iff one of these breaks
+    the row.
     """
     suite = suite if suite is not None else DEFAULT_SUITE
     u = g.universe
     if samples is None:
         _guard_cap(g, EXHAUSTIVE_CAP, "exhaustive")
-        unit, pairs = Batch.powerset(u), None
+        unit = Batch.powerset(u)
+        unary = approx.Rows(g, unit, suite)
+        tables, all_pairs = (unary,), unit.width ** 2
+        # Lane A ∪ {x} is lane A + 2**x, and the lanes without x are the
+        # complement of the powerset's column x.
+        pairs = [(unit.lanes & ~c, 0, 0, 1 << x) for x, c in enumerate(unit.columns)]
     else:
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         rng = rng if rng is not None else random.Random(0)
         units = [rng.getrandbits(u.size) for _ in range(samples)]
         draws = [rng.getrandbits(u.size) for _ in range(2 * samples)]
-        unit, *pairs = (Batch.of(u, x) for x in (units, draws[0::2], draws[1::2]))
+        unit, a, b = (Batch.of(u, x) for x in (units, draws[0::2], draws[1::2]))
+        unary = approx.Rows(g, unit, suite)
+        tables = tuple(approx.Rows(g, x, suite, (_G, _B)) for x in (a, b, a & b, a | b))
+        all_pairs = samples
+        # (A∩B, A), (A∩B, B), (A, A∪B) and (B, A∪B).
+        pairs = [(unit.lanes, i, j, 0) for i, j in ((2, 0), (2, 1), (0, 3), (1, 3))]
 
-    # One row table per operand batch, kept for the whole call; the binary
-    # operands' tables are built when a binary law first needs them.
-    @cache
-    def binary_tables() -> tuple[approx.Rows, ...]:
-        a, b = pairs or Batch.pairs(u)
-        return tuple(approx.Rows(g, x, suite, _BINARY_FAMILIES) for x in (a, b, a & b, a | b))
-
-    unary = approx.Rows(g, unit, suite)
     label = space_label
     reports = []
     for pid, kind, law in _CATALOGUE:
-        if kind == "unary":
-            tables = (unary,)
-        elif samples is None and _holds_on_covers(unary, *_COVER_ROWS[pid]):
-            # By the cover-pair lemma the law holds on every pair.
-            reports.append(PropositionReport(pid, unit.width ** 2))
-            continue
-        else:
-            tables = binary_tables()
-        claims = list(law(*tables))
+        binary = kind == "binary"
+        claims = list(_breaks(*law, tables, pairs) if binary else law(unary))
         failed = reduce(or_, (mask for mask, _, _ in claims), 0)
         if not failed:
-            reports.append(PropositionReport(pid, tables[0].a.width))
+            reports.append(PropositionReport(pid, all_pairs if binary else unit.width))
             continue
         lane = (failed & -failed).bit_length() - 1
-        template, values = next((t, v) for mask, t, v in claims if mask >> lane & 1)
+        template, operands = next((t, v) for mask, t, v in claims if mask >> lane & 1)
+        values = tuple(v.lane(lane) for v in operands)
+        if binary and samples is None:
+            lane = lane * unit.width + values[1].bits  # the pair's index a·2ⁿ + b
         label = label or _space_label(g)
-        detail = template % tuple(v.lane(lane) for v in values)
-        reports.append(PropositionReport(pid, lane + 1, [Violation(label, detail)]))
+        reports.append(PropositionReport(pid, lane + 1, [Violation(label, template % values)]))
     return reports
 
 

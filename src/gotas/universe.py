@@ -260,15 +260,6 @@ class Batch:
         n = universe.size
         return cls(universe, tuple(_counting_columns(n)), 1 << n)
 
-    @classmethod
-    def pairs(cls, universe: Universe) -> tuple[Batch, Batch]:
-        """Every ordered pair of subsets (A, B): lane a·2ⁿ + b holds the
-        subsets with bitmasks a and b."""
-        n = universe.size
-        columns = _counting_columns(2 * n)
-        return (cls(universe, tuple(columns[n:]), 1 << 2 * n),
-                cls(universe, tuple(columns[:n]), 1 << 2 * n))
-
     @property
     def bits(self) -> tuple[int, ...]:
         """The columns: hashable, like ``Subset.bits``. Nothing in the

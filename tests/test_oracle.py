@@ -1,7 +1,6 @@
 import random
+import re
 from dataclasses import replace
-from functools import reduce
-from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -281,11 +280,11 @@ def folds(monkeypatch):
 # Per operand batch and direction, the distinct base terms: r_lower A,
 # r_upper A, r_upper(r_lower A), r_lower(r_upper A), and for beta
 # r_lower(r_upper(r_lower A)), r_upper(r_lower(r_upper A)). Six each for A
-# and for each binary operand whose table is built, R's two for the
-# complement of A. A passing exhaustive check decides the binary laws on A's
-# table and builds only A's and its complement's: (6 + 2) · 2 = 16 folds.
-# A sampled check, or an exhaustive one whose suite fails a binary law,
-# builds the four binary tables as well: (5 · 6 + 2) · 2 = 64 folds.
+# and for each binary operand, R's two for the complement of A. An
+# exhaustive check reads the binary laws off A's table, passing or failing,
+# and builds only A's and its complement's: (6 + 2) · 2 = 16 folds. A
+# sampled check builds the four binary tables as well: (5 · 6 + 2) · 2 = 64
+# folds.
 FOLDS_PER_CHECK = 16
 FOLDS_WITH_PAIR_TABLES = 64
 
@@ -297,6 +296,16 @@ def _minus_interior_lower(g, a, d):
 # A gamma lower that is not monotone but reads no base term beyond the six.
 NONMONOTONE_GAMMA_LOWER = replace(
     DEFAULT_SUITE, lower={**DEFAULT_SUITE.lower, GAMMA: _minus_interior_lower})
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The lane count of every batch built from here on."""
+    seen = []
+    init = Batch.__init__
+    monkeypatch.setattr(Batch, "__init__",
+                        lambda self, u, columns, width: seen.append(width) or init(self, u, columns, width))
+    return seen
 
 
 def test_check_builds_each_operand_once(g, built_rows, folds):
@@ -313,18 +322,21 @@ def test_a_sampled_check_folds_each_base_term_once(g, built_rows, folds):
     assert len(folds) == FOLDS_WITH_PAIR_TABLES
 
 
-def test_a_failing_binary_law_builds_the_pair_tables_once(g, built_rows, folds, monkeypatch):
-    calls = []
-    pairs = Batch.pairs
-    monkeypatch.setattr(Batch, "pairs", classmethod(lambda cls, u: calls.append(u) or pairs(u)))
-    reports = check_propositions(g, suite=NONMONOTONE_GAMMA_LOWER)
-    assert "3.3" in {r.proposition for r in reports if not r.passed}
-    assert calls == [g.universe]
-    unit, (a, b) = Batch.powerset(g.universe), pairs(g.universe)
-    want = (unit, unit.complement(), a, b, a & b, a | b)
+@pytest.mark.parametrize("suite", [DEFAULT_SUITE, NONMONOTONE_GAMMA_LOWER],
+                         ids=["passing", "failing"])
+def test_an_exhaustive_check_at_the_cap_reads_only_the_powerset(suite, built_rows, folds, widths):
+    # Passing or failing, the binary laws are read off A's table: no batch
+    # is wider than the powerset, and the check folds as often as a pass.
+    u = Universe([f"e{k}" for k in range(EXHAUSTIVE_CAP)])
+    space = partition_space(u, random_partition(random.Random(4), u))
+    reports = check_propositions(space, suite=suite)
+    failed = {r.proposition for r in reports if not r.passed}
+    assert "3.3" in failed if suite is NONMONOTONE_GAMMA_LOWER else not failed
+    unit = Batch.powerset(u)
     assert (sorted((x.width, x.columns) for x in built_rows)
-            == sorted((x.width, x.columns) for x in want))
-    assert len(folds) == FOLDS_WITH_PAIR_TABLES
+            == sorted((x.width, x.columns) for x in (unit, unit.complement())))
+    assert max(widths) == 2 ** EXHAUSTIVE_CAP
+    assert len(folds) == FOLDS_PER_CHECK
 
 
 def test_no_memo_outlives_a_table(g, probe, folds):
@@ -421,13 +433,7 @@ class TestCheckPropositions:
         with pytest.raises(CapExceededError):
             check_propositions(space)
 
-    def test_exhaustive_check_at_the_cap(self, monkeypatch):
-        # Every binary law passes on its cover pairs, so no pair batch of
-        # 4ⁿ lanes is built.
-        def refuse(*args):
-            raise AssertionError("a passing check built the pair batches")
-
-        monkeypatch.setattr(Batch, "pairs", classmethod(refuse))
+    def test_exhaustive_check_at_the_cap(self):
         u = Universe([f"e{k}" for k in range(EXHAUSTIVE_CAP)])
         blocks = random_partition(random.Random(4), u)
         reports = check_propositions(partition_space(u, blocks))
@@ -441,6 +447,11 @@ class TestCheckPropositions:
         reports = check_propositions(space, samples=60, rng=random.Random(5))
         assert all(r.passed for r in reports)
         assert all(r.instances == 60 for r in reports)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampled_mode_needs_a_sample(self, g, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            check_propositions(g, samples=samples)
 
     def test_known_divergence_gamma_upper_vs_semi_upper(self, probe):
         # The union-form gamma upper is not bounded by the semi upper: on
@@ -528,7 +539,7 @@ def _wrong_suites():
 # on the worked example, exhaustively. Together they reach all 26 laws.
 WRONG_SUITE_WITNESSES = {
     ('nonmonotone', '3.2'): (2, 'Inc: gamma upper not monotone at A={}, B={a}'),
-    ('nonmonotone', '3.3'): (19, 'Inc: gamma lower(A∪B) misses the union at A={a}, B={b}'),
+    ('nonmonotone', '3.3'): (36, 'Inc: gamma lower not monotone at A={b}, B={a, b}'),
     ('nonmonotone', '3.4'): (1, 'Inc: A={} is R exact but not gamma exact'),
     ('nonmonotone', '3.5'): (16, 'Inc: A={a, b, c, d}: R lower within gamma lower: {a, b, c, d} not within {}'),
     ('nonmonotone', '3.6'): (1, 'Inc: A={}: gamma upper within R upper: {a, b, c, d} not within {}'),
@@ -537,7 +548,7 @@ WRONG_SUITE_WITNESSES = {
     ('nonmonotone', '3.9'): (2, 'Dec: A={a}: pre upper within gamma upper: {a, b} not within {a}'),
     ('nonmonotone', '3.10'): (1, 'Inc: A={}: beta upper within pre upper: {a, b, c, d} not within {}'),
     ('nonmonotone', '3.12'): (2, 'Inc: beta upper not monotone at A={}, B={a}'),
-    ('nonmonotone', '3.13'): (19, 'Dec: beta lower(A∪B) misses the union at A={a}, B={b}'),
+    ('nonmonotone', '3.13'): (36, 'Dec: beta lower not monotone at A={b}, B={a, b}'),
     ('nonmonotone', '3.14'): (1, 'Inc: A={} is R exact but not beta exact'),
     ('nonmonotone', '3.15'): (2, 'Dec: A={a}: R lower within beta lower: {a} not within {}'),
     ('nonmonotone', '3.16'): (1, 'Inc: A={}: beta upper within R upper: {a, b, c, d} not within {}'),
@@ -576,28 +587,90 @@ def test_wrong_suites_fail_every_law_with_pinned_witnesses(g):
     assert {pid for _, pid in got} == set(PROPOSITION_IDS)
 
 
-def _pair_route(g, suite):
-    """(instances, witness details) of each binary law, run on the tables of
-    A, B, A∩B and A∪B over all 4ⁿ pairs as an exhaustive check ran them
-    before the cover-pair route: the reference for that route."""
-    a, b = Batch.pairs(g.universe)
-    tables = [ap.Rows(g, x, suite, oracle._BINARY_FAMILIES) for x in (a, b, a & b, a | b)]
-    got = {}
-    for pid, kind, law in oracle._CATALOGUE:
-        if kind != "binary":
-            continue
-        claims = list(law(*tables))
-        failed = reduce(or_, (mask for mask, _, _ in claims), 0)
-        if not failed:
-            got[pid] = (a.width, [])
-            continue
-        lane = (failed & -failed).bit_length() - 1
-        template, values = next((t, v) for mask, t, v in claims if mask >> lane & 1)
-        got[pid] = (lane + 1, [template % tuple(v.lane(lane) for v in values)])
-    return got
+# The row each binary law reads, (family, row field, antitone), and the
+# clauses the law states on a pair A, B in one direction, given that row's
+# values at A, B, A∩B and A∪B as bitmasks.
+BINARY_ROWS = {
+    "3.2": (GAMMA, "upper", False), "3.3": (GAMMA, "lower", False),
+    "3.12": (BETA, "upper", False), "3.13": (BETA, "lower", False),
+    "3.18": (GAMMA, "negative", True), "3.19": (BETA, "negative", True),
+}
 
 
-def test_binary_laws_match_the_pair_route(g, probe):
+def _within(x, y):
+    return not x & ~y
+
+
+def _clauses(antitone, a, b, fa, fb, fi, fu):
+    if antitone:
+        # Neg(A∪B) within Neg(A)∩Neg(B) and within Neg(A)∪Neg(B);
+        # Neg(A)∪Neg(B) and Neg(A)∩Neg(B) within Neg(A∩B).
+        return (_within(fu, fa & fb), _within(fa | fb, fi),
+                _within(fu, fa | fb), _within(fa & fb, fi))
+    # Monotone, then f(A∩B) within the intersection, then the union within f(A∪B).
+    return (not _within(a, b) or _within(fa, fb), _within(fi, fa & fb), _within(fa | fb, fu))
+
+
+def _witness_pair(u, detail):
+    """The direction and the (A, B) bitmasks a binary law's witness names."""
+    m = re.match(r"(Inc|Dec): .*?A=\{([^}]*)\}, B=\{([^}]*)\}", detail)
+    x, y = (u.subset([label for label in part.split(", ") if label]).bits
+            for part in m.group(2, 3))
+    return {"Inc": INC, "Dec": DEC}[m.group(1)], x, y
+
+
+def _check_binary_laws_against_scalars(space, suite, samples, seed):
+    """Check each binary law's exhaustive and sampled reports against the
+    scalar rows of every subset; returns how many laws fail exhaustively."""
+    u, n = space.universe, space.universe.size
+    width = 1 << n
+    rows = [ap.Rows(space, u.from_bits(m), suite, (GAMMA, BETA)) for m in range(width)]
+    rng = random.Random(seed)
+    [rng.getrandbits(n) for _ in range(samples)]  # the unary draws come first
+    draws = [rng.getrandbits(n) for _ in range(2 * samples)]
+    exhaustive, sampled = ({r.proposition: r for r in reports if r.proposition in BINARY_ROWS}
+                           for reports in (check_propositions(space, suite=suite),
+                                           check_propositions(space, suite=suite, samples=samples,
+                                                              rng=random.Random(seed))))
+    failures = 0
+    for pid, (family, field, antitone) in BINARY_ROWS.items():
+        f = {d: [getattr(r[family, d], field).bits for r in rows] for d in (INC, DEC)}
+
+        def breaks(a, b):
+            return any(not all(_clauses(antitone, a, b, f[d][a], f[d][b], f[d][a & b], f[d][a | b]))
+                       for d in (INC, DEC))
+
+        def breaks_row(d, x, y):
+            return not (_within(f[d][y], f[d][x]) if antitone else _within(f[d][x], f[d][y]))
+
+        def check_witness(report):
+            d, x, y = _witness_pair(u, report.violations[0].detail)
+            assert _within(x, y) and breaks_row(d, x, y), (pid, report.violations)
+            return d, x, y
+
+        report = exhaustive[pid]
+        assert report.passed == (not any(breaks(a, b) for a in range(width) for b in range(width)))
+        if report.passed:
+            assert report.instances == width ** 2
+        else:
+            failures += 1
+            first = next((d, a, a | 1 << x) for a in range(width) for x in range(n)
+                         if not a >> x & 1 for d in (INC, DEC) if breaks_row(d, a, a | 1 << x))
+            d, x, y = check_witness(report)
+            assert (d, x, y) == first and report.instances == x * width + y + 1, pid
+        report = sampled[pid]
+        hit = next((i for i in range(samples) if breaks(draws[2 * i], draws[2 * i + 1])), None)
+        assert report.passed == (hit is None)
+        if report.passed:
+            assert report.instances == samples
+        else:
+            a, b = draws[2 * hit: 2 * hit + 2]
+            assert report.instances == hit + 1
+            assert check_witness(report)[1:] in {(a & b, a), (a & b, b), (a, a | b), (b, a | b)}
+    return failures
+
+
+def test_binary_laws_match_a_scalar_reference(g, probe):
     lower, upper = DEFAULT_SUITE.lower, DEFAULT_SUITE.upper
     suites = {
         "default": DEFAULT_SUITE, "corrupted": corrupted_suite(), **_wrong_suites(),
@@ -609,17 +682,13 @@ def test_binary_laws_match_the_pair_route(g, probe):
                               upper={**upper, BETA: _outside_opposite_interior_upper}),
     }
     rng = random.Random(21)
-    spaces = [g, probe] + [random_space(rng, 1 + i % 6) for i in range(36)]
+    spaces = [g, probe] + [random_space(rng, 1 + i % 5) for i in range(20)]
     failures = dict.fromkeys(suites, 0)
-    for space in spaces:
+    for i, space in enumerate(spaces):
         for name, suite in suites.items():
-            want = _pair_route(space, suite)
-            got = {r.proposition: (r.instances, [v.detail for v in r.violations])
-                   for r in check_propositions(space, suite=suite) if r.proposition in want}
-            assert got == want, (name, space.universe.size)
-            failures[name] += sum(bool(v) for _, v in want.values())
+            failures[name] += _check_binary_laws_against_scalars(space, suite, 24, i)
     # Suites whose gamma and beta rows are monotone pass every binary law;
-    # each other one fails some, so the routes are compared on failures too.
+    # each other one fails some, so the reports are compared on failures too.
     assert [name for name, count in failures.items() if not count] == [
         "default", "corrupted", "swapped_r", "flipped_r"]
 

@@ -49,10 +49,10 @@ def test_tracer_sees_every_layer():
     assert "approximations.base_calls" not in topology
     assert analyze["approximations.report_ms"] > 0
     # A row table derives each family's rows once, so the ten rows of
-    # analyze take 48 base calls and the exhaustive check 164; deriving
+    # analyze take 48 base calls and the exhaustive check 52; deriving
     # every region or law value on its own takes 72 and 528. The count
     # takes in the calls a batch answers from its remembered folds: the
-    # check folds 64 times.
+    # check folds 16 times.
     assert 0 < analyze["approximations.base_calls"] < 72
     assert check["oracle.law_instances"] > 0
     assert 0 < check["approximations.base_calls"] <= 264
