@@ -277,7 +277,7 @@ class ApproxReport:
     def positive(self) -> Sets:
         return self.lower
 
-    @property
+    @cached_property
     def negative(self) -> Sets:
         return self.opposite_upper.complement()
 

@@ -3,13 +3,13 @@
 The oracle recomputes the directed base approximations from their defining
 property, independently of the minimal-neighborhood kernel used by the fast
 operators. It builds its own open family from a base of the generators,
-lists per direction the monotone opens and monotone closeds from the
-closure of every subset under the order, and for every subset picks the
-greatest candidate inside it (or the smallest around it) by a subset-union
-(subset-intersection) transform, asserting that pick is unique. The picks
-form one table per space, ``oracle_table``; ``oracle_diff`` compares
-it with the fast operators run on the powerset batch, the bit-sliced path
-the law checker reads.
+marks per direction the monotone opens and monotone closeds among the 2ⁿ
+powerset lanes, and picks the greatest candidate inside every subset (or
+the smallest around it) one point column at a time, by an upward
+(downward) closure in the subset lattice, asserting each pick is unique.
+The picks form one table of columns per space, ``oracle_table``;
+``oracle_diff`` compares it with the fast operators run on the powerset
+batch, the bit-sliced path the law checker reads.
 
 The checker runs a catalogue of algebraic laws over all subsets (and all
 pairs, for the binary laws) of a space, bit-sliced into batches, and
@@ -33,7 +33,7 @@ import random
 import string
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from operator import and_, or_
+from operator import and_, or_, xor
 from typing import Callable, Iterable
 
 from . import approximations as approx
@@ -47,7 +47,7 @@ from .approximations import (
 )
 from .order import PartialOrder, equality_order, validate_order
 from .topology import Topology, generate_topology
-from .universe import Batch, Subset, Universe, _points
+from .universe import Batch, Subset, Universe, _counting_columns, _points, _transpose
 
 ORACLE_CAP = 11
 EXHAUSTIVE_CAP = 10
@@ -84,48 +84,48 @@ def open_family(topology: Topology) -> frozenset[int]:
     return frozenset(family)
 
 
-def oracle_table(g: Gotas) -> dict[Direction, tuple[list[int], list[int]]]:
+def oracle_table(g: Gotas) -> dict[Direction, tuple[tuple[int, ...], tuple[int, ...]]]:
     """The oracle's r_lower and r_upper of every subset, per direction, as
-    two bitmask lists indexed by the subset's bitmask: the greatest
-    d-monotone open inside it and the smallest d-monotone closed around it.
+    two tuples of columns over the 2**n powerset lanes, lane a for the
+    subset with bitmask a: bit a of column x is set iff x is in the greatest
+    d-monotone open inside a (or the smallest d-monotone closed around a).
 
-    The union of the candidates inside a subset is the greatest one iff it
-    is itself a candidate (dually for the intersection around it), so the
-    unions and intersections are checked against the candidates; the first
-    subset that fails is handed to the per-subset pick, which raises."""
+    That is iff a lies above a candidate holding x (or below none missing
+    x): an upward (downward) closure in the subset lattice. The union of
+    the candidates inside a is the greatest one iff it is itself one
+    (dually around a). It has a's candidates inside it, so it picks itself,
+    as does every candidate: all picks are candidates iff the lanes that
+    pick themselves are the candidate lanes. If not, the columns are
+    transposed and the first subset whose pick is no candidate is handed
+    to the per-subset pick, which raises."""
     _guard_cap(g, ORACLE_CAP, "oracle")
-    u, opens = g.universe, open_family(g.topology)
-    n, full = u.size, u.full_mask
+    has = _counting_columns(g.universe.size)  # has[x]: the lanes holding point x
+    width = 1 << len(has)
+    lanes = (1 << width) - 1
+    opens = sum(map((1).__lshift__, open_family(g.topology)))
+    closeds = int(format(opens, f"0{width}b")[::-1], 2)  # lane full ^ a is lane width - 1 - a
     table = {}
     for d in DIRECTION_ORDER:
-        # out[a] is the union of reach[x] over x in a; a is d-monotone iff
-        # that adds nothing (the order is reflexive).
-        out = [0]
-        for r in g.order.succ if d is Direction.INC else g.order.pred:
-            out += [o | r for o in out]
-        monotone = [a for a, c in enumerate(out) if a == c]
-        inside = [a for a in monotone if a in opens]
-        around = [a for a in monotone if full ^ a in opens]
-        lo, up = [0] * len(out), [full] * len(out)
-        for a in inside:
-            lo[a] = a
-        for a in around:
-            up[a] = a
-        # Each round joins every entry whose lowest index bit is set with the
-        # entry without it (or meets every entry without it with the one
-        # with it), then a perfect shuffle rotates the index bits one place
-        # right: after n rounds every bit has been folded once and the
-        # entries are back in bitmask order.
-        for _ in range(n):
-            lo[1::2] = map(or_, lo[1::2], lo[0::2])
-            up[0::2] = map(and_, up[0::2], up[1::2])
-            lo, up = lo[0::2] + lo[1::2], up[0::2] + up[1::2]
-        for picks, candidates, pick in ((lo, inside, _greatest_inside),
-                                        (up, around, _smallest_around)):
-            allowed = set(candidates)
-            if not allowed.issuperset(picks):
-                pick(u, candidates, next(a for a, p in enumerate(picks) if p not in allowed))
-        table[d] = (lo, up)
+        broken = 0  # the lanes holding some x but missing a point of reach(x)
+        for x, r in enumerate(g.order.succ if d is Direction.INC else g.order.pred):
+            for y in _points(r):
+                broken |= has[x] & ~has[y]
+        inside, around = opens & ~broken, closeds & ~broken
+        lo, up = [], []
+        for c in has:
+            low, high = inside & c, around & ~c
+            for k, p in enumerate(has):
+                low |= low << (1 << k) & p  # lane a without k reaches a ∪ {k}
+                high |= (high & p) >> (1 << k)  # lane a with k reaches a - {k}
+            lo.append(low)
+            up.append(lanes ^ high)
+        table[d] = tuple(lo), tuple(up)
+        for cols, candidates, pick in zip(table[d], (inside, around),
+                                          (_greatest_inside, _smallest_around)):
+            if lanes & ~reduce(or_, map(xor, cols, has)) != candidates:
+                allowed = list(_points(candidates))
+                rows, known = _transpose(cols, width), set(allowed)
+                pick(g.universe, allowed, next(a for a, r in enumerate(rows) if r not in known))
     return table
 
 
@@ -165,15 +165,15 @@ def oracle_diff(g: Gotas) -> tuple[int, list[str]]:
     u = g.universe
     powerset = Batch.powerset(u)
     checks = [
-        (f"{name} {d.label}", fast(g, powerset, d), want)
+        (f"{name} {d.label}", fast(g, powerset, d), Batch(u, want, powerset.width))
         for d in DIRECTION_ORDER
         for (name, fast), want in zip(
             (("r_lower", approx.r_lower), ("r_upper", approx.r_upper)), table[d]
         )
     ]
-    differs = [got.differs(Batch.of(u, want)) for _, got, want in checks]
+    differs = [got.differs(want) for _, got, want in checks]
     mismatches = [
-        f"{what} of {u.from_bits(a)}: main {got.lane(a)}, oracle {u.from_bits(want[a])}"
+        f"{what} of {u.from_bits(a)}: main {got.lane(a)}, oracle {want.lane(a)}"
         for a in _points(reduce(or_, differs, 0))
         for (what, got, want), mask in zip(checks, differs)
         if mask >> a & 1

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from gotas import Gotas, Topology, Universe, equality_order, generate_topology, validate_order
-from gotas.oracle import random_space
+from gotas import Batch, Gotas, Topology, Universe, equality_order, generate_topology, validate_order
+from gotas.oracle import oracle_table, random_space
 
 # Every hypothesis test draws the same examples on each run; a test's own
 # @settings override only the values it names.
@@ -31,6 +31,14 @@ def make_example_space() -> Gotas:
     topology = generate_topology(u, [u.subset(labels) for labels in EXAMPLE_BASE])
     order = validate_order(u, [(u.index(x), u.index(y)) for x, y in EXAMPLE_ORDER])
     return Gotas(u, topology, order)
+
+
+def oracle_rows(g: Gotas) -> dict:
+    """``oracle_table(g)`` read as rows: per direction, the r_lower and
+    r_upper bitmask of every subset, in a list indexed by its bitmask."""
+    u = g.universe
+    return {d: tuple(Batch(u, cols, 1 << u.size).rows() for cols in pair)
+            for d, pair in oracle_table(g).items()}
 
 
 def make_probe_space() -> Gotas:

@@ -20,9 +20,9 @@ from gotas import (
     generate_topology,
     topology_from_relation,
 )
-from gotas.oracle import oracle_table, random_order, random_space
+from gotas.oracle import random_order, random_space
 
-from conftest import make_example_space
+from conftest import make_example_space, oracle_rows
 
 INC, DEC = Direction.INC, Direction.DEC
 R, S, P, GAMMA, BETA = FAMILY_ORDER
@@ -110,6 +110,11 @@ class TestRegions:
         assert ap.negative(g, a, BETA, INC) == sub(g, "d")
         assert ap.negative(g, a, GAMMA, INC) == g.universe.empty()
         assert ap.negative(g, a, S, INC) == g.universe.empty()
+
+    def test_derived_regions_are_built_once_per_row(self, g):
+        row = ap.Rows(g, Batch.powerset(g.universe))[BETA, INC]
+        assert row.negative is row.negative
+        assert row.boundary is row.boundary
 
 
 class TestAccuracyAndExactness:
@@ -211,7 +216,7 @@ def test_every_row_matches_the_oracle_table():
     # batch, against the oracle composed independently of the fast operators.
     for g in _row_test_spaces():
         u = g.universe
-        table = oracle_table(g)
+        table = oracle_rows(g)
         batch = ap.Rows(g, Batch.powerset(u))
         columns = {(f, d): {name: getattr(batch[f, d], name).rows() for name in _SETS}
                    for f in FAMILY_ORDER for d in DIRECTION_ORDER}

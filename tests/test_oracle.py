@@ -34,8 +34,9 @@ from gotas.oracle import (
     _greatest_inside,
     _smallest_around,
 )
+from gotas.universe import _counting_columns
 
-from conftest import make_example_space
+from conftest import make_example_space, oracle_rows
 from strategies import spaces
 
 INC, DEC = Direction.INC, Direction.DEC
@@ -49,13 +50,14 @@ def g():
 
 class TestOracleOperators:
     def test_golden_values(self, g):
-        table = oracle_table(g)
+        table = oracle_rows(g)
         a, full = g.universe.subset(["a", "c"]).bits, g.universe.full_mask
         assert table[DEC][0][a] == g.universe.subset(["a"]).bits
         assert table[DEC][1][a] == full
         assert table[INC][0][0] == 0
         assert table[DEC][1][full] == full
         assert [len(rows) for d in (INC, DEC) for rows in table[d]] == [16] * 4
+        assert [len(cols) for pair in oracle_table(g).values() for cols in pair] == [4] * 4
 
     def test_agreement_with_fast_operators_on_random_spaces(self):
         rng = random.Random(1234)
@@ -100,7 +102,7 @@ class TestOracleOperators:
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(spaces(max_size=11))
 def test_fast_base_operators_match_the_oracle(g):
-    table = oracle_table(g)
+    table = oracle_rows(g)
     for d in (INC, DEC):
         lower, upper = table[d]
         for a in g.universe.subsets():
@@ -118,6 +120,15 @@ def test_pick_asserts_a_unique_greatest_and_smallest():
     with pytest.raises(RuntimeError) as upper:
         _smallest_around(u, [0b101, 0b110, 0b111], 0b100)
     assert str(upper.value) == "no unique smallest candidate around {c}: {a, c} vs {b, c}"
+
+
+def _outcome(build, space):
+    """What ``build(space)`` gives: its table, or the type and text of the
+    error it raises."""
+    try:
+        return build(space)
+    except (RuntimeError, ValueError) as error:
+        return type(error), str(error)
 
 
 def _scanned_table(g):
@@ -149,7 +160,7 @@ def _reference_spaces():
 
 def test_table_equals_the_per_subset_scan():
     for space in _reference_spaces():
-        assert oracle_table(space) == _scanned_table(space), space
+        assert oracle_rows(space) == _scanned_table(space), space
 
 
 @pytest.mark.parametrize("family, text", [
@@ -172,6 +183,25 @@ def test_a_family_without_unique_picks_raises_as_the_scan_does(monkeypatch, fami
     assert text in (None, raised[0][1])
 
 
+def test_perturbed_families_raise_as_the_scan_does(monkeypatch):
+    # Toggling a few masks of the open family can leave a subset without a
+    # unique pick, inside or around it; the column check must then raise the
+    # per-subset scan's error, at the same subset.
+    rng, family = random.Random(29), oracle.open_family
+    texts = set()
+    for _ in range(300):
+        space = random_space(rng, rng.randint(1, 6), max_generators=rng.randint(0, 6))
+        masks = set(family(space.topology))
+        for _ in range(rng.randint(1, 3)):
+            masks ^= {rng.getrandbits(space.universe.size)}
+        monkeypatch.setattr(oracle, "open_family", lambda topology: frozenset(masks))
+        got = _outcome(oracle_rows, space)
+        assert got == _outcome(_scanned_table, space), space
+        if isinstance(got, tuple) and got[0] is RuntimeError:
+            texts.add(got[1].split(" candidate ")[0])
+    assert texts == {"no unique greatest", "no unique smallest"}
+
+
 def test_table_uses_no_batch_and_no_kernel(monkeypatch):
     spaces = [random_space(random.Random(23), size) for size in (1, 4, 8)]
     want = [oracle_table(space) for space in spaces]
@@ -181,6 +211,8 @@ def test_table_uses_no_batch_and_no_kernel(monkeypatch):
 
     monkeypatch.setattr(Batch, "powerset", classmethod(refuse))
     monkeypatch.setattr(Batch, "of", classmethod(refuse))
+    monkeypatch.setattr(Batch, "rows", refuse)
+    monkeypatch.setattr(oracle, "_transpose", refuse)
     monkeypatch.setattr(Gotas, "kernel", property(refuse))
     monkeypatch.setattr(Gotas, "kernel_plan", property(refuse))
     fresh = [random_space(random.Random(23), size) for size in (1, 4, 8)]
@@ -193,7 +225,10 @@ def test_discrete_space_at_the_oracle_cap_is_exact():
     u = Universe([f"e{k}" for k in range(11)])
     space = Gotas(u, generate_topology(u, [u.subset([x]) for x in u.labels]), equality_order(u))
     every = list(range(1 << 11))
-    assert oracle_table(space) == {INC: (every, every), DEC: (every, every)}
+    assert oracle_rows(space) == {INC: (every, every), DEC: (every, every)}
+    # Lane a picks a itself: column x is the lanes holding x.
+    points = tuple(_counting_columns(11))
+    assert oracle_table(space) == {INC: (points, points), DEC: (points, points)}
 
 
 # oracle_diff's lines when the fast r_lower reads the opposite direction.
