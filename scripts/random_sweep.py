@@ -17,7 +17,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from gotas.oracle import EXHAUSTIVE_CAP, PROPOSITION_IDS, check_propositions, random_space
+from gotas.oracle import POWERSET_CAP, PROPOSITION_IDS, check_propositions, random_space
 
 
 @dataclass
@@ -59,8 +59,8 @@ def run(config: SweepConfig) -> int:
 def _sizes(text: str) -> tuple[int, ...]:
     # argparse reports a ValueError or ArgumentTypeError here as a usage error.
     sizes = tuple(int(s) for s in text.split(","))
-    if not all(1 <= size <= EXHAUSTIVE_CAP for size in sizes):
-        raise argparse.ArgumentTypeError(f"sizes must lie within 1-{EXHAUSTIVE_CAP}: {text}")
+    if not all(1 <= size <= POWERSET_CAP for size in sizes):
+        raise argparse.ArgumentTypeError(f"sizes must lie within 1-{POWERSET_CAP}: {text}")
     return sizes
 
 
@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     defaults = SweepConfig()
     parser.add_argument("--count", type=int, default=defaults.count)
     parser.add_argument("--sizes", type=_sizes, default=defaults.sizes,
-                        help=f"comma separated universe sizes within 1-{EXHAUSTIVE_CAP}, cycled")
+                        help=f"comma separated universe sizes within 1-{POWERSET_CAP}, cycled")
     parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument("--show-witnesses", type=int, default=defaults.show_witnesses)
     args = parser.parse_args(argv)

@@ -229,9 +229,8 @@ class Accuracies:
 
     def __init__(self, lo: Batch, up: Batch) -> None:
         self.num, self.den = lo.counts(), up.counts()
-        # Lanes with an empty upper approximation read 1/1, as in ``_terms``.
         for s in _points(up.lanes & ~up.nonempty()):
-            self.num[s] = self.den[s] = 1
+            self.num[s], self.den[s] = _terms(self.num[s], 0)
 
     def exceeds(self, other: Accuracies) -> int:
         """Lanes where this accuracy is greater than ``other``'s. One flag

@@ -47,7 +47,7 @@ from .universe import Subset, Universe
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 # A sampled check's memory grows with the sample count: 65536 samples on a 200-point
-# sparse relation take about 1.5 s and peak near 145 MB.
+# sparse relation take about 1.8 s and peak near 170 MB.
 MAX_SAMPLES = 1 << 16
 # The most opens `topology` lists; n points can carry up to 2**n.
 MAX_OPENS = 1 << 16
@@ -142,17 +142,6 @@ def parse_document(text: str, source: str = "<document>") -> dict:
     return raw
 
 
-def load_document(path: str | Path) -> dict:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise DocumentError(f"cannot read {path}: {e.strerror}") from None
-    except UnicodeDecodeError as e:
-        raise DocumentError(f"{path}: byte {e.start} is not valid UTF-8") from None
-    return parse_document(text, source=str(path))
-
-
 def build_space(doc: dict) -> Gotas:
     """The space of a document from ``parse_document``; each label is
     resolved once, straight into the bitmasks of the topology and order."""
@@ -172,7 +161,14 @@ def build_space(doc: dict) -> Gotas:
 
 def load_space(path: str | Path) -> Gotas:
     """The space of the document at ``path``; every input error names it."""
-    doc = load_document(path)
+    file = Path(path)
+    try:
+        text = file.read_text(encoding="utf-8")
+    except OSError as e:
+        raise DocumentError(f"cannot read {file}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise DocumentError(f"{file}: byte {e.start} is not valid UTF-8") from None
+    doc = parse_document(text, source=str(file))
     try:
         return build_space(doc)
     except ValueError as e:
@@ -308,7 +304,7 @@ def cmd_check(file: str, exhaustive: bool, samples: int | None, seed: int,
     if samples is not None and samples > MAX_SAMPLES:
         _fail_input(f"--samples must be at most {MAX_SAMPLES}")
     g = _space_or_exit(file)
-    if samples is None and not exhaustive and g.universe.size > oracle.EXHAUSTIVE_CAP:
+    if samples is None and not exhaustive and g.universe.size > oracle.POWERSET_CAP:
         samples = 256
     suite = oracle.corrupted_suite() if corrupt_gamma else None
     try:

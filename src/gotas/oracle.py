@@ -9,7 +9,9 @@ the smallest around it) one point column at a time, by an upward
 (downward) closure in the subset lattice, asserting each pick is unique.
 The picks form one table of columns per space, ``oracle_table``;
 ``oracle_diff`` compares it with the fast operators run on the powerset
-batch, the bit-sliced path the law checker reads.
+batch, the bit-sliced path the law checker reads. The table and an
+exhaustive check both scan the 2ⁿ subsets, so one cap, ``POWERSET_CAP``,
+bounds both.
 
 The checker runs a catalogue of algebraic laws over all subsets (and all
 pairs, for the binary laws) of a space, bit-sliced into batches, and
@@ -49,18 +51,20 @@ from .order import PartialOrder, equality_order, validate_order
 from .topology import Topology, generate_topology
 from .universe import Batch, Subset, Universe, _counting_columns, _points, _transpose
 
-ORACLE_CAP = 11
-EXHAUSTIVE_CAP = 10
+# The most points whose 2**n subsets the oracle table or an exhaustive check
+# scans: at 16 the slowest measured shape takes under 0.2 s and 35 MB for
+# either, at 17 about 0.4 s (BENCH_24.json).
+POWERSET_CAP = 16
 
 
 class CapExceededError(ValueError):
-    """The universe is too large for a powerset scan with the given cap."""
+    """The universe is too large for a powerset scan."""
 
 
-def _guard_cap(g: Gotas, cap: int, what: str) -> None:
-    if g.universe.size > cap:
+def _guard_cap(g: Gotas) -> None:
+    if g.universe.size > POWERSET_CAP:
         raise CapExceededError(
-            f"universe size {g.universe.size} exceeds the {what} cap {cap}"
+            f"universe size {g.universe.size} exceeds the powerset cap {POWERSET_CAP}"
         )
 
 
@@ -98,7 +102,7 @@ def oracle_table(g: Gotas) -> dict[Direction, tuple[tuple[int, ...], tuple[int, 
     pick themselves are the candidate lanes. If not, the columns are
     transposed and the first subset whose pick is no candidate is handed
     to the per-subset pick, which raises."""
-    _guard_cap(g, ORACLE_CAP, "oracle")
+    _guard_cap(g)
     has = _counting_columns(g.universe.size)  # has[x]: the lanes holding point x
     width = 1 << len(has)
     lanes = (1 << width) - 1
@@ -386,7 +390,7 @@ def check_propositions(
     """Run the whole law catalogue over a space.
 
     Without ``samples`` the run is exhaustive (all subsets, all pairs) and
-    the universe must not exceed ``EXHAUSTIVE_CAP``; with ``samples`` (at
+    the universe must not exceed ``POWERSET_CAP``; with ``samples`` (at
     least 1) that many random subsets/pairs are drawn instead. Every law
     runs on all its instances at once, one batch lane each; its first
     failing lane is the instance a one-at-a-time check would stop at, so
@@ -406,7 +410,7 @@ def check_propositions(
     suite = suite if suite is not None else DEFAULT_SUITE
     u = g.universe
     if samples is None:
-        _guard_cap(g, EXHAUSTIVE_CAP, "exhaustive")
+        _guard_cap(g)
         unit = Batch.powerset(u)
         unary = approx.Rows(g, unit, suite)
         tables, all_pairs = (unary,), unit.width ** 2

@@ -15,6 +15,7 @@ from gotas.cli import (
     main,
     parse_document,
 )
+from gotas.oracle import POWERSET_CAP
 
 from conftest import make_example_space
 from test_oracle import FLIPPED_R_LOWER_LINES
@@ -253,13 +254,14 @@ class TestCheckCommand:
         assert all(p["pass"] for p in payload["propositions"])
 
     def test_exhaustive_over_cap_is_an_input_error(self, runner, tmp_path):
+        cap = POWERSET_CAP
         doc = write_doc(
             tmp_path,
-            {"universe": list("abcdefghijk"), "base": [], "order": []},
+            {"universe": [f"e{i}" for i in range(cap + 1)], "base": [], "order": []},
         )
         result = runner.invoke(main, ["check", doc, "--exhaustive"])
         assert result.exit_code == EXIT_INPUT_ERROR
-        assert "cap" in result.stderr
+        assert result.stderr == f"error: universe size {cap + 1} exceeds the powerset cap {cap}\n"
 
     def test_sampled_mode_on_larger_space(self, runner, tmp_path):
         doc = write_doc(
@@ -370,18 +372,21 @@ class TestCheckCommand:
         assert result.stderr == "error: --samples must be positive\n"
 
     def test_over_the_exhaustive_cap_without_flags_samples_256(self, runner, tmp_path):
-        doc = write_doc(tmp_path, {"universe": list("abcdefghijk"), "base": [["a"]], "order": []})
+        labels = [f"e{i}" for i in range(POWERSET_CAP + 1)]
+        doc = write_doc(tmp_path, {"universe": labels, "base": [["e0"]], "order": []})
         result = runner.invoke(main, ["check", doc, "--format", "json"])
         payload = json.loads(result.output)
         assert payload["mode"] == "sampled:256"
         assert {p["instances"] for p in payload["propositions"] if p["pass"]} == {256}
 
     def test_up_to_the_exhaustive_cap_without_flags_runs_exhaustively(self, runner, tmp_path):
-        doc = write_doc(tmp_path, {"universe": list("abcdefghij"), "base": [["a"]], "order": []})
+        cap = POWERSET_CAP
+        labels = [f"e{i}" for i in range(cap)]
+        doc = write_doc(tmp_path, {"universe": labels, "base": [["e0"]], "order": []})
         result = runner.invoke(main, ["check", doc, "--format", "json"])
         payload = json.loads(result.output)
         assert payload["mode"] == "exhaustive"
-        assert {p["instances"] for p in payload["propositions"] if p["pass"]} == {2**10, 4**10}
+        assert {p["instances"] for p in payload["propositions"] if p["pass"]} == {2**cap, 4**cap}
 
     def test_corrupted_fixture_mode_fails(self, runner, tmp_path):
         doc = write_doc(tmp_path, PROBE_DOC)
@@ -589,25 +594,25 @@ class TestOracleDiffCommand:
         assert result.exit_code == 0
         assert result.output == "0 mismatches / 8 comparisons\n"
 
-    def test_default_cap_admits_eleven_points(self, runner, tmp_path):
-        labels = [f"e{i}" for i in range(11)]
+    def test_cap_admits_its_own_size(self, runner, tmp_path):
+        labels = [f"e{i}" for i in range(POWERSET_CAP)]
         doc = write_doc(tmp_path, {
             "universe": labels,
             "base": [labels[:4], labels[2:7], labels[6:]],
-            "order": [[labels[i], labels[i + 1]] for i in range(0, 10, 2)],
+            "order": [[labels[i], labels[i + 1]] for i in range(0, len(labels) - 1, 2)],
         })
         result = runner.invoke(main, ["oracle-diff", doc])
         assert result.exit_code == 0
-        assert result.output == "0 mismatches / 8192 comparisons\n"
+        assert result.output == f"0 mismatches / {4 << POWERSET_CAP} comparisons\n"
 
     def test_discrete_space_at_the_cap_has_no_mismatch(self, runner, tmp_path):
-        labels = [f"e{i}" for i in range(11)]
+        labels = [f"e{i}" for i in range(POWERSET_CAP)]
         doc = write_doc(tmp_path, {
             "universe": labels, "base": [[x] for x in labels], "order": [],
         })
         result = runner.invoke(main, ["oracle-diff", doc])
         assert result.exit_code == 0
-        assert result.output == "0 mismatches / 8192 comparisons\n"
+        assert result.output == f"0 mismatches / {4 << POWERSET_CAP} comparisons\n"
 
     def test_direction_flipped_r_lower_fails(self, runner, example_doc, monkeypatch):
         r_lower = ap.r_lower
@@ -618,14 +623,15 @@ class TestOracleDiffCommand:
         assert result.stdout.splitlines() == [*lines, "18 mismatches / 64 comparisons"]
         assert result.stderr == ""
 
-    def test_default_cap_rejects_twelve_points(self, runner, tmp_path):
+    def test_cap_rejects_one_point_more(self, runner, tmp_path):
+        cap = POWERSET_CAP
         doc = write_doc(
             tmp_path,
-            {"universe": [f"e{i}" for i in range(12)], "base": [], "order": []},
+            {"universe": [f"e{i}" for i in range(cap + 1)], "base": [], "order": []},
         )
         result = runner.invoke(main, ["oracle-diff", doc])
         assert result.exit_code == EXIT_INPUT_ERROR
-        assert result.stderr == "error: universe size 12 exceeds the oracle cap 11\n"
+        assert result.stderr == f"error: universe size {cap + 1} exceeds the powerset cap {cap}\n"
 
 
 def _space_signature(g):

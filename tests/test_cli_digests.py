@@ -89,7 +89,7 @@ def corpus() -> list[tuple[str, str, str]]:
         ("missing-order", json.dumps({"universe": ["a"], "base": []}), "a"),
         ("malformed", '{\n  "universe": [,]\n}', "a"),
     ]
-    # Up to the exhaustive cap, where check runs every subset and pair.
+    # Up to 10 points, where check with no flags runs every subset and pair.
     for size in (9, 10):
         for kind in ("base", "relation"):
             docs.append((f"{kind}{size}", *_random_doc(rng, size, kind == "relation", False)))

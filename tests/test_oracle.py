@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from dataclasses import replace
 
 import pytest
@@ -20,7 +21,7 @@ from gotas import (
 from gotas.approximations import Gotas
 from gotas.oracle import (
     DEFAULT_SUITE,
-    EXHAUSTIVE_CAP,
+    POWERSET_CAP,
     CapExceededError,
     PROPOSITION_IDS,
     check_propositions,
@@ -87,11 +88,12 @@ class TestOracleOperators:
                     assert ap.r_upper(space, a, d).bits == upper[a.bits]
 
     def test_cap_is_enforced(self):
-        space = random_space(random.Random(7), 12)
-        with pytest.raises(CapExceededError):
-            oracle_table(space)
-        with pytest.raises(CapExceededError):
-            oracle_diff(space)
+        space = random_space(random.Random(7), POWERSET_CAP + 1)
+        message = f"universe size {POWERSET_CAP + 1} exceeds the powerset cap {POWERSET_CAP}"
+        for build in (oracle_table, oracle_diff):
+            with pytest.raises(CapExceededError) as info:
+                build(space)
+            assert str(info.value) == message
 
     def test_diff_leaves_only_the_kernel_caches(self):
         space = random_space(random.Random(8), 8)
@@ -222,13 +224,32 @@ def test_table_uses_no_batch_and_no_kernel(monkeypatch):
 def test_discrete_space_at_the_oracle_cap_is_exact():
     # Every subset is a monotone open and a monotone closed under the
     # equality order: the widest candidate lists the oracle can meet.
-    u = Universe([f"e{k}" for k in range(11)])
+    u = Universe([f"e{k}" for k in range(POWERSET_CAP)])
     space = Gotas(u, generate_topology(u, [u.subset([x]) for x in u.labels]), equality_order(u))
-    every = list(range(1 << 11))
+    every = list(range(1 << POWERSET_CAP))
     assert oracle_rows(space) == {INC: (every, every), DEC: (every, every)}
     # Lane a picks a itself: column x is the lanes holding x.
-    points = tuple(_counting_columns(11))
+    points = tuple(_counting_columns(POWERSET_CAP))
     assert oracle_table(space) == {INC: (points, points), DEC: (points, points)}
+
+
+def test_a_failing_pick_at_the_cap_scans_one_subset(monkeypatch):
+    # {e0} and {e1} are opens inside {e0, e1}, but their union is not. Only
+    # the first failing subset gets the per-subset pick, so the error comes
+    # about as fast as a passing table.
+    u = Universe([f"e{k}" for k in range(POWERSET_CAP)])
+    space = Gotas(u, generate_topology(u, []), equality_order(u))
+    monkeypatch.setattr(oracle, "open_family",
+                        lambda topology: frozenset({0, u.full_mask, 0b01, 0b10}))
+    picks = []
+    pick = oracle._greatest_inside
+    monkeypatch.setattr(oracle, "_greatest_inside", lambda *args: picks.append(args) or pick(*args))
+    started = time.perf_counter()
+    with pytest.raises(RuntimeError) as info:
+        oracle_table(space)
+    assert time.perf_counter() - started < 1.0
+    assert str(info.value) == "no unique greatest candidate inside {e0, e1}: {e0} vs {e1}"
+    assert len(picks) == 1
 
 
 # oracle_diff's lines when the fast r_lower reads the opposite direction.
@@ -362,7 +383,7 @@ def test_a_sampled_check_folds_each_base_term_once(g, built_rows, folds):
 def test_an_exhaustive_check_at_the_cap_reads_only_the_powerset(suite, built_rows, folds, widths):
     # Passing or failing, the binary laws are read off A's table: no batch
     # is wider than the powerset, and the check folds as often as a pass.
-    u = Universe([f"e{k}" for k in range(EXHAUSTIVE_CAP)])
+    u = Universe([f"e{k}" for k in range(POWERSET_CAP)])
     space = partition_space(u, random_partition(random.Random(4), u))
     reports = check_propositions(space, suite=suite)
     failed = {r.proposition for r in reports if not r.passed}
@@ -370,7 +391,7 @@ def test_an_exhaustive_check_at_the_cap_reads_only_the_powerset(suite, built_row
     unit = Batch.powerset(u)
     assert (sorted((x.width, x.columns) for x in built_rows)
             == sorted((x.width, x.columns) for x in (unit, unit.complement())))
-    assert max(widths) == 2 ** EXHAUSTIVE_CAP
+    assert max(widths) == 2 ** POWERSET_CAP
     assert len(folds) == FOLDS_PER_CHECK
 
 
@@ -464,16 +485,16 @@ class TestCheckPropositions:
         assert all(r.passed for r in check_propositions(g))
 
     def test_exhaustive_cap(self):
-        space = random_space(random.Random(3), EXHAUSTIVE_CAP + 1)
-        with pytest.raises(CapExceededError):
+        space = random_space(random.Random(3), POWERSET_CAP + 1)
+        with pytest.raises(CapExceededError, match=f"exceeds the powerset cap {POWERSET_CAP}$"):
             check_propositions(space)
 
     def test_exhaustive_check_at_the_cap(self):
-        u = Universe([f"e{k}" for k in range(EXHAUSTIVE_CAP)])
+        u = Universe([f"e{k}" for k in range(POWERSET_CAP)])
         blocks = random_partition(random.Random(4), u)
         reports = check_propositions(partition_space(u, blocks))
         assert all(r.passed for r in reports)
-        assert {r.instances for r in reports} == {2 ** EXHAUSTIVE_CAP, 4 ** EXHAUSTIVE_CAP}
+        assert {r.instances for r in reports} == {2 ** POWERSET_CAP, 4 ** POWERSET_CAP}
 
     def test_sampled_mode(self):
         u = Universe(list("abcdef"))
@@ -530,6 +551,51 @@ class TestCheckPropositions:
         # so the corruption is invisible here; the probe space above is what
         # guards the failure path.
         assert all(r.passed for r in check_propositions(g, suite=corrupted_suite()))
+
+
+def _open_upper_failures(g, d):
+    """The points x whose r_upper(M_d(x)) is not d-monotone open: not its
+    own r_lower."""
+    u = g.universe
+    uppers = (ap.r_upper(g, u.from_bits(m), d) for m in g.kernel[d])
+    return [x for x, up in enumerate(uppers) if ap.r_lower(g, up, d) != up]
+
+
+def _chain_laws_hold(g, d):
+    """Whether 3.21 (beta ⊆ gamma ⊆ S upper) and 3.25 (the same chain of
+    boundaries) hold on every subset in direction d."""
+    semi = ap.OperatorFamily.S
+    rows = ap.Rows(g, Batch.powerset(g.universe), DEFAULT_SUITE, (semi, GAMMA, BETA))
+    chain = [rows[family, d] for family in (BETA, GAMMA, semi)]
+    return tuple(not any(getattr(x, field).outside(getattr(y, field)) for x, y in zip(chain, chain[1:]))
+                 for field in ("upper", "boundary"))
+
+
+def test_chain_laws_hold_iff_each_kernel_has_an_open_upper(probe):
+    # In direction d, 3.21 and 3.25 hold on every subset iff r_upper(M_d(x))
+    # is d-monotone open for every x; where it is not, both fail at
+    # A = M_d(x). Criterion 3 fails on exactly these spaces.
+    rng = random.Random(24)
+    sizes = [1 + i % 10 for i in range(800)] + [12, 13, 14, 15, POWERSET_CAP]
+    failing = 0
+    for size in sizes:
+        space = random_space(rng, size)
+        for d in (INC, DEC):
+            holds = not _open_upper_failures(space, d)
+            assert _chain_laws_hold(space, d) == (holds, holds), (space, d)
+            failing += not holds
+    assert failing >= 30
+    for size in (*range(1, 11), POWERSET_CAP):
+        u = Universe([f"e{k}" for k in range(size)])
+        space = partition_space(u, random_partition(rng, u))
+        assert [_open_upper_failures(space, d) for d in (INC, DEC)] == [[], []]
+    # The probe fails first at x = a: r_upper({a}) = {a, c} is not open, in
+    # both directions (and likewise at b).
+    a = probe.universe.subset(["a"])
+    assert probe.kernel[INC][0] == probe.kernel[DEC][0] == a.bits
+    assert ap.r_upper(probe, a, INC) == ap.r_upper(probe, a, DEC) == probe.universe.subset(["a", "c"])
+    assert [_open_upper_failures(probe, d) for d in (INC, DEC)] == [[0, 1], [0, 1]]
+    assert [_chain_laws_hold(probe, d) for d in (INC, DEC)] == [(False, False)] * 2
 
 
 # Deliberately wrong operators, so that every law of the catalogue has a

@@ -2,7 +2,7 @@ import importlib
 
 import pytest
 
-from gotas.oracle import PROPOSITION_IDS
+from gotas.oracle import POWERSET_CAP, PROPOSITION_IDS
 
 from conftest import REPO_ROOT
 
@@ -34,9 +34,10 @@ def test_sweep_runs_six_point_spaces(capsys, sweep):
 
 def test_size_above_the_cap_is_a_usage_error(capsys, sweep):
     with pytest.raises(SystemExit) as exit_info:
-        sweep.main(["--sizes", "3,11"])
+        sweep.main(["--sizes", f"3,{POWERSET_CAP + 1}"])
     assert exit_info.value.code == 2
-    assert "sizes must lie within 1-10: 3,11" in capsys.readouterr().err
+    message = f"sizes must lie within 1-{POWERSET_CAP}: 3,{POWERSET_CAP + 1}"
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, message", [
