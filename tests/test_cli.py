@@ -765,6 +765,21 @@ def test_build_errors_name_the_document(runner, tmp_path, doc, message):
     assert result.stderr == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"{", "line 1: Expecting property name enclosed in double quotes"),
+    (json.dumps({**_VALID, "base": [["z"]]}).encode(), "unknown label 'z'"),
+], ids=["parse", "build"])
+def test_input_errors_name_the_file_as_typed(runner, tmp_path, content, message):
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        with open("bad.json", "wb") as f:
+            f.write(content)
+        result = runner.invoke(main, ["topology", "./bad.json"])
+        missing = runner.invoke(main, ["topology", "./missing.json"])
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert result.stderr == f"error: ./bad.json: {message}\n"
+    assert missing.stderr == "error: cannot read ./missing.json: No such file or directory\n"
+
+
 # A label's repr is cut to 30 characters in an error line.
 _HUGE, _HUGE_REPR = "x" * 200_000, "'" + "x" * 12 + "..." + "x" * 13 + "'"
 

@@ -336,13 +336,13 @@ def folds(monkeypatch):
 # Per operand batch and direction, the distinct base terms: r_lower A,
 # r_upper A, r_upper(r_lower A), r_lower(r_upper A), and for beta
 # r_lower(r_upper(r_lower A)), r_upper(r_lower(r_upper A)). Six each for A
-# and for each binary operand, R's two for the complement of A. An
+# and for the binary laws' table, R's two for the complement of A. An
 # exhaustive check reads the binary laws off A's table, passing or failing,
 # and builds only A's and its complement's: (6 + 2) · 2 = 16 folds. A
-# sampled check builds the four binary tables as well: (5 · 6 + 2) · 2 = 64
-# folds.
+# sampled check builds one more table, A∩B | A | B | A∪B of the drawn
+# pairs side by side: (6 + 6 + 2) · 2 = 28 folds.
 FOLDS_PER_CHECK = 16
-FOLDS_WITH_PAIR_TABLES = 64
+FOLDS_WITH_PAIR_TABLES = 28
 
 
 def _minus_interior_lower(g, a, d):
@@ -372,9 +372,21 @@ def test_check_builds_each_operand_once(g, built_rows, folds):
     assert len(folds) == FOLDS_PER_CHECK
 
 
+def _drawn_pairs(space, samples, seed):
+    """The drawn A and B of a sampled check, as bitmasks."""
+    rng, n = random.Random(seed), space.universe.size
+    [rng.getrandbits(n) for _ in range(samples)]  # the unary draws come first
+    draws = [rng.getrandbits(n) for _ in range(2 * samples)]
+    return draws[0::2], draws[1::2]
+
+
 def test_a_sampled_check_folds_each_base_term_once(g, built_rows, folds):
-    assert all(r.passed for r in check_propositions(g, samples=256))
-    assert len(built_rows) == 6
+    assert all(r.passed for r in check_propositions(g, samples=256, rng=random.Random(6)))
+    # A, the binary laws' table, then the complement of A.
+    assert [x.width for x in built_rows] == [256, 4 * 256, 256]
+    a, b = _drawn_pairs(g, 256, 6)
+    assert built_rows[1].rows() == ([x & y for x, y in zip(a, b)] + a + b
+                                    + [x | y for x, y in zip(a, b)])
     assert len(folds) == FOLDS_WITH_PAIR_TABLES
 
 
@@ -393,6 +405,70 @@ def test_an_exhaustive_check_at_the_cap_reads_only_the_powerset(suite, built_row
             == sorted((x.width, x.columns) for x in (unit, unit.complement())))
     assert max(widths) == 2 ** POWERSET_CAP
     assert len(folds) == FOLDS_PER_CHECK
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """One entry per ``Batch.counts`` call from here on."""
+    done = []
+    count = Batch.counts
+    monkeypatch.setattr(Batch, "counts", lambda self: done.append(self.width) or count(self))
+    return done
+
+
+@pytest.mark.parametrize("samples", [None, 256], ids=["exhaustive", "sampled"])
+def test_a_passing_check_counts_no_points(g, samples, counts):
+    # The accuracy laws follow from inclusions that the rows already hold.
+    u = Universe([f"e{k}" for k in range(16)])
+    partition = partition_space(u, random_partition(random.Random(4), u))
+    for space in (g, partition):
+        assert all(r.passed for r in check_propositions(space, samples=samples))
+    assert counts == []
+
+
+def _accuracy_lanes(rng, n, width, loose):
+    """The lower and upper bitmasks of rows x and y over ``width`` lanes.
+    In each lane x's lower lies in its upper and in y's lower, and y's
+    upper lies in x's, but each of the three is broken with its
+    probability in ``loose``. A fifth of the uppers start empty."""
+    lanes = []
+    for _ in range(width):
+        up_x = rng.getrandbits(n) if rng.random() < 0.8 else 0
+        up_y = up_x & rng.getrandbits(n) if rng.random() < 0.8 else 0
+        lo_x = rng.getrandbits(n) & (up_x if rng.random() >= loose[0] else -1)
+        lo_y = rng.getrandbits(n) | (lo_x if rng.random() >= loose[1] else 0)
+        up_y = up_y if rng.random() >= loose[2] else rng.getrandbits(n)
+        lanes.append((lo_x, up_x, lo_y, up_y))
+    return [list(column) for column in zip(*lanes)]
+
+
+def test_accuracy_counts_only_where_an_inclusion_fails():
+    # The fail mask of each accuracy comparison equals the counted one, on
+    # random lanes that keep or break the three inclusions it relies on.
+    rng, compared, failing = random.Random(25), 0, 0
+    for _ in range(300):
+        u = Universe([f"e{k}" for k in range(rng.randint(1, 9))])
+        width = rng.randint(1, 40)
+        a = Batch.of(u, [rng.getrandbits(u.size) if rng.random() < 0.9 else 0
+                         for _ in range(width)])
+        loose = [rng.choice((0, 0, 0.3)) for _ in range(3)]
+        lo_x, up_x, lo_y, up_y = _accuracy_lanes(rng, u.size, width, loose)
+        x, y = (ap.ApproxReport(Batch.of(u, lo), Batch.of(u, up), Batch.of(u, up))
+                for lo, up in ((lo_x, up_x), (lo_y, up_y)))
+        for first, second in ((x, y), (y, x)):
+            counted = a.nonempty() & first.accuracy.exceeds(second.accuracy)
+            assert oracle._accuracy_exceeds(a, first, second) == counted
+            compared, failing = compared + 1, failing + bool(counted)
+    assert 0 < failing < compared
+    # And on the rows the two accuracy laws compare, on random spaces.
+    for size in range(1, 8):
+        space = random_space(rng, size)
+        rows = ap.Rows(space, Batch.powerset(space.universe))
+        for d in (INC, DEC):
+            r, gamma, beta = (rows[fam, d] for fam in (R, GAMMA, BETA))
+            for first, second in ((r, gamma), (r, beta), (gamma, beta)):
+                counted = rows.a.nonempty() & first.accuracy.exceeds(second.accuracy)
+                assert oracle._accuracy_exceeds(rows.a, first, second) == counted
 
 
 def test_no_memo_outlives_a_table(g, probe, folds):
@@ -434,15 +510,18 @@ def test_a_batch_gets_each_space_its_own_folds():
             assert got[0] != got[1]
 
 
-def test_operands_equal_by_value_keep_their_own_tables(built_rows):
-    # One point, one sample: A∩B and A∪B each equal A or B by value.
+def test_operands_equal_by_value_keep_their_own_segments(built_rows):
+    # One point, one sample: A∩B and A∪B each equal A or B by value, and
+    # each still gets its own lane of the binary laws' table.
     u = Universe(["a"])
     space = Gotas(u, generate_topology(u, []), equality_order(u))
     for seed in range(8):
         reports = check_propositions(space, samples=1, rng=random.Random(seed))
         assert [(r.passed, r.instances) for r in reports] == [(True, 1)] * len(PROPOSITION_IDS)
-    assert len(built_rows) == 6 * 8
-    assert len({x.columns for x in built_rows[:6]}) < 6
+        [a], [b] = _drawn_pairs(space, 1, seed)
+        assert built_rows[-2].rows() == [a & b, a, b, a | b]
+    assert [x.width for x in built_rows] == [1, 4, 1] * 8
+    assert len({tuple(x.rows()) for x in built_rows[1::3]}) > 1
 
 
 def test_checker_and_diff_read_batches_without_rows(g, probe, monkeypatch):
@@ -726,9 +805,7 @@ def _check_binary_laws_against_scalars(space, suite, samples, seed):
     u, n = space.universe, space.universe.size
     width = 1 << n
     rows = [ap.Rows(space, u.from_bits(m), suite, (GAMMA, BETA)) for m in range(width)]
-    rng = random.Random(seed)
-    [rng.getrandbits(n) for _ in range(samples)]  # the unary draws come first
-    draws = [rng.getrandbits(n) for _ in range(2 * samples)]
+    drawn = list(zip(*_drawn_pairs(space, samples, seed)))
     exhaustive, sampled = ({r.proposition: r for r in reports if r.proposition in BINARY_ROWS}
                            for reports in (check_propositions(space, suite=suite),
                                            check_propositions(space, suite=suite, samples=samples,
@@ -760,14 +837,18 @@ def _check_binary_laws_against_scalars(space, suite, samples, seed):
             d, x, y = check_witness(report)
             assert (d, x, y) == first and report.instances == x * width + y + 1, pid
         report = sampled[pid]
-        hit = next((i for i in range(samples) if breaks(draws[2 * i], draws[2 * i + 1])), None)
+        hit = next((i for i, (a, b) in enumerate(drawn) if breaks(a, b)), None)
         assert report.passed == (hit is None)
         if report.passed:
             assert report.instances == samples
         else:
-            a, b = draws[2 * hit: 2 * hit + 2]
+            a, b = drawn[hit]
             assert report.instances == hit + 1
-            assert check_witness(report)[1:] in {(a & b, a), (a & b, b), (a, a | b), (b, a | b)}
+            # The first comparable pair that breaks the row, in the table's
+            # pair order, Inc before Dec.
+            first = next((d, x, y) for x, y in ((a & b, a), (a & b, b), (a, a | b), (b, a | b))
+                         for d in (INC, DEC) if breaks_row(d, x, y))
+            assert check_witness(report) == first, pid
     return failures
 
 
