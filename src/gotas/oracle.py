@@ -446,12 +446,15 @@ def check_propositions(
         n, w = u.size, samples
         units = [rng.getrandbits(n) for _ in range(w)]
         draws = [rng.getrandbits(n) for _ in range(2 * w)]
-        unit, a, b = (Batch.of(u, x) for x in (units, draws[0::2], draws[1::2]))
+        # One transpose of the 3W draws, units | A | B, split by shifts.
+        cols, lanes = _transpose([*units, *draws[0::2], *draws[1::2]], n), (1 << w) - 1
+        units, a, b = ([c >> k * w & lanes for c in cols] for k in range(3))
+        unit = Batch(u, tuple(units), w)
         unary = approx.Rows(g, unit, suite)
         # One table of 4W lanes, A∩B | A | B | A∪B, so that each comparable
         # pair is a forward shift: (A∩B, A), (A∩B, B), (A, A∪B), (B, A∪B).
         segments = Batch(u, tuple(x & y | x << w | y << 2 * w | (x | y) << 3 * w
-                                  for x, y in zip(a.columns, b.columns)), 4 * w)
+                                  for x, y in zip(a, b)), 4 * w)
         table = approx.Rows(g, segments, suite, (_G, _B))
         all_pairs = w
         pairs = [(unit.lanes, start, shift)

@@ -11,6 +11,8 @@ only when asked for.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import or_
 from typing import Iterable
 
 from .universe import Subset, Universe, UniverseMismatchError, _points, _transpose, canonical_order
@@ -107,7 +109,7 @@ class Topology:
         masks are ever held."""
         family = {0}
         for n in set(map(self.universe.reverse, self.neighborhoods)):
-            family |= {o | n for o in family}
+            family |= set(map(or_, family, repeat(n)))
             if limit is not None and len(family) > limit:
                 return None
         return canonical_order(family)

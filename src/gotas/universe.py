@@ -11,7 +11,7 @@ from __future__ import annotations
 import reprlib
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import add, and_, or_
+from operator import add, and_, invert, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Maps the digits of a binary string to the bytes 0 and 1, so that the
@@ -79,6 +79,27 @@ class Universe:
     def text(self, rbits: int) -> str:
         """The bit-reversed mask ``rbits`` written as ``{a, b}``."""
         return "{" + ", ".join(self.labels_of(rbits)) + "}"
+
+    def texts(self, rmasks: Sequence[int]) -> str:
+        """``"\\n".join(map(self.text, rmasks))``, with the loop over the
+        masks in C.
+
+        Each mask splits into a first half, ``r >> h``, over the first
+        n - h points, and a last half, ``r & (2**h - 1)``, over the last h
+        (h = n // 2). Each half value that occurs is written once, as a
+        fragment: every label it selects, followed by ", ". A line is its
+        two fragments without the ", " after its last label."""
+        if not rmasks:
+            return ""
+        h = len(self.labels) // 2
+        split, low = len(self.labels) - h, (1 << h) - 1
+        firsts = list(map(h.__rrshift__, rmasks))
+        lasts = list(map(low.__and__, rmasks))
+        first = _fragments(set(firsts), self.labels[:split])
+        last = _fragments(set(lasts), self.labels[split:])
+        lines = map(str.removesuffix, map(str.__add__, map(first.__getitem__, firsts),
+                                          map(last.__getitem__, lasts)), repeat(", "))
+        return "{" + "}\n{".join(lines) + "}"
 
     def canonical(self, masks: Iterable[int]) -> tuple[Subset, ...]:
         """The subsets with these bitmasks, in canonical order."""
@@ -185,12 +206,11 @@ class Subset:
 def canonical_order(rmasks: Iterable[int]) -> list[int]:
     """Bit-reversed masks in canonical order: cardinality first, then
     lexicographic in universe order. With point 0 in the top bit, the second
-    key is descending mask order, so each cardinality's bucket takes a plain
-    reverse sort."""
-    buckets: dict[int, list[int]] = {}
-    for r in rmasks:
-        buckets.setdefault(r.bit_count(), []).append(r)
-    return [r for size in sorted(buckets) for r in sorted(buckets[size], reverse=True)]
+    key is descending mask order: a reverse sort, then a stable sort by
+    cardinality, both in C."""
+    ordered = sorted(rmasks, reverse=True)
+    ordered.sort(key=int.bit_count)
+    return ordered
 
 
 class Plan(NamedTuple):
@@ -335,7 +355,7 @@ class Batch:
     def outside(self, other: Batch) -> int:
         """Lanes where this subset is not within ``other``'s."""
         self._guard(other)
-        return reduce(or_, (x & ~y for x, y in zip(self.columns, other.columns)), 0)
+        return reduce(or_, map(and_, self.columns, map(invert, other.columns)), 0)
 
     def differs(self, other: Batch) -> int:
         """Lanes where the two subsets differ."""
@@ -366,6 +386,16 @@ def _points(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def _fragments(values: set[int], labels: tuple[str, ...]) -> dict[int, str]:
+    """Each of ``values``, a mask over ``labels`` with the first label in the
+    top bit, written as the labels it selects, each followed by ", "."""
+    digits, fragments = f"0{len(labels)}b", {}
+    for v in values:
+        picked = compress(labels, format(v, digits).encode().translate(_DIGIT_VALUES))
+        fragments[v] = ", ".join([*picked, ""])
+    return fragments
 
 
 def _transpose(values: Sequence[int], width: int) -> list[int]:

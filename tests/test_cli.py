@@ -2,8 +2,10 @@ import json
 import random
 import time
 
+import hypothesis.strategies as st
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
 
 import gotas.approximations as ap
 from gotas import cli
@@ -18,6 +20,7 @@ from gotas.cli import (
 from gotas.oracle import POWERSET_CAP
 
 from conftest import make_example_space
+from test_cli_digests import COMMANDS, DOC, corpus
 from test_oracle import FLIPPED_R_LOWER_LINES
 
 TOPOLOGY_GOLDEN = """\
@@ -841,3 +844,49 @@ def test_parse_document_returns_the_object_with_options_defaulted():
     assert parse_document(json.dumps(_VALID)) == {**_VALID, "options": {"auto_reflexive": True}}
     off = {**_VALID, "options": {"auto_reflexive": False}}
     assert parse_document(json.dumps(off)) == off
+
+
+def test_json_output_is_json_dumps_with_indent_2_on_the_digest_corpus(tmp_path, monkeypatch):
+    """Every analyze and check payload of the digest corpus is written as
+    ``json.dumps(payload, indent=2)`` writes it."""
+    written, dumps = [], cli._dumps
+
+    def recording(obj):
+        written.append((obj, dumps(obj)))
+        return written[-1][1]
+
+    monkeypatch.setattr(cli, "_dumps", recording)
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    for _, text, chosen in corpus():
+        (tmp_path / DOC).write_text(text, encoding="utf-8")
+        for command in ("analyze-json", "check", "check-samples", "check-corrupt"):
+            runner.invoke(main, [arg.format(set=chosen) for arg in COMMANDS[command]])
+    assert len(written) > 100
+    for payload, text in written:
+        assert text == json.dumps(payload, indent=2)
+
+
+_JSON_TREES = st.recursive(
+    st.booleans() | st.integers() | st.text() | st.none() | st.floats(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text() | st.integers() | st.booleans(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_JSON_TREES)
+def test_dumps_is_json_dumps_with_indent_2(tree):
+    # Empty containers, negative ints, control characters, non-ASCII and,
+    # through json.dumps, what the writer leaves to it: None, floats,
+    # non-string keys.
+    assert cli._dumps(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("tree", [
+    [], {}, [[]], {"a": {}}, -7, 10 ** 40, True, "\x00\n\u2028é中", {"k": [1, False, "s"]},
+    {1: "int key"}, [None, 1.5, {"x": float("nan")}],
+])
+def test_dumps_writes_edge_cases_as_json_dumps(tree):
+    assert cli._dumps(tree) == json.dumps(tree, indent=2)

@@ -1,3 +1,5 @@
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -114,3 +116,29 @@ def test_rendered_labels_match_a_scan_of_the_points(t):
     assert tuple(u.labels_of(u.reverse(bits))) == want
     assert u.from_bits(bits).members() == want
     assert str(u.from_bits(bits)) == "{" + ", ".join(want) + "}"
+
+
+# Labels a listing must copy as they are: braces, quotes, a backslash, a
+# control character, non-ASCII, the empty label and one holding ", ".
+_ODD_LABELS = ["{", "}", '"', "\\", "\x01", "é", "中文", "", "x, ", "{a}"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 33])
+def test_texts_is_the_text_of_each_mask_joined_by_newlines(n):
+    rng = random.Random(n)
+    labels = rng.sample(_ODD_LABELS, min(n, len(_ODD_LABELS))) + _labels(n)[len(_ODD_LABELS):]
+    rng.shuffle(labels)
+    u = Universe(labels)
+    masks = [0, u.full_mask, *(rng.getrandbits(n) for _ in range(300))]
+    masks += rng.sample(masks, 20)  # repeats
+    assert u.texts(masks) == "\n".join(map(u.text, masks))
+    assert u.texts([0]) == "{}"
+    assert u.texts([]) == ""
+
+
+def test_canonical_order_is_cardinality_then_descending_reversed_mask():
+    rng = random.Random(5)
+    for n in (1, 2, 12, 33, 70):
+        masks = [rng.getrandbits(n) for _ in range(400)]
+        masks += masks[:50]  # repeats
+        assert canonical_order(masks) == sorted(masks, key=lambda r: (r.bit_count(), -r))
