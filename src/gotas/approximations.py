@@ -19,7 +19,7 @@ from typing import Callable
 
 from .order import PartialOrder
 from .topology import Topology, points_meeting, points_within
-from .universe import Batch, Plan, Subset, Universe, _points
+from .universe import Batch, Plan, Subset, Universe, _points, from_flags
 
 
 class Direction(Enum):
@@ -208,10 +208,6 @@ _UPPER: dict[OperatorFamily, OpFn] = {
 }
 
 
-# Maps flag bytes 0 and 1 to the digits of a binary string.
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def _terms(lo: int, up: int) -> tuple[int, int]:
     """Numerator and denominator of the accuracy of a lower and an upper
     approximation with ``lo`` and ``up`` points.
@@ -233,11 +229,10 @@ class Accuracies:
             self.num[s], self.den[s] = _terms(self.num[s], 0)
 
     def exceeds(self, other: Accuracies) -> int:
-        """Lanes where this accuracy is greater than ``other``'s. One flag
-        byte per lane, lane 0 last, reads as the binary digits of the mask;
-        the leading 0 keeps a batch of no lanes readable."""
-        flags = bytes(map(gt, map(mul, self.num, other.den), map(mul, other.num, self.den)))
-        return int(b"0" + flags[::-1].translate(_BINARY_DIGITS), 2)
+        """Lanes where this accuracy is greater than ``other``'s: the mask
+        of one ``gt`` flag per lane."""
+        return from_flags(bytes(map(gt, map(mul, self.num, other.den),
+                                    map(mul, other.num, self.den))))
 
     def lane(self, s: int) -> Fraction:
         return Fraction(self.num[s], self.den[s])

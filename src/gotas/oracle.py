@@ -38,6 +38,7 @@ import random
 import string
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from itertools import chain
 from operator import and_, or_, xor
 from typing import Callable, Iterable
 
@@ -52,7 +53,8 @@ from .approximations import (
 )
 from .order import PartialOrder, equality_order, validate_order
 from .topology import Topology, generate_topology
-from .universe import Batch, Subset, Universe, _counting_columns, _points, _transpose
+from .universe import (Batch, Subset, Universe, _counting_columns, _points, _transpose,
+                       from_flags, union_over)
 
 # The most points whose 2**n subsets the oracle table or an exhaustive check
 # scans: at 16 the slowest measured shape, a failing check, takes under
@@ -109,11 +111,11 @@ def oracle_table(g: Gotas) -> dict[Direction, tuple[tuple[int, ...], tuple[int, 
     has = _counting_columns(g.universe.size)  # has[x]: the lanes holding point x
     width = 1 << len(has)
     lanes = (1 << width) - 1
-    digits = bytearray(b"0" * width)  # the binary digits of the open lanes, lane 0 last
+    is_open = bytearray(width)  # one flag per lane
     for o in open_family(g.topology):
-        digits[~o] = 49  # ord("1")
-    opens = int(digits, 2)
-    closeds = int(digits[::-1], 2)  # lane full ^ a is lane width - 1 - a
+        is_open[o] = 1
+    opens = from_flags(is_open)
+    closeds = from_flags(is_open[::-1])  # lane full ^ a is lane width - 1 - a
     table = {}
     for d in DIRECTION_ORDER:
         broken = 0  # the lanes holding some x but missing a point of reach(x)
@@ -427,7 +429,9 @@ def check_propositions(
     table, one gamma and beta table over 4W lanes, A∩B | A | B | A∪B of
     the W drawn pairs, and reads (A∩B, A), (A∩B, B), (A, A∪B) and
     (B, A∪B) off it, in that order; a drawn pair breaks the law's clauses
-    iff one of these breaks the row.
+    iff one of these breaks the row. Its unary laws also run on each
+    distinct kernel class M_d(x), in lanes past the W draws: a law that
+    fails only there reports that lane's index plus one, past W.
     """
     suite = suite if suite is not None else DEFAULT_SUITE
     u = g.universe
@@ -435,7 +439,7 @@ def check_propositions(
         _guard_cap(g)
         unit = Batch.powerset(u)
         table = unary = approx.Rows(g, unit, suite)
-        all_pairs = unit.width ** 2
+        all_units, all_pairs = unit.width, unit.width ** 2
         # Lane A ∪ {x} is lane A + 2**x, and the lanes without x are the
         # complement of the powerset's column x.
         pairs = [(unit.lanes & ~c, 0, 1 << x) for x, c in enumerate(unit.columns)]
@@ -446,18 +450,21 @@ def check_propositions(
         n, w = u.size, samples
         units = [rng.getrandbits(n) for _ in range(w)]
         draws = [rng.getrandbits(n) for _ in range(2 * w)]
-        # One transpose of the 3W draws, units | A | B, split by shifts.
-        cols, lanes = _transpose([*units, *draws[0::2], *draws[1::2]], n), (1 << w) - 1
-        units, a, b = ([c >> k * w & lanes for c in cols] for k in range(3))
-        unit = Batch(u, tuple(units), w)
+        # Past the W draws, the unary lanes hold each distinct kernel class, Inc
+        # then Dec: where 3.21 or 3.25 fails, it fails at one, which draws can miss.
+        classes = list(dict.fromkeys(chain(*(g.kernel_plan[d].masks for d in DIRECTION_ORDER))))
+        # One transpose of units | A | B | classes, split by shifts.
+        cols, lanes = _transpose([*units, *draws[0::2], *draws[1::2], *classes], n), (1 << w) - 1
+        a, b = ([c >> k * w & lanes for c in cols] for k in (1, 2))
+        unit = Batch(u, tuple(c & lanes | c >> 3 * w << w for c in cols), w + len(classes))
         unary = approx.Rows(g, unit, suite)
         # One table of 4W lanes, A∩B | A | B | A∪B, so that each comparable
         # pair is a forward shift: (A∩B, A), (A∩B, B), (A, A∪B), (B, A∪B).
         segments = Batch(u, tuple(x & y | x << w | y << 2 * w | (x | y) << 3 * w
                                   for x, y in zip(a, b)), 4 * w)
         table = approx.Rows(g, segments, suite, (_G, _B))
-        all_pairs = w
-        pairs = [(unit.lanes, start, shift)
+        all_units = all_pairs = w
+        pairs = [(lanes, start, shift)
                  for start, shift in ((0, w), (0, 2 * w), (w, 2 * w), (2 * w, w))]
 
     label = space_label
@@ -467,7 +474,7 @@ def check_propositions(
         claims = list(_breaks(*law, table, pairs) if binary else law(unary))
         failed = reduce(or_, (mask for mask, _, _ in claims), 0)
         if not failed:
-            reports.append(PropositionReport(pid, all_pairs if binary else unit.width))
+            reports.append(PropositionReport(pid, all_pairs if binary else all_units))
             continue
         lane = (failed & -failed).bit_length() - 1
         template, operands = next((t, v) for mask, t, v in claims if mask >> lane & 1)
@@ -501,14 +508,10 @@ def random_order(rng: random.Random, universe: Universe) -> PartialOrder:
     edges keep it antisymmetric by construction. Each point's successors
     come later, so one pass from the last point closes it."""
     n = universe.size
-    succ = [1 << i for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                succ[i] |= 1 << j
+    succ = [1 << i | from_flags(bytes(rng.random() < 0.5 for _ in range(i + 1, n))) << i + 1
+            for i in range(n)]
     for i in reversed(range(n)):
-        for j in _points(succ[i]):
-            succ[i] |= succ[j]
+        succ[i] = union_over(succ, succ[i])
     return validate_order(universe, ((i, j) for i in range(n) for j in _points(succ[i])))
 
 

@@ -13,7 +13,7 @@ import reprlib
 from typing import Iterable
 
 from .topology import BinaryRelation
-from .universe import Subset, Universe, UniverseMismatchError, _points, _transpose
+from .universe import Subset, Universe, UniverseMismatchError, _points, _transpose, union_over
 
 
 class OrderAxiomError(ValueError):
@@ -59,11 +59,7 @@ class PartialOrder:
         """True iff ``reach[x]`` lies within ``a`` for every member x."""
         if a.universe is not self.universe:
             raise UniverseMismatchError("subset belongs to a different universe")
-        bits = a.bits
-        for pos, reached in enumerate(reach):
-            if bits >> pos & 1 and reached & ~bits:
-                return False
-        return True
+        return not union_over(reach, a.bits) & ~a.bits
 
     def __repr__(self) -> str:
         return f"PartialOrder({sum(map(int.bit_count, self.succ))} pairs over {self.universe!r})"
@@ -108,18 +104,19 @@ def validate_order(
                 (labels[x], labels[y]),
                 f"antisymmetry violated: both ({a}, {b}) and ({b}, {a}) present",
             )
+    # Transitivity holds iff each up-set is increasing; only a failing
+    # point's members are searched for the witness.
     for x, up in enumerate(succ):
-        for y in _points(up):
-            missing = succ[y] & ~up
-            if missing:
-                z = next(_points(missing))
-                a, b, c = _quote(labels[x]), _quote(labels[y]), _quote(labels[z])
-                raise OrderAxiomError(
-                    "transitivity",
-                    (labels[x], labels[z]),
-                    f"transitivity violated: ({a}, {b}) and ({b}, {c}) present "
-                    f"but ({a}, {c}) missing",
-                )
+        if union_over(succ, up) & ~up:
+            y = next(y for y in _points(up) if succ[y] & ~up)
+            z = next(_points(succ[y] & ~up))
+            a, b, c = _quote(labels[x]), _quote(labels[y]), _quote(labels[z])
+            raise OrderAxiomError(
+                "transitivity",
+                (labels[x], labels[z]),
+                f"transitivity violated: ({a}, {b}) and ({b}, {c}) present "
+                f"but ({a}, {c}) missing",
+            )
     return order
 
 

@@ -14,10 +14,25 @@ from itertools import chain, compress, repeat
 from operator import add, and_, invert, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-# Maps the digits of a binary string to the bytes 0 and 1, so that the
-# encoded string selects labels in ``itertools.compress`` or reads as one
-# byte per digit in ``int.from_bytes``.
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+# Swaps the binary digits b"0", b"1" and the flag bytes 0, 1, both ways.
+_SWAP = bytes.maketrans(b"01\x00\x01", b"\x00\x0101")
+
+
+def flags(bits: int, width: int = 0) -> bytes:
+    """One byte per position of ``bits``, position 0 first: 1 where its bit
+    is set, else 0, padded with 0s to ``width`` bytes (no bits give one)."""
+    return bin(bits)[:1:-1].ljust(width, "0").encode().translate(_SWAP)
+
+
+def from_flags(data: bytes) -> int:
+    """The mask with bit x set where byte x of ``data`` is 1: the inverse
+    of ``flags``; 0 for no bytes."""
+    return int(data[::-1].translate(_SWAP) or b"0", 2)
+
+
+def union_over(masks: Sequence[int], bits: int) -> int:
+    """The union of ``masks[x]`` over the points x of ``bits``."""
+    return reduce(or_, compress(masks, flags(bits)), 0)
 
 
 class UniverseMismatchError(ValueError):
@@ -70,19 +85,9 @@ class Universe:
         the top bit; reversing twice gives ``bits`` back."""
         return int(format(bits, self._digits)[::-1], 2)
 
-    def labels_of(self, rbits: int) -> Iterator[str]:
-        """Labels of the points of the bit-reversed mask ``rbits``, in
-        universe order. The mask's binary string, point 0 first, selects
-        the labels; the loop stays in C."""
-        return compress(self.labels, format(rbits, self._digits).encode().translate(_DIGIT_VALUES))
-
-    def text(self, rbits: int) -> str:
-        """The bit-reversed mask ``rbits`` written as ``{a, b}``."""
-        return "{" + ", ".join(self.labels_of(rbits)) + "}"
-
     def texts(self, rmasks: Sequence[int]) -> str:
-        """``"\\n".join(map(self.text, rmasks))``, with the loop over the
-        masks in C.
+        """The bit-reversed masks ``rmasks``, each written as ``str`` writes
+        its Subset, one per line, with the loop over the masks in C.
 
         Each mask splits into a first half, ``r >> h``, over the first
         n - h points, and a last half, ``r & (2**h - 1)``, over the last h
@@ -143,7 +148,7 @@ class Subset:
 
     def members(self) -> tuple[str, ...]:
         u = self.universe
-        return tuple(u.labels_of(u.reverse(self.bits)))
+        return tuple(compress(u.labels, flags(self.bits, u.size)))
 
     def cardinality(self) -> int:
         return self.bits.bit_count()
@@ -196,8 +201,7 @@ class Subset:
         return hash((id(self.universe), self.bits))
 
     def __str__(self) -> str:
-        u = self.universe
-        return u.text(u.reverse(self.bits))
+        return "{" + ", ".join(self.members()) + "}"
 
     def __repr__(self) -> str:
         return f"Subset({str(self)})"
@@ -293,12 +297,12 @@ class Batch:
     def counts(self) -> list[int]:
         """The number of points in each lane: the sum of the columns, each
         spread to one field per lane (lane 0 lowest) holding that lane's
-        bit, with fields wide enough to count every point."""
+        flag, with fields wide enough to count every point."""
         size, width = (self.universe.size.bit_length() + 7) // 8, self.width
         total, spread = 0, bytearray(size * width)
         for column in filter(None, self.columns):
-            spread[size - 1::size] = format(column, f"0{width}b").encode().translate(_DIGIT_VALUES)
-            total += int.from_bytes(spread, "big")
+            spread[::size] = flags(column, width)
+            total += int.from_bytes(spread, "little")
         raw = total.to_bytes(size * width, "little")
         counts = list(raw[::size])
         for k in range(1, size):
@@ -307,10 +311,8 @@ class Batch:
 
     def lane(self, s: int) -> Subset:
         """The subset in lane s."""
-        bits = 0
-        for x, column in enumerate(self.columns):
-            bits |= (column >> s & 1) << x
-        return Subset(self.universe, bits)
+        lane = bytes(map((1).__and__, map(s.__rrshift__, self.columns)))
+        return Subset(self.universe, from_flags(lane))
 
     def _guard(self, other: Batch) -> None:
         if self.universe is not other.universe or self.width != other.width:
@@ -391,10 +393,9 @@ def _points(bits: int) -> Iterator[int]:
 def _fragments(values: set[int], labels: tuple[str, ...]) -> dict[int, str]:
     """Each of ``values``, a mask over ``labels`` with the first label in the
     top bit, written as the labels it selects, each followed by ", "."""
-    digits, fragments = f"0{len(labels)}b", {}
+    width, fragments = len(labels), {}
     for v in values:
-        picked = compress(labels, format(v, digits).encode().translate(_DIGIT_VALUES))
-        fragments[v] = ", ".join([*picked, ""])
+        fragments[v] = ", ".join([*compress(labels, flags(v, width)[::-1]), ""])
     return fragments
 
 

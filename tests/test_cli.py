@@ -20,7 +20,7 @@ from gotas.cli import (
 from gotas.oracle import POWERSET_CAP
 
 from conftest import make_example_space
-from test_cli_digests import COMMANDS, DOC, corpus
+from test_cli_digests import COMMANDS, DOC, NEEDLE, corpus
 from test_oracle import FLIPPED_R_LOWER_LINES
 
 TOPOLOGY_GOLDEN = """\
@@ -390,6 +390,20 @@ class TestCheckCommand:
         payload = json.loads(result.output)
         assert payload["mode"] == "exhaustive"
         assert {p["instances"] for p in payload["propositions"] if p["pass"]} == {2**cap, 4**cap}
+
+    @pytest.mark.parametrize("flags", [[], ["--samples", "1"]], ids=["default", "one-sample"])
+    def test_needle_failures_are_found_at_the_kernel_classes(self, runner, tmp_path, flags):
+        # 3.21 and 3.25 fail only at {a} and {b1, ..., b20}, 2 of the 2**22
+        # subsets, both kernel classes: the check finds them past the draws.
+        doc = write_doc(tmp_path, NEEDLE)
+        result = runner.invoke(main, ["check", doc, "--format", "json", *flags])
+        assert result.exit_code == EXIT_CHECK_FAILED
+        payload = json.loads(result.output)
+        failed = {p["id"]: p for p in payload["propositions"] if not p["pass"]}
+        assert sorted(failed) == ["3.21", "3.25"]
+        samples = int(flags[1]) if flags else 256
+        assert all(p["instances"] > samples for p in failed.values())
+        assert {p["instances"] for p in payload["propositions"] if p["pass"]} == {samples}
 
     def test_corrupted_fixture_mode_fails(self, runner, tmp_path):
         doc = write_doc(tmp_path, PROBE_DOC)

@@ -42,6 +42,10 @@ WORKED_EXAMPLE = {
 }
 # Opens {}, {a}, {b}, {a, b}, U under equality: laws 3.21 and 3.25 fail.
 PROBE = {"universe": ["a", "b", "c"], "base": [["a"], ["b"]], "order": []}
+# 22 points, past the powerset cap: laws 3.21 and 3.25 fail only at {a} and
+# at {b1, ..., b20}, which no random draw is likely to hit.
+_BS = [f"b{k}" for k in range(1, 21)]
+NEEDLE = {"universe": ["a", "c", *_BS], "base": [["a"], _BS], "order": []}
 _PAIR = {"universe": ["a", "b"], "base": [["a"]], "order": [["a", "b"]]}
 
 
@@ -94,6 +98,10 @@ def corpus() -> list[tuple[str, str, str]]:
         for kind in ("base", "relation"):
             docs.append((f"{kind}{size}", *_random_doc(rng, size, kind == "relation", False)))
     docs.append(("comma-label", json.dumps({**_PAIR, "universe": ["a", "b", "c,d"]}), "a"))
+    # Past the powerset cap, where check samples 256 subsets and pairs.
+    docs.append(("needle", json.dumps(NEEDLE), "a"))
+    for size in (17, 24):
+        docs.append((f"base{size}", *_random_doc(rng, size, False, False)))
     return docs
 
 

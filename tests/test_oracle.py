@@ -380,10 +380,20 @@ def _drawn_pairs(space, samples, seed):
     return draws[0::2], draws[1::2]
 
 
+def _classes(space):
+    """The distinct kernel classes, Inc then Dec, that a sampled check adds
+    to its unary lanes."""
+    return list(dict.fromkeys([*space.kernel_plan[INC].masks, *space.kernel_plan[DEC].masks]))
+
+
 def test_a_sampled_check_folds_each_base_term_once(g, built_rows, folds):
-    assert all(r.passed for r in check_propositions(g, samples=256, rng=random.Random(6)))
-    # A, the binary laws' table, then the complement of A.
-    assert [x.width for x in built_rows] == [256, 4 * 256, 256]
+    reports = check_propositions(g, samples=256, rng=random.Random(6))
+    assert [(r.passed, r.instances) for r in reports] == [(True, 256)] * len(PROPOSITION_IDS)
+    # A, the binary laws' table, then the complement of A. A holds the
+    # 256 draws, then the kernel classes.
+    classes = _classes(g)
+    assert [x.width for x in built_rows] == [256 + len(classes), 4 * 256, 256 + len(classes)]
+    assert built_rows[0].rows()[256:] == classes
     a, b = _drawn_pairs(g, 256, 6)
     assert built_rows[1].rows() == ([x & y for x, y in zip(a, b)] + a + b
                                     + [x | y for x, y in zip(a, b)])
@@ -510,9 +520,22 @@ def test_a_batch_gets_each_space_its_own_folds():
             assert got[0] != got[1]
 
 
+def test_one_sample_gives_the_exhaustive_verdict_on_small_random_spaces():
+    # Where 3.21 or 3.25 fails, it fails at a kernel class; the other laws
+    # hold on the shipped operators. So one draw plus the classes decides.
+    rng, failing = random.Random(27), 0
+    for _ in range(1000):
+        space = random_space(rng, rng.randint(1, 10), 8)
+        want = [r.passed for r in check_propositions(space)]
+        assert [r.passed for r in check_propositions(space, samples=1)] == want
+        failing += not all(want)
+    assert failing > 50
+
+
 def test_operands_equal_by_value_keep_their_own_segments(built_rows):
     # One point, one sample: A∩B and A∪B each equal A or B by value, and
-    # each still gets its own lane of the binary laws' table.
+    # each still gets its own lane of the binary laws' table. A's table
+    # holds the draw and the one kernel class, {a}.
     u = Universe(["a"])
     space = Gotas(u, generate_topology(u, []), equality_order(u))
     for seed in range(8):
@@ -520,7 +543,8 @@ def test_operands_equal_by_value_keep_their_own_segments(built_rows):
         assert [(r.passed, r.instances) for r in reports] == [(True, 1)] * len(PROPOSITION_IDS)
         [a], [b] = _drawn_pairs(space, 1, seed)
         assert built_rows[-2].rows() == [a & b, a, b, a | b]
-    assert [x.width for x in built_rows] == [1, 4, 1] * 8
+    assert _classes(space) == [1]
+    assert [x.width for x in built_rows] == [2, 4, 2] * 8
     assert len({tuple(x.rows()) for x in built_rows[1::3]}) > 1
 
 

@@ -119,6 +119,9 @@ def test_monotone_families_closed_under_union_and_intersection(seed):
                 assert check(x & y)
 
 
+_NAMES = "abcdefghijkl"
+
+
 def _reference_check(n, pairs, auto_reflexive):
     """The axiom, witness and message ``validate_order`` must report for
     these index pairs, or None for a valid order: reflexivity at the lowest
@@ -128,7 +131,7 @@ def _reference_check(n, pairs, auto_reflexive):
     pairs = set(pairs)
     if auto_reflexive:
         pairs |= {(i, i) for i in range(n)}
-    name = "abcdef"
+    name = _NAMES
     for i in range(n):
         if (i, i) not in pairs:
             a = name[i]
@@ -173,6 +176,37 @@ def test_order_witnesses_match_the_reference(case):
             continue
         with pytest.raises(OrderAxiomError) as err:
             validate_order(u, pairs, auto_reflexive=auto_reflexive)
+        assert (err.value.axiom, err.value.witness, str(err.value)) == want
+
+
+def _non_transitive(rng, n):
+    """A reflexive, antisymmetric relation on n points that is not
+    transitive: a random orientation of some point pairs, or a random
+    partial order, over shuffled points, with a few non-loop pairs dropped."""
+    while True:
+        perm = rng.sample(range(n), n)
+        if rng.random() < 0.5:
+            pairs = {(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < 0.4}
+        else:
+            pairs = {(perm[i], perm[j]) for i, j in random_order(rng, Universe(_NAMES[:n])).pairs}
+            pairs -= {(i, i) for i in range(n)}
+            pairs -= set(rng.sample(sorted(pairs), min(len(pairs), rng.randint(1, 3))))
+        pairs |= {(i, i) for i in range(n)}
+        if _reference_check(n, pairs, False) is not None:
+            return sorted(pairs)
+
+
+def test_transitivity_witnesses_match_the_per_pair_scan():
+    # Reflexive and antisymmetric on 2 points is transitive, so from 3 points.
+    rng = random.Random(27)
+    for _ in range(600):
+        n = rng.randint(3, 12)
+        pairs = _non_transitive(rng, n)
+        want = _reference_check(n, pairs, False)
+        assert want[0] == "transitivity"
+        with pytest.raises(OrderAxiomError) as err:
+            validate_order(Universe(_NAMES[:n]), pairs, auto_reflexive=rng.random() < 0.5)
         assert (err.value.axiom, err.value.witness, str(err.value)) == want
 
 

@@ -1,11 +1,14 @@
 import random
+import re
+from itertools import compress
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from gotas import Universe, UniverseMismatchError
-from gotas.universe import canonical_order
+from gotas.universe import _points, canonical_order, flags, from_flags, union_over
 
 from strategies import universe_with_subsets
 
@@ -113,7 +116,7 @@ def test_rendered_labels_match_a_scan_of_the_points(t):
     u = Universe(_labels(n))
     want = tuple(label for pos, label in enumerate(u.labels) if bits >> pos & 1)
     assert u.reverse(u.reverse(bits)) == bits
-    assert tuple(u.labels_of(u.reverse(bits))) == want
+    assert tuple(compress(u.labels, flags(bits, n))) == want
     assert u.from_bits(bits).members() == want
     assert str(u.from_bits(bits)) == "{" + ", ".join(want) + "}"
 
@@ -131,7 +134,7 @@ def test_texts_is_the_text_of_each_mask_joined_by_newlines(n):
     u = Universe(labels)
     masks = [0, u.full_mask, *(rng.getrandbits(n) for _ in range(300))]
     masks += rng.sample(masks, 20)  # repeats
-    assert u.texts(masks) == "\n".join(map(u.text, masks))
+    assert u.texts(masks) == "\n".join(str(u.from_bits(u.reverse(r))) for r in masks)
     assert u.texts([0]) == "{}"
     assert u.texts([]) == ""
 
@@ -142,3 +145,49 @@ def test_canonical_order_is_cardinality_then_descending_reversed_mask():
         masks = [rng.getrandbits(n) for _ in range(400)]
         masks += masks[:50]  # repeats
         assert canonical_order(masks) == sorted(masks, key=lambda r: (r.bit_count(), -r))
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 65, 300])
+def test_flags_hold_one_byte_per_position_and_round_trip(width):
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    for bits in (0, full, *(rng.getrandbits(width) for _ in range(50))):
+        got = flags(bits, width)
+        # format(0, "00b") is "0": at width 0 one byte is still written.
+        assert got == bytes(bits >> x & 1 for x in range(max(width, 1)))
+        assert from_flags(got) == bits
+    assert from_flags(b"") == 0
+
+
+def test_union_over_is_the_union_of_the_masks_of_the_points():
+    rng = random.Random(7)
+    for n in (1, 2, 8, 33, 70):
+        masks = [rng.getrandbits(n) for _ in range(n)]
+        for bits in (0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(40))):
+            want = 0
+            for x in _points(bits):
+                want |= masks[x]
+            assert union_over(masks, bits) == want
+
+
+# How a mask becomes binary digits or one byte per point is decided in
+# universe.py only; other modules call flags, from_flags or union_over.
+_DIGIT_TRICKS = re.compile(
+    r"maketrans"
+    r"|\bint\(.*,\s*2\s*\)"  # int(text, 2)
+    r"|\bbin\("
+    r"|\}b[\"']"  # f"0{n}b"
+    r"|:[<>=^+\- #0-9]*b\}"  # f"{x:08b}"
+    r"|\bformat\(.*,\s*f?[\"'][<>=^+\- #0-9]*b[\"']"  # format(x, "08b")
+)
+
+
+def test_binary_digit_tricks_live_only_in_universe():
+    package = Path(__file__).resolve().parents[1] / "src" / "gotas"
+    found = [
+        f"{path.name}:{line}: {text.strip()}"
+        for path in sorted(package.glob("*.py")) if path.name != "universe.py"
+        for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if _DIGIT_TRICKS.search(text)
+    ]
+    assert found == []
