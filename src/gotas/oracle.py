@@ -54,7 +54,7 @@ from .approximations import (
 from .order import PartialOrder, equality_order, validate_order
 from .topology import Topology, generate_topology
 from .universe import (Batch, Subset, Universe, _counting_columns, _points, _transpose,
-                       from_flags, union_over)
+                       from_flags, random_columns, union_over)
 
 # The most points whose 2**n subsets the oracle table or an exhaustive check
 # scans: at 16 the slowest measured shape, a failing check, takes under
@@ -431,7 +431,10 @@ def check_propositions(
     (B, A∪B) off it, in that order; a drawn pair breaks the law's clauses
     iff one of these breaks the row. Its unary laws also run on each
     distinct kernel class M_d(x), in lanes past the W draws: a law that
-    fails only there reports that lane's index plus one, past W.
+    fails only there reports that lane's index plus one, past W. The W
+    units and then the W pairs are drawn as ``rng.getrandbits(n)`` calls
+    would draw them, A before B, but read as columns off one block each
+    (``random_columns``).
     """
     suite = suite if suite is not None else DEFAULT_SUITE
     u = g.universe
@@ -448,15 +451,15 @@ def check_propositions(
             raise ValueError(f"samples must be at least 1, got {samples}")
         rng = rng if rng is not None else random.Random(0)
         n, w = u.size, samples
-        units = [rng.getrandbits(n) for _ in range(w)]
-        draws = [rng.getrandbits(n) for _ in range(2 * w)]
+        # The W units, then W pairs A, B drawn alternately, each as n columns.
+        units = random_columns(rng, n, w)
+        draws = random_columns(rng, n, w, 2)
+        a, b, lanes = draws[:n], draws[n:], (1 << w) - 1
         # Past the W draws, the unary lanes hold each distinct kernel class, Inc
         # then Dec: where 3.21 or 3.25 fails, it fails at one, which draws can miss.
         classes = list(dict.fromkeys(chain(*(g.kernel_plan[d].masks for d in DIRECTION_ORDER))))
-        # One transpose of units | A | B | classes, split by shifts.
-        cols, lanes = _transpose([*units, *draws[0::2], *draws[1::2], *classes], n), (1 << w) - 1
-        a, b = ([c >> k * w & lanes for c in cols] for k in (1, 2))
-        unit = Batch(u, tuple(c & lanes | c >> 3 * w << w for c in cols), w + len(classes))
+        unit = Batch(u, tuple(x | c << w for x, c in zip(units, _transpose(classes, n))),
+                     w + len(classes))
         unary = approx.Rows(g, unit, suite)
         # One table of 4W lanes, A∩B | A | B | A∪B, so that each comparable
         # pair is a forward shift: (A∩B, A), (A∩B, B), (A, A∪B), (B, A∪B).

@@ -144,7 +144,8 @@ def test_counting_columns_repeat_their_period_up_to_twice_the_cap():
 
 def test_transpose_round_trips():
     rng = random.Random(11)
-    for count, width in ((0, 5), (1, 1), (16, 256), (256, 16), (33, 33)):
+    for count, width in ((0, 5), (1, 1), (16, 256), (256, 16), (33, 33),
+                         *((7, w) for w in (31, 32, 33, 63, 64, 65))):
         values = [rng.getrandbits(width) for _ in range(count)]
         columns = _transpose(values, width)
         assert len(columns) == width

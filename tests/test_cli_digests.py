@@ -64,8 +64,8 @@ def _random_doc(rng: random.Random, size: int, relation: bool,
                 reflexive: bool) -> tuple[str, str]:
     """A random base or relation document of ``size`` points, with its
     loops listed and ``auto_reflexive`` off if ``reflexive``, and random
-    ``--set`` labels."""
-    labels = [chr(ord("a") + k) for k in range(size)]
+    ``--set`` labels. Past 26 points the labels are e0, e1, ..."""
+    labels = [chr(ord("a") + k) if size <= 26 else f"e{k}" for k in range(size)]
     doc: dict = {"universe": labels}
     if relation:
         doc["relation"] = [[x, y] for x in labels for y in labels if rng.random() < 0.3]
@@ -100,7 +100,7 @@ def corpus() -> list[tuple[str, str, str]]:
     docs.append(("comma-label", json.dumps({**_PAIR, "universe": ["a", "b", "c,d"]}), "a"))
     # Past the powerset cap, where check samples 256 subsets and pairs.
     docs.append(("needle", json.dumps(NEEDLE), "a"))
-    for size in (17, 24):
+    for size in (17, 24, 33, 65):
         docs.append((f"base{size}", *_random_doc(rng, size, False, False)))
     return docs
 

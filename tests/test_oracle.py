@@ -12,6 +12,7 @@ from gotas import (
     Batch,
     BinaryRelation,
     Direction,
+    Topology,
     Universe,
     equality_order,
     generate_topology,
@@ -35,7 +36,7 @@ from gotas.oracle import (
     _greatest_inside,
     _smallest_around,
 )
-from gotas.universe import _counting_columns
+from gotas.universe import _counting_columns, _points
 
 from conftest import make_example_space, oracle_rows
 from strategies import spaces
@@ -699,6 +700,64 @@ def test_chain_laws_hold_iff_each_kernel_has_an_open_upper(probe):
     assert ap.r_upper(probe, a, INC) == ap.r_upper(probe, a, DEC) == probe.universe.subset(["a", "c"])
     assert [_open_upper_failures(probe, d) for d in (INC, DEC)] == [[0, 1], [0, 1]]
     assert [_chain_laws_hold(probe, d) for d in (INC, DEC)] == [(False, False)] * 2
+
+
+def _preorders(n):
+    """Every reflexive transitive relation on n points, as the up-set
+    bitmask of each point."""
+    off = [(x, y) for x in range(n) for y in range(n) if x != y]
+    for choice in range(1 << len(off)):
+        up = [1 << x for x in range(n)]
+        for k, (x, y) in enumerate(off):
+            if choice >> k & 1:
+                up[x] |= 1 << y
+        if all(up[y] & ~up[x] == 0 for x in range(n) for y in _points(up[x])):
+            yield up
+
+
+def test_census_of_every_space_on_at_most_three_points():
+    # A finite topology is the Alexandrov topology of its specialisation
+    # preorder, whose up-sets are the minimal neighborhoods: so the
+    # preorders give every topology, and the antisymmetric ones every
+    # partial order (1, 4, 29 topologies; 1, 3, 19 orders). On each space
+    # every law holds but 3.21 and 3.25, which fail together iff some
+    # r_upper(M_d(x)) is not d-monotone open.
+    census = []
+    for n in (1, 2, 3):
+        u = Universe([f"e{k}" for k in range(n)])
+        ups = list(_preorders(n))
+        orders = [validate_order(u, [(x, y) for x in range(n) for y in _points(up[x])])
+                  for up in ups if all(up[y] >> x & 1 == 0 for x in range(n)
+                                       for y in _points(up[x]) if y != x)]
+        spaces = failing = 0
+        for up in ups:
+            for order in orders:
+                space = Gotas(u, Topology(u, up), order)
+                failed = {r.proposition for r in check_propositions(space) if not r.passed}
+                cause = any(_open_upper_failures(space, d) for d in (INC, DEC))
+                assert failed == ({"3.21", "3.25"} if cause else set()), (up, order.succ)
+                spaces += 1
+                failing += cause
+        census.append((len(ups), len(orders), spaces, failing))
+    assert census == [(1, 1, 1, 0), (4, 3, 12, 0), (29, 19, 551, 39)]
+
+
+def test_sampled_chain_laws_past_the_cap_follow_the_open_upper_condition():
+    # Past the powerset cap a sampled check adds the kernel classes to its
+    # draws, so 3.21 and 3.25 fail iff some r_upper(M_d(x)) is not
+    # d-monotone open, with any sample count; every other law holds. The
+    # sizes reach two-word draws.
+    rng, failing = random.Random(28), 0
+    for k in range(1000):
+        space = random_space(rng, rng.randint(POWERSET_CAP + 1, 64), 8)
+        samples = rng.choice((1, 8))
+        failed = {r.proposition for r in check_propositions(space, samples=samples,
+                                                            rng=random.Random(k))
+                  if not r.passed}
+        cause = any(_open_upper_failures(space, d) for d in (INC, DEC))
+        assert failed == ({"3.21", "3.25"} if cause else set()), (k, samples)
+        failing += cause
+    assert failing >= 20
 
 
 # Deliberately wrong operators, so that every law of the catalogue has a

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from gotas import Universe, UniverseMismatchError
-from gotas.universe import _points, canonical_order, flags, from_flags, union_over
+from gotas.universe import (_points, _transpose, canonical_order, flags, from_flags,
+                            random_columns, union_over)
 
 from strategies import universe_with_subsets
 
@@ -168,6 +169,21 @@ def test_union_over_is_the_union_of_the_masks_of_the_points():
             for x in _points(bits):
                 want |= masks[x]
             assert union_over(masks, bits) == want
+
+
+@pytest.mark.parametrize("width", [1, 5, 16, 31, 32, 33, 63, 64, 65, 100, 200])
+def test_random_columns_are_the_columns_of_one_draw_per_value(width):
+    # One getrandbits block gives the bits of the per-value draws, taken
+    # round by round and operand by operand, and leaves the generator where
+    # they do.
+    for count in (1, 2, 255, 256, 1000):
+        for operands in (1, 2):
+            seed = width * 10007 + count * 3 + operands
+            block, each = random.Random(seed), random.Random(seed)
+            values = [each.getrandbits(width) for _ in range(count * operands)]
+            want = [c for k in range(operands) for c in _transpose(values[k::operands], width)]
+            assert random_columns(block, width, count, operands) == want
+            assert block.getrandbits(64) == each.getrandbits(64)
 
 
 # How a mask becomes binary digits or one byte per point is decided in
