@@ -26,7 +26,8 @@ import json
 import random
 import reprlib
 import sys
-from itertools import repeat
+from functools import partial
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NoReturn
@@ -44,7 +45,7 @@ from .approximations import (
 )
 from .order import validate_order
 from .topology import BinaryRelation, generate_topology, topology_from_relation
-from .universe import Subset, Universe
+from .universe import Subset, Universe, flags
 
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -151,16 +152,12 @@ def build_space(doc: dict) -> Gotas:
     """The space of a document from ``parse_document``; each label is
     resolved once, straight into the bitmasks of the topology and order."""
     universe = Universe(doc["universe"])
-    index = universe.index
     if "relation" in doc:
         topology = topology_from_relation(BinaryRelation.from_labels(universe, doc["relation"]))
     else:
         topology = generate_topology(universe, map(universe.subset, doc["base"]))
-    order = validate_order(
-        universe,
-        [(index(x), index(y)) for x, y in doc["order"]],
-        auto_reflexive=doc["options"]["auto_reflexive"],
-    )
+    order = validate_order(universe, BinaryRelation.from_labels(universe, doc["order"]),
+                           auto_reflexive=doc["options"]["auto_reflexive"])
     return Gotas(universe, topology, order)
 
 
@@ -181,6 +178,11 @@ def load_space(path: str | Path) -> Gotas:
         raise DocumentError(f"{name}: {e}") from None
 
 
+# Writes a line to stdout as is: without color=True, click strips ANSI-like
+# sequences, which a label may hold, whenever stdout is no terminal.
+_echo = partial(click.echo, color=True)
+
+
 def _fail_input(message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_INPUT_ERROR)
@@ -199,12 +201,12 @@ def _parse_set(g: Gotas, labels: str) -> Subset:
 
 
 def _dumps(obj: object, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte; ``indent`` is the
-    newline and indentation of ``obj``'s own level. Dicts with string keys,
-    lists, strings, ints and bools are written here, each container's items
-    by ``str.join`` over ``map``, so the loop runs in C, where ``json.dumps``
-    with an indent always runs the pure-Python encoder. Anything else is
-    left to ``json.dumps``."""
+    """``json.dumps(obj, indent=2)``, byte for byte, a ``Subset`` written as
+    its label list; ``indent`` is the newline and indentation of ``obj``'s
+    own level. Dicts with string keys, lists, subsets, strings, ints and
+    bools are written here, each container's items by ``str.join``, so the
+    loop runs in C, where ``json.dumps`` with an indent always runs the
+    pure-Python encoder. Anything else is left to ``json.dumps``."""
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
@@ -213,14 +215,12 @@ def _dumps(obj: object, indent: str = "\n") -> str:
     if kind is int:
         return int.__repr__(obj)
     inner = indent + "  "
-    if kind is list:
+    if kind is list or kind is Subset:
         if not obj:
             return "[]"
-        try:  # a list of strings; any other item raises TypeError
-            items = ("," + inner).join(map(encode_basestring_ascii, obj))
-        except TypeError:
-            items = ("," + inner).join(map(_dumps, obj, repeat(inner)))
-        return "[" + inner + items + indent + "]"
+        items = (compress(obj.universe.encoded, flags(obj.bits)) if kind is Subset
+                 else map(_dumps, obj, repeat(inner)))
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     if kind is dict:
         if not obj:
             return "{}"
@@ -255,7 +255,7 @@ def cmd_topology(file: str) -> None:
     opens = g.topology.open_masks(MAX_OPENS)
     if opens is None:
         _fail_input(f"the topology has more than {MAX_OPENS} opens, too many to list")
-    click.echo(f"{g.universe.texts(opens)}\ncount: {len(opens)}")
+    _echo(f"{g.universe.texts(opens)}\ncount: {len(opens)}")
 
 
 def _report_rows(g: Gotas, a: Subset, family: OperatorFamily | None, direction: Direction | None):
@@ -292,19 +292,19 @@ def cmd_analyze(file: str, set_labels: str, family: str | None, direction: str |
 
     if fmt == "json":
         payload = {
-            "set": list(a.members()),
+            "set": a,
             "rows": [
                 {
                     "family": f.label,
                     "direction": dd.label,
-                    **{name: list(getattr(r, name).members()) for name in _REGIONS},
+                    **{name: getattr(r, name) for name in _REGIONS},
                     "accuracy": str(r.accuracy),
                     "exact": r.exact,
                 }
                 for f, dd, r in rows
             ],
         }
-        click.echo(_dumps(payload))
+        _echo(_dumps(payload))
         return
 
     headers = ("family", "dir", *_REGIONS, "accuracy", "exactness")
@@ -320,10 +320,8 @@ def cmd_analyze(file: str, set_labels: str, family: str | None, direction: str |
     ]
     widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h)
               for i, h in enumerate(headers)]
-    click.echo(f"A = {a}")
-    click.echo("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    for row in body:
-        click.echo("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in (headers, *body))
+    _echo("\n".join((f"A = {a}", *lines)))
 
 
 @main.command("check")
@@ -374,14 +372,14 @@ def cmd_check(file: str, exhaustive: bool, samples: int | None, seed: int,
                 for r in reports
             ],
         }
-        click.echo(_dumps(payload))
+        _echo(_dumps(payload))
     else:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
-            click.echo(f"{r.proposition:<9} {r.instances:>6} instances  {status}")
+            _echo(f"{r.proposition:<9} {r.instances:>6} instances  {status}")
             for v in r.violations:
-                click.echo(f"          witness: {v.detail}")
-        click.echo("result: " + ("all laws hold" if all_pass else "violations found"))
+                _echo(f"          witness: {v.detail}")
+        _echo("result: " + ("all laws hold" if all_pass else "violations found"))
     if not all_pass:
         sys.exit(EXIT_CHECK_FAILED)
 
@@ -397,8 +395,8 @@ def cmd_oracle_diff(file: str) -> None:
     except oracle.CapExceededError as e:
         _fail_input(str(e))
     for line in mismatches:
-        click.echo(line)
-    click.echo(f"{len(mismatches)} mismatches / {comparisons} comparisons")
+        _echo(line)
+    _echo(f"{len(mismatches)} mismatches / {comparisons} comparisons")
     if mismatches:
         sys.exit(EXIT_CHECK_FAILED)
 

@@ -67,17 +67,22 @@ class PartialOrder:
 
 def validate_order(
     universe: Universe,
-    pairs: Iterable[tuple[int, int]],
+    pairs: BinaryRelation | Iterable[tuple[int, int]],
     *,
     auto_reflexive: bool = True,
 ) -> PartialOrder:
     """Check the three partial-order axioms and return the validated order.
+    ``pairs`` are index pairs or a relation over ``universe``.
 
     With ``auto_reflexive`` (the default) missing loops are inserted before
     validation; with it off they are a reflexivity error. Missing transitive
     pairs are always an error, never auto-completed.
     """
-    succ = BinaryRelation(universe, pairs).rights
+    if not isinstance(pairs, BinaryRelation):
+        pairs = BinaryRelation(universe, pairs)
+    elif pairs.universe is not universe:
+        raise UniverseMismatchError("relation belongs to a different universe")
+    succ = pairs.rights
     if auto_reflexive:
         succ = [up | 1 << i for i, up in enumerate(succ)]
 

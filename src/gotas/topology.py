@@ -38,7 +38,17 @@ class BinaryRelation:
 
     @classmethod
     def from_labels(cls, universe: Universe, pairs: Iterable[tuple[str, str]]) -> BinaryRelation:
-        return cls(universe, [(universe.index(x), universe.index(y)) for x, y in pairs])
+        """The relation of the label pairs, each label looked up in
+        ``universe.positions``."""
+        positions, rights = universe.positions, [0] * universe.size
+        try:
+            for x, y in pairs:
+                rights[positions[x]] |= 1 << positions[y]
+        except KeyError as e:  # the label the lookup missed
+            universe.index(*e.args)
+        relation = cls.__new__(cls)
+        relation.universe, relation.rights = universe, tuple(rights)
+        return relation
 
     def right_neighborhoods(self) -> tuple[Subset, ...]:
         """The family { xR : x in U }, duplicates removed, in canonical order."""

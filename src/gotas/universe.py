@@ -12,6 +12,7 @@ import random
 import reprlib
 from functools import reduce
 from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii
 from operator import add, and_, invert, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -47,7 +48,7 @@ class Universe:
     same Universe object, not merely an equal label list.
     """
 
-    __slots__ = ("labels", "full_mask", "_index", "_digits")
+    __slots__ = ("labels", "full_mask", "positions", "_digits", "_encoded")
 
     def __init__(self, labels: Iterable[str]) -> None:
         labels = tuple(labels)
@@ -60,8 +61,9 @@ class Universe:
             index[label] = pos
         self.labels = labels
         self.full_mask = (1 << len(labels)) - 1
-        self._index = index
+        self.positions = index  # label -> index; ``index`` also names an unknown label
         self._digits = f"0{len(labels)}b"
+        self._encoded: tuple[str, ...] | None = None
 
     @property
     def size(self) -> int:
@@ -69,17 +71,27 @@ class Universe:
 
     def index(self, label: str) -> int:
         try:
-            return self._index[label]
+            return self.positions[label]
         except KeyError:
             raise ValueError(f"unknown label {reprlib.repr(label)}") from None
 
     def subset(self, labels: Iterable[str]) -> Subset:
         """Subset holding exactly the named elements; input order and
         repeats are irrelevant."""
-        bits = 0
-        for label in labels:
-            bits |= 1 << self.index(label)
+        bits, positions = 0, self.positions
+        try:
+            for label in labels:
+                bits |= 1 << positions[label]
+        except KeyError as e:  # the label the lookup missed
+            self.index(*e.args)
         return Subset(self, bits)
+
+    @property
+    def encoded(self) -> tuple[str, ...]:
+        """Each label as ``json.dumps`` writes it, encoded on first use."""
+        if self._encoded is None:
+            self._encoded = tuple(map(encode_basestring_ascii, self.labels))
+        return self._encoded
 
     def reverse(self, bits: int) -> int:
         """``bits`` bit-reversed over the universe, so that point 0 sits in

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 
 import gotas.approximations as ap
-from gotas import cli
+from gotas import Universe, cli
 from gotas.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -860,25 +860,53 @@ def test_parse_document_returns_the_object_with_options_defaulted():
     assert parse_document(json.dumps(off)) == off
 
 
+def _as_lists(obj):
+    """``json.dumps``'s ``default`` for a payload holding subsets."""
+    return list(obj.members())
+
+
 def test_json_output_is_json_dumps_with_indent_2_on_the_digest_corpus(tmp_path, monkeypatch):
     """Every analyze and check payload of the digest corpus is written as
-    ``json.dumps(payload, indent=2)`` writes it."""
+    ``json.dumps(payload, indent=2)`` writes it, with each subset as the
+    list of its labels."""
     written, dumps = [], cli._dumps
 
-    def recording(obj):
-        written.append((obj, dumps(obj)))
-        return written[-1][1]
+    def recording(obj, indent="\n"):
+        text = dumps(obj, indent)
+        if indent == "\n":  # the whole payload, not one of its items
+            written.append((obj, text))
+        return text
 
     monkeypatch.setattr(cli, "_dumps", recording)
     monkeypatch.chdir(tmp_path)
     runner = CliRunner()
+    analyzed = 0
     for _, text, chosen in corpus():
         (tmp_path / DOC).write_text(text, encoding="utf-8")
         for command in ("analyze-json", "check", "check-samples", "check-corrupt"):
-            runner.invoke(main, [arg.format(set=chosen) for arg in COMMANDS[command]])
-    assert len(written) > 100
+            result = runner.invoke(main, [arg.format(set=chosen) for arg in COMMANDS[command]])
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            analyzed += command == "analyze-json" and result.exit_code == 0
+    assert len(written) > 100 and analyzed > 30
     for payload, text in written:
-        assert text == json.dumps(payload, indent=2)
+        assert text == json.dumps(payload, indent=2, default=_as_lists)
+
+
+# Labels that JSON escapes: quotes, backslashes, non-ASCII, an astral
+# character, control characters and ESC.
+_ODD_LABELS = ['q"t', "b\\s", "é", "\U0001d538", "t\tab", "c\x01\x1f", "\x1b[31mred\x1b[0m", "z"]
+
+
+def test_dumps_writes_a_subset_as_json_dumps_writes_its_label_list():
+    u = Universe(_ODD_LABELS)
+    rng = random.Random(29)
+    sets = [u.empty(), u.full(), *(u.from_bits(rng.getrandbits(u.size)) for _ in range(40))]
+    payload = {"set": sets[2], "sets": sets, "rows": [{"lower": a, "upper": b, "exact": a == b}
+                                                      for a, b in zip(sets, sets[1:])]}
+    assert cli._dumps(payload) == json.dumps(payload, indent=2, default=_as_lists)
+    for s in sets:
+        assert cli._dumps(s) == json.dumps(list(s.members()), indent=2)
+        assert cli._dumps([s]) == json.dumps([list(s.members())], indent=2)
 
 
 _JSON_TREES = st.recursive(
@@ -904,3 +932,55 @@ def test_dumps_is_json_dumps_with_indent_2(tree):
 ])
 def test_dumps_writes_edge_cases_as_json_dumps(tree):
     assert cli._dumps(tree) == json.dumps(tree, indent=2)
+
+
+# An ANSI-like label keeps its bytes on stdout, which is no terminal here,
+# as it does on one; JSON escapes its ESC.
+_ANSI = "a\x1b[31mred\x1b[0m"
+
+
+def test_a_label_with_ansi_sequences_keeps_its_bytes_on_stdout(runner, tmp_path):
+    path = write_doc(tmp_path, {**PROBE_DOC, "universe": [_ANSI, "b", "c"],
+                                "base": [[_ANSI], ["b"]]})
+    topology = runner.invoke(main, ["topology", path])
+    assert topology.exit_code == 0
+    assert f"{{{_ANSI}, b}}\n" in topology.stdout
+    table = runner.invoke(main, ["analyze", path, "--set", _ANSI])
+    assert table.exit_code == 0
+    lines = table.stdout.splitlines()
+    assert lines[0] == f"A = {{{_ANSI}}}"
+    # The columns are padded to the labels' length as written.
+    assert lines[1].index("upper") - lines[1].index("lower") == len(f"{{{_ANSI}}}  ")
+    check = runner.invoke(main, ["check", path])
+    assert check.exit_code == EXIT_CHECK_FAILED
+    assert f"witness: Inc: A={{{_ANSI}}}: gamma upper {{{_ANSI}, c}}" in check.stdout
+    for args in (["analyze", path, "--set", _ANSI, "--format", "json"],
+                 ["check", path, "--format", "json"]):
+        result = runner.invoke(main, args)
+        assert "\x1b" not in result.stdout and "a\\u001b[31mred\\u001b[0m" in result.stdout
+
+
+# Several unknown labels: the first in document order is named, and base
+# (or relation) labels are resolved before order labels.
+@pytest.mark.parametrize("doc, args, message", [
+    ({"universe": ["a", "b"], "relation": [["a", "b"], ["a", "y"], ["x", "a"]], "order": []},
+     [], "unknown label 'y'"),
+    ({"universe": ["a", "b"], "relation": [["a", "b"], ["x", "y"]], "order": []},
+     [], "unknown label 'x'"),
+    ({**_VALID, "order": [["a", "b"], ["b", "w"], ["v", "a"]]}, [], "unknown label 'w'"),
+    ({**_VALID, "order": [["v", "w"]]}, [], "unknown label 'v'"),
+    ({**_VALID, "base": [["a"], ["b", "q", "p"], ["r"]]}, [], "unknown label 'q'"),
+    ({**_VALID, "base": [["a"], ["p"]], "order": [["v", "a"]]}, [], "unknown label 'p'"),
+    ({**_VALID, "base": [["p"]], "order": [["a", "b"], ["b", "q"]]}, [], "unknown label 'p'"),
+    ({"universe": ["a", "b"], "relation": [["a", "p"]], "order": [["q", "a"]]},
+     [], "unknown label 'p'"),
+    (_VALID, ["--set", "a,y,b,x"], "unknown label 'y'"),
+], ids=["relation-right", "relation-left", "order-right", "order-left", "base",
+        "base-before-order", "base-before-order-2", "relation-before-order", "set"])
+def test_the_first_unknown_label_in_document_order_is_named(runner, tmp_path, doc, args, message):
+    path = write_doc(tmp_path, doc, name="doc.json")
+    result = runner.invoke(main, ["analyze", path, *(args or ["--set", "a"])])
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert result.stdout == ""
+    where = "" if args else f"{path}: "
+    assert result.stderr == f"error: {where}{message}\n"

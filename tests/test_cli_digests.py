@@ -79,6 +79,16 @@ def _random_doc(rng: random.Random, size: int, relation: bool,
     return json.dumps(doc), ",".join(x for x in labels if rng.random() < 0.5)
 
 
+def _sparse_doc(rng: random.Random, size: int) -> tuple[str, str]:
+    """A relation document of ``size`` points (a, b, ...) holding every loop
+    and each other pair with probability 0.08, under the empty order, and
+    random ``--set`` labels."""
+    labels = [chr(ord("a") + k) for k in range(size)]
+    relation = [[x, y] for x in labels for y in labels if x == y or rng.random() < 0.08]
+    doc = {"universe": labels, "relation": relation, "order": []}
+    return json.dumps(doc), ",".join(x for x in labels if rng.random() < 0.5)
+
+
 def corpus() -> list[tuple[str, str, str]]:
     """(name, document text, ``--set`` labels) of every document."""
     rng = random.Random(1510)
@@ -102,6 +112,10 @@ def corpus() -> list[tuple[str, str, str]]:
     docs.append(("needle", json.dumps(NEEDLE), "a"))
     for size in (17, 24, 33, 65):
         docs.append((f"base{size}", *_random_doc(rng, size, False, False)))
+    # Laws 3.21 and 3.25 fail here at drawn lane 13, with 256 samples and with
+    # 32, so these digests pin the draws themselves. Seed 4 came from a search
+    # over seeds 0-39 (17-24 points); 37 of those 40 documents fail at a drawn lane.
+    docs.append(("sparse21", *_sparse_doc(random.Random(4), 21)))
     return docs
 
 

@@ -7,10 +7,12 @@ from hypothesis import given
 
 from gotas import (
     BinaryRelation,
+    OrderAxiomError,
     Universe,
     UniverseMismatchError,
     generate_topology,
     topology_from_relation,
+    validate_order,
 )
 from gotas.oracle import open_family, random_space
 
@@ -178,3 +180,70 @@ def test_relation_topology_matches_its_right_neighborhoods_as_a_base():
         full = u.full_mask
         assert topology.closeds == u.canonical(full ^ o.bits for o in topology.opens)
 
+
+def _shuffled_with_repeats(rng, pairs):
+    pairs += rng.choices(pairs, k=len(pairs) // 4) if pairs else []
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _label_pairs(rng, labels, p):
+    """Random label pairs with loops and repeats: each pair with probability
+    ``p``, then a few drawn again, shuffled."""
+    return _shuffled_with_repeats(rng, [(x, y) for x in labels for y in labels
+                                        if rng.random() < p])
+
+
+def _forward_pairs(rng, labels):
+    """A random partial order's label pairs, some loops and repeats."""
+    n = len(labels)
+    up = [{j for j in range(i + 1, n) if rng.random() < 0.3} for i in range(n)]
+    for i in reversed(range(n)):
+        for j in sorted(up[i]):
+            up[i] |= up[j]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in up[i]]
+    pairs += [(x, x) for x in labels if rng.random() < 0.7]
+    return _shuffled_with_repeats(rng, pairs)
+
+
+def _validated(u, pairs, auto_reflexive):
+    try:
+        order = validate_order(u, pairs, auto_reflexive=auto_reflexive)
+    except OrderAxiomError as e:
+        return e.axiom, e.witness, str(e)
+    return order.succ, order.pred
+
+
+def test_from_labels_masks_match_the_per_pair_reference():
+    """``from_labels`` resolves each pair by dict lookups; its masks, and the
+    N(x), up-sets and down-sets built from them, are those of the index
+    pairs from ``Universe.index`` on 300 documents of 1-40 points."""
+    rng = random.Random(2929)
+    for k in range(300):
+        n = 1 + k % 40
+        u = Universe(f"p{i}" for i in rng.sample(range(100), n))
+        labels = u.labels
+        for pairs in (_label_pairs(rng, labels, rng.choice((0.05, 0.2, 0.5))),
+                      _forward_pairs(rng, labels)):
+            index_pairs = [(u.index(x), u.index(y)) for x, y in pairs]
+            want = BinaryRelation(u, index_pairs)
+            got = BinaryRelation.from_labels(u, pairs)
+            assert got.universe is u and got.rights == want.rights
+            assert (topology_from_relation(got).neighborhoods
+                    == topology_from_relation(want).neighborhoods)
+            for auto_reflexive in (True, False):
+                assert (_validated(u, got, auto_reflexive)
+                        == _validated(u, index_pairs, auto_reflexive))
+
+
+def test_index_pairs_outside_the_universe_are_refused():
+    u = Universe(["a", "b"])
+    for pair in ((0, 2), (2, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="outside the universe"):
+            BinaryRelation(u, [(0, 1), pair])
+
+
+def test_validate_order_refuses_a_relation_over_another_universe():
+    other = Universe(["a", "b"])
+    with pytest.raises(UniverseMismatchError):
+        validate_order(Universe(["a", "b"]), BinaryRelation.from_labels(other, [("a", "b")]))
