@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import hypothesis.strategies as st
@@ -19,7 +22,7 @@ from gotas.cli import (
 )
 from gotas.oracle import POWERSET_CAP
 
-from conftest import make_example_space
+from conftest import EXAMPLE_DOC, REPO_ROOT, make_example_space
 from test_cli_digests import COMMANDS, DOC, NEEDLE, corpus
 from test_oracle import FLIPPED_R_LOWER_LINES
 
@@ -984,3 +987,73 @@ def test_the_first_unknown_label_in_document_order_is_named(runner, tmp_path, do
     assert result.stdout == ""
     where = "" if args else f"{path}: "
     assert result.stderr == f"error: {where}{message}\n"
+
+
+# The command line as a process sees it: ``python -m gotas.cli`` run in a
+# subprocess, from this checkout's sources.
+_SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+
+
+def _gotas(*args, stdout=subprocess.PIPE):
+    return subprocess.run([sys.executable, "-m", "gotas.cli", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=_SUBPROCESS_ENV, text=True)
+
+
+@pytest.mark.parametrize("args", [[], ["topology"], ["analyze"], ["check"], ["oracle-diff"]])
+def test_help_exits_0_with_usage_on_stdout(args):
+    result = _gotas(*args, "--help")
+    assert result.returncode == 0
+    assert "usage:" in result.stdout.lower()
+    assert "--corrupt-gamma" not in result.stdout
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["bogus", "{doc}"],
+    ["topology", "{doc}", "--bogus"],
+    ["analyze", "{doc}"],
+    ["check", "{doc}", "--samples", "x"],
+    ["analyze", "{doc}", "--set", "a", "--family", "bogus"],
+    ["topology", "{doc}", "{doc}"],
+    ["check", "{doc}", "--exh"],
+], ids=["no-command", "unknown-command", "unknown-option", "missing-set", "samples-not-int",
+        "unknown-family", "extra-file", "abbreviated-option"])
+def test_usage_errors_exit_2_with_nothing_on_stdout(args):
+    result = _gotas(*(arg.format(doc=EXAMPLE_DOC) for arg in args))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr != ""
+
+
+def test_a_closed_stdout_pipe_exits_1_quietly():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = _gotas("topology", str(EXAMPLE_DOC), stdout=write)
+    finally:
+        os.close(write)
+    assert result.returncode == 1
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize("label", ["-a", "-1"])
+def test_set_takes_a_label_that_starts_with_a_dash(tmp_path, label):
+    path = write_doc(tmp_path, {"universe": ["-a", "-1", "b"], "base": [["-a"], ["-1"]],
+                                "order": []})
+    result = _gotas("analyze", path, "--set", label, "--family", "r", "--format", "json")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["set"] == [label]
+
+
+def test_an_interrupt_exits_1_with_aborted(runner, example_doc, monkeypatch):
+    def interrupt(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "load_space", interrupt)
+    result = runner.invoke(main, ["topology", str(example_doc)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "\nAborted!\n"
+
