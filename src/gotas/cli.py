@@ -2,7 +2,7 @@
 
 Reads a space document (JSON), builds the space and runs reports or
 checks. Exit codes are a stable contract: 0 success / all checks pass,
-1 check failure, 2 input error.
+1 check failure, 2 input or usage error.
 
 Building is two steps. ``parse_document`` checks the shape of the JSON
 object and returns it, with its options filled in. ``build_space`` then
@@ -22,25 +22,22 @@ Document schema::
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import random
 import reprlib
 import sys
-from functools import partial
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NoReturn
 
-import click
-
 from . import oracle
 from .approximations import (
     DIRECTION_ORDER,
     FAMILY_ORDER,
-    Direction,
     Gotas,
-    OperatorFamily,
     full_report,
 )
 from .order import validate_order
@@ -178,13 +175,13 @@ def load_space(path: str | Path) -> Gotas:
         raise DocumentError(f"{name}: {e}") from None
 
 
-# Writes a line to stdout as is: without color=True, click strips ANSI-like
-# sequences, which a label may hold, whenever stdout is no terminal.
-_echo = partial(click.echo, color=True)
+def _echo(text: str) -> None:
+    """Writes a line to stdout as is, ANSI-like sequences in labels included."""
+    sys.stdout.write(text + "\n")
 
 
 def _fail_input(message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    sys.stderr.write(f"error: {message}\n")
     sys.exit(EXIT_INPUT_ERROR)
 
 
@@ -241,14 +238,6 @@ _FAMILY_CHOICES = {f.value: f for f in FAMILY_ORDER}
 _DIRECTION_CHOICES = {d.value: d for d in DIRECTION_ORDER}
 
 
-@click.group()
-def main() -> None:
-    """Rough approximation reports and law checks over ordered topological
-    spaces described by JSON documents."""
-
-
-@main.command("topology")
-@click.argument("file", type=click.Path())
 def cmd_topology(file: str) -> None:
     """Print every open set of the generated topology."""
     g = _space_or_exit(file)
@@ -258,25 +247,6 @@ def cmd_topology(file: str) -> None:
     _echo(f"{g.universe.texts(opens)}\ncount: {len(opens)}")
 
 
-def _report_rows(g: Gotas, a: Subset, family: OperatorFamily | None, direction: Direction | None):
-    table = full_report(g, a)
-    for (fam, d), report in table.items():
-        if family is not None and fam is not family:
-            continue
-        if direction is not None and d is not direction:
-            continue
-        yield fam, d, report
-
-
-@main.command("analyze")
-@click.argument("file", type=click.Path())
-@click.option("--set", "set_labels", required=True,
-              help="Comma separated element labels; empty string for the empty set.")
-@click.option("--family", type=click.Choice(sorted(_FAMILY_CHOICES)), default=None,
-              help="Restrict to one operator family.")
-@click.option("--direction", type=click.Choice(sorted(_DIRECTION_CHOICES)), default=None,
-              help="Restrict to one direction.")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
 def cmd_analyze(file: str, set_labels: str, family: str | None, direction: str | None,
                 fmt: str) -> None:
     """Approximation report for one subset: lower/upper approximations,
@@ -286,9 +256,9 @@ def cmd_analyze(file: str, set_labels: str, family: str | None, direction: str |
         a = _parse_set(g, set_labels)
     except ValueError as e:
         _fail_input(str(e))
-    fam = _FAMILY_CHOICES[family] if family else None
-    d = _DIRECTION_CHOICES[direction] if direction else None
-    rows = list(_report_rows(g, a, fam, d))
+    fam, d = _FAMILY_CHOICES.get(family), _DIRECTION_CHOICES.get(direction)
+    rows = [(f, dd, r) for (f, dd), r in full_report(g, a).items()
+            if fam in (None, f) and d in (None, dd)]
 
     if fmt == "json":
         payload = {
@@ -324,16 +294,6 @@ def cmd_analyze(file: str, set_labels: str, family: str | None, direction: str |
     _echo("\n".join((f"A = {a}", *lines)))
 
 
-@main.command("check")
-@click.argument("file", type=click.Path())
-@click.option("--exhaustive", is_flag=True,
-              help="All subsets and all pairs; universe size capped.")
-@click.option("--samples", type=int, default=None,
-              help="Check N random subsets/pairs instead of all of them.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for sampled mode.")
-@click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
-@click.option("--corrupt-gamma", is_flag=True, hidden=True)
 def cmd_check(file: str, exhaustive: bool, samples: int | None, seed: int,
               fmt: str, corrupt_gamma: bool) -> None:
     """Run the law catalogue; exit 0 only if every law holds."""
@@ -384,8 +344,6 @@ def cmd_check(file: str, exhaustive: bool, samples: int | None, seed: int,
         sys.exit(EXIT_CHECK_FAILED)
 
 
-@main.command("oracle-diff")
-@click.argument("file", type=click.Path())
 def cmd_oracle_diff(file: str) -> None:
     """Compare the fast base operators against the powerset oracle on every
     subset, both operators, both directions."""
@@ -400,6 +358,68 @@ def cmd_oracle_diff(file: str) -> None:
     if mismatches:
         sys.exit(EXIT_CHECK_FAILED)
 
+
+_PARSER = argparse.ArgumentParser(
+    prog="gotas", allow_abbrev=False, description="Rough approximation reports and law "
+    "checks over ordered topological spaces described by JSON documents.")
+_COMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
+# Options that take the next token as their value, even `-a`, which argparse reads as an option.
+_VALUED: set[str] = set()
+
+
+def _command(name: str, run, *options: tuple[str, dict]) -> None:
+    """Adds ``run`` as command ``name``, its help taken from its docstring."""
+    sub = _COMMANDS.add_parser(name, allow_abbrev=False, help=run.__doc__.partition(".")[0],
+                               description=run.__doc__)
+    sub.add_argument("file", metavar="FILE")
+    for flag, spec in options:
+        sub.add_argument(flag, **spec)
+    _VALUED.update(flag for flag, spec in options if "action" not in spec)
+    sub.set_defaults(run=run)
+
+
+_FORMAT = ("--format", {"dest": "fmt", "choices": ("table", "json"), "default": "table"})
+_command("topology", cmd_topology)
+_command("analyze", cmd_analyze,
+         ("--set", {"dest": "set_labels", "required": True, "metavar": "LABELS",
+                    "help": "Comma separated element labels; empty string for the empty set."}),
+         ("--family", {"choices": _FAMILY_CHOICES, "help": "Restrict to one operator family."}),
+         ("--direction", {"choices": _DIRECTION_CHOICES, "help": "Restrict to one direction."}),
+         _FORMAT)
+_command("check", cmd_check,
+         ("--exhaustive", {"action": "store_true",
+                           "help": "All subsets and all pairs; universe size capped."}),
+         ("--samples", {"type": int, "metavar": "N",
+                        "help": "Check N random subsets/pairs instead of all of them."}),
+         ("--seed", {"type": int, "default": 0, "help": "Seed for sampled mode (default: 0)."}),
+         _FORMAT, ("--corrupt-gamma", {"action": "store_true", "help": argparse.SUPPRESS}))
+_command("oracle-diff", cmd_oracle_diff)
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """Runs the command line ``args`` (default ``sys.argv[1:]``) and exits with its
+    code. ``main.main`` is this function, the entry point that the benchmark and
+    ``click.testing.CliRunner`` call; usage lines name ``gotas`` whatever ``prog_name``."""
+    tokens = list(sys.argv[1:] if args is None else args)
+    for i in range(len(tokens) - 1):  # `--opt value` becomes `--opt=value`, None
+        if tokens[i] in _VALUED:
+            tokens[i:i + 2] = f"{tokens[i]}={tokens[i + 1]}", None
+    try:
+        try:
+            options = vars(_PARSER.parse_args([t for t in tokens if t is not None]))
+            options.pop("run")(**options)
+        finally:
+            sys.stdout.flush()
+    except KeyboardInterrupt:
+        sys.stderr.write("\nAborted!\n")
+    except BrokenPipeError:  # the reader is gone: let the flush at exit go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    else:
+        sys.exit(0)
+    sys.exit(1)
+
+
+main.main, main.name = main, "gotas"
 
 if __name__ == "__main__":
     main()

@@ -1057,3 +1057,33 @@ def test_an_interrupt_exits_1_with_aborted(runner, example_doc, monkeypatch):
     assert result.stdout == ""
     assert result.stderr == "\nAborted!\n"
 
+
+def test_gotas_imports_without_click():
+    code = 'import sys; sys.modules["click"] = None; import gotas, gotas.cli'
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=_SUBPROCESS_ENV)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("doc, args, code", [
+    (None, ["topology"], 0),
+    (PROBE_DOC, ["check", "--exhaustive"], EXIT_CHECK_FAILED),
+    ({"universe": ["a"], "base": [["z"]], "order": []}, ["topology"], EXIT_INPUT_ERROR),
+], ids=["worked-example", "probe", "bad-document"])
+def test_main_main_exits_with_the_command_code(tmp_path, capsys, doc, args, code):
+    # The entry point that perfbench/run.py calls, with stdout captured.
+    path = str(EXAMPLE_DOC) if doc is None else write_doc(tmp_path, doc)
+    with pytest.raises(SystemExit) as exit_:
+        main.main(args=[args[0], path, *args[1:]], prog_name="gotas")
+    assert exit_.value.code == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out == TOPOLOGY_GOLDEN
+    assert (err == "") == (code != EXIT_INPUT_ERROR)
+
+
+def test_pyproject_lists_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []
+    assert any(dep.startswith("click") for dep in project["optional-dependencies"]["test"])
