@@ -13,7 +13,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from operator import gt, mul
 from typing import Callable
 
@@ -27,14 +26,10 @@ class Direction(Enum):
     DEC = "dec"
 
     __hash__ = object.__hash__  # members are singletons; skips Python-level Enum.__hash__
+    opposite: Direction  # the other member, set below
 
-    @property
-    def opposite(self) -> Direction:
-        return Direction.DEC if self is Direction.INC else Direction.INC
-
-    @property
-    def label(self) -> str:
-        return "Inc" if self is Direction.INC else "Dec"
+    def __init__(self, value: str) -> None:
+        self.label = value.title()  # a plain attribute, as are opposite and a family's label
 
 
 class OperatorFamily(Enum):
@@ -46,9 +41,8 @@ class OperatorFamily(Enum):
 
     __hash__ = object.__hash__  # as for Direction
 
-    @property
-    def label(self) -> str:
-        return {"r": "R", "s": "S", "p": "P", "gamma": "gamma", "beta": "beta"}[self.value]
+    def __init__(self, value: str) -> None:
+        self.label = value.upper() if len(value) == 1 else value
 
 
 FAMILY_ORDER = (
@@ -59,6 +53,19 @@ FAMILY_ORDER = (
     OperatorFamily.BETA,
 )
 DIRECTION_ORDER = (Direction.INC, Direction.DEC)
+Direction.INC.opposite, Direction.DEC.opposite = Direction.DEC, Direction.INC
+
+
+class _cached:
+    """``functools.cached_property`` without the lock it takes on each first
+    read before Python 3.12: the values are pure, and threads that race keep
+    the first one stored."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.fn(obj))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +94,7 @@ class Gotas:
         if self.order.universe is not self.universe:
             raise ValueError("order is defined over a different universe")
 
-    @cached_property
+    @_cached
     def kernel(self) -> dict[Direction, tuple[int, ...]]:
         """Built on first use, so a space that only lists its opens skips
         the two closures."""
@@ -97,7 +104,7 @@ class Gotas:
             Direction.DEC: _closure(nbhd, self.order.pred),
         }
 
-    @cached_property
+    @_cached
     def kernel_plan(self) -> dict[Direction, Plan]:
         """``kernel`` as the plan the base operators fold a batch over: each
         distinct M_d(x) once, from its own points and its covers."""
@@ -271,21 +278,21 @@ class ApproxReport:
     def positive(self) -> Sets:
         return self.lower
 
-    @cached_property
+    @_cached
     def negative(self) -> Sets:
         return self.opposite_upper.complement()
 
-    @cached_property
+    @_cached
     def boundary(self) -> Sets:
         return self.upper - self.lower
 
-    @cached_property
+    @_cached
     def accuracy(self) -> Fraction | Accuracies:
         if isinstance(self.lower, Batch):
             return Accuracies(self.lower, self.upper)
         return Fraction(*_terms(self.lower.cardinality(), self.upper.cardinality()))
 
-    @cached_property
+    @_cached
     def exact(self) -> bool | int:
         if isinstance(self.lower, Batch):
             return self.lower.lanes & ~self.lower.differs(self.upper)

@@ -23,6 +23,7 @@ Document schema::
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import random
@@ -30,7 +31,6 @@ import reprlib
 import sys
 from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import NoReturn
 
 from . import oracle
@@ -158,12 +158,13 @@ def build_space(doc: dict) -> Gotas:
     return Gotas(universe, topology, order)
 
 
-def load_space(path: str | Path) -> Gotas:
+def load_space(path: str | os.PathLike[str]) -> Gotas:
     """The space of the document at ``path``; every input error names it
     as given."""
     name = str(path)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as e:
         raise DocumentError(f"cannot read {name}: {e.strerror}") from None
     except UnicodeDecodeError as e:
@@ -400,6 +401,9 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     """Runs the command line ``args`` (default ``sys.argv[1:]``) and exits with its
     code. ``main.main`` is this function, the entry point that the benchmark and
     ``click.testing.CliRunner`` call; usage lines name ``gotas`` whatever ``prog_name``."""
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure and codecs.lookup(sys.stdout.encoding).name == "ascii":
+        reconfigure(encoding="utf-8")  # labels need not be ASCII
     tokens = list(sys.argv[1:] if args is None else args)
     for i in range(len(tokens) - 1):  # `--opt value` becomes `--opt=value`, None
         if tokens[i] in _VALUED:

@@ -52,7 +52,7 @@ from .approximations import (
     OperatorSuite,
 )
 from .order import PartialOrder, equality_order, validate_order
-from .topology import Topology, generate_topology
+from .topology import Topology, generate_topology, points_meeting, points_within
 from .universe import (Batch, Subset, Universe, _counting_columns, _points, _transpose,
                        from_flags, random_columns, union_over)
 
@@ -237,9 +237,9 @@ class PropositionReport:
 # Each unary law is a generator of claims over the row table of a batch of
 # subsets: (fail mask, witness template, operands), in the order a check of
 # one instance tests them. The template's %s fields take the operands' values
-# at the failing lane. A table's batch is its ``a``; a value in a law is named
-# by its (family, row field). Only duality reads the complement of A, and
-# only its R rows, so it builds that table itself.
+# at the failing lane; templates are built at import. A table's batch is its
+# ``a``; a value in a law is named by its (family, row field). Only duality
+# reads the complement of A, and only its R rows, so it builds that table.
 #
 # Each binary law is one row that must be monotone (antitone, for a negative
 # region) in both directions: (family, row field, antitone, witness). It
@@ -251,40 +251,39 @@ class PropositionReport:
 
 def _sandwich(rows):
     a = rows.a
-    for family in FAMILY_ORDER:
-        for d in DIRECTION_ORDER:
-            lo, up = rows[family, d].lower, rows[family, d].upper
-            yield (lo.outside(a) | a.outside(up),
-                   f"{family.label} {d.label}: expected %s within %s within %s", (lo, a, up))
+    for key, template in _SANDWICH:
+        lo, up = rows[key].lower, rows[key].upper
+        yield lo.outside(a) | a.outside(up), template, (lo, a, up)
 
 
 def _exact_transfer(fam, label):
+    specs = [(d, f"{d.label}: A=%s is R exact but not {label} exact") for d in DIRECTION_ORDER]
     def claims(rows):
-        for d in DIRECTION_ORDER:
-            yield (rows[_R, d].exact & ~rows[fam, d].exact,
-                   f"{d.label}: A=%s is R exact but not {label} exact", (rows.a,))
+        for d, template in specs:
+            yield rows[_R, d].exact & ~rows[fam, d].exact, template, (rows.a,)
+
+    return claims
+
+
+def _inclusions(specs):
+    # specs: direction, (family, row field) of x and of y, and the template of "x within y"
+    def claims(rows):
+        for d, (fam_x, fx), (fam_y, fy), template in specs:
+            x, y = getattr(rows[fam_x, d], fx), getattr(rows[fam_y, d], fy)
+            yield x.outside(y), template, (rows.a, x, y)
 
     return claims
 
 
 def _inclusion(first, second, text):
-    def claims(rows):
-        for d in DIRECTION_ORDER:
-            x, y = (getattr(rows[fam, d], field) for fam, field in (first, second))
-            yield x.outside(y), f"{d.label}: A=%s: {text}: %s not within %s", (rows.a, x, y)
-
-    return claims
+    return _inclusions([(d, first, second, f"{d.label}: A=%s: {text}: %s not within %s")
+                        for d in DIRECTION_ORDER])
 
 
 def _inclusion_chain(*steps):
     # steps: (family, row field, name), asserted pairwise along the chain
-    def claims(rows):
-        for d in DIRECTION_ORDER:
-            values = [(name, getattr(rows[fam, d], field)) for fam, field, name in steps]
-            for (nx, x), (ny, y) in zip(values, values[1:]):
-                yield x.outside(y), f"{d.label}: A=%s: {nx} %s not within {ny} %s", (rows.a, x, y)
-
-    return claims
+    return _inclusions([(d, x[:2], y[:2], f"{d.label}: A=%s: {x[2]} %s not within {y[2]} %s")
+                        for d in DIRECTION_ORDER for x, y in zip(steps, steps[1:])])
 
 
 def _accuracy_exceeds(a, x, y):
@@ -325,14 +324,11 @@ def _accuracy_chain(rows):
 def _duality(rows):
     a = rows.a
     comp = approx.Rows(rows.g, a.complement(), rows.suite, (_R,))
-    cases = [("upper", "lower", d, rows[_R, d].upper, comp[_R, d.opposite].lower.complement())
-             for d in DIRECTION_ORDER]
+    cases = [(rows[_R, d].upper, comp[_R, d.opposite].lower.complement()) for d in DIRECTION_ORDER]
     # A negative region is the complement of the opposite direction's upper.
-    cases += [("lower", "upper", d, rows[_R, d].lower, comp[_R, d].negative)
-              for d in DIRECTION_ORDER]
-    for x, y, d, left, right in cases:
-        yield (left.differs(right),
-               f"A=%s: duality {x} {d.label} vs {y} {d.opposite.label}: %s vs %s", (a, left, right))
+    cases += [(rows[_R, d].lower, comp[_R, d].negative) for d in DIRECTION_ORDER]
+    for template, (left, right) in zip(_DUALITY, cases):
+        yield left.differs(right), template, (a, left, right)
 
 
 def _breaks(family, field, antitone, witness, table, pairs):
@@ -363,6 +359,10 @@ def _shifted(batch: Batch, k: int) -> Batch:
 
 _R, _S, _P, _G, _B = FAMILY_ORDER
 _NEG_WITNESS = "A=%s, B=%s: Neg(A∪B) %s not within Neg(A)∩Neg(B)"
+_SANDWICH = [((family, d), f"{family.label} {d.label}: expected %s within %s within %s")
+             for family in FAMILY_ORDER for d in DIRECTION_ORDER]
+_DUALITY = [f"A=%s: duality {x} {d.label} vs {y} {d.opposite.label}: %s vs %s"
+            for x, y in (("upper", "lower"), ("lower", "upper")) for d in DIRECTION_ORDER]
 
 _CATALOGUE: tuple[tuple[str, str, Callable | tuple], ...] = (
     ("sandwich", "unary", _sandwich),
@@ -487,6 +487,19 @@ def check_propositions(
         label = label or _space_label(g)
         reports.append(PropositionReport(pid, lane + 1, [Violation(label, template % values)]))
     return reports
+
+
+def open_upper_failure(g: Gotas, directions=DIRECTION_ORDER) -> tuple[Direction, int] | None:
+    """The first d in ``directions``, then x, whose r_upper(M_d(x)) is not d-monotone
+    open (not its own r_lower), or None: 3.21 and 3.25 hold in d iff it has no such
+    x, and both fail at A = M_d(x) where it has one. O(n²) mask operations."""
+    for d in directions:
+        kernel, opposite = g.kernel[d], g.kernel[d.opposite]
+        for x, m in enumerate(kernel):
+            up = points_meeting(opposite, m)
+            if points_within(kernel, up) != up:
+                return d, x
+    return None
 
 
 def _space_label(g: Gotas) -> str:

@@ -358,6 +358,44 @@ def test_threads_sharing_a_space_build_tables_with_their_own_memos():
     assert len(memos) == 2 * 8 * 20 and len({id(m) for m in memos}) == 8 * 20
 
 
+def test_threads_racing_on_first_reads_see_equal_values():
+    # The kernel, its plan and a row's regions are cached without a lock:
+    # threads that race on a fresh space's first reads may each compute a
+    # value, and all of them must see equal ones.
+    rng, seen = random.Random(31), []
+
+    def read(space, row, barrier):
+        barrier.wait()
+        seen.append((space.kernel, space.kernel_plan, row.accuracy.num, row.accuracy.den))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            g = random_space(rng, 7)
+            # The row is built over an equal space, so g itself is untouched.
+            twin = Gotas(g.universe, g.topology, g.order)
+            row = ap.Rows(twin, Batch.powerset(g.universe))[GAMMA, DEC]
+            assert set(vars(g)) == _PARTS and "accuracy" not in vars(row)
+            barrier, seen[:] = threading.Barrier(8), []
+            threads = [threading.Thread(target=read, args=(g, row, barrier)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [(twin.kernel, twin.kernel_plan, *seen[0][2:])] * 8
+            assert g.kernel is g.kernel and row.accuracy is row.accuracy
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_labels_and_opposites_are_plain_member_attributes():
+    assert [(vars(d)["label"], vars(d)["opposite"]) for d in DIRECTION_ORDER] == [
+        ("Inc", DEC), ("Dec", INC)]
+    assert [vars(f)["label"] for f in FAMILY_ORDER] == ["R", "S", "P", "gamma", "beta"]
+
+
 def test_gotas_rejects_mismatched_components():
     g = make_example_space()
     other = Universe(["a", "b", "c", "d"])

@@ -1065,6 +1065,43 @@ def test_gotas_imports_without_click():
     assert result.returncode == 0, result.stderr
 
 
+def test_gotas_cli_imports_without_pathlib():
+    code = 'import sys; sys.modules["pathlib"] = None; import gotas, gotas.cli'
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=_SUBPROCESS_ENV)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("path, reason", [
+    ("", "No such file or directory"),
+    (f"{EXAMPLE_DOC}/", "Not a directory"),
+], ids=["empty", "trailing-slash"])
+def test_the_path_is_opened_as_typed(runner, path, reason):
+    # No path library normalizes it: '' is not the current directory, and a
+    # file named with a trailing slash is not read, as with `cat`.
+    result = runner.invoke(main, ["topology", path])
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert result.stdout == ""
+    assert result.stderr == f"error: cannot read {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("args", [["topology"], ["analyze", "--set", "é", "--family", "r"]],
+                         ids=["topology", "analyze"])
+def test_an_ascii_stdout_is_written_as_utf8(tmp_path, args):
+    path = write_doc(tmp_path, {"universe": ["é", "b"], "base": [["é"]], "order": []})
+
+    def run(encoding):
+        return subprocess.run([sys.executable, "-m", "gotas.cli", args[0], path, *args[1:]],
+                              capture_output=True, env={**_SUBPROCESS_ENV, "PYTHONIOENCODING": encoding})
+
+    result, utf8 = run("ascii"), run("utf-8")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == utf8.stdout
+    assert "{é}".encode() in result.stdout
+    if args[0] == "topology":
+        assert result.stdout == "{}\n{é}\n{é, b}\ncount: 3\n".encode()
+
+
 @pytest.mark.parametrize("doc, args, code", [
     (None, ["topology"], 0),
     (PROBE_DOC, ["check", "--exhaustive"], EXIT_CHECK_FAILED),
