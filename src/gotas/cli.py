@@ -29,7 +29,8 @@ import os
 import random
 import reprlib
 import sys
-from itertools import compress, repeat
+from collections.abc import Iterable
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
@@ -81,7 +82,8 @@ def _check_pairs(value: object, name: str, source: str) -> None:
 
 def parse_document(text: str, source: str = "<document>") -> dict:
     """The document's JSON object, once its shape is checked and each
-    universe label is one ``--set`` can name, with ``options`` filled in.
+    universe label is valid Unicode and one ``--set`` can name, with
+    ``options`` filled in.
     Labels are resolved later, by ``build_space``."""
     try:
         raw = json.loads(text)
@@ -114,6 +116,12 @@ def parse_document(text: str, source: str = "<document>") -> dict:
             raise DocumentError(
                 f"{source}: field 'universe': label {reprlib.repr(label)} is empty, "
                 "holds a comma or starts or ends with whitespace")
+    try:  # JSON admits a lone surrogate such as "\ud800", which no output can write
+        "".join(universe).encode("utf-8")
+    except UnicodeEncodeError as e:
+        label = next(x for x in universe if e.object[e.start] in x)
+        raise DocumentError(f"{source}: field 'universe': label {reprlib.repr(label)} "
+                            "is not valid Unicode") from None
 
     has_relation = "relation" in raw
     if has_relation == ("base" in raw):
@@ -198,41 +206,33 @@ def _parse_set(g: Gotas, labels: str) -> Subset:
     return g.universe.subset(names)
 
 
-def _dumps(obj: object, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, a ``Subset`` written as
-    its label list; ``indent`` is the newline and indentation of ``obj``'s
-    own level. Dicts with string keys, lists, subsets, strings, ints and
-    bools are written here, each container's items by ``str.join``, so the
-    loop runs in C, where ``json.dumps`` with an indent always runs the
-    pure-Python encoder. Anything else is left to ``json.dumps``."""
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if kind is int:
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if kind is list or kind is Subset:
-        if not obj:
-            return "[]"
-        items = (compress(obj.universe.encoded, flags(obj.bits)) if kind is Subset
-                 else map(_dumps, obj, repeat(inner)))
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if kind is dict:
-        if not obj:
-            return "{}"
-        try:  # a key that is no string raises
-            items = ("," + inner).join(map("{}: {}".format, map(encode_basestring_ascii, obj),
-                                           map(_dumps, obj.values(), repeat(inner))))
-        except TypeError:
-            pass
-        else:
-            return "{" + inner + items + indent + "}"
-    return json.dumps(obj, indent=2).replace("\n", indent)
+def _array(items: Iterable[str], indent: str) -> str:
+    """The JSON array of ``items``, each written already, laid out as
+    ``json.dumps(..., indent=2)`` lays out an array on a line that starts
+    with ``indent``; ``[]`` for no items."""
+    text = (",\n  " + indent).join(items)
+    return f"[\n  {indent}{text}\n{indent}]" if text else "[]"
 
 
-# The sets of an analyze row, as JSON keys and table columns.
+def _labels(s: Subset, indent: str) -> str:
+    """``s`` as the JSON array of its labels, laid out as ``_array`` lays it out."""
+    return _array(compress(s.universe.encoded, flags(s.bits)), indent)
+
+
+# The two reports that --format json prints, each written as
+# json.dumps(payload, indent=2) writes it: strings by encode_basestring_ascii,
+# ints by %d, booleans from _BOOL and arrays by _array.
+_BOOL = ("false", "true")
+_ANALYZE = '{\n  "set": %s,\n  "rows": %s\n}'
+_ROW = ('{\n      "family": %s,\n      "direction": %s,\n      "lower": %s,\n'
+        '      "upper": %s,\n      "boundary": %s,\n      "positive": %s,\n'
+        '      "negative": %s,\n      "accuracy": %s,\n      "exact": %s\n    }')
+_CHECK = '{\n  "mode": %s,\n  "seed": %d,\n  "all_pass": %s,\n  "propositions": %s\n}'
+_PROPOSITION = ('{\n      "id": %s,\n      "instances": %d,\n      "pass": %s,\n'
+                '      "violations": %s\n    }')
+_VIOLATION = '{\n          "space": %s,\n          "detail": %s\n        }'
+
+# The sets of an analyze row, as table columns and, in this order, _ROW's keys.
 _REGIONS = ("lower", "upper", "boundary", "positive", "negative")
 
 _FAMILY_CHOICES = {f.value: f for f in FAMILY_ORDER}
@@ -262,20 +262,11 @@ def cmd_analyze(file: str, set_labels: str, family: str | None, direction: str |
             if fam in (None, f) and d in (None, dd)]
 
     if fmt == "json":
-        payload = {
-            "set": a,
-            "rows": [
-                {
-                    "family": f.label,
-                    "direction": dd.label,
-                    **{name: getattr(r, name) for name in _REGIONS},
-                    "accuracy": str(r.accuracy),
-                    "exact": r.exact,
-                }
-                for f, dd, r in rows
-            ],
-        }
-        _echo(_dumps(payload))
+        written = [_ROW % (encode_basestring_ascii(f.label), encode_basestring_ascii(dd.label),
+                           *(_labels(getattr(r, name), "      ") for name in _REGIONS),
+                           encode_basestring_ascii(str(r.accuracy)), _BOOL[r.exact])
+                   for f, dd, r in rows]
+        _echo(_ANALYZE % (_labels(a, "  "), _array(written, "  ")))
         return
 
     headers = ("family", "dir", *_REGIONS, "accuracy", "exactness")
@@ -310,30 +301,22 @@ def cmd_check(file: str, exhaustive: bool, samples: int | None, seed: int,
     suite = oracle.corrupted_suite() if corrupt_gamma else None
     try:
         reports = oracle.check_propositions(
-            g, suite=suite, samples=samples, rng=random.Random(seed)
-        )
+            g, suite=suite, samples=samples,
+            rng=None if samples is None else random.Random(seed))
     except oracle.CapExceededError as e:
         _fail_input(str(e))
 
     all_pass = all(r.passed for r in reports)
     if fmt == "json":
-        payload = {
-            "mode": "exhaustive" if samples is None else f"sampled:{samples}",
-            "seed": seed,
-            "all_pass": all_pass,
-            "propositions": [
-                {
-                    "id": r.proposition,
-                    "instances": r.instances,
-                    "pass": r.passed,
-                    "violations": [
-                        {"space": v.space, "detail": v.detail} for v in r.violations
-                    ],
-                }
-                for r in reports
-            ],
-        }
-        _echo(_dumps(payload))
+        mode = "exhaustive" if samples is None else f"sampled:{samples}"
+        written = [
+            _PROPOSITION % (encode_basestring_ascii(r.proposition), r.instances, _BOOL[r.passed],
+                            _array([_VIOLATION % (encode_basestring_ascii(v.space),
+                                                  encode_basestring_ascii(v.detail))
+                                    for v in r.violations], "      ") if r.violations else "[]")
+            for r in reports]
+        _echo(_CHECK % (encode_basestring_ascii(mode), seed, _BOOL[all_pass],
+                        _array(written, "  ")))
     else:
         for r in reports:
             status = "PASS" if r.passed else "FAIL"

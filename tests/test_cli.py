@@ -5,13 +5,11 @@ import subprocess
 import sys
 import time
 
-import hypothesis.strategies as st
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
 
 import gotas.approximations as ap
-from gotas import Universe, cli
+from gotas import cli
 from gotas.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -839,6 +837,28 @@ def test_a_label_that_set_cannot_name_is_an_input_error(runner, tmp_path, label,
                              "holds a comma or starts or ends with whitespace\n")
 
 
+# JSON admits a lone surrogate, which no output can write; a surrogate pair
+# in the document is one astral character, which can.
+@pytest.mark.parametrize("args", [[], ["--set", "b"], ["--set", "b", "--format", "json"]],
+                         ids=["topology", "analyze", "analyze-json"])
+def test_a_lone_surrogate_label_is_an_input_error(runner, tmp_path, args):
+    command = "analyze" if args else "topology"
+    lone = write_doc(tmp_path, {"universe": ["\ud800", "b"], "base": [["\ud800"]], "order": []},
+                     name="doc.json")
+    result = runner.invoke(main, [command, lone, *args])
+    assert result.exit_code == EXIT_INPUT_ERROR
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == (f"error: {lone}: field 'universe': label '\\ud800' "
+                             "is not valid Unicode\n")
+    astral = write_doc(tmp_path, {"universe": ["\U0001d538", "b"], "base": [["\U0001d538"]],
+                                  "order": []})
+    assert '"\\ud835\\udd38"' in (tmp_path / "space.json").read_text()
+    result = runner.invoke(main, [command, astral, *args])
+    assert result.exit_code == 0
+    assert "\U0001d538" in result.stdout or "\\ud835\\udd38" in result.stdout
+
+
 @pytest.mark.parametrize("field", ["order", "relation"])
 def test_a_nested_pair_entry_gives_a_short_error_line(runner, tmp_path, field):
     # 400 levels parse well inside the recursion limit, even under pytest.
@@ -863,78 +883,102 @@ def test_parse_document_returns_the_object_with_options_defaulted():
     assert parse_document(json.dumps(off)) == off
 
 
-def _as_lists(obj):
-    """``json.dumps``'s ``default`` for a payload holding subsets."""
-    return list(obj.members())
+def _laid_out(stdout):
+    """Whether ``stdout`` is one JSON value laid out as ``json.dumps(value,
+    indent=2)`` lays it out, and a newline."""
+    return stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
 
 
-def test_json_output_is_json_dumps_with_indent_2_on_the_digest_corpus(tmp_path, monkeypatch):
-    """Every analyze and check payload of the digest corpus is written as
-    ``json.dumps(payload, indent=2)`` writes it, with each subset as the
-    list of its labels."""
-    written, dumps = [], cli._dumps
-
-    def recording(obj, indent="\n"):
-        text = dumps(obj, indent)
-        if indent == "\n":  # the whole payload, not one of its items
-            written.append((obj, text))
-        return text
-
-    monkeypatch.setattr(cli, "_dumps", recording)
+def test_json_stdout_is_laid_out_as_json_dumps_with_indent_2_on_the_digest_corpus(
+        tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     runner = CliRunner()
-    analyzed = 0
+    written = analyzed = 0
     for _, text, chosen in corpus():
         (tmp_path / DOC).write_text(text, encoding="utf-8")
         for command in ("analyze-json", "check", "check-samples", "check-corrupt"):
             result = runner.invoke(main, [arg.format(set=chosen) for arg in COMMANDS[command]])
             assert result.exception is None or isinstance(result.exception, SystemExit)
-            analyzed += command == "analyze-json" and result.exit_code == 0
-    assert len(written) > 100 and analyzed > 30
-    for payload, text in written:
-        assert text == json.dumps(payload, indent=2, default=_as_lists)
+            if result.exit_code != EXIT_INPUT_ERROR:
+                assert _laid_out(result.stdout), (command, text)
+                written += 1
+                analyzed += command == "analyze-json"
+    assert written > 100 and analyzed > 30
 
 
 # Labels that JSON escapes: quotes, backslashes, non-ASCII, an astral
-# character, control characters and ESC.
-_ODD_LABELS = ['q"t', "b\\s", "é", "\U0001d538", "t\tab", "c\x01\x1f", "\x1b[31mred\x1b[0m", "z"]
+# character, control characters and ESC. Each is one --set can name.
+_ODD_LABELS = ['q"t', "b\\s", "é", "\U0001d538", "t\tab", "c\x01d", "\x1b[31mred\x1b[0m", "z"]
 
 
-def test_dumps_writes_a_subset_as_json_dumps_writes_its_label_list():
-    u = Universe(_ODD_LABELS)
-    rng = random.Random(29)
-    sets = [u.empty(), u.full(), *(u.from_bits(rng.getrandbits(u.size)) for _ in range(40))]
-    payload = {"set": sets[2], "sets": sets, "rows": [{"lower": a, "upper": b, "exact": a == b}
-                                                      for a, b in zip(sets, sets[1:])]}
-    assert cli._dumps(payload) == json.dumps(payload, indent=2, default=_as_lists)
-    for s in sets:
-        assert cli._dumps(s) == json.dumps(list(s.members()), indent=2)
-        assert cli._dumps([s]) == json.dumps([list(s.members())], indent=2)
+@pytest.mark.parametrize("sets", [[], _ODD_LABELS, _ODD_LABELS[::3], _ODD_LABELS[1:4]],
+                         ids=["empty", "full", "every-third", "three"])
+@pytest.mark.parametrize("filters, rows", [
+    ([], 10), (["--family", "gamma"], 2), (["--direction", "dec"], 5),
+    (["--family", "s", "--direction", "inc"], 1),
+], ids=["all-rows", "family", "direction", "one-row"])
+def test_analyze_json_with_odd_labels_is_laid_out_as_json_dumps(runner, tmp_path, sets, filters,
+                                                                rows):
+    first, second = _ODD_LABELS[:2]
+    path = write_doc(tmp_path, {"universe": _ODD_LABELS, "base": [_ODD_LABELS[:3], [first]],
+                                "order": [[first, second]]})
+    result = runner.invoke(main, ["analyze", path, "--set", ",".join(sets), *filters,
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    assert _laid_out(result.stdout)
+    report = json.loads(result.stdout)
+    assert report["set"] == sets and len(report["rows"]) == rows
 
 
-_JSON_TREES = st.recursive(
-    st.booleans() | st.integers() | st.text() | st.none() | st.floats(),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text() | st.integers() | st.booleans(), inner, max_size=4),
-    max_leaves=20,
-)
+@pytest.mark.parametrize("base, code", [
+    ([[x] for x in _ODD_LABELS], 0), ([_ODD_LABELS[:1], _ODD_LABELS[1:2]], EXIT_CHECK_FAILED),
+], ids=["passing", "failing"])
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--samples", "8"]],
+                         ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("seed", ["0", "-7", str(10 ** 40)])
+def test_check_json_with_odd_labels_is_laid_out_as_json_dumps(runner, tmp_path, base, code,
+                                                              mode, seed):
+    path = write_doc(tmp_path, {"universe": _ODD_LABELS, "base": base, "order": []})
+    result = runner.invoke(main, ["check", path, *mode, "--seed", seed, "--format", "json"])
+    assert result.exit_code == code
+    assert _laid_out(result.stdout)
+    report = json.loads(result.stdout)
+    assert report["seed"] == int(seed)
+    assert any(p["violations"] for p in report["propositions"]) == (code != 0)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(_JSON_TREES)
-def test_dumps_is_json_dumps_with_indent_2(tree):
-    # Empty containers, negative ints, control characters, non-ASCII and,
-    # through json.dumps, what the writer leaves to it: None, floats,
-    # non-string keys.
-    assert cli._dumps(tree) == json.dumps(tree, indent=2)
+def test_an_exhaustive_check_builds_no_random_generator(runner, tmp_path, monkeypatch):
+    passing = write_doc(tmp_path, {"universe": ["a", "b"], "base": [["a"]], "order": []})
+    failing = write_doc(tmp_path, PROBE_DOC, name="probe.json")
+    expected = {args: runner.invoke(main, ["check", *args])
+                for args in ((passing,), (passing, "--exhaustive"), (failing, "--exhaustive"),
+                             (failing, "--exhaustive", "--format", "json"))}
+
+    def no_generator(*args):
+        raise AssertionError("random.Random called")
+
+    monkeypatch.setattr(cli.random, "Random", no_generator)
+    for args, before in expected.items():
+        result = runner.invoke(main, ["check", *args])
+        assert result.exit_code == before.exit_code
+        assert (result.stdout, result.stderr) == (before.stdout, before.stderr)
+    assert [r.exit_code for r in expected.values()] == [0, 0, 1, 1]
 
 
-@pytest.mark.parametrize("tree", [
-    [], {}, [[]], {"a": {}}, -7, 10 ** 40, True, "\x00\n\u2028é中", {"k": [1, False, "s"]},
-    {1: "int key"}, [None, 1.5, {"x": float("nan")}],
-])
-def test_dumps_writes_edge_cases_as_json_dumps(tree):
-    assert cli._dumps(tree) == json.dumps(tree, indent=2)
+def test_json_reports_are_written_without_json_dumps(runner, tmp_path, monkeypatch):
+    # json.dumps with an indent always runs the pure-Python encoder.
+    path = write_doc(tmp_path, PROBE_DOC)
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", no_dumps)
+    for args in (["analyze", path, "--set", "a,c", "--format", "json"],
+                 ["check", path, "--format", "json"],
+                 ["check", path, "--samples", "4", "--format", "json"]):
+        result = runner.invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code in (0, EXIT_CHECK_FAILED) and result.stdout.startswith("{\n")
 
 
 # An ANSI-like label keeps its bytes on stdout, which is no terminal here,
