@@ -302,7 +302,7 @@ def cmd_check(file: str, exhaustive: bool, samples: int | None, seed: int,
     try:
         reports = oracle.check_propositions(
             g, suite=suite, samples=samples,
-            rng=None if samples is None else random.Random(seed))
+            rng=None if samples is None else random.Random(seed), space_label=file)
     except oracle.CapExceededError as e:
         _fail_input(str(e))
 

@@ -219,6 +219,8 @@ def corrupted_suite() -> OperatorSuite:
 
 @dataclass
 class Violation:
+    """A failing instance of a law; ``space`` is ``space_label``, else "a space of n points"."""
+
     space: str
     detail: str
 
@@ -470,7 +472,7 @@ def check_propositions(
         pairs = [(lanes, start, shift)
                  for start, shift in ((0, w), (0, 2 * w), (w, 2 * w), (2 * w, w))]
 
-    label = space_label
+    label = space_label or f"a space of {u.size} points"
     reports = []
     for pid, kind, law in _CATALOGUE:
         binary = kind == "binary"
@@ -484,7 +486,6 @@ def check_propositions(
         values = tuple(v.lane(lane) for v in operands)
         if binary and samples is None:
             lane = lane * unit.width + values[1].bits  # the pair's index a·2ⁿ + b
-        label = label or _space_label(g)
         reports.append(PropositionReport(pid, lane + 1, [Violation(label, template % values)]))
     return reports
 
@@ -500,12 +501,6 @@ def open_upper_failure(g: Gotas, directions=DIRECTION_ORDER) -> tuple[Direction,
             if points_within(kernel, up) != up:
                 return d, x
     return None
-
-
-def _space_label(g: Gotas) -> str:
-    count = g.topology.count_opens()
-    opens = f"{count} opens" if count is not None else "too many opens to count"
-    return f"U={{{', '.join(g.universe.labels)}}} with {opens}"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import or_
 from typing import Iterable
 
-from .universe import Subset, Universe, UniverseMismatchError, _points, _transpose, canonical_order
+from .universe import Subset, Universe, UniverseMismatchError, _points, canonical_order
 
 
 class BinaryRelation:
@@ -82,16 +82,6 @@ def points_meeting(masks: tuple[int, ...], bits: int) -> int:
     return found
 
 
-# Steps Topology.count_opens may take (each step visits one set of points,
-# so this also bounds its memo), and how deep its recursion may go.
-COUNT_BUDGET = 1 << 12
-MAX_COUNT_DEPTH = 200
-
-
-class _OverBudget(Exception):
-    pass
-
-
 class Topology:
     """The topology generated by a family of subsets, held as the minimal
     neighborhood of each point.
@@ -140,56 +130,6 @@ class Topology:
     def _subsets(self, rmasks: list[int]) -> tuple[Subset, ...]:
         u = self.universe
         return tuple(Subset(u, u.reverse(r)) for r in rmasks)
-
-    def count_opens(self) -> int | None:
-        """The number of opens, without listing them; None if counting takes
-        more than ``COUNT_BUDGET`` steps.
-
-        An open is a set O with N(x) ⊆ O for each x in O: a down-set of the
-        preorder y ∈ N(x). Such sets multiply over the connected components
-        of that relation. Within one component C, the opens holding a point
-        x are N(x) plus an open of C − N(x), and the opens missing x are the
-        opens of C − {y : x ∈ N(y)}. Counts are memoised on the bitmask.
-        Counting down-sets is #P-complete (Provan & Ball 1983), hence the
-        budget.
-        """
-        below = self.neighborhoods
-        above = _transpose(below, len(below))
-        linked = [b | a for b, a in zip(below, above)]
-        memo = {0: 1}
-        steps = 0
-
-        def count(rest: int, depth: int) -> int:
-            nonlocal steps
-            if rest in memo:
-                return memo[rest]
-            steps += 1
-            if steps > COUNT_BUDGET or depth > MAX_COUNT_DEPTH:
-                raise _OverBudget
-            total, left = 1, rest
-            while left:
-                component = frontier = left & -left
-                while frontier:
-                    reach = 0
-                    for x in _points(frontier):
-                        reach |= linked[x]
-                    frontier = reach & left & ~component
-                    component |= frontier
-                left &= ~component
-                if component != rest:
-                    total *= count(component, depth + 1)
-                    continue
-                # The point that splits C most evenly keeps the recursion shallow.
-                x = max(_points(rest), key=lambda x: min(
-                    (below[x] & rest).bit_count(), (above[x] & rest).bit_count()))
-                total = count(rest & ~below[x], depth + 1) + count(rest & ~above[x], depth + 1)
-            memo[rest] = total
-            return total
-
-        try:
-            return count(self.universe.full_mask, 0)
-        except _OverBudget:
-            return None
 
     def is_open(self, s: Subset) -> bool:
         return s.universe is self.universe and points_within(self.neighborhoods, s.bits) == s.bits

@@ -306,50 +306,54 @@ class TestCheckCommand:
             assert plan.steps == ((tuple(range(300)), ()),)
             assert plan.classes == (0,) * 300
 
-    def _failing_check(self, runner, tmp_path, monkeypatch, doc):
-        # Callers run under no_open_listing: labelling a witness counts the
-        # opens, and listing them raises through the runner.
-        spaces = []
-        load = cli.load_space
-        monkeypatch.setattr(cli, "load_space", lambda path: spaces.append(load(path)) or spaces[0])
+    def _failing_check(self, runner, tmp_path, doc):
+        path = write_doc(tmp_path, doc)
         started = time.monotonic()
         result = runner.invoke(
-            main, ["check", write_doc(tmp_path, doc), "--samples", "16", "--format", "json"],
-            catch_exceptions=False,
+            main, ["check", path, "--samples", "16", "--format", "json"], catch_exceptions=False,
         )
         elapsed = time.monotonic() - started
         assert result.exit_code == EXIT_CHECK_FAILED
         labels = {
             v["space"] for p in json.loads(result.output)["propositions"] for v in p["violations"]
         }
-        return spaces[0], labels, elapsed
+        return path, labels, elapsed
 
-    def test_sparse_thirty_point_relation_counts_its_opens(
-        self, runner, tmp_path, monkeypatch, no_open_listing
+    def test_sparse_thirty_point_relation_is_named_by_its_file(
+        self, runner, tmp_path, no_open_listing
     ):
-        # Loops plus each pair with probability 2/30: law 3.21 fails, and the
-        # label counts ~2**29 opens without listing them.
+        # Loops plus each pair with probability 2/30: law 3.21 fails on a
+        # space of ~2**29 opens, which are never listed.
         rng = random.Random(0)
         labels = [f"e{i}" for i in range(30)]
         relation = [[x, y] for x in labels for y in labels if x == y or rng.random() < 2 / 30]
         doc = {"universe": labels, "relation": relation, "order": []}
-        g, seen, elapsed = self._failing_check(runner, tmp_path, monkeypatch, doc)
-        count = g.topology.count_opens()
-        assert count is not None and count > 1 << 20
-        assert seen == {f"U={{{', '.join(labels)}}} with {count} opens"}
+        path, seen, elapsed = self._failing_check(runner, tmp_path, doc)
+        assert seen == {path}
         assert elapsed < 2.0
 
-    def test_uncountable_opens_have_a_fixed_label(
-        self, runner, tmp_path, monkeypatch, no_open_listing
-    ):
+    def test_a_sixty_point_relation_is_named_by_its_file(self, runner, tmp_path, no_open_listing):
         rng = random.Random(0)
         labels = [f"e{i}" for i in range(60)]
         relation = [[x, x] for x in labels]
         relation += [[labels[x], labels[y]] for x in range(30) for y in range(30, 60)
                      if rng.random() < 0.5]
         doc = {"universe": labels, "relation": relation, "order": []}
-        _, seen, _ = self._failing_check(runner, tmp_path, monkeypatch, doc)
-        assert seen == {f"U={{{', '.join(labels)}}} with too many opens to count"}
+        path, seen, _ = self._failing_check(runner, tmp_path, doc)
+        assert seen == {path}
+
+    def test_a_file_name_that_json_escapes_reads_back_as_typed(
+        self, runner, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        write_doc(tmp_path / "dir", PROBE_DOC, name='q"\\é.json')
+        typed = './dir/q"\\é.json'
+        result = runner.invoke(main, ["check", typed, "--exhaustive", "--format", "json"])
+        assert result.exit_code == EXIT_CHECK_FAILED
+        payload = json.loads(result.stdout)
+        assert {v["space"] for p in payload["propositions"] for v in p["violations"]} == {typed}
+        assert result.stdout == json.dumps(payload, indent=2) + "\n"
 
     def test_exclusive_flags(self, runner, example_doc):
         result = runner.invoke(
@@ -500,9 +504,9 @@ PROBE_CHECK_JSON = """\
   {"id": "3.18", "instances": 64, "pass": true, "violations": []},
   {"id": "3.19", "instances": 64, "pass": true, "violations": []},
   {"id": "3.20", "instances": 8, "pass": true, "violations": []},
-  {"id": "3.21", "instances": 2, "pass": false, "violations": [{"space": "U={a, b, c} with 5 opens", "detail": "Inc: A={a}: gamma upper {a, c} not within semi upper {a}"}]},
+  {"id": "3.21", "instances": 2, "pass": false, "violations": [{"space": "space.json", "detail": "Inc: A={a}: gamma upper {a, c} not within semi upper {a}"}]},
   {"id": "3.23", "instances": 8, "pass": true, "violations": []},
-  {"id": "3.25", "instances": 2, "pass": false, "violations": [{"space": "U={a, b, c} with 5 opens", "detail": "Inc: A={a}: boundary gamma {c} not within boundary S {}"}]},
+  {"id": "3.25", "instances": 2, "pass": false, "violations": [{"space": "space.json", "detail": "Inc: A={a}: boundary gamma {c} not within boundary S {}"}]},
   {"id": "3.26", "instances": 8, "pass": true, "violations": []},
   {"id": "3.27", "instances": 8, "pass": true, "violations": []},
   {"id": "3.28a", "instances": 8, "pass": true, "violations": []},
@@ -521,7 +525,7 @@ PROBE_CHECK_CORRUPT_JSON = """\
   {"id": "3.6", "instances": 8, "pass": true, "violations": []},
   {"id": "3.7", "instances": 8, "pass": true, "violations": []},
   {"id": "3.8", "instances": 8, "pass": true, "violations": []},
-  {"id": "3.9", "instances": 2, "pass": false, "violations": [{"space": "U={a, b, c} with 5 opens", "detail": "Inc: A={a}: pre upper within gamma upper: {a, c} not within {a}"}]},
+  {"id": "3.9", "instances": 2, "pass": false, "violations": [{"space": "space.json", "detail": "Inc: A={a}: pre upper within gamma upper: {a, c} not within {a}"}]},
   {"id": "3.10", "instances": 8, "pass": true, "violations": []},
   {"id": "3.12", "instances": 64, "pass": true, "violations": []},
   {"id": "3.13", "instances": 64, "pass": true, "violations": []},
@@ -568,9 +572,9 @@ EIGHT_SAMPLED_JSON = """\
   {"id": "3.18", "instances": 64, "pass": true, "violations": []},
   {"id": "3.19", "instances": 64, "pass": true, "violations": []},
   {"id": "3.20", "instances": 64, "pass": true, "violations": []},
-  {"id": "3.21", "instances": 3, "pass": false, "violations": [{"space": "U={a, b, c, d, e, f, g, h} with 129 opens", "detail": "Inc: A={a, b, d, h}: gamma upper {a, b, c, d, h} not within semi upper {a, b, d, h}"}]},
+  {"id": "3.21", "instances": 3, "pass": false, "violations": [{"space": "space.json", "detail": "Inc: A={a, b, d, h}: gamma upper {a, b, c, d, h} not within semi upper {a, b, d, h}"}]},
   {"id": "3.23", "instances": 64, "pass": true, "violations": []},
-  {"id": "3.25", "instances": 3, "pass": false, "violations": [{"space": "U={a, b, c, d, e, f, g, h} with 129 opens", "detail": "Inc: A={a, b, d, h}: boundary gamma {c} not within boundary S {}"}]},
+  {"id": "3.25", "instances": 3, "pass": false, "violations": [{"space": "space.json", "detail": "Inc: A={a, b, d, h}: boundary gamma {c} not within boundary S {}"}]},
   {"id": "3.26", "instances": 64, "pass": true, "violations": []},
   {"id": "3.27", "instances": 64, "pass": true, "violations": []},
   {"id": "3.28a", "instances": 64, "pass": true, "violations": []},
@@ -593,8 +597,11 @@ def _indented(compact_json):
     (EIGHT_DOC, ["--samples", "64", "--seed", "3", "--format", "json"],
      _indented(EIGHT_SAMPLED_JSON)),
 ], ids=["probe", "probe-corrupt", "probe-json", "probe-corrupt-json", "eight-sampled-json"])
-def test_check_output_bytes(runner, tmp_path, doc, args, expected):
-    result = runner.invoke(main, ["check", write_doc(tmp_path, doc), *args])
+def test_check_output_bytes(runner, tmp_path, monkeypatch, doc, args, expected):
+    # Run from tmp_path so that "space" names the file as the goldens do.
+    monkeypatch.chdir(tmp_path)
+    write_doc(tmp_path, doc)
+    result = runner.invoke(main, ["check", "space.json", *args])
     assert result.exit_code == EXIT_CHECK_FAILED
     assert result.stderr == ""
     assert result.stdout == expected

@@ -853,7 +853,7 @@ def test_wrong_suites_fail_every_law_with_pinned_witnesses(g):
         for r in check_propositions(g, suite=suite):
             if not r.passed:
                 [violation] = r.violations
-                assert violation.space == "U={a, b, c, d} with 6 opens"
+                assert violation.space == "a space of 4 points"
                 got[name, r.proposition] = (r.instances, violation.detail)
     assert got == WRONG_SUITE_WITNESSES
     assert {pid for _, pid in got} == set(PROPOSITION_IDS)

@@ -14,7 +14,7 @@ from gotas import (
     topology_from_relation,
     validate_order,
 )
-from gotas.oracle import open_family, random_space
+from gotas.oracle import open_family
 
 from strategies import topology_with_subsets, universe_with_base
 
@@ -150,19 +150,6 @@ def test_open_masks_stop_past_the_limit():
     assert len(listed) == 32
     assert [u.from_bits(u.reverse(r)) for r in listed] == list(topology.opens)
     assert topology.open_masks(31) is None
-
-
-def test_count_opens_matches_the_oracle_family(no_open_listing):
-    rng = random.Random(3)
-    for i in range(120):
-        size = 1 + i % 9
-        if i % 2:
-            topology = random_space(rng, size, max_generators=6).topology
-        else:
-            u = Universe([f"e{k}" for k in range(size)])
-            pairs = [(x, y) for x in range(size) for y in range(size) if rng.random() < 0.25]
-            topology = topology_from_relation(BinaryRelation(u, pairs))
-        assert topology.count_opens() == len(open_family(topology))
 
 
 def test_relation_topology_matches_its_right_neighborhoods_as_a_base():
