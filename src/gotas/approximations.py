@@ -143,8 +143,9 @@ def r_upper(g: Gotas, a: Sets, d: Direction) -> Sets:
 
 # The base-operator results of the row table being built, keyed by (space,
 # operand, kernel direction, meets); unset outside a table. A Subset keys by
-# value and a Batch by identity; the dict holds each key, so no id is reused
-# while it lives. A context variable keeps each thread's tables apart.
+# its bits, which hash in C (the space fixes its universe), and a Batch by
+# identity; the dict holds each key, so no id is reused while it lives. A
+# context variable keeps each thread's tables apart.
 _MEMO: ContextVar[dict] = ContextVar("gotas_base_memo")
 
 
@@ -152,10 +153,11 @@ def _base(g: Gotas, a: Sets, d: Direction, meets: bool) -> Sets:
     """The points x whose M_d(x) meets ``a`` (``meets``) or lies inside
     it, computed once per row table; outside a table, afresh."""
     memo = _MEMO.get({})
-    key = (g, a, d, meets)
+    batch = isinstance(a, Batch)
+    key = (g, a if batch else a.bits, d, meets)
     result = memo.get(key)
     if result is None:
-        if isinstance(a, Batch):
+        if batch:
             plan = g.kernel_plan[d]
             result = a.any_of(plan) if meets else a.all_of(plan)
         else:

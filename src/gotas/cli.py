@@ -30,7 +30,7 @@ import random
 import reprlib
 import sys
 from collections.abc import Iterable
-from itertools import compress
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
@@ -53,7 +53,7 @@ EXIT_INPUT_ERROR = 2
 # this cap and MAX_POINTS; getrandbits takes a C int.
 MAX_SAMPLES = 1 << 16
 # The most opens `topology` lists; n points can carry up to 2**n. Listing the 65536
-# opens of the 16-point discrete space takes 60-80 ms and peaks near 30 MB.
+# opens of the 16-point discrete space takes 45-70 ms and peaks near 30 MB.
 MAX_OPENS = 1 << 16
 # The most labels a universe may hold. The kernel's closure takes n**2 steps, most
 # of the 5.5 s and 60 MB of `check` on a 4096-point identity relation.
@@ -214,9 +214,9 @@ def _array(items: Iterable[str], indent: str) -> str:
     return f"[\n  {indent}{text}\n{indent}]" if text else "[]"
 
 
-def _labels(s: Subset, indent: str) -> str:
-    """``s`` as the JSON array of its labels, laid out as ``_array`` lays it out."""
-    return _array(compress(s.universe.encoded, flags(s.bits)), indent)
+def _labels(u: Universe, bits: int, indent: str) -> str:
+    """The labels of ``bits`` as a JSON array, laid out as ``_array`` lays it out."""
+    return _array(compress(u.encoded, flags(bits)), indent)
 
 
 # The two reports that --format json prints, each written as
@@ -261,12 +261,14 @@ def cmd_analyze(file: str, set_labels: str, family: str | None, direction: str |
     rows = [(f, dd, r) for (f, dd), r in full_report(g, a).items()
             if fam in (None, f) and d in (None, dd)]
 
-    if fmt == "json":
+    if fmt == "json":  # rows share most sets, so each distinct set is written once
+        masks = [[getattr(r, name).bits for name in _REGIONS] for _, _, r in rows]
+        arrays = {m: _labels(g.universe, m, "      ") for m in set(chain.from_iterable(masks))}
         written = [_ROW % (encode_basestring_ascii(f.label), encode_basestring_ascii(dd.label),
-                           *(_labels(getattr(r, name), "      ") for name in _REGIONS),
+                           *map(arrays.__getitem__, row),
                            encode_basestring_ascii(str(r.accuracy)), _BOOL[r.exact])
-                   for f, dd, r in rows]
-        _echo(_ANALYZE % (_labels(a, "  "), _array(written, "  ")))
+                   for (f, dd, r), row in zip(rows, masks)]
+        _echo(_ANALYZE % (_labels(g.universe, a.bits, "  "), _array(written, "  ")))
         return
 
     headers = ("family", "dir", *_REGIONS, "accuracy", "exactness")

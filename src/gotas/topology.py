@@ -106,10 +106,12 @@ class Topology:
         """Every open set as a bit-reversed mask (see ``Universe.reverse``),
         in canonical order: the unions of the minimal neighborhoods. None as
         soon as more than ``limit`` are found, so at most 2 * ``limit``
-        masks are ever held."""
+        masks are ever held. The largest neighborhoods go first: their unions
+        coincide more often, so the family stays small for longer."""
         family = {0}
-        for n in set(map(self.universe.reverse, self.neighborhoods)):
-            family |= set(map(or_, family, repeat(n)))
+        rmasks = map(self.universe.reverse, set(self.neighborhoods))
+        for n in sorted(rmasks, key=int.bit_count, reverse=True):
+            family.update(map(or_, tuple(family), repeat(n)))
             if limit is not None and len(family) > limit:
                 return None
         return canonical_order(family)

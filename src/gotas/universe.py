@@ -403,10 +403,19 @@ def _points(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-def _fragments(values: set[int], labels: tuple[str, ...]) -> dict[int, str]:
+def _fragments(values: set[int], labels: tuple[str, ...]) -> list[str] | dict[int, str]:
     """Each of ``values``, a mask over ``labels`` with the first label in the
-    top bit, written as the labels it selects, each followed by ", "."""
-    width, fragments = len(labels), {}
+    top bit, written as the labels it selects, each followed by ", ". When
+    ``values`` fill at least half of the 2**width masks, every mask is
+    written, by doubling: the texts of the masks below bit k, then each of
+    them with the label of bit k put in front, one concatenation per mask."""
+    width = len(labels)
+    if 1 << width <= 2 * len(values):
+        table = [""]
+        for label in reversed(labels):
+            table += [*map((label + ", ").__add__, table)]
+        return table
+    fragments = {}
     for v in values:
         fragments[v] = ", ".join([*compress(labels, flags(v, width)[::-1]), ""])
     return fragments

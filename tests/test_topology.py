@@ -152,6 +152,27 @@ def test_open_masks_stop_past_the_limit():
     assert topology.open_masks(31) is None
 
 
+def test_open_masks_list_the_oracle_family_from_neighborhoods_of_unequal_size():
+    """The largest neighborhoods are joined first, so on unequal sizes the
+    order of the joins differs from the points' order; the listing, the
+    limit verdict and the canonical order must not."""
+    rng = random.Random(11)
+    unequal = 0
+    for i in range(60):
+        size = 6 + i % 7
+        u = Universe([f"e{k}" for k in range(size)])
+        p = rng.uniform(0.05, 0.5)
+        rel = BinaryRelation(
+            u, [(x, y) for x in range(size) for y in range(size) if rng.random() < p])
+        topology = topology_from_relation(rel)
+        unequal += len(set(map(int.bit_count, topology.neighborhoods))) > 1
+        listed = topology.open_masks()
+        assert [u.reverse(r) for r in listed] == [s.bits for s in u.canonical(open_family(topology))]
+        assert topology.open_masks(len(listed)) == listed
+        assert topology.open_masks(len(listed) - 1) is None
+    assert unequal >= 50
+
+
 def test_relation_topology_matches_its_right_neighborhoods_as_a_base():
     rng = random.Random(5)
     for i in range(200):

@@ -127,15 +127,42 @@ def test_rendered_labels_match_a_scan_of_the_points(t):
 _ODD_LABELS = ["{", "}", '"', "\\", "\x01", "é", "中文", "", "x, ", "{a}"]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 12, 33])
-def test_texts_is_the_text_of_each_mask_joined_by_newlines(n):
+def _half_values(rng, firsts, lasts):
+    """Masks over 12 points (two halves of 6) whose first halves take each of
+    ``firsts`` and last halves each of ``lasts``, paired at random."""
+    k = max(len(firsts), len(lasts), 40)
+    firsts, lasts = ([*values, *rng.choices(values, k=k - len(values))] for values in (firsts, lasts))
+    rng.shuffle(firsts)
+    rng.shuffle(lasts)
+    return [f << 6 | v for f, v in zip(firsts, lasts)]
+
+
+# At 12 points each half is written from a table of all 64 of its values
+# when at least 32 occur, else value by value: every value, a few, and
+# exactly 32 in the first half with 31 in the last.
+_HALVES = {
+    "every": (range(64), range(64)),
+    "few": ([0, 5, 63], [1, 40]),
+    "threshold": (range(0, 64, 2), range(1, 63, 2)),
+}
+
+
+@pytest.mark.parametrize("n, halves", [
+    *(pytest.param(n, None, id=str(n)) for n in (1, 2, 3, 12, 33)),
+    *(pytest.param(12, name, id=f"12-{name}") for name in _HALVES)])
+def test_texts_is_the_text_of_each_mask_joined_by_newlines(n, halves):
     rng = random.Random(n)
     labels = rng.sample(_ODD_LABELS, min(n, len(_ODD_LABELS))) + _labels(n)[len(_ODD_LABELS):]
     rng.shuffle(labels)
     u = Universe(labels)
-    masks = [0, u.full_mask, *(rng.getrandbits(n) for _ in range(300))]
+    if halves is None:
+        masks = [0, u.full_mask, *(rng.getrandbits(n) for _ in range(300))]
+    else:
+        firsts, lasts = _HALVES[halves]
+        masks = _half_values(rng, firsts, lasts)
+        assert ({r >> 6 for r in masks}, {r & 63 for r in masks}) == (set(firsts), set(lasts))
     masks += rng.sample(masks, 20)  # repeats
-    assert u.texts(masks) == "\n".join(str(u.from_bits(u.reverse(r))) for r in masks)
+    assert u.texts(masks).split("\n") == [str(u.from_bits(u.reverse(r))) for r in masks]
     assert u.texts([0]) == "{}"
     assert u.texts([]) == ""
 
