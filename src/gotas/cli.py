@@ -56,7 +56,7 @@ MAX_SAMPLES = 1 << 16
 # opens of the 16-point discrete space takes 45-70 ms and peaks near 30 MB.
 MAX_OPENS = 1 << 16
 # The most labels a universe may hold. The kernel's closure takes n**2 steps, most
-# of the 5.5 s and 60 MB of `check` on a 4096-point identity relation.
+# of the 5.8 s (86 MB peak) of `check` on a 4096-point identity relation (BENCH_37.json).
 MAX_POINTS = 1 << 12
 
 

@@ -236,7 +236,8 @@ class Plan(NamedTuple):
     the classes, smallest first; ``classes[x]`` indexes M(x) among them.
     Class c folds the columns and class results of ``steps[c]``, a pair
     (points, covers): its own points (those x with M(x) = M_c) and its
-    covers (the greatest classes inside M_c), largest first."""
+    covers (the greatest classes inside M_c), largest first. The covers
+    are the transitive reduction of the nesting (Aho, Garey & Ullman 1972)."""
 
     masks: tuple[int, ...]
     steps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]

@@ -14,7 +14,7 @@ def sweep(monkeypatch):
 
 
 def test_sweep_prints_one_line_per_law(capsys, sweep):
-    code = sweep.run(sweep.SweepConfig(count=6, sizes=(3, 4)))
+    code = sweep.run(count=6, sizes=(3, 4), seed=0, show_witnesses=3)
     header, *laws = capsys.readouterr().out.splitlines()
     assert code == 0
     assert header.startswith("6 spaces, sizes (3, 4), seed 0, ")
