@@ -18,7 +18,7 @@ from typing import Callable
 
 from .order import PartialOrder
 from .topology import Topology, points_meeting, points_within
-from .universe import Batch, Plan, Subset, Universe, _points, from_flags
+from .universe import Batch, Plan, Subset, Universe, _cached, _points, from_flags
 
 
 class Direction(Enum):
@@ -54,18 +54,6 @@ FAMILY_ORDER = (
 )
 DIRECTION_ORDER = (Direction.INC, Direction.DEC)
 Direction.INC.opposite, Direction.DEC.opposite = Direction.DEC, Direction.INC
-
-
-class _cached:
-    """``functools.cached_property`` without the lock it takes on each first
-    read before Python 3.12: the values are pure, and threads that race keep
-    the first one stored."""
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, cls=None):
-        return self if obj is None else obj.__dict__.setdefault(self.name, self.fn(obj))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +222,7 @@ class Accuracies:
 
     def __init__(self, lo: Batch, up: Batch) -> None:
         self.num, self.den = lo.counts(), up.counts()
-        for s in _points(up.lanes & ~up.nonempty()):
+        for s in _points(up.lanes ^ up.nonempty()):
             self.num[s], self.den[s] = _terms(self.num[s], 0)
 
     def exceeds(self, other: Accuracies) -> int:
@@ -297,7 +285,7 @@ class ApproxReport:
     @_cached
     def exact(self) -> bool | int:
         if isinstance(self.lower, Batch):
-            return self.lower.lanes & ~self.lower.differs(self.upper)
+            return self.lower.lanes ^ self.lower.differs(self.upper)
         return self.lower == self.upper
 
 

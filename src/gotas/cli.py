@@ -48,9 +48,9 @@ from .universe import Subset, Universe, flags
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 # A sampled check's memory grows with the sample count: 65536 samples on a 200-point
-# sparse relation take about 1.0 s and peak near 155 MB. Its pairs come from one
-# getrandbits block of 64 * ceil(n / 32) bits per sample, at most 2**29 bits under
-# this cap and MAX_POINTS; getrandbits takes a C int.
+# sparse relation take about 0.8 s and peak near 152 MB (BENCH_38.json). Its pairs
+# come from one getrandbits block of 64 * ceil(n / 32) bits per sample, at most 2**29
+# bits under this cap and MAX_POINTS; getrandbits takes a C int.
 MAX_SAMPLES = 1 << 16
 # The most opens `topology` lists; n points can carry up to 2**n. Listing the 65536
 # opens of the 16-point discrete space takes 45-70 ms and peaks near 30 MB.

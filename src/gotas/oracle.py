@@ -8,28 +8,23 @@ powerset lanes, and picks the greatest candidate inside every subset (or
 the smallest around it) one point column at a time, by an upward
 (downward) closure in the subset lattice, asserting each pick is unique.
 The picks form one table of columns per space, ``oracle_table``;
-``oracle_diff`` compares it with the fast operators run on the powerset
-batch, the bit-sliced path the law checker reads. The table and an
-exhaustive check both scan the 2ⁿ subsets, so one cap, ``POWERSET_CAP``,
-bounds both.
+``oracle_diff`` compares it, column by column, with the fast operators run
+on the powerset batch. The table and an exhaustive check both scan the 2ⁿ
+subsets, so one cap, ``POWERSET_CAP``, bounds both.
 
 The checker runs a catalogue of algebraic laws over all subsets (and all
 pairs, for the binary laws) of a space, bit-sliced into batches, and
 reports one result per law, with the first counterexample kept as a
-witness. Each binary law is one row that must be monotone (antitone, for a
-negative region); it is checked on comparable pairs X ⊆ Y, each a forward
-shift between two lane ranges of one table. An exhaustive check reads the
-cover pairs (A, A ∪ {x}) off A's table, which decide every pair; a sampled
-check reads the four comparable pairs of each drawn A, B off one table
-whose lanes hold A∩B, A, B and A∪B side by side. A table holds the
-families its laws read and derives them in one pass; it remembers each
-base-operator result while it is built, so each base term of its batch is
-folded once per direction. The accuracy laws count points only in lanes
-where a lower or upper inclusion that bounds the accuracies fails, which
-the shipped families never do.
-Each law gets its tables, compares rows and calls no operator.
-A deliberately corrupted gamma-upper operator is provided so the checker's
-failure path itself stays under test.
+witness. A table of rows (``approx.Rows``) holds the families its laws
+read, folding each base term of its batch once per direction; each law
+then tests packed rows with a few int operations over all lanes at once,
+calls no operator, and builds lane masks and a witness only where it
+fails. Each binary law is one row that must be monotone (antitone, for a
+negative region), checked on comparable pairs X ⊆ Y, each one shift of
+the packed row. The accuracy laws count points only in lanes where an
+inclusion that bounds the accuracies fails, which the shipped families
+never do. A deliberately corrupted gamma-upper operator is provided so the
+checker's failure path itself stays under test.
 """
 
 from __future__ import annotations
@@ -37,10 +32,10 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import and_, or_, xor
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import approximations as approx
 from .approximations import (
@@ -51,14 +46,14 @@ from .approximations import (
     OperatorFamily,
     OperatorSuite,
 )
-from .order import PartialOrder, equality_order, validate_order
+from .order import PartialOrder, validate_order
 from .topology import Topology, generate_topology, points_meeting, points_within
-from .universe import (Batch, Subset, Universe, _counting_columns, _points, _transpose,
-                       from_flags, random_columns, union_over)
+from .universe import (Batch, Groups, Subset, Universe, _beyond, _counting_columns, _pack,
+                       _points, _transpose, from_flags, random_columns, union_over)
 
 # The most points whose 2**n subsets the oracle table or an exhaustive check
-# scans: at 16 the slowest measured shape, a failing check, takes under
-# 0.2 s and 30 MB, at 17 about 0.25 s (BENCH_25.json).
+# scans: at 16 the slowest measured shape, a failing check, takes about
+# 0.14 s and 28 MB, at 17 about 0.30 s (BENCH_38.json).
 POWERSET_CAP = 16
 
 
@@ -183,7 +178,8 @@ def oracle_diff(g: Gotas) -> tuple[int, list[str]]:
             (("r_lower", approx.r_lower), ("r_upper", approx.r_upper)), table[d]
         )
     ]
-    differs = [got.differs(want) for _, got, want in checks]
+    # Columns against columns: packing both sides would cost more than the compare.
+    differs = [reduce(or_, map(xor, got.columns, want.columns), 0) for _, got, want in checks]
     mismatches = [
         f"{what} of {u.from_bits(a)}: main {got.lane(a)}, oracle {want.lane(a)}"
         for a in _points(reduce(or_, differs, 0))
@@ -236,12 +232,13 @@ class PropositionReport:
         return not self.violations
 
 
-# Each unary law is a generator of claims over the row table of a batch of
-# subsets: (fail mask, witness template, operands), in the order a check of
-# one instance tests them. The template's %s fields take the operands' values
-# at the failing lane; templates are built at import. A table's batch is its
-# ``a``; a value in a law is named by its (family, row field). Only duality
-# reads the complement of A, and only its R rows, so it builds that table.
+# Each unary law is a generator of its failing claims over the row table of
+# a batch of subsets: (fail mask, witness template, operands), in the order a
+# check of one instance tests them; a passing law yields nothing. The
+# template's %s fields take the operands' values at the failing lane;
+# templates are built at import. A table's batch is its ``a``; a value in a
+# law is named by its (family, row field). Only duality reads the complement
+# of A, and only its R rows, so it builds that table.
 #
 # Each binary law is one row that must be monotone (antitone, for a negative
 # region) in both directions: (family, row field, antitone, witness). It
@@ -253,16 +250,19 @@ class PropositionReport:
 
 def _sandwich(rows):
     a = rows.a
+    p = a.packed
     for key, template in _SANDWICH:
         lo, up = rows[key].lower, rows[key].upper
-        yield lo.outside(a) | a.outside(up), template, (lo, a, up)
+        if fail := _beyond(lo.packed, p) | _beyond(p, up.packed):
+            yield a.lanes_in(fail), template, (lo, a, up)
 
 
 def _exact_transfer(fam, label):
     specs = [(d, f"{d.label}: A=%s is R exact but not {label} exact") for d in DIRECTION_ORDER]
     def claims(rows):
         for d, template in specs:
-            yield rows[_R, d].exact & ~rows[fam, d].exact, template, (rows.a,)
+            if fail := rows[_R, d].exact & ~rows[fam, d].exact:
+                yield fail, template, (rows.a,)
 
     return claims
 
@@ -272,7 +272,8 @@ def _inclusions(specs):
     def claims(rows):
         for d, (fam_x, fx), (fam_y, fy), template in specs:
             x, y = getattr(rows[fam_x, d], fx), getattr(rows[fam_y, d], fy)
-            yield x.outside(y), template, (rows.a, x, y)
+            if fail := _beyond(x.packed, y.packed):
+                yield rows.a.lanes_in(fail), template, (rows.a, x, y)
 
     return claims
 
@@ -294,33 +295,28 @@ def _accuracy_exceeds(a, x, y):
     if x's upper is empty so is y's, and both are 1; if only y's is, x's is
     at most 1; else |lo_x|·|up_y| ≤ |lo_y|·|up_x|. So points are counted
     only when one of those inclusions fails in a nonempty lane."""
-    loose = x.lower.outside(y.lower) | y.upper.outside(x.upper) | x.lower.outside(x.upper)
-    nonempty = a.nonempty()
-    if not nonempty & loose:
+    xl, xu = x.lower.packed, x.upper.packed
+    loose = _beyond(xl, y.lower.packed) | _beyond(y.upper.packed, xu) | _beyond(xl, xu)
+    nonempty = a.nonempty() if loose else 0
+    if not nonempty & a.lanes_in(loose):
         return 0
     return nonempty & x.accuracy.exceeds(y.accuracy)
 
 
 def _accuracy_floor(rows):
     a = rows.a
-    for d in DIRECTION_ORDER:
-        base = rows[_R, d]
-        for fam in (_G, _B):
-            got = rows[fam, d]
-            fail = _accuracy_exceeds(a, base, got)
-            if fail:
-                yield (fail, f"{d.label}: A=%s: R accuracy %s > {fam.label} accuracy %s",
-                       (a, base.accuracy, got.accuracy))
+    for d, fam, template in _FLOOR:
+        base, got = rows[_R, d], rows[fam, d]
+        if fail := _accuracy_exceeds(a, base, got):
+            yield fail, template, (a, base.accuracy, got.accuracy)
 
 
 def _accuracy_chain(rows):
     a = rows.a
-    for d in DIRECTION_ORDER:
+    for d, template in _ASCENDING:
         r, g, b = (rows[fam, d] for fam in (_R, _G, _B))
-        fail = _accuracy_exceeds(a, r, g) | _accuracy_exceeds(a, g, b)
-        if fail:
-            yield (fail, f"{d.label}: A=%s: accuracies R %s, gamma %s, beta %s not ascending",
-                   (a, r.accuracy, g.accuracy, b.accuracy))
+        if fail := _accuracy_exceeds(a, r, g) | _accuracy_exceeds(a, g, b):
+            yield fail, template, (a, r.accuracy, g.accuracy, b.accuracy)
 
 
 def _duality(rows):
@@ -330,28 +326,36 @@ def _duality(rows):
     # A negative region is the complement of the opposite direction's upper.
     cases += [(rows[_R, d].lower, comp[_R, d].negative) for d in DIRECTION_ORDER]
     for template, (left, right) in zip(_DUALITY, cases):
-        yield left.differs(right), template, (a, left, right)
+        if fail := left.packed ^ right.packed:
+            yield a.lanes_in(fail), template, (a, left, right)
 
 
 def _breaks(family, field, antitone, witness, table, pairs):
-    """The claims of a binary law on comparable pairs X ⊆ Y of ``table``'s
-    lanes, each (lanes, start, shift): on those lanes, X's lane s is table
-    lane start + s and Y's is table lane start + shift + s. For each pair,
-    then each direction, the lanes where the row at X is not within the row
-    at Y (the reverse, if antitone). Only failing claims are yielded."""
+    """The failing claims of a binary law on comparable pairs X ⊆ Y of
+    ``table``'s lanes, each (mask, start, shift): X's lane s is table lane
+    start + s and Y's is start + shift + s, for the lanes in each field of
+    the packed ``mask``. For each pair, then each direction, the lanes where
+    the row at X is not within the row at Y (the reverse, if antitone): one
+    shift of the packed row, whose lanes moved across fields the mask drops."""
     rows = {d: getattr(table[family, d], field) for d in DIRECTION_ORDER}
-    for lanes, start, shift in pairs:
+    for mask, start, shift in pairs:
         for d in DIRECTION_ORDER:
-            row, fail = rows[d], 0
-            for c in row.columns:
-                q = c >> shift
-                fail |= q & ~c if antitone else c & ~q
-            fail = fail >> start & lanes
-            if fail:
+            row, p = rows[d], rows[d].packed
+            q = p >> shift
+            if fail := (q ^ (q & p) if antitone else p ^ (p & q)) & mask:
                 x, y = _shifted(table.a, start), _shifted(table.a, start + shift)
                 # The negative-region witness names the row at Y, Neg(A∪B), too.
                 operands = (x, y, _shifted(row, start + shift)) if antitone else (x, y)
-                yield fail, f"{d.label}: {witness}", operands
+                yield table.a.lanes_in(fail) >> start, f"{d.label}: {witness}", operands
+
+
+@lru_cache(maxsize=POWERSET_CAP + 1)
+def _cover_pairs(n: int) -> list[tuple[int | Groups, int, int]]:
+    """The cover pairs (A, A ∪ {x}) of the powerset of n points, whose lane
+    A ∪ {x} is lane A + 2**x, on the lanes without x."""
+    width = 1 << n
+    return [(_pack(((1 << width) - 1 ^ c,) * n, width), 0, 1 << x)
+            for x, c in enumerate(_counting_columns(n))]
 
 
 def _shifted(batch: Batch, k: int) -> Batch:
@@ -363,6 +367,10 @@ _R, _S, _P, _G, _B = FAMILY_ORDER
 _NEG_WITNESS = "A=%s, B=%s: Neg(A∪B) %s not within Neg(A)∩Neg(B)"
 _SANDWICH = [((family, d), f"{family.label} {d.label}: expected %s within %s within %s")
              for family in FAMILY_ORDER for d in DIRECTION_ORDER]
+_FLOOR = [(d, fam, f"{d.label}: A=%s: R accuracy %s > {fam.label} accuracy %s")
+          for d in DIRECTION_ORDER for fam in (_G, _B)]
+_ASCENDING = [(d, f"{d.label}: A=%s: accuracies R %s, gamma %s, beta %s not ascending")
+              for d in DIRECTION_ORDER]
 _DUALITY = [f"A=%s: duality {x} {d.label} vs {y} {d.opposite.label}: %s vs %s"
             for x, y in (("upper", "lower"), ("lower", "upper")) for d in DIRECTION_ORDER]
 
@@ -422,18 +430,16 @@ def check_propositions(
     ``instances`` is that lane's index plus one, and its first failing claim
     gives the witness. A passing law reports all its instances.
 
-    A binary law is checked as the monotonicity of one row on comparable
-    pairs X ⊆ Y, and its witness names the first pair that breaks it. An
-    exhaustive check reads the cover pairs (A, A ∪ {x}) off the powerset
-    table, by A and then x; by the catalogue's lemma they decide all 4ⁿ
-    pairs, and a failing law's ``instances`` is its witness's index
-    a·2ⁿ + b among them, plus one. A sampled check builds, beside A's
-    table, one gamma and beta table over 4W lanes, A∩B | A | B | A∪B of
-    the W drawn pairs, and reads (A∩B, A), (A∩B, B), (A, A∪B) and
-    (B, A∪B) off it, in that order; a drawn pair breaks the law's clauses
-    iff one of these breaks the row. Its unary laws also run on each
-    distinct kernel class M_d(x), in lanes past the W draws: a law that
-    fails only there reports that lane's index plus one, past W. The W
+    An exhaustive check reads a binary law off the powerset table's cover
+    pairs (A, A ∪ {x}), by A and then x; by the catalogue's lemma they
+    decide all 4ⁿ pairs, and a failing law's ``instances`` is its witness's
+    index a·2ⁿ + b among them, plus one. A sampled check builds one gamma
+    and beta table over 4W lanes, A∩B | A | B | A∪B of the W drawn pairs,
+    and reads (A∩B, A), (A∩B, B), (A, A∪B) and (B, A∪B) off it, in that
+    order; a drawn pair breaks the law's clauses iff one of these breaks the
+    row. Its unary laws also run on each distinct kernel class M_d(x), in
+    lanes past the W draws, where 3.21 and 3.25 fail if they fail at all;
+    a law failing only there reports that lane's index plus one. The W
     units and then the W pairs are drawn as ``rng.getrandbits(n)`` calls
     would draw them, A before B, but read as columns off one block each
     (``random_columns``).
@@ -445,9 +451,7 @@ def check_propositions(
         unit = Batch.powerset(u)
         table = unary = approx.Rows(g, unit, suite)
         all_units, all_pairs = unit.width, unit.width ** 2
-        # Lane A ∪ {x} is lane A + 2**x, and the lanes without x are the
-        # complement of the powerset's column x.
-        pairs = [(unit.lanes & ~c, 0, 1 << x) for x, c in enumerate(unit.columns)]
+        pairs = _cover_pairs(u.size)
     else:
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
@@ -469,7 +473,7 @@ def check_propositions(
                                   for x, y in zip(a, b)), 4 * w)
         table = approx.Rows(g, segments, suite, (_G, _B))
         all_units = all_pairs = w
-        pairs = [(lanes, start, shift)
+        pairs = [(_pack((lanes << start,) * n, 4 * w), start, shift)
                  for start, shift in ((0, w), (0, 2 * w), (w, 2 * w), (2 * w, w))]
 
     label = space_label or f"a space of {u.size} points"
@@ -477,10 +481,10 @@ def check_propositions(
     for pid, kind, law in _CATALOGUE:
         binary = kind == "binary"
         claims = list(_breaks(*law, table, pairs) if binary else law(unary))
-        failed = reduce(or_, (mask for mask, _, _ in claims), 0)
-        if not failed:
+        if not claims:
             reports.append(PropositionReport(pid, all_pairs if binary else all_units))
             continue
+        failed = reduce(or_, (mask for mask, _, _ in claims))
         lane = (failed & -failed).bit_length() - 1
         template, operands = next((t, v) for mask, t, v in claims if mask >> lane & 1)
         values = tuple(v.lane(lane) for v in operands)
@@ -536,29 +540,3 @@ def random_space(rng: random.Random, size: int, max_generators: int = 4) -> Gota
     count = rng.randint(0, max_generators)
     base = [universe.from_bits(rng.getrandbits(size)) for _ in range(count)]
     return Gotas(universe, generate_topology(universe, base), random_order(rng, universe))
-
-
-def random_partition(rng: random.Random, universe: Universe) -> tuple[Subset, ...]:
-    """Random partition of the universe into nonempty blocks."""
-    buckets = rng.randint(1, universe.size)
-    masks: dict[int, int] = {}
-    for pos in range(universe.size):
-        bucket = rng.randrange(buckets)
-        masks[bucket] = masks.get(bucket, 0) | (1 << pos)
-    return universe.canonical(masks.values())
-
-
-def partition_space(universe: Universe, blocks: Iterable[Subset]) -> Gotas:
-    """Space whose topology is generated by the blocks of a partition, with
-    the equality order."""
-    blocks = tuple(blocks)
-    covered = 0
-    for block in blocks:
-        if block.is_empty():
-            raise ValueError("partition blocks must be nonempty")
-        if covered & block.bits:
-            raise ValueError("partition blocks must be disjoint")
-        covered |= block.bits
-    if covered != universe.full_mask:
-        raise ValueError("partition blocks must cover the universe")
-    return Gotas(universe, generate_topology(universe, blocks), equality_order(universe))

@@ -3,18 +3,20 @@
 Elements carry string labels at the API surface and dense indices
 internally; a subset is an int bitmask over those indices, which keeps
 membership, the set algebra and powerset scans cheap. A batch holds many
-subsets at once, bit-sliced, so that one int operation acts on all of them.
+subsets at once, bit-sliced: as one column per point, which the folds over
+a kernel read, and packed, the columns side by side in one int, so that one
+int operation acts on every point of every subset in the batch.
 """
 
 from __future__ import annotations
 
 import random
 import reprlib
-from functools import reduce
-from itertools import chain, compress, repeat
+from functools import lru_cache, reduce
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, and_, invert, or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import add, and_, lshift, or_, xor
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # Swaps the binary digits b"0", b"1" and the flag bytes 0, 1, both ways.
 _SWAP = bytes.maketrans(b"01\x00\x01", b"\x00\x0101")
@@ -270,22 +272,51 @@ class Plan(NamedTuple):
         return cls(tuple(distinct), tuple(steps), tuple(map(index.__getitem__, masks)))
 
 
+class _cached:
+    """``functools.cached_property`` without the lock it takes on each first
+    read before Python 3.12: the values are pure, and threads that race keep
+    the first one stored."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.fn(obj))
+
+
 class Batch:
     """W subsets of a Universe at once, held bit-sliced.
 
     ``columns[x]`` has bit s set when point x is in lane s, so each int
-    operation acts on all W lanes, as in Biham's bit-sliced DES (1997). The
-    set algebra is Subset's, lane by lane; comparisons return the mask of
-    the lanes where they fail instead of a bool.
+    operation acts on all W lanes, as in Biham's bit-sliced DES (1997).
+    ``packed`` holds them as one int, column x as field x, W bits wide, so
+    that one int operation acts on every lane of every column; past
+    ``GROUP_BITS`` bits it holds them in ``Groups`` of such ints. The set
+    algebra and the laws read ``packed``, the folds ``columns``; each is
+    derived from the other on first use and kept. The set algebra is
+    Subset's, lane by lane; comparisons return the mask of the lanes where
+    they fail.
     """
 
-    __slots__ = ("universe", "columns", "width", "lanes")
+    def __init__(self, universe: Universe, columns: tuple[int, ...] | None, width: int) -> None:
+        """``columns`` is None when the caller sets ``packed`` instead."""
+        self.universe, self.width, self.lanes = universe, width, (1 << width) - 1
+        if columns is not None:
+            self.columns = columns
 
-    def __init__(self, universe: Universe, columns: tuple[int, ...], width: int) -> None:
-        self.universe = universe
-        self.columns = columns
-        self.width = width
-        self.lanes = (1 << width) - 1
+    @_cached
+    def columns(self) -> tuple[int, ...]:
+        p, width, lanes, n = self.packed, self.width, self.lanes, self.universe.size
+        if not isinstance(p, Groups):
+            return tuple(p >> x * width & lanes for x in range(n))
+        if (f := _fields(width)) == 1:
+            return tuple(p)
+        return tuple(g >> k * width & lanes for i, g in enumerate(p)
+                     for k in range(min(f, n - i * f)))
+
+    @_cached
+    def packed(self) -> int | Groups:
+        return _pack(self.columns, self.width)
 
     @classmethod
     def of(cls, universe: Universe, rows: Sequence[int]) -> Batch:
@@ -299,10 +330,10 @@ class Batch:
         return cls(universe, tuple(_counting_columns(n)), 1 << n)
 
     @property
-    def bits(self) -> tuple[int, ...]:
-        """The columns: hashable, like ``Subset.bits``. Nothing in the
-        package hashes them; perfbench/tracing.py keys base calls by them."""
-        return self.columns
+    def bits(self) -> int | Groups:
+        """``packed``: hashable and fixed by the lanes, like ``Subset.bits``;
+        perfbench/tracing.py keys base calls by it."""
+        return self.packed
 
     def rows(self) -> list[int]:
         """The bitmask of each lane; the inverse of ``Batch.of``."""
@@ -328,26 +359,40 @@ class Batch:
         lane = bytes(map((1).__and__, map(s.__rrshift__, self.columns)))
         return Subset(self.universe, from_flags(lane))
 
+    def lanes_in(self, word: int | Groups) -> int:
+        """The lanes set in some field of ``word``, laid out as ``packed``: the
+        top half of its fields ORed onto the bottom half, down to one field."""
+        fields, width = self.universe.size, self.width
+        if isinstance(word, Groups):
+            word, fields = reduce(or_, word), min(_fields(width), fields)
+        while fields > 1 and word:
+            fields = (fields + 1) // 2
+            word = word & (1 << fields * width) - 1 | word >> fields * width
+        return word
+
     def _guard(self, other: Batch) -> None:
         if self.universe is not other.universe or self.width != other.width:
             raise UniverseMismatchError("batches belong to different universes or widths")
 
-    def _zip(self, other: Batch, op) -> Batch:
-        self._guard(other)
-        return Batch(self.universe, tuple(map(op, self.columns, other.columns)), self.width)
+    def _with(self, packed: int | Groups) -> Batch:
+        batch = Batch(self.universe, None, self.width)
+        batch.packed = packed
+        return batch
 
     def __or__(self, other: Batch) -> Batch:
-        return self._zip(other, or_)
+        self._guard(other)
+        return self._with(self.packed | other.packed)
 
     def __and__(self, other: Batch) -> Batch:
-        return self._zip(other, and_)
+        self._guard(other)
+        return self._with(self.packed & other.packed)
 
     def __sub__(self, other: Batch) -> Batch:
-        return self._zip(other, lambda x, y: x & ~y)
+        self._guard(other)
+        return self._with(_beyond(self.packed, other.packed))
 
     def complement(self) -> Batch:
-        lanes = self.lanes
-        return Batch(self.universe, tuple(c ^ lanes for c in self.columns), self.width)
+        return self._with(self.packed ^ _full(self.universe.size, self.width))
 
     def all_of(self, plan: Plan) -> Batch:
         """Column x is the AND of the columns of M(x), x's mask in ``plan``:
@@ -371,16 +416,77 @@ class Batch:
     def outside(self, other: Batch) -> int:
         """Lanes where this subset is not within ``other``'s."""
         self._guard(other)
-        return reduce(or_, map(and_, self.columns, map(invert, other.columns)), 0)
+        return self.lanes_in(_beyond(self.packed, other.packed))
 
     def differs(self, other: Batch) -> int:
         """Lanes where the two subsets differ."""
         self._guard(other)
-        return reduce(or_, map(int.__xor__, self.columns, other.columns), 0)
+        return self.lanes_in(self.packed ^ other.packed)
 
     def nonempty(self) -> int:
         """Lanes holding at least one point."""
-        return reduce(or_, self.columns, 0)
+        return self.lanes_in(self.packed)
+
+
+# The most bits of a packed int, unless one column is wider. Ops on wider ints
+# cost as much as on their columns, and packing them would keep a second copy
+# of each batch.
+GROUP_BITS = 1 << 16
+
+
+class Groups(tuple):
+    """The packed form of a batch wider than ``GROUP_BITS``: one int per group
+    of ``_fields(W)`` columns (the columns themselves past half of it), with
+    the int operators that the laws use acting group by group."""
+
+    __slots__ = ()
+
+    def __or__(self, other: Groups) -> Groups:
+        return Groups(map(or_, self, other))
+
+    def __and__(self, other: Groups) -> Groups:
+        return Groups(map(and_, self, other))
+
+    def __xor__(self, other: Groups) -> Groups:
+        return Groups(map(xor, self, other))
+
+    def __rshift__(self, k: int) -> Groups:
+        return Groups(map(k.__rrshift__, self))
+
+    def __bool__(self) -> bool:
+        return any(self)
+
+
+def _fields(width: int) -> int:
+    """The columns of ``width`` lanes that one packed int holds."""
+    return (GROUP_BITS // width or 1) if width else GROUP_BITS
+
+
+def _pack(columns: Sequence[int], width: int) -> int | Groups:
+    """``columns`` as one int, column x as field x, ``width`` bits each; past
+    ``GROUP_BITS`` bits, as ``_groups``."""
+    if len(columns) * width <= GROUP_BITS:
+        return reduce(or_, map(lshift, columns, count(0, width)))
+    return _groups(columns, width)
+
+
+def _groups(columns: Sequence[int], width: int) -> Groups:
+    """``columns`` packed ``_fields(width)`` to an int. Apart from ``_pack``,
+    whose locals its generator would turn into cells, slower to read."""
+    f = _fields(width)
+    return Groups(columns if f == 1 else
+                  (_pack(columns[i:i + f], width) for i in range(0, len(columns), f)))
+
+
+def _beyond(p: int | Groups, q: int | Groups) -> int | Groups:
+    """Packed p - q, as p ^ (p & q): p & ~q is slow on wide ints, as ~q is negative."""
+    return p ^ (p & q)
+
+
+@lru_cache(maxsize=64)
+def _full(n: int, width: int) -> int | Groups:
+    """The packed batch whose every lane is the whole universe of n points."""
+    return _pack(((1 << width) - 1,) * n, width)
 
 
 def _counting_columns(m: int) -> list[int]:

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 from hypothesis import settings
 
-from gotas import Batch, Gotas, Topology, Universe, equality_order, generate_topology, validate_order
+from gotas import (Batch, Gotas, Subset, Topology, Universe, equality_order, generate_topology,
+                   validate_order)
 from gotas.oracle import oracle_table, random_space
 
 # Every hypothesis test draws the same examples on each run; a test's own
@@ -52,6 +54,32 @@ def make_probe_space() -> Gotas:
     u = Universe(["a", "b", "c"])
     topology = generate_topology(u, [u.subset(["a"]), u.subset(["b"])])
     return Gotas(u, topology, equality_order(u))
+
+
+def random_partition(rng: random.Random, universe: Universe) -> tuple[Subset, ...]:
+    """Random partition of the universe into nonempty blocks."""
+    buckets = rng.randint(1, universe.size)
+    masks: dict[int, int] = {}
+    for pos in range(universe.size):
+        bucket = rng.randrange(buckets)
+        masks[bucket] = masks.get(bucket, 0) | (1 << pos)
+    return universe.canonical(masks.values())
+
+
+def partition_space(universe: Universe, blocks: Iterable[Subset]) -> Gotas:
+    """Space whose topology is generated by the blocks of a partition, with
+    the equality order."""
+    blocks = tuple(blocks)
+    covered = 0
+    for block in blocks:
+        if block.is_empty():
+            raise ValueError("partition blocks must be nonempty")
+        if covered & block.bits:
+            raise ValueError("partition blocks must be disjoint")
+        covered |= block.bits
+    if covered != universe.full_mask:
+        raise ValueError("partition blocks must cover the universe")
+    return Gotas(universe, generate_topology(universe, blocks), equality_order(universe))
 
 
 def acceptance_spaces() -> list[tuple[str, Gotas]]:

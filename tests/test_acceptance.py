@@ -21,13 +21,12 @@ from gotas.oracle import (
     check_propositions,
     corrupted_suite,
     oracle_diff,
-    partition_space,
-    random_partition,
     random_space,
 )
 from gotas.universe import Universe
 
-from conftest import EXAMPLE_DOC, acceptance_spaces, make_example_space, make_probe_space
+from conftest import (EXAMPLE_DOC, acceptance_spaces, make_example_space, make_probe_space,
+                      partition_space, random_partition)
 
 INC, DEC = Direction.INC, Direction.DEC
 R, S, P, GAMMA, BETA = FAMILY_ORDER

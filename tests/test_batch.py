@@ -1,6 +1,7 @@
 """A batch holds many subsets bit-sliced. Every operator must act on each
 lane exactly as it acts on that lane's subset alone."""
 
+import operator
 import random
 from fractions import Fraction
 from functools import reduce
@@ -26,12 +27,12 @@ from gotas import (
 from gotas.oracle import (
     corrupted_gamma_upper,
     corrupted_suite,
-    partition_space,
     random_order,
-    random_partition,
     random_space,
 )
-from gotas.universe import Plan, _counting_columns, _transpose
+from gotas.universe import GROUP_BITS, Groups, Plan, _counting_columns, _fields, _transpose
+
+from conftest import partition_space, random_partition
 
 
 def _spaces(rng):
@@ -263,3 +264,74 @@ def test_plan_folds_agree_with_the_flat_folds_over_every_kernel_mask():
     u = Universe([f"e{k}" for k in range(200)])
     for kernel in _nested_shapes():
         _assert_plan_folds(Batch.of(u, [rng.getrandbits(200) for _ in range(8)]), kernel)
+
+
+def _packed_cases(rng):
+    """(universe, batch) for sizes 1-20 at small widths and on both sides of
+    each group size: n columns filling one int, and one lane more; two
+    columns per int, and one lane more (one column per int)."""
+    for n in range(1, 21):
+        u = Universe([f"e{k}" for k in range(n)])
+        edges = {GROUP_BITS // n, GROUP_BITS // n + 1, GROUP_BITS // 2, GROUP_BITS // 2 + 1}
+        for width in (0, 1, 7, 8, 9, 31, 32, 33, *sorted(edges)):
+            columns = [rng.getrandbits(width) for _ in range(n)]
+            if width:
+                columns[0], columns[-1] = (1 << width) - 1, 0  # a full and an empty column
+            yield u, Batch(u, tuple(columns), width)
+
+
+def test_the_packed_form_matches_the_columns_lane_by_lane():
+    rng = random.Random(30)
+    groups = set()
+    for u, a in _packed_cases(rng):
+        n, width = u.size, a.width
+        b = Batch(u, tuple(rng.getrandbits(width) for _ in range(n)), width)
+        # Column x is field x mod f of int x // f, f = _fields(width); the
+        # columns themselves once f is 1.
+        f = _fields(width)
+        assert f * max(width, 1) <= GROUP_BITS or f == 1
+        ints = a.packed if type(a.packed) is Groups else (a.packed,)
+        assert (type(a.packed) is int) == (n * width <= GROUP_BITS)
+        assert len(ints) == (1 if n * width <= GROUP_BITS else -(-n // f))
+        assert list(ints) == [sum(c << k * width for k, c in enumerate(a.columns[i:i + f]))
+                              for i in range(0, n, f)]
+        if n * width > GROUP_BITS:
+            groups.add((f == 1, len(ints)))
+            if f == 1:
+                assert all(map(operator.is_, a.packed, a.columns))
+        back = Batch(u, None, width)  # the columns come back from the packed form
+        back.packed = a.packed
+        assert back.columns == a.columns and back.rows() == a.rows()
+        results = {"|": (a | b, or_), "&": (a & b, and_), "-": (a - b, lambda x, y: x & ~y),
+                   "complement": (a.complement(), lambda x, y: x ^ u.full_mask)}
+        outside, differs, nonempty = a.outside(b), a.differs(b), a.nonempty()
+        counts = a.counts()
+        assert len(counts) == width
+        lanes = {0, width - 1, *(rng.randrange(width) for _ in range(8))} if width else set()
+        for s in sorted(lanes):
+            x, y = a.lane(s), b.lane(s)
+            assert x.bits == sum((c >> s & 1) << k for k, c in enumerate(a.columns))
+            for name, (got, op) in results.items():
+                assert got.lane(s).bits == op(x.bits, y.bits), (n, width, name, s)
+            assert outside >> s & 1 == (not x <= y)
+            assert differs >> s & 1 == (x != y)
+            assert nonempty >> s & 1 == bool(x)
+            assert counts[s] == len(x)
+        # Column by column, complement is each column XOR the lanes.
+        results["complement"] = results["complement"][0], lambda x, y: x ^ a.lanes
+        for got, op in results.values():
+            assert got.columns == tuple(op(x, y) & a.lanes for x, y in zip(a.columns, b.columns))
+        assert max(outside, differs, nonempty) >> width == 0
+    # One column per int at 1 to 20 points, and several per int in 2 to 10 ints.
+    assert groups == {(True, k) for k in range(1, 21)} | {(False, k) for k in range(2, 11)}
+
+
+def test_the_empty_batch_packs_to_nothing():
+    for n in (1, 5, 20):
+        u = Universe([f"e{k}" for k in range(n)])
+        empty = Batch.of(u, [])
+        assert empty.width == 0 and empty.packed == 0
+        assert empty.counts() == [] and empty.rows() == []
+        for got in (empty | empty, empty & empty, empty - empty, empty.complement()):
+            assert got.columns == (0,) * n and got.packed == 0
+        assert empty.outside(empty) == empty.differs(empty) == empty.nonempty() == 0

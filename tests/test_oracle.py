@@ -31,16 +31,14 @@ from gotas.oracle import (
     open_upper_failure,
     oracle_diff,
     oracle_table,
-    partition_space,
     random_order,
-    random_partition,
     random_space,
     _greatest_inside,
     _smallest_around,
 )
 from gotas.universe import _counting_columns, _points
 
-from conftest import make_example_space, oracle_rows
+from conftest import make_example_space, oracle_rows, partition_space, random_partition
 from strategies import spaces
 
 INC, DEC = Direction.INC, Direction.DEC
@@ -376,18 +374,22 @@ def test_check_builds_each_operand_once(g, built_rows, folds):
 
 
 def test_unary_laws_reuse_their_witness_templates(g):
-    # The templates are built at import: every table gets the very same
-    # objects, and text is formatted only for a failing law's witness.
+    # A passing claim yields nothing. The templates are built at import: a
+    # failing claim yields the very same object from every table, and text
+    # is formatted only for a failing law's witness.
     unit = Batch.powerset(g.universe)
-    tables = [ap.Rows(g, unit), ap.Rows(g, unit.complement())]
+    unary = [(pid, law) for pid, kind, law in oracle._CATALOGUE if kind == "unary"]
+    for operand in (unit, unit.complement()):
+        rows = ap.Rows(g, operand)
+        assert [list(law(rows)) for _, law in unary] == [[]] * 20
     reused = 0
-    for pid, kind, law in oracle._CATALOGUE:
-        if kind == "unary":
+    for suite in _wrong_suites().values():
+        tables = [ap.Rows(g, unit, suite), ap.Rows(g, unit, suite)]
+        for pid, law in unary:
             first, second = ([template for _, template, _ in law(rows)] for rows in tables)
             assert len(first) == len(second) and all(map(operator.is_, first, second)), pid
             reused += len(first)
-    # sandwich 10, exact transfer 4, inclusions 18, chains 16, duality 4
-    assert reused == 52
+    assert reused == 67
 
 
 def _drawn_pairs(space, samples, seed):
@@ -965,6 +967,29 @@ def test_binary_laws_match_a_scalar_reference(g, probe):
     # each other one fails some, so the reports are compared on failures too.
     assert [name for name, count in failures.items() if not count] == [
         "default", "corrupted", "swapped_r", "flipped_r"]
+
+
+def test_binary_law_scans_drop_what_a_shift_carries_across_fields():
+    # A packed row holds column x as field x, so a shift moves each field's
+    # bottom lanes into the top lanes of the field below. Those top lanes are
+    # set in every column here: the powerset's last lane is A = U, and each
+    # sampled table's last lane is the last drawn A∪B, chosen to be U, where
+    # the shipped uppers and lowers are U too. The scan's masks must drop
+    # them, under every suite, exhaustively on 1-6 points and at sample
+    # counts around a small field.
+    suites = {"default": DEFAULT_SUITE, "corrupted": corrupted_suite(), **_wrong_suites()}
+    rng = random.Random(29)
+    for n in range(1, 7):
+        space = random_space(rng, n)
+        for samples in (1, 2, 3, 8, 255):
+            seed = next(seed for seed in range(1000)
+                        if [x | y for x, y in zip(*_drawn_pairs(space, samples, seed))][-1]
+                        == space.universe.full_mask)
+            rows = ap.Rows(space, Batch.of(space.universe, [space.universe.full_mask]))
+            assert all(row.upper.columns == row.lower.columns == (1,) * n
+                       for key, row in rows.items() if key[0] in (GAMMA, BETA))
+            for suite in suites.values():
+                _check_binary_laws_against_scalars(space, suite, samples, seed)
 
 
 class TestGenerators:

@@ -79,7 +79,7 @@ PATHS = sorted(set(re.findall(
 
 def test_the_readme_names_paths():
     assert {"examples/ex-3-24.json", "perfbench/", "tests/test_oracle.py",
-            "BENCH_25.json"} <= set(PATHS)
+            "BENCH_38.json"} <= set(PATHS)
 
 
 @pytest.mark.parametrize("path", PATHS)
