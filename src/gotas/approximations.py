@@ -45,14 +45,8 @@ class OperatorFamily(Enum):
         self.label = value.upper() if len(value) == 1 else value
 
 
-FAMILY_ORDER = (
-    OperatorFamily.R,
-    OperatorFamily.S,
-    OperatorFamily.P,
-    OperatorFamily.GAMMA,
-    OperatorFamily.BETA,
-)
-DIRECTION_ORDER = (Direction.INC, Direction.DEC)
+FAMILY_ORDER = tuple(OperatorFamily)
+DIRECTION_ORDER = tuple(Direction)
 Direction.INC.opposite, Direction.DEC.opposite = Direction.DEC, Direction.INC
 
 

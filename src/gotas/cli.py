@@ -384,8 +384,8 @@ _command("oracle-diff", cmd_oracle_diff)
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
     """Runs the command line ``args`` (default ``sys.argv[1:]``) and exits with its
-    code. ``main.main`` is this function, the entry point that the benchmark and
-    ``click.testing.CliRunner`` call; usage lines name ``gotas`` whatever ``prog_name``."""
+    code. ``main.main`` is this function, which the benchmark calls; usage lines
+    name ``gotas`` whatever ``prog_name``."""
     reconfigure = getattr(sys.stdout, "reconfigure", None)
     if reconfigure and codecs.lookup(sys.stdout.encoding).name == "ascii":
         reconfigure(encoding="utf-8")  # labels need not be ASCII
@@ -408,7 +408,7 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     sys.exit(1)
 
 
-main.main, main.name = main, "gotas"
+main.main = main
 
 if __name__ == "__main__":
     main()

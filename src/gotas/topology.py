@@ -4,9 +4,9 @@ A topology is generated from an arbitrary binary relation (right
 neighborhoods as a subbase) or from a user-supplied family of generator
 subsets. Every finite topology is Alexandrov, so it is held as its minimal
 neighborhoods N(x), the intersection of the generators that contain x:
-a set is open iff it contains N(x) for each of its points. Interior and
-closure are one pass over the points; the open family itself is listed
-only when asked for.
+a set is open iff it contains N(x) for each of its points. Interior is
+one pass over the points, and closure is the complement of the interior
+of the complement; the open family itself is listed only when asked for.
 """
 
 from __future__ import annotations
@@ -72,14 +72,9 @@ def points_within(masks: tuple[int, ...], bits: int) -> int:
 
 
 def points_meeting(masks: tuple[int, ...], bits: int) -> int:
-    """Bitmask of the points x whose ``masks[x]`` meets ``bits``."""
-    found = 0
-    point = 1
-    for m in masks:
-        if m & bits:
-            found |= point
-        point <<= 1
-    return found
+    """Bitmask of the points x whose ``masks[x]`` meets ``bits``: those whose
+    mask does not lie within the complement."""
+    return (1 << len(masks)) - 1 ^ points_within(masks, ~bits)
 
 
 class Topology:

@@ -194,9 +194,7 @@ class Subset:
     __and__ = intersect
     __sub__ = difference
     __le__ = is_subset
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
+    __len__ = cardinality
 
     def __bool__(self) -> bool:
         return self.bits != 0

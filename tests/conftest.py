@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import pytest
 from hypothesis import settings
 
-from gotas import (Batch, Gotas, Subset, Topology, Universe, equality_order, generate_topology,
-                   validate_order)
+from gotas import (Batch, Gotas, Subset, Topology, Universe, cli, equality_order,
+                   generate_topology, validate_order)
 from gotas.oracle import oracle_table, random_space
 
 # Every hypothesis test draws the same examples on each run; a test's own
@@ -25,6 +27,27 @@ EXAMPLE_ORDER = [
     ("a", "a"), ("b", "b"), ("c", "c"), ("d", "d"),
     ("a", "b"), ("b", "d"), ("a", "d"), ("a", "c"), ("c", "d"),
 ]
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def invoke(args: list[str]) -> CliResult:
+    """Runs ``cli.main(args)`` in process with stdout and stderr captured.
+    Only the SystemExit that ends every run is caught: any other exception
+    fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        cli.main(args)
+    return CliResult(exit_.value.code, out.getvalue(), err.getvalue())
 
 
 def make_example_space() -> Gotas:

@@ -12,11 +12,8 @@ import random
 import time
 from fractions import Fraction
 
-from click.testing import CliRunner
-
 import gotas.approximations as ap
 from gotas import DIRECTION_ORDER, Direction, FAMILY_ORDER, Gotas, equality_order
-from gotas.cli import main
 from gotas.oracle import (
     check_propositions,
     corrupted_suite,
@@ -25,7 +22,7 @@ from gotas.oracle import (
 )
 from gotas.universe import Universe
 
-from conftest import (EXAMPLE_DOC, acceptance_spaces, make_example_space, make_probe_space,
+from conftest import (EXAMPLE_DOC, acceptance_spaces, invoke, make_example_space, make_probe_space,
                       partition_space, random_partition)
 
 INC, DEC = Direction.INC, Direction.DEC
@@ -80,8 +77,7 @@ def test_criterion_2_topology_generation():
 
 def test_criterion_3_proposition_suite_on_random_spaces():
     started = time.monotonic()
-    runner = CliRunner()
-    cli_result = runner.invoke(main, ["check", str(EXAMPLE_DOC), "--exhaustive"])
+    cli_result = invoke(["check", str(EXAMPLE_DOC), "--exhaustive"])
     failures: list[str] = []
     if cli_result.exit_code != 0:
         failures.append(
@@ -208,19 +204,15 @@ def test_criterion_7_accuracy_chain():
     )
 
 
-def test_criterion_8_mutation_sensitivity():
+def test_criterion_8_mutation_sensitivity(tmp_path, monkeypatch):
     probe = make_probe_space()
     reports = check_propositions(probe, suite=corrupted_suite())
     failed = [r.proposition for r in reports if not r.passed]
 
-    runner = CliRunner()
     doc = json.dumps({"universe": ["a", "b", "c"], "base": [["a"], ["b"]], "order": []})
-    with runner.isolated_filesystem():
-        with open("probe.json", "w", encoding="utf-8") as handle:
-            handle.write(doc)
-        cli_result = runner.invoke(
-            main, ["check", "probe.json", "--exhaustive", "--corrupt-gamma"]
-        )
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "probe.json").write_text(doc, encoding="utf-8")
+    cli_result = invoke(["check", "probe.json", "--exhaustive", "--corrupt-gamma"])
     _verdict(
         8,
         bool(failed) and cli_result.exit_code == 1,

@@ -1,12 +1,12 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 
 import pytest
-from click.testing import CliRunner
 
 import gotas.approximations as ap
 from gotas import cli
@@ -20,7 +20,7 @@ from gotas.cli import (
 )
 from gotas.oracle import POWERSET_CAP
 
-from conftest import EXAMPLE_DOC, REPO_ROOT, make_example_space
+from conftest import EXAMPLE_DOC, REPO_ROOT, invoke, make_example_space
 from test_cli_digests import COMMANDS, DOC, NEEDLE, corpus
 from test_oracle import FLIPPED_R_LOWER_LINES
 
@@ -41,11 +41,6 @@ PROBE_DOC = {
 }
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 def write_doc(tmp_path, payload, name="space.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -53,18 +48,18 @@ def write_doc(tmp_path, payload, name="space.json"):
 
 
 class TestTopologyCommand:
-    def test_worked_example_golden_output(self, runner, example_doc):
-        result = runner.invoke(main, ["topology", str(example_doc)])
+    def test_worked_example_golden_output(self, example_doc):
+        result = invoke(["topology", str(example_doc)])
         assert result.exit_code == 0
         assert result.output == TOPOLOGY_GOLDEN
 
-    def test_empty_base_gives_two_opens(self, runner, tmp_path):
+    def test_empty_base_gives_two_opens(self, tmp_path):
         doc = write_doc(tmp_path, {"universe": ["a", "b"], "base": [], "order": []})
-        result = runner.invoke(main, ["topology", doc])
+        result = invoke(["topology", doc])
         assert result.exit_code == 0
         assert result.output == "{}\n{a, b}\ncount: 2\n"
 
-    def test_relation_mode(self, runner, tmp_path):
+    def test_relation_mode(self, tmp_path):
         doc = write_doc(
             tmp_path,
             {
@@ -73,31 +68,31 @@ class TestTopologyCommand:
                 "order": [],
             },
         )
-        result = runner.invoke(main, ["topology", doc])
+        result = invoke(["topology", doc])
         assert result.exit_code == 0
         assert result.output == "{}\n{a}\n{a, b}\ncount: 3\n"
 
-    def test_invalid_order_is_an_input_error(self, runner, tmp_path):
+    def test_invalid_order_is_an_input_error(self, tmp_path):
         doc = write_doc(
             tmp_path,
             {"universe": ["a", "b"], "base": [], "order": [["a", "b"], ["b", "a"]]},
         )
-        result = runner.invoke(main, ["topology", doc])
+        result = invoke(["topology", doc])
         assert result.exit_code == EXIT_INPUT_ERROR
         assert "antisymmetry" in result.stderr
 
 
-    def test_identity_relation_on_twelve_points(self, runner, tmp_path):
+    def test_identity_relation_on_twelve_points(self, tmp_path):
         labels = [f"e{i}" for i in range(12)]
         doc = write_doc(
             tmp_path,
             {"universe": labels, "relation": [[x, x] for x in labels], "order": []},
         )
-        result = runner.invoke(main, ["topology", doc])
+        result = invoke(["topology", doc])
         assert result.exit_code == 0
         assert result.output.endswith("\ncount: 4096\n")
 
-    def test_relation_listing_matches_its_definition(self, runner, tmp_path):
+    def test_relation_listing_matches_its_definition(self, tmp_path):
         # A 12-point relation; the expected listing is built from the
         # definition: a set is open iff it holds, with each of its points,
         # the intersection of the right neighborhoods holding that point.
@@ -120,23 +115,23 @@ class TestTopologyCommand:
                 opens.append(points)
         opens.sort(key=lambda points: (len(points), points))
         want = [("{" + ", ".join(labels[x] for x in o) + "}") for o in opens]
-        result = runner.invoke(main, ["topology", doc])
+        result = invoke(["topology", doc])
         assert result.exit_code == 0
         assert result.output == "\n".join([*want, f"count: {len(opens)}"]) + "\n"
         assert 100 < len(opens) < 1 << n
 
-    def test_identity_relation_on_sixteen_points_lists_the_cap(self, runner, tmp_path):
+    def test_identity_relation_on_sixteen_points_lists_the_cap(self, tmp_path):
         labels = [f"e{i}" for i in range(16)]
         doc = write_doc(
             tmp_path,
             {"universe": labels, "relation": [[x, x] for x in labels], "order": []},
         )
-        result = runner.invoke(main, ["topology", doc])
+        result = invoke(["topology", doc])
         assert result.exit_code == 0
         assert result.output.endswith("\ncount: 65536\n")
         assert cli.MAX_OPENS == 65536
 
-    def test_dense_two_layers_exit_before_listing(self, runner, tmp_path):
+    def test_dense_two_layers_exit_before_listing(self, tmp_path):
         # 60 points: each of 30 upper points sits above a random half of the
         # 30 lower ones, so the topology has more than 2**30 opens.
         rng = random.Random(60)
@@ -146,7 +141,7 @@ class TestTopologyCommand:
         relation += [[u, l] for u in upper for l in rng.sample(lower, 15)]
         doc = write_doc(tmp_path, {"universe": lower + upper, "relation": relation, "order": []})
         start = time.perf_counter()
-        result = runner.invoke(main, ["topology", doc])
+        result = invoke(["topology", doc])
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == EXIT_INPUT_ERROR
         assert result.stdout == ""
@@ -154,12 +149,9 @@ class TestTopologyCommand:
 
 
 class TestAnalyzeCommand:
-    def test_beta_dec_row(self, runner, example_doc):
-        result = runner.invoke(
-            main,
-            ["analyze", str(example_doc), "--set", "a,c",
-             "--family", "beta", "--direction", "dec"],
-        )
+    def test_beta_dec_row(self, example_doc):
+        result = invoke(["analyze", str(example_doc), "--set", "a,c",
+                         "--family", "beta", "--direction", "dec"])
         assert result.exit_code == 0
         lines = result.output.splitlines()
         assert lines[0] == "A = {a, c}"
@@ -168,8 +160,8 @@ class TestAnalyzeCommand:
         for cell in ("beta", "Dec", "{a, c}", "{a, b, c}", "{b}", "2/3", "rough"):
             assert cell in row
 
-    def test_full_table_has_ten_rows(self, runner, example_doc):
-        result = runner.invoke(main, ["analyze", str(example_doc), "--set", "a,c"])
+    def test_full_table_has_ten_rows(self, example_doc):
+        result = invoke(["analyze", str(example_doc), "--set", "a,c"])
         assert result.exit_code == 0
         lines = result.output.splitlines()
         assert len(lines) == 12  # title, header, ten rows
@@ -179,28 +171,23 @@ class TestAnalyzeCommand:
         directions = [line.split()[1] for line in lines[2:]]
         assert directions == ["Inc", "Dec"] * 5
 
-    def test_empty_set_is_exact_everywhere(self, runner, example_doc):
-        result = runner.invoke(main, ["analyze", str(example_doc), "--set", ""])
+    def test_empty_set_is_exact_everywhere(self, example_doc):
+        result = invoke(["analyze", str(example_doc), "--set", ""])
         assert result.exit_code == 0
         for line in result.output.splitlines()[2:]:
             assert line.endswith("exact")
             assert line.split()[-2] == "1"  # accuracy column
 
-    def test_gamma_inc_row(self, runner, example_doc):
-        result = runner.invoke(
-            main,
-            ["analyze", str(example_doc), "--set", "a,c",
-             "--family", "gamma", "--direction", "inc"],
-        )
+    def test_gamma_inc_row(self, example_doc):
+        result = invoke(["analyze", str(example_doc), "--set", "a,c",
+                         "--family", "gamma", "--direction", "inc"])
         assert result.exit_code == 0
         row = result.output.splitlines()[2]
         assert "{a, c}" in row and "{a, b, c, d}" in row
 
-    def test_json_round_trip_matches_table(self, runner, example_doc):
-        table = runner.invoke(main, ["analyze", str(example_doc), "--set", "a,c"])
-        as_json = runner.invoke(
-            main, ["analyze", str(example_doc), "--set", "a,c", "--format", "json"]
-        )
+    def test_json_round_trip_matches_table(self, example_doc):
+        table = invoke(["analyze", str(example_doc), "--set", "a,c"])
+        as_json = invoke(["analyze", str(example_doc), "--set", "a,c", "--format", "json"])
         assert as_json.exit_code == 0
         payload = json.loads(as_json.output)
         assert payload["set"] == ["a", "c"]
@@ -213,13 +200,13 @@ class TestAnalyzeCommand:
             assert row["accuracy"] in line
             assert ("exact" if row["exact"] else "rough") in line
 
-    def test_unknown_label_is_an_input_error(self, runner, example_doc):
-        result = runner.invoke(main, ["analyze", str(example_doc), "--set", "a,z"])
+    def test_unknown_label_is_an_input_error(self, example_doc):
+        result = invoke(["analyze", str(example_doc), "--set", "a,z"])
         assert result.exit_code == EXIT_INPUT_ERROR
         assert "unknown label" in result.stderr
 
 
-    def test_discrete_forty_points_lists_no_opens(self, runner, tmp_path):
+    def test_discrete_forty_points_lists_no_opens(self, tmp_path):
         # The identity relation on 40 points gives the discrete topology,
         # with 2**40 opens: only a run that never lists them can finish.
         labels = ["a", "b", *(f"e{i}" for i in range(38))]
@@ -227,7 +214,7 @@ class TestAnalyzeCommand:
             tmp_path,
             {"universe": labels, "relation": [[x, x] for x in labels], "order": []},
         )
-        result = runner.invoke(main, ["analyze", doc, "--set", "a,b", "--format", "json"])
+        result = invoke(["analyze", doc, "--set", "a,b", "--format", "json"])
         assert result.exit_code == 0
         rows = json.loads(result.output)["rows"]
         r_rows = [row for row in rows if row["family"] == "R"]
@@ -238,18 +225,16 @@ class TestAnalyzeCommand:
 
 
 class TestCheckCommand:
-    def test_worked_example_exhaustive_all_pass(self, runner, example_doc):
-        result = runner.invoke(main, ["check", str(example_doc), "--exhaustive"])
+    def test_worked_example_exhaustive_all_pass(self, example_doc):
+        result = invoke(["check", str(example_doc), "--exhaustive"])
         assert result.exit_code == 0
         lines = result.output.splitlines()
         assert lines[-1] == "result: all laws hold"
         assert all("PASS" in line for line in lines[:-1])
         assert not any("FAIL" in line for line in lines)
 
-    def test_json_format(self, runner, example_doc):
-        result = runner.invoke(
-            main, ["check", str(example_doc), "--exhaustive", "--format", "json"]
-        )
+    def test_json_format(self, example_doc):
+        result = invoke(["check", str(example_doc), "--exhaustive", "--format", "json"])
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["all_pass"] is True
@@ -257,17 +242,17 @@ class TestCheckCommand:
         assert {p["id"] for p in payload["propositions"]} >= {"sandwich", "3.2", "duality"}
         assert all(p["pass"] for p in payload["propositions"])
 
-    def test_exhaustive_over_cap_is_an_input_error(self, runner, tmp_path):
+    def test_exhaustive_over_cap_is_an_input_error(self, tmp_path):
         cap = POWERSET_CAP
         doc = write_doc(
             tmp_path,
             {"universe": [f"e{i}" for i in range(cap + 1)], "base": [], "order": []},
         )
-        result = runner.invoke(main, ["check", doc, "--exhaustive"])
+        result = invoke(["check", doc, "--exhaustive"])
         assert result.exit_code == EXIT_INPUT_ERROR
         assert result.stderr == f"error: universe size {cap + 1} exceeds the powerset cap {cap}\n"
 
-    def test_sampled_mode_on_larger_space(self, runner, tmp_path):
+    def test_sampled_mode_on_larger_space(self, tmp_path):
         doc = write_doc(
             tmp_path,
             {
@@ -276,10 +261,10 @@ class TestCheckCommand:
                 "order": [],
             },
         )
-        result = runner.invoke(main, ["check", doc, "--samples", "40", "--seed", "7"])
+        result = invoke(["check", doc, "--samples", "40", "--seed", "7"])
         assert result.exit_code == 0
 
-    def test_identity_twenty_points_lists_no_opens(self, runner, tmp_path, no_open_listing):
+    def test_identity_twenty_points_lists_no_opens(self, tmp_path, no_open_listing):
         # The discrete topology on 20 points has 2**20 opens; a check in
         # which every law holds must not list them to label its witnesses.
         labels = [f"e{i}" for i in range(20)]
@@ -287,11 +272,11 @@ class TestCheckCommand:
             tmp_path,
             {"universe": labels, "relation": [[x, x] for x in labels], "order": []},
         )
-        result = runner.invoke(main, ["check", doc, "--samples", "4"], catch_exceptions=False)
+        result = invoke(["check", doc, "--samples", "4"])
         assert result.exit_code == 0
         assert result.output.endswith("result: all laws hold\n")
 
-    def test_dense_kernel_folds_in_one_step_per_direction(self, runner, tmp_path, monkeypatch):
+    def test_dense_kernel_folds_in_one_step_per_direction(self, tmp_path, monkeypatch):
         # With no generators and no order pairs every M_d(x) is the whole
         # universe: one class, folded once per batch, not once per point.
         labels = [f"e{i}" for i in range(300)]
@@ -299,19 +284,17 @@ class TestCheckCommand:
         spaces = []
         load = cli.load_space
         monkeypatch.setattr(cli, "load_space", lambda path: spaces.append(load(path)) or spaces[0])
-        result = runner.invoke(main, ["check", doc, "--samples", "1"])
+        result = invoke(["check", doc, "--samples", "1"])
         assert result.exit_code == 0
         for plan in spaces[0].kernel_plan.values():
             assert plan.masks == (spaces[0].universe.full_mask,)
             assert plan.steps == ((tuple(range(300)), ()),)
             assert plan.classes == (0,) * 300
 
-    def _failing_check(self, runner, tmp_path, doc):
+    def _failing_check(self, tmp_path, doc):
         path = write_doc(tmp_path, doc)
         started = time.monotonic()
-        result = runner.invoke(
-            main, ["check", path, "--samples", "16", "--format", "json"], catch_exceptions=False,
-        )
+        result = invoke(["check", path, "--samples", "16", "--format", "json"])
         elapsed = time.monotonic() - started
         assert result.exit_code == EXIT_CHECK_FAILED
         labels = {
@@ -320,7 +303,7 @@ class TestCheckCommand:
         return path, labels, elapsed
 
     def test_sparse_thirty_point_relation_is_named_by_its_file(
-        self, runner, tmp_path, no_open_listing
+        self, tmp_path, no_open_listing
     ):
         # Loops plus each pair with probability 2/30: law 3.21 fails on a
         # space of ~2**29 opens, which are never listed.
@@ -328,80 +311,78 @@ class TestCheckCommand:
         labels = [f"e{i}" for i in range(30)]
         relation = [[x, y] for x in labels for y in labels if x == y or rng.random() < 2 / 30]
         doc = {"universe": labels, "relation": relation, "order": []}
-        path, seen, elapsed = self._failing_check(runner, tmp_path, doc)
+        path, seen, elapsed = self._failing_check(tmp_path, doc)
         assert seen == {path}
         assert elapsed < 2.0
 
-    def test_a_sixty_point_relation_is_named_by_its_file(self, runner, tmp_path, no_open_listing):
+    def test_a_sixty_point_relation_is_named_by_its_file(self, tmp_path, no_open_listing):
         rng = random.Random(0)
         labels = [f"e{i}" for i in range(60)]
         relation = [[x, x] for x in labels]
         relation += [[labels[x], labels[y]] for x in range(30) for y in range(30, 60)
                      if rng.random() < 0.5]
         doc = {"universe": labels, "relation": relation, "order": []}
-        path, seen, _ = self._failing_check(runner, tmp_path, doc)
+        path, seen, _ = self._failing_check(tmp_path, doc)
         assert seen == {path}
 
     def test_a_file_name_that_json_escapes_reads_back_as_typed(
-        self, runner, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "dir").mkdir()
         write_doc(tmp_path / "dir", PROBE_DOC, name='q"\\é.json')
         typed = './dir/q"\\é.json'
-        result = runner.invoke(main, ["check", typed, "--exhaustive", "--format", "json"])
+        result = invoke(["check", typed, "--exhaustive", "--format", "json"])
         assert result.exit_code == EXIT_CHECK_FAILED
         payload = json.loads(result.stdout)
         assert {v["space"] for p in payload["propositions"] for v in p["violations"]} == {typed}
         assert result.stdout == json.dumps(payload, indent=2) + "\n"
 
-    def test_exclusive_flags(self, runner, example_doc):
-        result = runner.invoke(
-            main, ["check", str(example_doc), "--exhaustive", "--samples", "5"]
-        )
+    def test_exclusive_flags(self, example_doc):
+        result = invoke(["check", str(example_doc), "--exhaustive", "--samples", "5"])
         assert result.exit_code == EXIT_INPUT_ERROR
 
-    def test_samples_above_the_cap_exit_before_any_draw(self, runner, example_doc, monkeypatch):
+    def test_samples_above_the_cap_exit_before_any_draw(self, example_doc, monkeypatch):
         drawn = []
         monkeypatch.setattr(
             cli.oracle, "check_propositions", lambda g, **kw: drawn.append(kw["samples"]) or []
         )
-        result = runner.invoke(main, ["check", str(example_doc), "--samples", "65536"])
+        result = invoke(["check", str(example_doc), "--samples", "65536"])
         assert result.exit_code == 0
         for samples in ("65537", str(10**12)):
-            result = runner.invoke(main, ["check", str(example_doc), "--samples", samples])
+            result = invoke(["check", str(example_doc), "--samples", samples])
             assert result.exit_code == EXIT_INPUT_ERROR
             assert result.stderr == "error: --samples must be at most 65536\n"
         assert drawn == [65536]
 
-    def test_zero_samples_is_an_input_error(self, runner, example_doc):
-        result = runner.invoke(main, ["check", str(example_doc), "--samples", "0"])
+    def test_zero_samples_is_an_input_error(self, example_doc):
+        result = invoke(["check", str(example_doc), "--samples", "0"])
         assert result.exit_code == EXIT_INPUT_ERROR
         assert result.stderr == "error: --samples must be positive\n"
 
-    def test_over_the_exhaustive_cap_without_flags_samples_256(self, runner, tmp_path):
+    def test_over_the_exhaustive_cap_without_flags_samples_256(self, tmp_path):
         labels = [f"e{i}" for i in range(POWERSET_CAP + 1)]
         doc = write_doc(tmp_path, {"universe": labels, "base": [["e0"]], "order": []})
-        result = runner.invoke(main, ["check", doc, "--format", "json"])
+        result = invoke(["check", doc, "--format", "json"])
         payload = json.loads(result.output)
         assert payload["mode"] == "sampled:256"
         assert {p["instances"] for p in payload["propositions"] if p["pass"]} == {256}
 
-    def test_up_to_the_exhaustive_cap_without_flags_runs_exhaustively(self, runner, tmp_path):
+    def test_up_to_the_exhaustive_cap_without_flags_runs_exhaustively(self, tmp_path):
         cap = POWERSET_CAP
         labels = [f"e{i}" for i in range(cap)]
         doc = write_doc(tmp_path, {"universe": labels, "base": [["e0"]], "order": []})
-        result = runner.invoke(main, ["check", doc, "--format", "json"])
+        result = invoke(["check", doc, "--format", "json"])
         payload = json.loads(result.output)
         assert payload["mode"] == "exhaustive"
         assert {p["instances"] for p in payload["propositions"] if p["pass"]} == {2**cap, 4**cap}
 
     @pytest.mark.parametrize("flags", [[], ["--samples", "1"]], ids=["default", "one-sample"])
-    def test_needle_failures_are_found_at_the_kernel_classes(self, runner, tmp_path, flags):
+    def test_needle_failures_are_found_at_the_kernel_classes(self, tmp_path, flags):
         # 3.21 and 3.25 fail only at {a} and {b1, ..., b20}, 2 of the 2**22
         # subsets, both kernel classes: the check finds them past the draws.
         doc = write_doc(tmp_path, NEEDLE)
-        result = runner.invoke(main, ["check", doc, "--format", "json", *flags])
+        result = invoke(["check", doc, "--format", "json", *flags])
         assert result.exit_code == EXIT_CHECK_FAILED
         payload = json.loads(result.output)
         failed = {p["id"]: p for p in payload["propositions"] if not p["pass"]}
@@ -410,9 +391,9 @@ class TestCheckCommand:
         assert all(p["instances"] > samples for p in failed.values())
         assert {p["instances"] for p in payload["propositions"] if p["pass"]} == {samples}
 
-    def test_corrupted_fixture_mode_fails(self, runner, tmp_path):
+    def test_corrupted_fixture_mode_fails(self, tmp_path):
         doc = write_doc(tmp_path, PROBE_DOC)
-        result = runner.invoke(main, ["check", doc, "--exhaustive", "--corrupt-gamma"])
+        result = invoke(["check", doc, "--exhaustive", "--corrupt-gamma"])
         assert result.exit_code == EXIT_CHECK_FAILED
         assert "FAIL" in result.output
         assert "result: violations found" in result.output
@@ -597,64 +578,64 @@ def _indented(compact_json):
     (EIGHT_DOC, ["--samples", "64", "--seed", "3", "--format", "json"],
      _indented(EIGHT_SAMPLED_JSON)),
 ], ids=["probe", "probe-corrupt", "probe-json", "probe-corrupt-json", "eight-sampled-json"])
-def test_check_output_bytes(runner, tmp_path, monkeypatch, doc, args, expected):
+def test_check_output_bytes(tmp_path, monkeypatch, doc, args, expected):
     # Run from tmp_path so that "space" names the file as the goldens do.
     monkeypatch.chdir(tmp_path)
     write_doc(tmp_path, doc)
-    result = runner.invoke(main, ["check", "space.json", *args])
+    result = invoke(["check", "space.json", *args])
     assert result.exit_code == EXIT_CHECK_FAILED
     assert result.stderr == ""
     assert result.stdout == expected
 
 
 class TestOracleDiffCommand:
-    def test_worked_example(self, runner, example_doc):
-        result = runner.invoke(main, ["oracle-diff", str(example_doc)])
+    def test_worked_example(self, example_doc):
+        result = invoke(["oracle-diff", str(example_doc)])
         assert result.exit_code == 0
         assert result.output == "0 mismatches / 64 comparisons\n"
 
-    def test_singleton_universe(self, runner, tmp_path):
+    def test_singleton_universe(self, tmp_path):
         doc = write_doc(tmp_path, {"universe": ["x"], "base": [], "order": []})
-        result = runner.invoke(main, ["oracle-diff", doc])
+        result = invoke(["oracle-diff", doc])
         assert result.exit_code == 0
         assert result.output == "0 mismatches / 8 comparisons\n"
 
-    def test_cap_admits_its_own_size(self, runner, tmp_path):
+    def test_cap_admits_its_own_size(self, tmp_path):
         labels = [f"e{i}" for i in range(POWERSET_CAP)]
         doc = write_doc(tmp_path, {
             "universe": labels,
             "base": [labels[:4], labels[2:7], labels[6:]],
             "order": [[labels[i], labels[i + 1]] for i in range(0, len(labels) - 1, 2)],
         })
-        result = runner.invoke(main, ["oracle-diff", doc])
+        result = invoke(["oracle-diff", doc])
         assert result.exit_code == 0
         assert result.output == f"0 mismatches / {4 << POWERSET_CAP} comparisons\n"
 
-    def test_discrete_space_at_the_cap_has_no_mismatch(self, runner, tmp_path):
+    def test_discrete_space_at_the_cap_has_no_mismatch(self, tmp_path):
         labels = [f"e{i}" for i in range(POWERSET_CAP)]
         doc = write_doc(tmp_path, {
             "universe": labels, "base": [[x] for x in labels], "order": [],
         })
-        result = runner.invoke(main, ["oracle-diff", doc])
+        result = invoke(["oracle-diff", doc])
         assert result.exit_code == 0
         assert result.output == f"0 mismatches / {4 << POWERSET_CAP} comparisons\n"
 
-    def test_direction_flipped_r_lower_fails(self, runner, example_doc, monkeypatch):
+    def test_direction_flipped_r_lower_fails(self, example_doc, monkeypatch):
         r_lower = ap.r_lower
         monkeypatch.setattr(ap, "r_lower", lambda g, a, d: r_lower(g, a, d.opposite))
-        result = runner.invoke(main, ["oracle-diff", str(example_doc)])
+        result = invoke(["oracle-diff", str(example_doc)])
         _, lines = FLIPPED_R_LOWER_LINES["worked example"]
         assert result.exit_code == EXIT_CHECK_FAILED
         assert result.stdout.splitlines() == [*lines, "18 mismatches / 64 comparisons"]
         assert result.stderr == ""
 
-    def test_cap_rejects_one_point_more(self, runner, tmp_path):
+    def test_cap_rejects_one_point_more(self, tmp_path):
         cap = POWERSET_CAP
         doc = write_doc(
             tmp_path,
             {"universe": [f"e{i}" for i in range(cap + 1)], "base": [], "order": []},
         )
-        result = runner.invoke(main, ["oracle-diff", doc])
+        result = invoke(["oracle-diff", doc])
         assert result.exit_code == EXIT_INPUT_ERROR
         assert result.stderr == f"error: universe size {cap + 1} exceeds the powerset cap {cap}\n"
 
@@ -700,19 +681,19 @@ class TestDocumentParsing:
         with pytest.raises(ValueError, match="unknown label"):
             load_space(doc)
 
-    def test_auto_reflexive_off_requires_loops(self, runner, tmp_path):
+    def test_auto_reflexive_off_requires_loops(self, tmp_path):
         doc = write_doc(tmp_path, {
             "universe": ["a", "b"],
             "base": [],
             "order": [["a", "b"]],
             "options": {"auto_reflexive": False},
         })
-        result = runner.invoke(main, ["topology", doc])
+        result = invoke(["topology", doc])
         assert result.exit_code == EXIT_INPUT_ERROR
         assert "reflexivity" in result.stderr
 
-    def test_missing_file(self, runner):
-        result = runner.invoke(main, ["topology", "no-such-file.json"])
+    def test_missing_file(self):
+        result = invoke(["topology", "no-such-file.json"])
         assert result.exit_code == EXIT_INPUT_ERROR
 
 
@@ -764,11 +745,11 @@ def test_parse_document_error_text(text, message):
     (b'{"universe": [' + b"7" * 5000 + b"]}", "an integer literal is too long"),
 ], ids=["deep", "latin-1", "long-integer"])
 def test_unreadable_document_is_an_input_error_naming_the_file(
-    runner, tmp_path, content, message
+    tmp_path, content, message
 ):
     path = tmp_path / "doc.json"
     path.write_bytes(content)
-    result = runner.invoke(main, ["topology", str(path)])
+    result = invoke(["topology", str(path)])
     assert result.exit_code == EXIT_INPUT_ERROR
     assert result.stdout == ""
     assert result.stderr == f"error: {path}: {message}\n"
@@ -782,9 +763,9 @@ def test_unreadable_document_is_an_input_error_naming_the_file(
     ({**_VALID, "order": [["a", "b"], ["b", "a"]]},
      "antisymmetry violated: both (a, b) and (b, a) present"),
 ], ids=["base-label", "relation-label", "order-label", "duplicate-label", "antisymmetry"])
-def test_build_errors_name_the_document(runner, tmp_path, doc, message):
+def test_build_errors_name_the_document(tmp_path, doc, message):
     path = write_doc(tmp_path, doc, name="doc.json")
-    result = runner.invoke(main, ["topology", path])
+    result = invoke(["topology", path])
     assert result.exit_code == EXIT_INPUT_ERROR
     assert result.stdout == ""
     assert result.stderr == f"error: {path}: {message}\n"
@@ -794,12 +775,11 @@ def test_build_errors_name_the_document(runner, tmp_path, doc, message):
     (b"{", "line 1: Expecting property name enclosed in double quotes"),
     (json.dumps({**_VALID, "base": [["z"]]}).encode(), "unknown label 'z'"),
 ], ids=["parse", "build"])
-def test_input_errors_name_the_file_as_typed(runner, tmp_path, content, message):
-    with runner.isolated_filesystem(temp_dir=tmp_path):
-        with open("bad.json", "wb") as f:
-            f.write(content)
-        result = runner.invoke(main, ["topology", "./bad.json"])
-        missing = runner.invoke(main, ["topology", "./missing.json"])
+def test_input_errors_name_the_file_as_typed(tmp_path, monkeypatch, content, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes(content)
+    result = invoke(["topology", "./bad.json"])
+    missing = invoke(["topology", "./missing.json"])
     assert result.exit_code == EXIT_INPUT_ERROR
     assert result.stderr == f"error: ./bad.json: {message}\n"
     assert missing.stderr == "error: cannot read ./missing.json: No such file or directory\n"
@@ -818,9 +798,9 @@ _HUGE, _HUGE_REPR = "x" * 200_000, "'" + "x" * 12 + "..." + "x" * 13 + "'"
     ({**_VALID, "universe": ["a", "b", _HUGE], "order": [["a", _HUGE], [_HUGE, "b"]]}, [],
      f"transitivity violated: (a, {_HUGE_REPR}) and ({_HUGE_REPR}, b) present but (a, b) missing"),
 ], ids=["base-label", "duplicate-label", "set-label", "antisymmetry", "transitivity"])
-def test_a_huge_label_gives_a_short_error_line(runner, tmp_path, doc, args, message):
+def test_a_huge_label_gives_a_short_error_line(tmp_path, doc, args, message):
     path = write_doc(tmp_path, doc, name="doc.json")
-    result = runner.invoke(main, ["analyze", path, *(args or ["--set", "a"])])
+    result = invoke(["analyze", path, *(args or ["--set", "a"])])
     assert result.exit_code == EXIT_INPUT_ERROR
     assert result.stdout == ""
     # Only a build error names the document; --set is read after the build.
@@ -835,9 +815,9 @@ def test_a_huge_label_gives_a_short_error_line(runner, tmp_path, doc, args, mess
     ("", "''"), (" b", "' b'"), ("b\t", "'b\\t'"), ("c,d", "'c,d'"),
     (_HUGE + ",", "'" + "x" * 12 + "..." + "x" * 12 + ",'"),
 ], ids=["empty", "leading-space", "trailing-tab", "comma", "huge"])
-def test_a_label_that_set_cannot_name_is_an_input_error(runner, tmp_path, label, shown):
+def test_a_label_that_set_cannot_name_is_an_input_error(tmp_path, label, shown):
     path = write_doc(tmp_path, {**_VALID, "universe": ["a", "b", label]}, name="doc.json")
-    result = runner.invoke(main, ["topology", path])
+    result = invoke(["topology", path])
     assert result.exit_code == EXIT_INPUT_ERROR
     assert result.stdout == ""
     assert result.stderr == (f"error: {path}: field 'universe': label {shown} is empty, "
@@ -848,32 +828,31 @@ def test_a_label_that_set_cannot_name_is_an_input_error(runner, tmp_path, label,
 # in the document is one astral character, which can.
 @pytest.mark.parametrize("args", [[], ["--set", "b"], ["--set", "b", "--format", "json"]],
                          ids=["topology", "analyze", "analyze-json"])
-def test_a_lone_surrogate_label_is_an_input_error(runner, tmp_path, args):
+def test_a_lone_surrogate_label_is_an_input_error(tmp_path, args):
     command = "analyze" if args else "topology"
     lone = write_doc(tmp_path, {"universe": ["\ud800", "b"], "base": [["\ud800"]], "order": []},
                      name="doc.json")
-    result = runner.invoke(main, [command, lone, *args])
+    result = invoke([command, lone, *args])
     assert result.exit_code == EXIT_INPUT_ERROR
-    assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert result.stderr == (f"error: {lone}: field 'universe': label '\\ud800' "
                              "is not valid Unicode\n")
     astral = write_doc(tmp_path, {"universe": ["\U0001d538", "b"], "base": [["\U0001d538"]],
                                   "order": []})
     assert '"\\ud835\\udd38"' in (tmp_path / "space.json").read_text()
-    result = runner.invoke(main, [command, astral, *args])
+    result = invoke([command, astral, *args])
     assert result.exit_code == 0
     assert "\U0001d538" in result.stdout or "\\ud835\\udd38" in result.stdout
 
 
 @pytest.mark.parametrize("field", ["order", "relation"])
-def test_a_nested_pair_entry_gives_a_short_error_line(runner, tmp_path, field):
+def test_a_nested_pair_entry_gives_a_short_error_line(tmp_path, field):
     # 400 levels parse well inside the recursion limit, even under pytest.
     nested = "[" * 400 + "]" * 400
     other = ', "base": []' if field == "order" else ', "order": []'
     path = tmp_path / "space.json"
     path.write_text(f'{{"universe": ["a"]{other}, "{field}": [["a", "a"], {nested}]}}')
-    result = runner.invoke(main, ["topology", str(path)])
+    result = invoke(["topology", str(path)])
     assert result.exit_code == EXIT_INPUT_ERROR
     assert result.stderr == f"error: {path}: field {field!r}: [[...]] is not a pair of labels\n"
     assert len(result.stderr) < 200
@@ -899,13 +878,11 @@ def _laid_out(stdout):
 def test_json_stdout_is_laid_out_as_json_dumps_with_indent_2_on_the_digest_corpus(
         tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    runner = CliRunner()
     written = analyzed = 0
     for _, text, chosen in corpus():
         (tmp_path / DOC).write_text(text, encoding="utf-8")
         for command in ("analyze-json", "check", "check-samples", "check-corrupt"):
-            result = runner.invoke(main, [arg.format(set=chosen) for arg in COMMANDS[command]])
-            assert result.exception is None or isinstance(result.exception, SystemExit)
+            result = invoke([arg.format(set=chosen) for arg in COMMANDS[command]])
             if result.exit_code != EXIT_INPUT_ERROR:
                 assert _laid_out(result.stdout), (command, text)
                 written += 1
@@ -924,13 +901,12 @@ _ODD_LABELS = ['q"t', "b\\s", "é", "\U0001d538", "t\tab", "c\x01d", "\x1b[31mre
     ([], 10), (["--family", "gamma"], 2), (["--direction", "dec"], 5),
     (["--family", "s", "--direction", "inc"], 1),
 ], ids=["all-rows", "family", "direction", "one-row"])
-def test_analyze_json_with_odd_labels_is_laid_out_as_json_dumps(runner, tmp_path, sets, filters,
+def test_analyze_json_with_odd_labels_is_laid_out_as_json_dumps(tmp_path, sets, filters,
                                                                 rows):
     first, second = _ODD_LABELS[:2]
     path = write_doc(tmp_path, {"universe": _ODD_LABELS, "base": [_ODD_LABELS[:3], [first]],
                                 "order": [[first, second]]})
-    result = runner.invoke(main, ["analyze", path, "--set", ",".join(sets), *filters,
-                                  "--format", "json"])
+    result = invoke(["analyze", path, "--set", ",".join(sets), *filters, "--format", "json"])
     assert result.exit_code == 0
     assert _laid_out(result.stdout)
     report = json.loads(result.stdout)
@@ -943,10 +919,10 @@ def test_analyze_json_with_odd_labels_is_laid_out_as_json_dumps(runner, tmp_path
 @pytest.mark.parametrize("mode", [["--exhaustive"], ["--samples", "8"]],
                          ids=["exhaustive", "sampled"])
 @pytest.mark.parametrize("seed", ["0", "-7", str(10 ** 40)])
-def test_check_json_with_odd_labels_is_laid_out_as_json_dumps(runner, tmp_path, base, code,
+def test_check_json_with_odd_labels_is_laid_out_as_json_dumps(tmp_path, base, code,
                                                               mode, seed):
     path = write_doc(tmp_path, {"universe": _ODD_LABELS, "base": base, "order": []})
-    result = runner.invoke(main, ["check", path, *mode, "--seed", seed, "--format", "json"])
+    result = invoke(["check", path, *mode, "--seed", seed, "--format", "json"])
     assert result.exit_code == code
     assert _laid_out(result.stdout)
     report = json.loads(result.stdout)
@@ -954,10 +930,10 @@ def test_check_json_with_odd_labels_is_laid_out_as_json_dumps(runner, tmp_path, 
     assert any(p["violations"] for p in report["propositions"]) == (code != 0)
 
 
-def test_an_exhaustive_check_builds_no_random_generator(runner, tmp_path, monkeypatch):
+def test_an_exhaustive_check_builds_no_random_generator(tmp_path, monkeypatch):
     passing = write_doc(tmp_path, {"universe": ["a", "b"], "base": [["a"]], "order": []})
     failing = write_doc(tmp_path, PROBE_DOC, name="probe.json")
-    expected = {args: runner.invoke(main, ["check", *args])
+    expected = {args: invoke(["check", *args])
                 for args in ((passing,), (passing, "--exhaustive"), (failing, "--exhaustive"),
                              (failing, "--exhaustive", "--format", "json"))}
 
@@ -966,13 +942,13 @@ def test_an_exhaustive_check_builds_no_random_generator(runner, tmp_path, monkey
 
     monkeypatch.setattr(cli.random, "Random", no_generator)
     for args, before in expected.items():
-        result = runner.invoke(main, ["check", *args])
+        result = invoke(["check", *args])
         assert result.exit_code == before.exit_code
         assert (result.stdout, result.stderr) == (before.stdout, before.stderr)
     assert [r.exit_code for r in expected.values()] == [0, 0, 1, 1]
 
 
-def test_json_reports_are_written_without_json_dumps(runner, tmp_path, monkeypatch):
+def test_json_reports_are_written_without_json_dumps(tmp_path, monkeypatch):
     # json.dumps with an indent always runs the pure-Python encoder.
     path = write_doc(tmp_path, PROBE_DOC)
 
@@ -983,8 +959,7 @@ def test_json_reports_are_written_without_json_dumps(runner, tmp_path, monkeypat
     for args in (["analyze", path, "--set", "a,c", "--format", "json"],
                  ["check", path, "--format", "json"],
                  ["check", path, "--samples", "4", "--format", "json"]):
-        result = runner.invoke(main, args)
-        assert result.exception is None or isinstance(result.exception, SystemExit)
+        result = invoke(args)
         assert result.exit_code in (0, EXIT_CHECK_FAILED) and result.stdout.startswith("{\n")
 
 
@@ -993,24 +968,24 @@ def test_json_reports_are_written_without_json_dumps(runner, tmp_path, monkeypat
 _ANSI = "a\x1b[31mred\x1b[0m"
 
 
-def test_a_label_with_ansi_sequences_keeps_its_bytes_on_stdout(runner, tmp_path):
+def test_a_label_with_ansi_sequences_keeps_its_bytes_on_stdout(tmp_path):
     path = write_doc(tmp_path, {**PROBE_DOC, "universe": [_ANSI, "b", "c"],
                                 "base": [[_ANSI], ["b"]]})
-    topology = runner.invoke(main, ["topology", path])
+    topology = invoke(["topology", path])
     assert topology.exit_code == 0
     assert f"{{{_ANSI}, b}}\n" in topology.stdout
-    table = runner.invoke(main, ["analyze", path, "--set", _ANSI])
+    table = invoke(["analyze", path, "--set", _ANSI])
     assert table.exit_code == 0
     lines = table.stdout.splitlines()
     assert lines[0] == f"A = {{{_ANSI}}}"
     # The columns are padded to the labels' length as written.
     assert lines[1].index("upper") - lines[1].index("lower") == len(f"{{{_ANSI}}}  ")
-    check = runner.invoke(main, ["check", path])
+    check = invoke(["check", path])
     assert check.exit_code == EXIT_CHECK_FAILED
     assert f"witness: Inc: A={{{_ANSI}}}: gamma upper {{{_ANSI}, c}}" in check.stdout
     for args in (["analyze", path, "--set", _ANSI, "--format", "json"],
                  ["check", path, "--format", "json"]):
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert "\x1b" not in result.stdout and "a\\u001b[31mred\\u001b[0m" in result.stdout
 
 
@@ -1031,9 +1006,9 @@ def test_a_label_with_ansi_sequences_keeps_its_bytes_on_stdout(runner, tmp_path)
     (_VALID, ["--set", "a,y,b,x"], "unknown label 'y'"),
 ], ids=["relation-right", "relation-left", "order-right", "order-left", "base",
         "base-before-order", "base-before-order-2", "relation-before-order", "set"])
-def test_the_first_unknown_label_in_document_order_is_named(runner, tmp_path, doc, args, message):
+def test_the_first_unknown_label_in_document_order_is_named(tmp_path, doc, args, message):
     path = write_doc(tmp_path, doc, name="doc.json")
-    result = runner.invoke(main, ["analyze", path, *(args or ["--set", "a"])])
+    result = invoke(["analyze", path, *(args or ["--set", "a"])])
     assert result.exit_code == EXIT_INPUT_ERROR
     assert result.stdout == ""
     where = "" if args else f"{path}: "
@@ -1098,12 +1073,12 @@ def test_set_takes_a_label_that_starts_with_a_dash(tmp_path, label):
     assert json.loads(result.stdout)["set"] == [label]
 
 
-def test_an_interrupt_exits_1_with_aborted(runner, example_doc, monkeypatch):
+def test_an_interrupt_exits_1_with_aborted(example_doc, monkeypatch):
     def interrupt(path):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "load_space", interrupt)
-    result = runner.invoke(main, ["topology", str(example_doc)])
+    result = invoke(["topology", str(example_doc)])
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr == "\nAborted!\n"
@@ -1114,6 +1089,25 @@ def test_gotas_imports_without_click():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=_SUBPROCESS_ENV)
     assert result.returncode == 0, result.stderr
+
+
+_CLICK_IMPORT = re.compile(r"\s*(?:from\s+click[\s.]|import\s+(?:[\w.]+\s*,\s*)*click\b)")
+
+
+def test_click_is_gone_from_the_project():
+    # The tests run the CLI through conftest.invoke, as the benchmark runs it.
+    found = [
+        f"{path.relative_to(REPO_ROOT)}: {text.strip()}"
+        for top in ("src", "scripts", "tests")
+        for path in sorted((REPO_ROOT / top).rglob("*.py"))
+        for text in path.read_text(encoding="utf-8").splitlines()
+        if _CLICK_IMPORT.match(text)
+    ]
+    assert found == []
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["optional-dependencies"]["test"] == ["pytest", "hypothesis"]
+    assert main.main is main and not hasattr(main, "name")
 
 
 def test_gotas_cli_imports_without_pathlib():
@@ -1127,10 +1121,10 @@ def test_gotas_cli_imports_without_pathlib():
     ("", "No such file or directory"),
     (f"{EXAMPLE_DOC}/", "Not a directory"),
 ], ids=["empty", "trailing-slash"])
-def test_the_path_is_opened_as_typed(runner, path, reason):
+def test_the_path_is_opened_as_typed(path, reason):
     # No path library normalizes it: '' is not the current directory, and a
     # file named with a trailing slash is not read, as with `cat`.
-    result = runner.invoke(main, ["topology", path])
+    result = invoke(["topology", path])
     assert result.exit_code == EXIT_INPUT_ERROR
     assert result.stdout == ""
     assert result.stderr == f"error: cannot read {path}: {reason}\n"
@@ -1174,4 +1168,3 @@ def test_pyproject_lists_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert project["dependencies"] == []
-    assert any(dep.startswith("click") for dep in project["optional-dependencies"]["test"])

@@ -18,9 +18,7 @@ import json
 import random
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from gotas.cli import main
+from conftest import invoke
 
 TABLE = Path(__file__).with_name("cli_digests.json")
 DOC = "doc.json"
@@ -119,14 +117,14 @@ def corpus() -> list[tuple[str, str, str]]:
     return docs
 
 
-def digests(runner: CliRunner) -> dict[str, str]:
+def digests() -> dict[str, str]:
     """Digest of (exit code, stdout, stderr) per "document command" case;
     run inside the directory that is to hold ``doc.json``."""
     out = {}
     for name, text, chosen in corpus():
         Path(DOC).write_text(text, encoding="utf-8")
         for command, args in COMMANDS.items():
-            result = runner.invoke(main, [arg.format(set=chosen) for arg in args])
+            result = invoke([arg.format(set=chosen) for arg in args])
             case = json.dumps([result.exit_code, result.stdout, result.stderr])
             out[f"{name} {command}"] = hashlib.sha256(case.encode()).hexdigest()[:16]
     return out
@@ -134,7 +132,7 @@ def digests(runner: CliRunner) -> dict[str, str]:
 
 def test_cli_bytes_match_the_digest_table(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert digests(CliRunner()) == json.loads(TABLE.read_text(encoding="utf-8"))
+    assert digests() == json.loads(TABLE.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":
@@ -145,7 +143,7 @@ if __name__ == "__main__":
     old = json.loads(table.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
-        new = digests(CliRunner())
+        new = digests()
     table.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
     for name, digest in new.items():
         if old.get(name) != digest:

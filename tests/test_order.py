@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gotas import OrderAxiomError, Universe, equality_order, validate_order
+from gotas import OrderAxiomError, Universe, UniverseMismatchError, equality_order, validate_order
 from gotas.oracle import random_order
 
 from conftest import EXAMPLE_ORDER, make_example_space
@@ -97,6 +97,14 @@ def test_empty_and_full_are_both_monotone():
     for s in (g.universe.empty(), g.universe.full()):
         assert g.order.is_increasing(s)
         assert g.order.is_decreasing(s)
+
+
+def test_monotonicity_of_another_universes_subset_is_refused():
+    g = make_example_space()
+    other = Universe(g.universe.labels).subset(["a"])
+    for test in (g.order.is_increasing, g.order.is_decreasing):
+        with pytest.raises(UniverseMismatchError):
+            test(other)
 
 
 @given(order_with_subset())

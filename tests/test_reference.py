@@ -9,11 +9,8 @@ import json
 import sys
 
 import pytest
-from click.testing import CliRunner
 
-from gotas.cli import main
-
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, invoke
 
 
 def _load(name):
@@ -51,12 +48,11 @@ def test_reference_accepts_sweep_and_sampled_checks(perfbench, tmp_path):
     requests = _requests(inputs, "sweep", 12, 10, "check")
     requests += _requests(inputs, "verify", 12, 3, "sample")
     assert len(requests) == 13
-    runner = CliRunner()
     codes = []
     for req in requests:
         path = tmp_path / req.name
         path.write_text(json.dumps(req.doc))
-        result = runner.invoke(main, [req.args[0], str(path), *req.args[1:]])
+        result = invoke([req.args[0], str(path), *req.args[1:]])
         error = checks.check(req, reference.Space(req.doc), result.exit_code, result.stdout)
         assert error is None, f"{req.name} {' '.join(req.args)}: {error}"
         codes.append(result.exit_code)

@@ -15,6 +15,7 @@ from gotas import (
     validate_order,
 )
 from gotas.oracle import open_family
+from gotas.topology import points_meeting
 
 from strategies import topology_with_subsets, universe_with_base
 
@@ -255,3 +256,34 @@ def test_validate_order_refuses_a_relation_over_another_universe():
     other = Universe(["a", "b"])
     with pytest.raises(UniverseMismatchError):
         validate_order(Universe(["a", "b"]), BinaryRelation.from_labels(other, [("a", "b")]))
+
+
+def test_interior_and_closure_refuse_another_universes_subset(example_topology):
+    u, topology = example_topology
+    other = Universe(u.labels).subset(["a"])
+    for operator in (topology.interior, topology.closure):
+        with pytest.raises(UniverseMismatchError):
+            operator(other)
+
+
+def test_relation_and_topology_reprs():
+    u = Universe(["a", "b"])
+    relation = BinaryRelation.from_labels(u, [("a", "a"), ("a", "b"), ("b", "b")])
+    assert repr(relation) == "BinaryRelation(Universe(['a', 'b']), 3 pairs)"
+    assert (repr(topology_from_relation(relation))
+            == "Topology(2 generators over Universe(['a', 'b']))")
+
+
+def test_points_meeting_is_the_points_whose_mask_meets_the_bits():
+    # points_meeting is written as the complement of points_within the
+    # complement; this checks it against its definition.
+    rng = random.Random(3030)
+    assert points_meeting((), 0) == points_meeting((), 1) == 0
+    for k in range(700):
+        n = 1 + k % 70
+        full = (1 << n) - 1
+        masks = tuple(0 if k % 7 == 0 or rng.random() < 0.2 else rng.getrandbits(n)
+                      for _ in range(n))
+        for bits in (0, full, rng.getrandbits(n)):
+            want = sum(1 << x for x, m in enumerate(masks) if m & bits)
+            assert points_meeting(masks, bits) == want, (masks, bits)

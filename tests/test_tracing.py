@@ -5,12 +5,10 @@ this runs one request of each kind through the installed tracer."""
 
 import importlib.util
 
-from click.testing import CliRunner
-
 import gotas.approximations as approx
 from gotas import cli, oracle
 
-from conftest import EXAMPLE_DOC, REPO_ROOT
+from conftest import EXAMPLE_DOC, REPO_ROOT, invoke
 
 
 def _load_tracing():
@@ -24,7 +22,6 @@ def _load_tracing():
 
 def test_tracer_sees_every_layer():
     tracer = _load_tracing().Tracer()
-    runner = CliRunner()
     results = []
     tracer.install(cli, oracle, approx)
     try:
@@ -34,7 +31,7 @@ def test_tracer_sees_every_layer():
             ["check", str(EXAMPLE_DOC), "--exhaustive"],
             ["oracle-diff", str(EXAMPLE_DOC)],
         ):
-            results.append(tracer.request(lambda a: runner.invoke(cli.main, a), args))
+            results.append(tracer.request(invoke, args))
     finally:
         tracer.uninstall()
     assert [r.exit_code for r in results] == [0, 0, 0, 0]

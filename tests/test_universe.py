@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from gotas import Universe, UniverseMismatchError
+from gotas import Subset, Universe, UniverseMismatchError
 from gotas.universe import (_points, _transpose, canonical_order, flags, from_flags,
                             random_columns, union_over)
 
@@ -62,6 +62,17 @@ def test_set_algebra_basics():
     assert "a" in ac and "b" not in ac
     assert str(ac) == "{a, c}"
     assert str(u.empty()) == "{}"
+
+
+def test_subset_hashes_iterates_and_compares_as_a_value():
+    u = Universe(["a", "b", "c"])
+    ac = u.subset(["a", "c"])
+    assert {ac: 1, u.subset(["c", "a"]): 2} == {ac: 2}  # equal subsets make one key
+    assert list(ac) == ["a", "c"] and len(ac) == 2
+    assert (ac == 1) is False  # Subset.__eq__ gives NotImplemented
+    assert repr(ac) == "Subset({a, c})" and repr(u.empty()) == "Subset({})"
+    with pytest.raises(ValueError, match="outside the universe"):
+        Subset(u, 0b1000)
 
 
 def test_mixed_universes_rejected():
