@@ -49,8 +49,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 # A sampled check's memory grows with the sample count: 65536 samples on a 200-point
 # sparse relation take about 0.8 s and peak near 152 MB (BENCH_38.json). Its pairs
-# come from one getrandbits block of 64 * ceil(n / 32) bits per sample, at most 2**29
-# bits under this cap and MAX_POINTS; getrandbits takes a C int.
+# come from one getrandbits block of 2n bits per sample, at most 2**29 bits under
+# this cap and MAX_POINTS; getrandbits takes a C int.
 MAX_SAMPLES = 1 << 16
 # The most opens `topology` lists; n points can carry up to 2**n. Listing the 65536
 # opens of the 16-point discrete space takes 45-70 ms and peaks near 30 MB.
@@ -387,8 +387,8 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     code. ``main.main`` is this function, which the benchmark calls; usage lines
     name ``gotas`` whatever ``prog_name``."""
     reconfigure = getattr(sys.stdout, "reconfigure", None)
-    if reconfigure and codecs.lookup(sys.stdout.encoding).name == "ascii":
-        reconfigure(encoding="utf-8")  # labels need not be ASCII
+    if reconfigure and codecs.lookup(sys.stdout.encoding).name != "utf-8":
+        reconfigure(encoding="utf-8")  # labels need not be ASCII or Latin-1
     tokens = list(sys.argv[1:] if args is None else args)
     for i in range(len(tokens) - 1):  # `--opt value` becomes `--opt=value`, None
         if tokens[i] in _VALUED:

@@ -440,9 +440,9 @@ def check_propositions(
     row. Its unary laws also run on each distinct kernel class M_d(x), in
     lanes past the W draws, where 3.21 and 3.25 fail if they fail at all;
     a law failing only there reports that lane's index plus one. The W
-    units and then the W pairs are drawn as ``rng.getrandbits(n)`` calls
-    would draw them, A before B, but read as columns off one block each
-    (``random_columns``).
+    units are the rows of one ``rng.getrandbits(n * W)`` block; the W
+    pairs, drawn next, are those of one ``rng.getrandbits(2n * W)`` block,
+    A in the low n bits of each row and B in the high n (``random_columns``).
     """
     suite = suite if suite is not None else DEFAULT_SUITE
     u = g.universe
@@ -457,9 +457,9 @@ def check_propositions(
             raise ValueError(f"samples must be at least 1, got {samples}")
         rng = rng if rng is not None else random.Random(0)
         n, w = u.size, samples
-        # The W units, then W pairs A, B drawn alternately, each as n columns.
+        # The W units, then the W pairs A, B as 2n columns, A's first.
         units = random_columns(rng, n, w)
-        draws = random_columns(rng, n, w, 2)
+        draws = random_columns(rng, 2 * n, w)
         a, b, lanes = draws[:n], draws[n:], (1 << w) - 1
         # Past the W draws, the unary lanes hold each distinct kernel class, Inc
         # then Dec: where 3.21 or 3.25 fails, it fails at one, which draws can miss.

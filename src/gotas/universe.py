@@ -538,25 +538,12 @@ def _transpose(values: Sequence[int], width: int) -> list[int]:
     return [int(text[x::width + 3], 2) for x in range(width + 2, 2, -1)]
 
 
-def random_columns(rng: random.Random, width: int, count: int, operands: int = 1) -> list[int]:
-    """The columns of ``count`` rounds of ``operands`` draws of
-    ``rng.getrandbits(width)`` each, drawn in that order, taken from one
-    ``getrandbits`` call with the same bits and the same final state: bit s
-    of result[k * width + x] is bit x of operand k's draw in round s.
-
-    CPython fills a long ``getrandbits`` result with the generator's 32-bit
-    outputs, lowest first, and a ``getrandbits(width)`` draw is its next
-    ``words`` = ceil(``width`` / 32) outputs with the last one's low d =
-    32 * ``words`` - ``width`` bits dropped. So in a block of S = 32 *
-    ``words`` * ``operands`` bits per round, bit x of operand k in round s
-    is block bit s * S + 32 * ``words`` * k + x, plus d in the last word.
-    Each column is one strided slice of the block's binary digits."""
-    words = -(-width // 32)
-    step, drop, last = 32 * words * operands, 32 * words - width, 32 * (words - 1)
-    total = step * count
+def random_columns(rng: random.Random, width: int, count: int) -> list[int]:
+    """The ``width`` columns of one ``rng.getrandbits(width * count)`` block
+    cut into ``count`` rows: bit s of result[x] is block bit s * ``width`` + x.
+    ``bin`` writes the block, with bit ``total`` set, as "0b1" and then its
+    digits, top first, so block bit b is text[total + 2 - b] and each column
+    is one strided slice of the text."""
+    total = width * count
     text = bin(rng.getrandbits(total) | 1 << total)
-    # Block bit s * step + p is text[total + 2 - s * step - p]: "0b1" comes
-    # first, then round count - 1, whose bit p is text[step + 2 - p].
-    offsets = [32 * words * k + x + (drop if x >= last else 0)
-               for k in range(operands) for x in range(width)]
-    return [int(text[step + 2 - p::step], 2) for p in offsets]
+    return [int(text[width + 2 - x::width], 2) for x in range(width)]

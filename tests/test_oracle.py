@@ -2,6 +2,7 @@ import operator
 import random
 import re
 import time
+import types
 from dataclasses import replace
 
 import pytest
@@ -222,6 +223,26 @@ def test_table_uses_no_batch_and_no_kernel(monkeypatch):
     assert [oracle_table(space) for space in fresh] == want
 
 
+# What the oracle checks: the kernel, its plans and the batch folds over them.
+_FAST_PATH = {"kernel", "kernel_plan", "Plan", "points_within", "points_meeting", "all_of",
+              "any_of", "Rows", "Batch", "approx", "r_lower", "r_upper", "neighborhoods"}
+
+
+def _names(code):
+    """The names that ``code`` and the code objects nested in it refer to."""
+    names = {*code.co_names, *code.co_varnames, *code.co_freevars}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+@pytest.mark.parametrize("fn", [oracle.open_family, oracle_table, _greatest_inside,
+                                _smallest_around], ids=lambda fn: fn.__name__)
+def test_the_oracle_names_nothing_of_the_fast_path(fn):
+    assert _names(fn.__code__) & _FAST_PATH == set()
+
+
 def test_discrete_space_at_the_oracle_cap_is_exact():
     # Every subset is a monotone open and a monotone closed under the
     # equality order: the widest candidate lists the oracle can meet.
@@ -395,9 +416,10 @@ def test_unary_laws_reuse_their_witness_templates(g):
 def _drawn_pairs(space, samples, seed):
     """The drawn A and B of a sampled check, as bitmasks."""
     rng, n = random.Random(seed), space.universe.size
-    [rng.getrandbits(n) for _ in range(samples)]  # the unary draws come first
-    draws = [rng.getrandbits(n) for _ in range(2 * samples)]
-    return draws[0::2], draws[1::2]
+    rng.getrandbits(n * samples)  # the unary draws come first
+    block = rng.getrandbits(2 * n * samples)
+    rows = [block >> 2 * n * s & (1 << 2 * n) - 1 for s in range(samples)]
+    return [r & (1 << n) - 1 for r in rows], [r >> n for r in rows]
 
 
 def _classes(space):

@@ -32,6 +32,26 @@ def test_sweep_runs_six_point_spaces(capsys, sweep):
     assert all(line.endswith("failed on 0 spaces") for line in laws)
 
 
+# Random space #8 of seed 0 (5 points) is where criterion 3 first fails.
+WITNESSES = [
+    "sample witnesses:",
+    "  3.21 @ space #8 (size 5): Dec: A={a, b}: gamma upper {a, b, c} not within semi upper {a, b}",
+    "  3.25 @ space #8 (size 5): Dec: A={a, b}: boundary gamma {c} not within boundary S {}",
+]
+
+
+@pytest.mark.parametrize("show", [2, 0])
+def test_sweep_reports_the_failing_laws_and_their_witnesses(capsys, sweep, show):
+    code = sweep.run(count=9, sizes=(3, 4, 5), seed=0, show_witnesses=show)
+    header, *lines = capsys.readouterr().out.splitlines()
+    laws, witnesses = lines[:len(PROPOSITION_IDS)], lines[len(PROPOSITION_IDS):]
+    assert code == 1
+    assert header.startswith("9 spaces, sizes (3, 4, 5), seed 0, ")
+    assert [line.split(None, 1) for line in laws] == [
+        [pid, f"failed on {int(pid in ('3.21', '3.25'))} spaces"] for pid in PROPOSITION_IDS]
+    assert witnesses == (WITNESSES if show else [])
+
+
 def test_size_above_the_cap_is_a_usage_error(capsys, sweep):
     with pytest.raises(SystemExit) as exit_info:
         sweep.main(["--sizes", f"3,{POWERSET_CAP + 1}"])

@@ -72,6 +72,16 @@ def test_every_named_identifier_resolves(dotted):
         obj = getattr(obj, name)
 
 
+CAPS = re.findall(r"^\| `(\w+)\.(\w+)` \|\D*(\d+)",
+                  README.partition("\n## Caps\n")[2].partition("\n## ")[0], re.M)
+
+
+def test_each_cap_row_gives_its_constant_as_its_first_integer():
+    assert len(CAPS) == 4
+    for module, name, value in CAPS:
+        assert getattr(importlib.import_module(f"gotas.{module}"), name) == int(value), name
+
+
 PATHS = sorted(set(re.findall(
     r"\b(?:src|tests|scripts|perfbench|examples)/(?:[\w./-]*\w)?(?:::\w+)*"
     r"|\b[A-Z][A-Z0-9_]*\.(?:md|json)\b", README)))
