@@ -94,14 +94,35 @@ class Gotas:
 
 
 def _closure(nbhd: tuple[int, ...], reach: tuple[int, ...]) -> tuple[int, ...]:
-    """Warshall's transitive closure of x -> N(x) ∪ reach(x), per point."""
-    m = [n | r for n, r in zip(nbhd, reach)]
-    for k in range(len(m)):
-        bit, mk = 1 << k, m[k]
-        for i, mi in enumerate(m):
-            if mi & bit:
-                m[i] = mi | mk
-    return tuple(m)
+    """The transitive closure of x -> N(x) ∪ reach(x), per point, by Warshall
+    over the classes of points that share one N(x).
+
+    Each x lies in N(x), so the members of a class reach one another: they
+    share one closure, and what reaches one member reaches the class. Class
+    k has its member mask P_k and a row R_k, at first the union of N(x) ∪
+    reach(x) over its members; class i has an edge to class j when R_i meets
+    P_j. Warshall's invariant: before the pivot on k, R_i is the union of
+    the first rows of i and of the classes that i reaches through classes
+    before k only. So R_i meets P_k exactly when i reaches k that way, and
+    the pivot adds R_k to R_i. At the end R_i is the closure of each member
+    of i. Cost: one pass over the points and c² steps for c classes; when
+    every N(x) differs, the points are the classes and the pass is skipped.
+    """
+    if len(set(nbhd)) == len(nbhd):
+        cls, rows = None, [n | r for n, r in zip(nbhd, reach)]
+    else:
+        index: dict[int, int] = {}  # N(x) -> its class, numbered as first seen
+        cls = [index.setdefault(n, len(index)) for n in nbhd]
+        members, rows = [0] * len(index), list(index)
+        for x, (k, r) in enumerate(zip(cls, reach)):
+            members[k] |= 1 << x
+            rows[k] |= r
+    for k, rk in enumerate(rows):  # R_k as the earlier pivots left it
+        mk = 1 << k if cls is None else members[k]
+        for i, ri in enumerate(rows):
+            if ri & mk:
+                rows[i] = ri | rk
+    return tuple(rows) if cls is None else tuple(map(rows.__getitem__, cls))
 
 
 # The operators act on one subset or, lane by lane, on a batch of them.

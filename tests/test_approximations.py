@@ -15,12 +15,15 @@ from gotas import (
     Direction,
     FAMILY_ORDER,
     Gotas,
+    Topology,
     Universe,
     equality_order,
     generate_topology,
     topology_from_relation,
+    validate_order,
 )
 from gotas.oracle import random_order, random_space
+from gotas.universe import union_over
 
 from conftest import make_example_space, oracle_rows
 
@@ -252,6 +255,60 @@ def test_duality_on_random_spaces():
             assert ap.r_upper(g, a, DEC) == ap.r_lower(g, comp, INC).complement()
             assert ap.r_lower(g, a, INC) == ap.r_upper(g, comp, DEC).complement()
             assert ap.r_lower(g, a, DEC) == ap.r_upper(g, comp, INC).complement()
+
+
+def _brute_kernel(g, d):
+    """M_d(x) per point, as the fixpoint of m -> m ∪ N(y) ∪ reach(y) over
+    the points y of m, from m = {x}."""
+    reach = g.order.succ if d is INC else g.order.pred
+    step = [n | r for n, r in zip(g.topology.neighborhoods, reach)]
+    kernel = []
+    for x in range(g.universe.size):
+        m, grown = 0, 1 << x
+        while grown != m:
+            m, grown = grown, grown | union_over(step, grown)
+        kernel.append(m)
+    return tuple(kernel)
+
+
+def _space(n, generators, pairs):
+    u = Universe([f"e{i}" for i in range(n)])
+    return Gotas(u, Topology(u, generators), validate_order(u, pairs))
+
+
+def _large_shapes(n):
+    """The identity relation (singleton generators), `"base": []`, the zigzag
+    (generators {2i, 2i+1}, order pairs (2i+1, 2i+2)), two generators under
+    a total order, and singletons under incomparable tops that each hold
+    all of them."""
+    yield _space(n, [1 << x for x in range(n)], [])
+    yield _space(n, [], [])
+    yield _space(n, [3 << x & (1 << n) - 1 for x in range(0, n, 2)],
+                 [(x, x + 1) for x in range(1, n - 1, 2)])
+    rng = random.Random(n)
+    yield _space(n, [rng.getrandbits(n), rng.getrandbits(n)],
+                 [(x, y) for x in range(n) for y in range(x, n)])
+    half = n // 2
+    yield _space(n, [1 << x for x in range(half)]
+                 + [(1 << half) - 1 | 1 << x for x in range(half, n)], [])
+
+
+def _kernel_test_spaces():
+    rng = random.Random(41)
+    for size in range(1, 11):
+        for _ in range(20):
+            yield random_space(rng, size)
+    for n in (33, 400):
+        yield from _large_shapes(n)
+    # e0 and e1 share N = {e0, e1} but only e1 is above e2, so e2's Inc
+    # row meets that class at e1 alone.
+    yield _space(3, [0b011, 0b100], [(2, 1)])
+
+
+def test_the_kernel_is_the_brute_force_closure():
+    for g in _kernel_test_spaces():
+        for d in DIRECTION_ORDER:
+            assert g.kernel[d] == _brute_kernel(g, d), (g.universe.size, d)
 
 
 # A space's three parts. Besides them it holds only its kernel and the

@@ -1148,6 +1148,20 @@ def test_a_stdout_that_is_not_utf8_is_written_as_utf8(tmp_path, args, encoding):
         assert result.stdout == "{}\n{中}\n{中, b}\ncount: 3\n".encode()
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1", "cp1252"])
+def test_a_stderr_that_is_not_utf8_is_written_as_utf8(tmp_path, encoding):
+    path = write_doc(tmp_path, {"universe": ["a"], "base": [["中文"]], "order": []})
+
+    def run(encoding):
+        return subprocess.run([sys.executable, "-m", "gotas.cli", "topology", path],
+                              capture_output=True, env={**_SUBPROCESS_ENV, "PYTHONIOENCODING": encoding})
+
+    result, utf8 = run(encoding), run("utf-8")
+    assert result.returncode == utf8.returncode == EXIT_INPUT_ERROR
+    assert result.stderr == utf8.stderr
+    assert result.stderr == f"error: {path}: unknown label '中文'\n".encode()
+
+
 @pytest.mark.parametrize("doc, args, code", [
     (None, ["topology"], 0),
     (PROBE_DOC, ["check", "--exhaustive"], EXIT_CHECK_FAILED),
