@@ -106,23 +106,19 @@ def _closure(nbhd: tuple[int, ...], reach: tuple[int, ...]) -> tuple[int, ...]:
     before k only. So R_i meets P_k exactly when i reaches k that way, and
     the pivot adds R_k to R_i. At the end R_i is the closure of each member
     of i. Cost: one pass over the points and c² steps for c classes; when
-    every N(x) differs, the points are the classes and the pass is skipped.
+    every N(x) differs, c = n and this is Warshall over the points.
     """
-    if len(set(nbhd)) == len(nbhd):
-        cls, rows = None, [n | r for n, r in zip(nbhd, reach)]
-    else:
-        index: dict[int, int] = {}  # N(x) -> its class, numbered as first seen
-        cls = [index.setdefault(n, len(index)) for n in nbhd]
-        members, rows = [0] * len(index), list(index)
-        for x, (k, r) in enumerate(zip(cls, reach)):
-            members[k] |= 1 << x
-            rows[k] |= r
-    for k, rk in enumerate(rows):  # R_k as the earlier pivots left it
-        mk = 1 << k if cls is None else members[k]
+    index: dict[int, int] = {}  # N(x) -> its class, numbered as first seen
+    cls = [index.setdefault(n, len(index)) for n in nbhd]
+    members, rows = [0] * len(index), list(index)
+    for x, (k, r) in enumerate(zip(cls, reach)):
+        members[k] |= 1 << x
+        rows[k] |= r
+    for mk, rk in zip(members, rows):  # R_k as the earlier pivots left it
         for i, ri in enumerate(rows):
             if ri & mk:
                 rows[i] = ri | rk
-    return tuple(rows) if cls is None else tuple(map(rows.__getitem__, cls))
+    return tuple(map(rows.__getitem__, cls))
 
 
 # The operators act on one subset or, lane by lane, on a batch of them.

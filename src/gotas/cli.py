@@ -57,8 +57,8 @@ MAX_SAMPLES = 1 << 16
 MAX_OPENS = 1 << 16
 # The most labels a universe may hold. The kernel's closure takes c**2 steps for the c
 # classes of points with equal N(x), n**2 only when every N(x) differs: `check` takes
-# 4.3-5.1 s (113 MB peak) on a 4096-point identity relation, where c = n, and
-# 0.38-0.45 s on `"base": []`, where c = 1 (BENCH_41.json).
+# 3.9-4.6 s (113 MB peak) on a 4096-point identity relation, where c = n, and
+# 0.37-0.40 s on `"base": []`, where c = 1 (BENCH_41.json).
 MAX_POINTS = 1 << 12
 
 
