@@ -13,12 +13,11 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import gt, mul
 from typing import Callable
 
 from .order import PartialOrder
 from .topology import Topology, points_meeting, points_within
-from .universe import Batch, Plan, Subset, Universe, _cached, _points, from_flags
+from .universe import Batch, Plan, Subset, Universe, _cached
 
 
 class Direction(Enum):
@@ -216,34 +215,14 @@ _UPPER: dict[OperatorFamily, OpFn] = {
 }
 
 
-def _terms(lo: int, up: int) -> tuple[int, int]:
-    """Numerator and denominator of the accuracy of a lower and an upper
-    approximation with ``lo`` and ``up`` points.
+def _accuracy(lo: int, up: int) -> Fraction:
+    """The accuracy of a lower and an upper approximation with ``lo`` and
+    ``up`` points, |lower| / |upper| (Pawlak 1982).
 
     The empty set is a total-function extension: it is exact for every
     family, so its accuracy is 1.
     """
-    return (lo, up) if up else (1, 1)
-
-
-class Accuracies:
-    """The accuracy of each lane of a batch, kept as integer numerators and
-    denominators so that lanes compare by cross-multiplication; a Fraction
-    is built only for a lane that is asked for."""
-
-    def __init__(self, lo: Batch, up: Batch) -> None:
-        self.num, self.den = lo.counts(), up.counts()
-        for s in _points(up.lanes ^ up.nonempty()):
-            self.num[s], self.den[s] = _terms(self.num[s], 0)
-
-    def exceeds(self, other: Accuracies) -> int:
-        """Lanes where this accuracy is greater than ``other``'s: the mask
-        of one ``gt`` flag per lane."""
-        return from_flags(bytes(map(gt, map(mul, self.num, other.den),
-                                    map(mul, other.num, self.den))))
-
-    def lane(self, s: int) -> Fraction:
-        return Fraction(self.num[s], self.den[s])
+    return Fraction(lo, up) if up else Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -268,8 +247,9 @@ class ApproxReport:
     the lower and upper approximations and the opposite direction's upper
     approximation, whose complement is the negative region. The regions,
     the accuracy and exactness are derived here only; on a batch,
-    ``accuracy`` is an ``Accuracies`` and ``exact`` the mask of the exact
-    lanes."""
+    ``accuracy`` is one Fraction per lane, lane 0 first, each the
+    ``_accuracy`` of that lane's point counts, and ``exact`` the mask of
+    the exact lanes."""
 
     lower: Sets
     upper: Sets
@@ -288,10 +268,10 @@ class ApproxReport:
         return self.upper - self.lower
 
     @_cached
-    def accuracy(self) -> Fraction | Accuracies:
+    def accuracy(self) -> Fraction | tuple[Fraction, ...]:
         if isinstance(self.lower, Batch):
-            return Accuracies(self.lower, self.upper)
-        return Fraction(*_terms(self.lower.cardinality(), self.upper.cardinality()))
+            return tuple(map(_accuracy, self.lower.counts(), self.upper.counts()))
+        return _accuracy(self.lower.cardinality(), self.upper.cardinality())
 
     @_cached
     def exact(self) -> bool | int:

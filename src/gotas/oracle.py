@@ -34,7 +34,7 @@ import string
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from itertools import chain
-from operator import and_, or_, xor
+from operator import and_, gt, or_, xor
 from typing import Callable
 
 from . import approximations as approx
@@ -300,7 +300,7 @@ def _accuracy_exceeds(a, x, y):
     nonempty = a.nonempty() if loose else 0
     if not nonempty & a.lanes_in(loose):
         return 0
-    return nonempty & x.accuracy.exceeds(y.accuracy)
+    return nonempty & from_flags(bytes(map(gt, x.accuracy, y.accuracy)))
 
 
 def _accuracy_floor(rows):
@@ -438,11 +438,12 @@ def check_propositions(
     and reads (A∩B, A), (A∩B, B), (A, A∪B) and (B, A∪B) off it, in that
     order; a drawn pair breaks the law's clauses iff one of these breaks the
     row. Its unary laws also run on each distinct kernel class M_d(x), in
-    lanes past the W draws, where 3.21 and 3.25 fail if they fail at all;
-    a law failing only there reports that lane's index plus one. The W
-    units are the rows of one ``rng.getrandbits(n * W)`` block; the W
-    pairs, drawn next, are those of one ``rng.getrandbits(2n * W)`` block,
-    A in the low n bits of each row and B in the high n (``random_columns``).
+    lanes past the W draws, where 3.21 and 3.25 fail if they fail at all
+    (``open_upper_failure`` proves it); a law failing only there reports
+    that lane's index plus one. The W units are the rows of one
+    ``rng.getrandbits(n * W)`` block; the W pairs, drawn next, are those of
+    one ``rng.getrandbits(2n * W)`` block, A in the low n bits of each row
+    and B in the high n (``random_columns``).
     """
     suite = suite if suite is not None else DEFAULT_SUITE
     u = g.universe
@@ -487,7 +488,7 @@ def check_propositions(
         failed = reduce(or_, (mask for mask, _, _ in claims))
         lane = (failed & -failed).bit_length() - 1
         template, operands = next((t, v) for mask, t, v in claims if mask >> lane & 1)
-        values = tuple(v.lane(lane) for v in operands)
+        values = tuple(v.lane(lane) if isinstance(v, Batch) else v[lane] for v in operands)
         if binary and samples is None:
             lane = lane * unit.width + values[1].bits  # the pair's index a·2ⁿ + b
         reports.append(PropositionReport(pid, lane + 1, [Violation(label, template % values)]))
@@ -496,11 +497,23 @@ def check_propositions(
 
 def open_upper_failure(g: Gotas, directions=DIRECTION_ORDER) -> tuple[Direction, int] | None:
     """The first d in ``directions``, then x, whose r_upper(M_d(x)) is not d-monotone
-    open (not its own r_lower), or None, in O(n²) mask operations. Where there is
-    such an x, 3.21 and 3.25 both fail at A = M_d(x). The converse, that both hold in
-    d when there is none (an ordered extremal disconnectedness, which Pawlak spaces
-    have), is not proved: it rests on a census of every space of up to 4 labeled
-    points (77 745 on 4), where the two laws fail, always together, exactly there."""
+    open (not its own r_lower), or None, in O(n²) mask operations. 3.21 and 3.25
+    both hold in d for every A iff there is no such x (a pairwise extremal
+    disconnectedness, after Kelly 1963, which Pawlak spaces have); where there is
+    one, both fail at A = M_d(x).
+
+    Proof. Write I(A) = r_lower(A, d), the interior of the topology τ_d whose
+    minimal opens are the M_d(x), and C(A) = r_upper(A, d), the closure of the
+    opposite one. Semi upper is A ∪ ICA, gamma upper A ∪ CIA ∪ ICA, beta upper
+    A ∪ ICIA. ⇐: IA is the union of the M_d(x) over x in IA, and C distributes
+    over unions, so CIA is a union of C(M_d(x)), each τ_d-open when there is no
+    such x; it lies within CA, hence within ICA, and gamma upper lies within
+    semi upper. Beta upper lies within gamma upper on every space, as I is
+    deflationary. As gamma lower holds semi lower (3.8) and beta lower holds
+    gamma lower (3.28b), the boundaries follow the uppers. ⇒: take
+    A = M_d(x). It is τ_d-open, so IA = A ⊆ ICA, semi upper is ICA and gamma
+    upper is CA; 3.21 gives CA ⊆ ICA, so CA is τ_d-open. At that A, gamma and
+    semi lower are A, so 3.25 gives CA − A ⊆ ICA − A, the same inclusion."""
     for d in directions:
         kernel, opposite = g.kernel[d], g.kernel[d.opposite]
         for x, m in enumerate(kernel):

@@ -15,7 +15,7 @@ import reprlib
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, and_, lshift, or_, xor
+from operator import and_, lshift, or_, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # Swaps the binary digits b"0", b"1" and the flag bytes 0, 1, both ways.
@@ -338,19 +338,8 @@ class Batch:
         return _transpose(self.columns, self.width)
 
     def counts(self) -> list[int]:
-        """The number of points in each lane: the sum of the columns, each
-        spread to one field per lane (lane 0 lowest) holding that lane's
-        flag, with fields wide enough to count every point."""
-        size, width = (self.universe.size.bit_length() + 7) // 8, self.width
-        total, spread = 0, bytearray(size * width)
-        for column in filter(None, self.columns):
-            spread[::size] = flags(column, width)
-            total += int.from_bytes(spread, "little")
-        raw = total.to_bytes(size * width, "little")
-        counts = list(raw[::size])
-        for k in range(1, size):
-            counts = list(map(add, counts, map((256 ** k).__mul__, raw[k::size])))
-        return counts
+        """The number of points in each lane."""
+        return list(map(int.bit_count, self.rows()))
 
     def lane(self, s: int) -> Subset:
         """The subset in lane s."""

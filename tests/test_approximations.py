@@ -240,7 +240,7 @@ def test_every_row_matches_the_oracle_table():
                 scalar = {name: getattr(row, name).bits for name in _SETS}
                 scalar.update(accuracy=row.accuracy, exact=row.exact)
                 lane = {name: columns[key][name][a] for name in _SETS}
-                lane.update(accuracy=batch[key].accuracy.lane(a),
+                lane.update(accuracy=batch[key].accuracy[a],
                             exact=bool(batch[key].exact >> a & 1))
                 assert scalar == expected, (u.from_bits(a), key)
                 assert lane == expected, (u.from_bits(a), key)
@@ -423,7 +423,7 @@ def test_threads_racing_on_first_reads_see_equal_values():
 
     def read(space, row, barrier):
         barrier.wait()
-        seen.append((space.kernel, space.kernel_plan, row.accuracy.num, row.accuracy.den))
+        seen.append((space.kernel, space.kernel_plan, row.accuracy))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

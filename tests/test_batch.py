@@ -17,7 +17,6 @@ from gotas import (
     Batch,
     BinaryRelation,
     Gotas,
-    OperatorFamily,
     Universe,
     UniverseMismatchError,
     generate_topology,
@@ -25,6 +24,7 @@ from gotas import (
     validate_order,
 )
 from gotas.oracle import (
+    _accuracy_exceeds,
     corrupted_gamma_upper,
     corrupted_suite,
     random_order,
@@ -78,16 +78,9 @@ def test_every_batch_row_matches_the_rows_of_its_lanes():
                 for field in fields:
                     got = getattr(row, field).rows()
                     assert got == [getattr(w, field).bits for w in want], (key, field)
-                indices = range(len(rows))
-                assert [row.accuracy.lane(s) for s in indices] == [w.accuracy for w in want]
-                assert [bool(row.exact >> s & 1) for s in indices] == [w.exact for w in want]
+                assert row.accuracy == tuple(w.accuracy for w in want)
+                assert [bool(row.exact >> s & 1) for s in range(len(rows))] == [w.exact for w in want]
                 assert row.exact >> len(rows) == 0
-            for d in DIRECTION_ORDER:
-                first = table[OperatorFamily.R, d].accuracy
-                second = table[OperatorFamily.GAMMA, d].accuracy
-                assert first.exceeds(second) == sum(
-                    1 << s for s in range(len(rows)) if first.lane(s) > second.lane(s)
-                )
 
 
 def test_set_algebra_and_lane_masks():
@@ -157,7 +150,6 @@ def test_transpose_round_trips():
 
 
 def test_counts_are_the_popcounts_of_the_rows():
-    # 255 points fit a one-byte field per lane; 256 and 300 take two.
     rng = random.Random(12)
     for size in (1, 8, 255, 256, 300):
         u = Universe([f"e{k}" for k in range(size)])
@@ -170,29 +162,32 @@ def test_counts_are_the_popcounts_of_the_rows():
 
 
 def test_exceeds_matches_the_fraction_compare_lane_by_lane():
-    # 300 points take two-byte count fields. Lane 0 holds the empty subset,
-    # whose upper approximations are empty; the raw batches also put
-    # nonempty lowers under empty uppers.
+    # Lane 0 holds the empty subset, whose upper approximations are empty;
+    # the raw batches also put nonempty lowers under empty uppers. Every
+    # lane of A is nonempty, so every lane is compared.
     rng = random.Random(14)
     u = Universe([f"e{k}" for k in range(300)])
     g = partition_space(u, random_partition(rng, u))
     rows = ap.Rows(g, Batch.of(u, [0] + [rng.getrandbits(300) | rng.getrandbits(300)
                                          for _ in range(255)]))
-    cases = [(r.accuracy, r.lower.rows(), r.upper.rows())
+    cases = [(r, r.lower.rows(), r.upper.rows())
              for r in (rows[f, d] for f in FAMILY_ORDER for d in DIRECTION_ORDER)]
     for _ in range(2):
         lows = [rng.getrandbits(300) for _ in range(256)]
         ups = [rng.getrandbits(300) if rng.random() < 0.7 else 0 for _ in range(256)]
-        cases.append((ap.Accuracies(Batch.of(u, lows), Batch.of(u, ups)), lows, ups))
+        up = Batch.of(u, ups)
+        cases.append((ap.ApproxReport(Batch.of(u, lows), up, up), lows, ups))
     wants = []
-    for accuracy, lows, ups in cases:
-        want = [Fraction(*ap._terms(lo.bit_count(), up.bit_count())) for lo, up in zip(lows, ups)]
-        assert [accuracy.lane(s) for s in range(256)] == want
+    for row, lows, ups in cases:
+        want = [Fraction(lo.bit_count(), up.bit_count()) if up else 1 for lo, up in zip(lows, ups)]
+        assert list(row.accuracy) == want
         wants.append(want)
     assert cases[0][2][0] == 0 and len(set(wants[0])) > 10
+    a = Batch.of(u, [u.full_mask] * 256)
     for (first, *_), x in zip(cases, wants):
         for (second, *_), y in zip(cases, wants):
-            assert first.exceeds(second) == sum(1 << s for s in range(256) if x[s] > y[s])
+            assert _accuracy_exceeds(a, first, second) == sum(
+                1 << s for s in range(256) if x[s] > y[s])
 
 
 def _plan_spaces(rng):

@@ -469,12 +469,19 @@ def counts(monkeypatch):
 
 
 @pytest.mark.parametrize("samples", [None, 256], ids=["exhaustive", "sampled"])
-def test_a_passing_check_counts_no_points(g, samples, counts):
-    # The accuracy laws follow from inclusions that the rows already hold.
+def test_a_passing_check_counts_no_points(g, probe, samples, counts):
+    # The accuracy laws follow from inclusions that the rows already hold:
+    # also where the shipped 3.21/3.25 fail, and under the corrupted gamma
+    # upper, which lies between beta upper and R upper as the shipped one does.
     u = Universe([f"e{k}" for k in range(16)])
     partition = partition_space(u, random_partition(random.Random(4), u))
     for space in (g, partition):
         assert all(r.passed for r in check_propositions(space, samples=samples))
+    failed = [r.proposition for r in check_propositions(probe, samples=samples) if not r.passed]
+    assert failed == ["3.21", "3.25"]
+    for space in (g, probe, partition):
+        reports = check_propositions(space, suite=corrupted_suite(), samples=samples)
+        assert all(r.passed for r in reports) != (space is probe)
     assert counts == []
 
 
@@ -494,6 +501,11 @@ def _accuracy_lanes(rng, n, width, loose):
     return [list(column) for column in zip(*lanes)]
 
 
+def _exceeding(x, y):
+    """The lanes where row x's accuracy exceeds row y's, Fraction by Fraction."""
+    return sum(1 << s for s, (p, q) in enumerate(zip(x.accuracy, y.accuracy)) if p > q)
+
+
 def test_accuracy_counts_only_where_an_inclusion_fails():
     # The fail mask of each accuracy comparison equals the counted one, on
     # random lanes that keep or break the three inclusions it relies on.
@@ -508,7 +520,7 @@ def test_accuracy_counts_only_where_an_inclusion_fails():
         x, y = (ap.ApproxReport(Batch.of(u, lo), Batch.of(u, up), Batch.of(u, up))
                 for lo, up in ((lo_x, up_x), (lo_y, up_y)))
         for first, second in ((x, y), (y, x)):
-            counted = a.nonempty() & first.accuracy.exceeds(second.accuracy)
+            counted = a.nonempty() & _exceeding(first, second)
             assert oracle._accuracy_exceeds(a, first, second) == counted
             compared, failing = compared + 1, failing + bool(counted)
     assert 0 < failing < compared
@@ -519,7 +531,7 @@ def test_accuracy_counts_only_where_an_inclusion_fails():
         for d in (INC, DEC):
             r, gamma, beta = (rows[fam, d] for fam in (R, GAMMA, BETA))
             for first, second in ((r, gamma), (r, beta), (gamma, beta)):
-                counted = rows.a.nonempty() & first.accuracy.exceeds(second.accuracy)
+                counted = rows.a.nonempty() & _exceeding(first, second)
                 assert oracle._accuracy_exceeds(rows.a, first, second) == counted
 
 
@@ -591,8 +603,8 @@ def test_operands_equal_by_value_keep_their_own_segments(built_rows):
 
 
 def test_checker_and_diff_read_batches_without_rows(g, probe, monkeypatch):
-    # Counts, accuracy compares and the oracle diff read columns; a witness
-    # reads one lane through Batch.lane.
+    # The checker, which counts no points here, and the oracle diff read
+    # columns; a witness reads one lane through Batch.lane.
     def runs():
         return [
             [(r.proposition, r.instances, r.violations) for r in reports]
@@ -733,6 +745,59 @@ def test_chain_laws_hold_iff_each_kernel_has_an_open_upper(probe):
     assert ap.r_upper(probe, a, INC) == ap.r_upper(probe, a, DEC) == probe.universe.subset(["a", "c"])
     assert [open_upper_failure(probe, ds) for ds in ((INC, DEC), (DEC,))] == [(INC, 0), (DEC, 0)]
     assert [_chain_laws_hold(probe, d) for d in (INC, DEC)] == [(False, False)] * 2
+
+
+def _broken_premises(space, rows):
+    """The premises of open_upper_failure's proof and of the catalogue's
+    other laws that the shipped I = r_lower and C = r_upper break on the
+    subsets ``rows``, as (direction, premise) pairs. Monotonicity is
+    checked on the cover pairs (A, A ∪ {x}) of each A, which chain to every
+    comparable pair."""
+    lower, upper = DEFAULT_SUITE.lower[R], DEFAULT_SUITE.upper[R]
+    u = space.universe
+    a = Batch.of(u, rows)
+    covers = [Batch.of(u, [r | 1 << x for r in rows]) for x in range(u.size)]
+    broken = []
+    for d in (INC, DEC):
+        i, c = lower(space, a, d), upper(space, a, d)
+        lanes = {
+            "I deflationary": i.outside(a),
+            "I monotone": any(i.outside(lower(space, b, d)) for b in covers),
+            "I idempotent": lower(space, i, d).differs(i),
+            "C inflationary": a.outside(c),
+            "C monotone": any(c.outside(upper(space, b, d)) for b in covers),
+            "C idempotent": upper(space, c, d).differs(c),
+            "C is the dual of the opposite I": c.differs(
+                lower(space, a.complement(), d.opposite).complement()),
+        }
+        broken += [(d, premise) for premise, failed in lanes.items() if failed]
+    return broken
+
+
+def _relation_space(rng, size):
+    """A space whose topology comes from a sparse random relation, so that
+    its N(x) mostly differ, with a random order."""
+    u = Universe([f"e{k}" for k in range(size)])
+    pairs = [(x, y) for x in range(size) for y in range(size) if rng.random() < min(0.3, 3 / size)]
+    return Gotas(u, topology_from_relation(BinaryRelation(u, pairs)), random_order(rng, u))
+
+
+def test_the_base_operators_meet_the_premises_of_the_laws():
+    # Every subset and cover pair of 1-10-point spaces; past the cap, the
+    # kernel classes, their complements and drawn subsets.
+    rng = random.Random(15)
+    for i in range(80):
+        size = 1 + i % 10
+        space = random_space(rng, size) if i % 2 else _relation_space(rng, size)
+        assert _broken_premises(space, list(range(1 << size))) == [], space
+    for size in (17, 24, 32, 40, 48, 56, 64):
+        u = Universe([f"e{k}" for k in range(size)])
+        for space in (random_space(rng, size), _relation_space(rng, size),
+                      partition_space(u, random_partition(rng, u))):
+            classes = {m for d in (INC, DEC) for m in space.kernel[d]}
+            rows = [*classes, *(u.full_mask ^ m for m in classes),
+                    *(rng.getrandbits(size) for _ in range(64))]
+            assert _broken_premises(space, rows) == [], space
 
 
 def _preorders(n):
