@@ -4,6 +4,11 @@ Reads a space document (JSON), builds the space and runs reports or
 checks. Exit codes are a stable contract: 0 success / all checks pass,
 1 check failure, 2 input or usage error.
 
+``COMMANDS`` is the table of the four commands: each one's function and
+its ``Option``s. ``parse_command_line`` reads a command line from it in
+one pass over the tokens, and the usage lines and --help are written
+from it.
+
 Building is two steps. ``parse_document`` checks the shape of the JSON
 object and returns it, with its options filled in. ``build_space`` then
 resolves each label once, straight into bitmasks: the minimal
@@ -22,17 +27,16 @@ Document schema::
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import json
 import os
 import random
 import reprlib
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from . import oracle
 from .approximations import (
@@ -250,8 +254,8 @@ def cmd_topology(file: str) -> None:
     _echo(f"{g.universe.texts(opens)}\ncount: {len(opens)}")
 
 
-def cmd_analyze(file: str, set_labels: str, family: str | None, direction: str | None,
-                fmt: str) -> None:
+def cmd_analyze(file: str, set_labels: str, family: str | None = None,
+                direction: str | None = None, fmt: str = "table") -> None:
     """Approximation report for one subset: lower/upper approximations,
     regions, accuracy and exactness per family and direction."""
     g = _space_or_exit(file)
@@ -290,8 +294,8 @@ def cmd_analyze(file: str, set_labels: str, family: str | None, direction: str |
     _echo("\n".join((f"A = {a}", *lines)))
 
 
-def cmd_check(file: str, exhaustive: bool, samples: int | None, seed: int,
-              fmt: str, corrupt_gamma: bool) -> None:
+def cmd_check(file: str, exhaustive: bool = False, samples: int | None = None, seed: int = 0,
+              fmt: str = "table", corrupt_gamma: bool = False) -> None:
     """Run the law catalogue; exit 0 only if every law holds."""
     if exhaustive and samples is not None:
         _fail_input("--exhaustive and --samples are mutually exclusive")
@@ -347,44 +351,163 @@ def cmd_oracle_diff(file: str) -> None:
         sys.exit(EXIT_CHECK_FAILED)
 
 
-_PARSER = argparse.ArgumentParser(
-    prog="gotas", allow_abbrev=False, description="Rough approximation reports and law "
-    "checks over ordered topological spaces described by JSON documents.")
-_COMMANDS = _PARSER.add_subparsers(metavar="COMMAND", required=True)
-# Options that take the next token as their value, even `-a`, which argparse reads as an option.
-_VALUED: set[str] = set()
+class Option(NamedTuple):
+    """One option of a command: ``flag`` sets the keyword ``dest`` of the
+    command's function, which gives the default. ``kind`` is ``bool`` for a
+    switch, which takes no value; ``str`` or ``int`` for a value, converted
+    by it; or the tuple of the values allowed."""
+    flag: str
+    dest: str
+    kind: type | tuple[str, ...]
+    metavar: str = ""
+    help: str = ""
+    required: bool = False
+    hidden: bool = False
+
+    def shown(self) -> str:
+        """The flag and metavar, as the usage line and help show them."""
+        if self.kind is bool:
+            return self.flag
+        return f"{self.flag} {self.metavar or '{%s}' % ','.join(self.kind)}"
 
 
-def _command(name: str, run, *options: tuple[str, dict]) -> None:
-    """Adds ``run`` as command ``name``, its help taken from its docstring."""
-    sub = _COMMANDS.add_parser(name, allow_abbrev=False, help=run.__doc__.partition(".")[0],
-                               description=run.__doc__)
-    sub.add_argument("file", metavar="FILE")
-    for flag, spec in options:
-        sub.add_argument(flag, **spec)
-    _VALUED.update(flag for flag, spec in options if "action" not in spec)
-    sub.set_defaults(run=run)
+_FORMAT = Option("--format", "fmt", ("table", "json"), help="Output layout (default: table).")
+# The command table: each command's function and options. It drives
+# `parse_command_line`, the usage lines and --help; each command's help is
+# its function's docstring.
+COMMANDS: dict[str, tuple[Callable[..., None], tuple[Option, ...]]] = {
+    "topology": (cmd_topology, ()),
+    "analyze": (cmd_analyze, (
+        Option("--set", "set_labels", str, "LABELS",
+               "Comma separated element labels; empty string for the empty set.", required=True),
+        Option("--family", "family", tuple(_FAMILY_CHOICES),
+               help="Restrict to one operator family."),
+        Option("--direction", "direction", tuple(_DIRECTION_CHOICES),
+               help="Restrict to one direction."),
+        _FORMAT)),
+    "check": (cmd_check, (
+        Option("--exhaustive", "exhaustive", bool,
+               help="All subsets and all pairs; universe size capped."),
+        Option("--samples", "samples", int, "N",
+               "Check N random subsets/pairs instead of all of them."),
+        Option("--seed", "seed", int, "SEED", "Seed for sampled mode (default: 0)."),
+        _FORMAT,
+        Option("--corrupt-gamma", "corrupt_gamma", bool, hidden=True))),
+    "oracle-diff": (cmd_oracle_diff, ()),
+}
+_HELP = ("-h", "--help")
 
 
-_FORMAT = ("--format", {"dest": "fmt", "choices": ("table", "json"), "default": "table"})
-_command("topology", cmd_topology)
-_command("analyze", cmd_analyze,
-         ("--set", {"dest": "set_labels", "required": True, "metavar": "LABELS",
-                    "help": "Comma separated element labels; empty string for the empty set."}),
-         ("--family", {"choices": _FAMILY_CHOICES, "help": "Restrict to one operator family."}),
-         ("--direction", {"choices": _DIRECTION_CHOICES, "help": "Restrict to one direction."}),
-         _FORMAT)
-_command("check", cmd_check,
-         ("--exhaustive", {"action": "store_true",
-                           "help": "All subsets and all pairs; universe size capped."}),
-         ("--samples", {"type": int, "metavar": "N",
-                        "help": "Check N random subsets/pairs instead of all of them."}),
-         ("--seed", {"type": int, "default": 0, "help": "Seed for sampled mode (default: 0)."}),
-         _FORMAT, ("--corrupt-gamma", {"action": "store_true", "help": argparse.SUPPRESS}))
-_command("oracle-diff", cmd_oracle_diff)
+def _usage(name: str | None) -> str:
+    if name is None:
+        return "usage: gotas [-h] COMMAND ..."
+    shown = [o.shown() if o.required else f"[{o.shown()}]"
+             for o in COMMANDS[name][1] if not o.hidden]
+    return " ".join(("usage: gotas", name, "[-h]", *shown, "FILE"))
 
 
-def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+def _usage_error(name: str | None, message: str) -> NoReturn:
+    """Writes the usage and ``message`` to stderr and exits 2."""
+    prog = "gotas" if name is None else f"gotas {name}"
+    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {message}\n")
+    sys.exit(EXIT_INPUT_ERROR)
+
+
+def _listing(rows: list[tuple[str, str]]) -> str:
+    width = max(len(left) for left, _ in rows) + 2
+    return "".join(f"  {left:<{width}}{right}".rstrip() + "\n" for left, right in rows)
+
+
+def _help(name: str | None) -> NoReturn:
+    """Writes the help of command ``name``, or of the program, to stdout and exits 0."""
+    options: tuple[Option, ...] = ()
+    if name is None:
+        text = ("Rough approximation reports and law checks over ordered topological spaces\n"
+                "described by JSON documents.\n\ncommands:\n" + _listing(
+                    [(cmd, " ".join(run.__doc__.partition(".")[0].split()))
+                     for cmd, (run, _) in COMMANDS.items()]))
+    else:
+        run, options = COMMANDS[name]
+        text = "\n".join(line.strip() for line in run.__doc__.splitlines()) + "\n"
+    rows = [("-h, --help", "show this help message and exit"),
+            *((o.shown(), o.help) for o in options if not o.hidden)]
+    try:
+        sys.stdout.write(f"{_usage(name)}\n\n{text}\noptions:\n{_listing(rows)}")
+    except OSError:  # a closed stdout pipe: help still exits 0, quietly
+        pass
+    sys.exit(0)
+
+
+def _value(name: str, option: Option, value: str) -> str | int:
+    """``value`` as ``option`` takes it; a usage error if it cannot."""
+    if option.kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            _usage_error(name, f"argument {option.flag}: invalid int value: {value!r}")
+    if option.kind is not str and value not in option.kind:
+        _usage_error(name, f"argument {option.flag}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(map(repr, option.kind))})")
+    return value
+
+
+def parse_command_line(tokens: Sequence[str]) -> tuple[Callable[..., None], dict]:
+    """The function of the command that ``tokens`` name, with its keyword
+    arguments, from one pass over the tokens. FILE is given once, before or
+    after the options; a value option takes ``--opt value`` or
+    ``--opt=value``, the value as is; a switch takes no value; a repeated
+    option keeps its last value; ``--`` ends the options. -h/--help exits 0
+    with the help; a usage error exits 2, reported as soon as a value is
+    refused, otherwise once every token is read."""
+    if not tokens:
+        _usage_error(None, "the following arguments are required: COMMAND")
+    name = tokens[0]
+    if name in _HELP:
+        _help(None)
+    if name not in COMMANDS:
+        _usage_error(None, f"argument COMMAND: invalid choice: {name!r} "
+                           f"(choose from {', '.join(map(repr, COMMANDS))})")
+    run, options = COMMANDS[name]
+    flags = {o.flag: o for o in options}
+    kwargs: dict = {}
+    file, extras, ended = None, [], False
+    rest = iter(tokens[1:])
+    for token in rest:
+        if token == "--" and not ended:
+            ended = True
+        elif ended or token[:1] != "-" or token == "-":
+            if file is None:
+                file = token
+            else:
+                extras.append(token)
+        else:
+            flag, eq, value = token.partition("=")
+            option = flags.get(flag)
+            if option is None:
+                if token in _HELP:
+                    _help(name)
+                extras.append(token)
+            elif option.kind is bool:
+                if eq:
+                    _usage_error(name, f"argument {flag}: ignored explicit argument {value!r}")
+                kwargs[option.dest] = True
+            else:
+                if not eq:
+                    value = next(rest, None)
+                    if value is None:
+                        _usage_error(name, f"argument {flag}: expected one argument")
+                kwargs[option.dest] = _value(name, option, value)
+    missing = [o.flag for o in options if o.required and o.dest not in kwargs]
+    if file is None:
+        missing.insert(0, "FILE")
+    if missing:
+        _usage_error(name, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(name, f"unrecognized arguments: {' '.join(extras)}")
+    return run, {"file": file, **kwargs}
+
+
+def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoReturn:
     """Runs the command line ``args`` (default ``sys.argv[1:]``) and exits with its
     code. ``main.main`` is this function, which the benchmark calls; usage lines
     name ``gotas`` whatever ``prog_name``."""
@@ -392,14 +515,10 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
         reconfigure = getattr(stream, "reconfigure", None)
         if reconfigure and codecs.lookup(stream.encoding).name != "utf-8":
             reconfigure(encoding="utf-8", errors=stream.errors)
-    tokens = list(sys.argv[1:] if args is None else args)
-    for i in range(len(tokens) - 1):  # `--opt value` becomes `--opt=value`, None
-        if tokens[i] in _VALUED:
-            tokens[i:i + 2] = f"{tokens[i]}={tokens[i + 1]}", None
     try:
         try:
-            options = vars(_PARSER.parse_args([t for t in tokens if t is not None]))
-            options.pop("run")(**options)
+            run, kwargs = parse_command_line(sys.argv[1:] if args is None else args)
+            run(**kwargs)
         finally:
             sys.stdout.flush()
     except KeyboardInterrupt:

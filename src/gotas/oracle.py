@@ -246,6 +246,22 @@ class PropositionReport:
 # f(A∩B) lies in f(A) and f(B) and both lie in f(A∪B). ⇒: at a pair A ⊆ B
 # that breaks monotonicity, A∩B = A and A∪B = B, so the stated ∩, ∪ or Neg
 # clause fails. ``_breaks`` turns the row into claims over comparable pairs.
+#
+# The premises each law group uses, in a direction d, with I(A) = r_lower(A, d)
+# and C(A) = r_upper(A, d); by the family definitions a lower is A ∩ … and an upper A ∪ …:
+#   sandwich: I deflationary, C inflationary, the family definitions.
+#   3.2, 3.3, 3.12, 3.13 (monotone rows): I and C monotone, the family definitions.
+#   3.18, 3.19 (antitone Neg): I and C monotone, Neg(A, d) = U − upper(A, opp).
+#   3.4, 3.14 (exactness carries over): I deflationary, C inflationary; IA = CA forces A = IA = CA.
+#   3.5, 3.15 (R lower within): I deflationary and monotone, C inflationary.
+#   3.6, 3.16 (within R upper): I deflationary, C inflationary and monotone.
+#   3.7, 3.8, 3.9 (semi and pre within gamma): the family definitions alone.
+#   3.10 (beta upper within pre upper): I deflationary.
+#   3.20, 3.28b (semi, gamma, beta lower ascending): I monotone, C inflationary and monotone.
+#   3.23, 3.28a (accuracies): the premises of 3.5, 3.6, 3.15, 3.16 and 3.28b, and I deflationary.
+#   3.26, 3.27 (boundaries within R's): the premises of 3.5, 3.6, 3.15 and 3.16.
+#   duality: C(A, d) = U − I(U − A, opp), and Neg's definition.
+#   3.21, 3.25: these premises do not suffice; see the proof in ``open_upper_failure``.
 
 
 def _sandwich(rows):

@@ -1026,31 +1026,91 @@ def _gotas(*args, stdout=subprocess.PIPE):
                           stderr=subprocess.PIPE, env=_SUBPROCESS_ENV, text=True)
 
 
-@pytest.mark.parametrize("args", [[], ["topology"], ["analyze"], ["check"], ["oracle-diff"]])
+# What each help lists: the program's lists the commands, a command's its options.
+HELP_LISTS = {
+    (): ["topology", "analyze", "check", "oracle-diff"],
+    ("topology",): [],
+    ("analyze",): ["--set LABELS", "--family {r,s,p,gamma,beta}", "--direction {inc,dec}",
+                   "--format {table,json}"],
+    ("check",): ["--exhaustive", "--samples N", "--seed SEED", "--format {table,json}"],
+    ("oracle-diff",): [],
+}
+
+
+@pytest.mark.parametrize("args", HELP_LISTS, ids=lambda args: " ".join(args) or "program")
 def test_help_exits_0_with_usage_on_stdout(args):
     result = _gotas(*args, "--help")
     assert result.returncode == 0
     assert "usage:" in result.stdout.lower()
+    assert all(f"\n  {item}  " in result.stdout for item in HELP_LISTS[args])
     assert "--corrupt-gamma" not in result.stdout
     assert result.stderr == ""
 
 
-@pytest.mark.parametrize("args", [
-    [],
-    ["bogus", "{doc}"],
-    ["topology", "{doc}", "--bogus"],
-    ["analyze", "{doc}"],
-    ["check", "{doc}", "--samples", "x"],
-    ["analyze", "{doc}", "--set", "a", "--family", "bogus"],
-    ["topology", "{doc}", "{doc}"],
-    ["check", "{doc}", "--exh"],
+@pytest.mark.parametrize("args, named", [
+    ([], ["COMMAND"]),
+    (["bogus", "{doc}"], ["'bogus'"]),
+    (["topology", "{doc}", "--bogus"], ["--bogus"]),
+    (["analyze", "{doc}"], ["--set"]),
+    (["check", "{doc}", "--samples", "x"], ["--samples", "'x'"]),
+    (["analyze", "{doc}", "--set", "a", "--family", "bogus"], ["--family", "'bogus'"]),
+    (["topology", "{doc}", "{doc}"], ["{doc}"]),
+    (["check", "{doc}", "--exh"], ["--exh"]),
+    (["check", "{doc}", "--exhaustive=1"], ["--exhaustive", "'1'"]),
+    (["analyze", "{doc}", "--set"], ["--set"]),
+    (["check", "{doc}", "--seed", "x"], ["--seed", "'x'"]),
+    (["check", "{doc}", "--format", "xml"], ["--format", "'xml'"]),
+    (["analyze", "{doc}", "--set", "a", "--direction", "up"], ["--direction", "'up'"]),
+    (["check", "--exhaustive", "{doc}", "second.json"], ["second.json"]),
 ], ids=["no-command", "unknown-command", "unknown-option", "missing-set", "samples-not-int",
-        "unknown-family", "extra-file", "abbreviated-option"])
-def test_usage_errors_exit_2_with_nothing_on_stdout(args):
+        "unknown-family", "extra-file", "abbreviated-option", "switch-given-a-value",
+        "value-option-last", "seed-not-int", "unknown-format", "unknown-direction",
+        "second-file"])
+def test_usage_errors_exit_2_with_nothing_on_stdout(args, named):
     result = _gotas(*(arg.format(doc=EXAMPLE_DOC) for arg in args))
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr != ""
+    lines = result.stderr.splitlines()
+    assert lines[0].startswith("usage: gotas")
+    assert all(token.format(doc=EXAMPLE_DOC) in lines[-1] for token in named), lines[-1]
+
+
+@pytest.mark.parametrize("usual, form", [
+    (["analyze", "{doc}", "--set", "a,c", "--family", "beta"],
+     ["analyze", "--set", "a,c", "--family", "beta", "{doc}"]),
+    (["analyze", "{doc}", "--set", "a,c", "--family", "beta", "--format", "json"],
+     ["analyze", "--set=a,c", "{doc}", "--family=beta", "--format=json"]),
+    (["check", "{doc}", "--samples", "8", "--seed", "3"],
+     ["check", "--format", "json", "--samples=8", "{doc}", "--seed", "3", "--format", "table"]),
+    (["check", "{probe}", "--exhaustive", "--format", "json"],
+     ["check", "--format", "table", "--exhaustive", "--format", "json", "--", "{probe}"]),
+    (["topology", "{doc}"], ["topology", "--", "-x.json"]),
+], ids=["options-before-file", "opt=value", "repeated-format", "double-dash", "dash-file"])
+def test_accepted_forms_match_the_usual_form(tmp_path, monkeypatch, usual, form):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.json").write_text(EXAMPLE_DOC.read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "-x.json").write_text(EXAMPLE_DOC.read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "probe.json").write_text(json.dumps(PROBE_DOC), encoding="utf-8")
+
+    def run(args):
+        return invoke([arg.format(doc="doc.json", probe="probe.json") for arg in args])
+
+    expected, result = run(usual), run(form)
+    assert expected.stdout and expected.stderr == ""
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        expected.exit_code, expected.stdout, expected.stderr)
+
+
+@pytest.mark.parametrize("args", [[], ["check"]], ids=["program", "check"])
+def test_help_into_a_closed_stdout_pipe_exits_0_quietly(args):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = _gotas(*args, "--help", stdout=write)
+    finally:
+        os.close(write)
+    assert result.returncode == 0
+    assert result.stderr == ""
 
 
 def test_a_closed_stdout_pipe_exits_1_quietly():
@@ -1064,9 +1124,9 @@ def test_a_closed_stdout_pipe_exits_1_quietly():
     assert result.stderr == ""
 
 
-@pytest.mark.parametrize("label", ["-a", "-1"])
+@pytest.mark.parametrize("label", ["-a", "-1", "--"])
 def test_set_takes_a_label_that_starts_with_a_dash(tmp_path, label):
-    path = write_doc(tmp_path, {"universe": ["-a", "-1", "b"], "base": [["-a"], ["-1"]],
+    path = write_doc(tmp_path, {"universe": ["-a", "-1", "--", "b"], "base": [["-a"], ["-1"]],
                                 "order": []})
     result = _gotas("analyze", path, "--set", label, "--family", "r", "--format", "json")
     assert result.returncode == 0, result.stderr
@@ -1115,6 +1175,15 @@ def test_gotas_cli_imports_without_pathlib():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=_SUBPROCESS_ENV)
     assert result.returncode == 0, result.stderr
+
+
+def test_gotas_cli_runs_without_argparse():
+    code = ('import sys; sys.modules["argparse"] = None; from gotas import cli; '
+            f'cli.main(["topology", {str(EXAMPLE_DOC)!r}])')
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=_SUBPROCESS_ENV)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == TOPOLOGY_GOLDEN
 
 
 @pytest.mark.parametrize("path, reason", [
