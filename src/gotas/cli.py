@@ -51,10 +51,11 @@ from .universe import Subset, Universe, flags
 
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-# A sampled check's memory grows with the sample count: 65536 samples on a 200-point
-# sparse relation take about 0.8 s and peak near 152 MB (BENCH_38.json). Its pairs
-# come from one getrandbits block of 2n bits per sample, at most 2**29 bits under
-# this cap and MAX_POINTS; getrandbits takes a C int.
+# A sampled check's memory grows with the samples and the points: 65536 samples on a
+# sparse relation (n loops, n random pairs) peak near 154 MB in 0.6 s at 200 points,
+# 291 MB in 1.4 s at 400 and 567 MB in 3.4 s at 800, about 0.7 MB a point, so roughly
+# 2.9 GB at MAX_POINTS (BENCH_44.json). Its pairs are one getrandbits block of 2n bits
+# per sample, at most 2**29 bits under this cap and MAX_POINTS (getrandbits takes a C int).
 MAX_SAMPLES = 1 << 16
 # The most opens `topology` lists; n points can carry up to 2**n. Listing the 65536
 # opens of the 16-point discrete space takes 45-70 ms and peaks near 30 MB.

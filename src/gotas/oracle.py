@@ -3,10 +3,11 @@
 The oracle recomputes the directed base approximations from their defining
 property, independently of the minimal-neighborhood kernel used by the fast
 operators. It builds its own open family from a base of the generators,
-marks per direction the monotone opens and monotone closeds among the 2ⁿ
-powerset lanes, and picks the greatest candidate inside every subset (or
-the smallest around it) one point column at a time, by an upward
-(downward) closure in the subset lattice, asserting each pick is unique.
+marks per direction the monotone opens among the 2ⁿ powerset lanes, and
+picks the greatest candidate inside every subset one point column at a
+time, by one upward closure in the subset lattice per direction, asserting
+each pick is unique. The smallest candidate around A, the upper, is U minus
+the opposite pick inside U − A: in the powerset, a reversal of the lanes.
 The picks form one table of columns per space, ``oracle_table``;
 ``oracle_diff`` compares it, column by column, with the fast operators run
 on the powerset batch. The table and an exhaustive check both scan the 2ⁿ
@@ -34,7 +35,7 @@ import string
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from itertools import chain
-from operator import and_, gt, or_, xor
+from operator import gt, or_, xor
 from typing import Callable
 
 from . import approximations as approx
@@ -49,7 +50,7 @@ from .approximations import (
 from .order import PartialOrder, validate_order
 from .topology import Topology, generate_topology, points_meeting, points_within
 from .universe import (Batch, Groups, Subset, Universe, _beyond, _counting_columns, _pack,
-                       _points, _transpose, from_flags, random_columns, union_over)
+                       _points, _reverse, _transpose, from_flags, random_columns, union_over)
 
 # The most points whose 2**n subsets the oracle table or an exhaustive check
 # scans: at 16 the slowest measured shape, a failing check, takes about
@@ -94,14 +95,18 @@ def oracle_table(g: Gotas) -> dict[Direction, tuple[tuple[int, ...], tuple[int, 
     subset with bitmask a: bit a of column x is set iff x is in the greatest
     d-monotone open inside a (or the smallest d-monotone closed around a).
 
-    That is iff a lies above a candidate holding x (or below none missing
-    x): an upward (downward) closure in the subset lattice. The union of
-    the candidates inside a is the greatest one iff it is itself one
-    (dually around a). It has a's candidates inside it, so it picks itself,
-    as does every candidate: all picks are candidates iff the lanes that
-    pick themselves are the candidate lanes. If not, the columns are
-    transposed and the first subset whose pick is no candidate is handed
-    to the per-subset pick, which raises."""
+    Inside a, that is iff a lies above a candidate holding x: one upward
+    closure in the subset lattice per direction. The union of the candidates
+    inside a is the greatest one iff it is itself one. It has a's candidates
+    inside it, so it picks itself, as does every candidate: all picks are
+    candidates iff the lanes that pick themselves are the candidate lanes.
+    If not, the columns are transposed and the first subset whose pick is no
+    candidate is handed to the per-subset pick, which raises. Around a, by
+    complement: a set is d-monotone iff U minus it is opposite-monotone, so
+    the pick is U minus the opposite pick inside U − a, in lane 2**n − 1 − a,
+    which has raised if not unique. So each upper column is an opposite lower
+    column reversed and complemented, and the decreasing lanes are the
+    increasing ones reversed."""
     _guard_cap(g)
     has = _counting_columns(g.universe.size)  # has[x]: the lanes holding point x
     width = 1 << len(has)
@@ -110,30 +115,27 @@ def oracle_table(g: Gotas) -> dict[Direction, tuple[tuple[int, ...], tuple[int, 
     for o in open_family(g.topology):
         is_open[o] = 1
     opens = from_flags(is_open)
-    closeds = from_flags(is_open[::-1])  # lane full ^ a is lane width - 1 - a
-    table = {}
+    rising = 0  # the lanes holding some x but missing a point above x: not increasing
+    for x, r in enumerate(g.order.succ):
+        for y in _points(r):
+            rising |= has[x] & ~has[y]
+    broken = {Direction.INC: rising, Direction.DEC: _reverse(rising, width)}
+    lower = {}
     for d in DIRECTION_ORDER:
-        broken = 0  # the lanes holding some x but missing a point of reach(x)
-        for x, r in enumerate(g.order.succ if d is Direction.INC else g.order.pred):
-            for y in _points(r):
-                broken |= has[x] & ~has[y]
-        inside, around = opens & ~broken, closeds & ~broken
-        lo, up = [], []
+        inside, cols = opens & ~broken[d], []
         for c in has:
-            low, high = inside & c, around & ~c
+            low = inside & c
             for k, p in enumerate(has):
                 low |= low << (1 << k) & p  # lane a without k reaches a ∪ {k}
-                high |= (high & p) >> (1 << k)  # lane a with k reaches a - {k}
-            lo.append(low)
-            up.append(lanes ^ high)
-        table[d] = tuple(lo), tuple(up)
-        for cols, candidates, pick in zip(table[d], (inside, around),
-                                          (_greatest_inside, _smallest_around)):
-            if lanes & ~reduce(or_, map(xor, cols, has)) != candidates:
-                allowed = list(_points(candidates))
-                rows, known = _transpose(cols, width), set(allowed)
-                pick(g.universe, allowed, next(a for a, r in enumerate(rows) if r not in known))
-    return table
+            cols.append(low)
+        if lanes & ~reduce(or_, map(xor, cols, has)) != inside:
+            allowed = list(_points(inside))
+            rows, known = _transpose(cols, width), set(allowed)
+            _greatest_inside(g.universe, allowed,
+                             next(a for a, r in enumerate(rows) if r not in known))
+        lower[d] = tuple(cols)
+    return {d: (lower[d], tuple(lanes ^ _reverse(c, width) for c in lower[d.opposite]))
+            for d in DIRECTION_ORDER}
 
 
 def _greatest_inside(u: Universe, candidates: list[int], a: int) -> int:
@@ -145,20 +147,6 @@ def _greatest_inside(u: Universe, candidates: list[int], a: int) -> int:
         c = next(c for c in inside if c & ~best)
         raise RuntimeError(
             f"no unique greatest candidate inside {u.from_bits(a)}: "
-            f"{u.from_bits(best)} vs {u.from_bits(c)}"
-        )
-    return best
-
-
-def _smallest_around(u: Universe, candidates: list[int], a: int) -> int:
-    """The smallest candidate around ``a``; it must lie within every other
-    candidate around ``a``."""
-    around = [c for c in candidates if not a & ~c]
-    best = min(around, key=int.bit_count)
-    if reduce(and_, around) != best:
-        c = next(c for c in around if best & ~c)
-        raise RuntimeError(
-            f"no unique smallest candidate around {u.from_bits(a)}: "
             f"{u.from_bits(best)} vs {u.from_bits(c)}"
         )
     return best
@@ -247,10 +235,11 @@ class PropositionReport:
 # that breaks monotonicity, A∩B = A and A∪B = B, so the stated ∩, ∪ or Neg
 # clause fails. ``_breaks`` turns the row into claims over comparable pairs.
 #
-# The premises each law group uses, in a direction d, with I(A) = r_lower(A, d)
-# and C(A) = r_upper(A, d); by the family definitions a lower is A ∩ … and an upper A ∪ …:
-#   sandwich: I deflationary, C inflationary, the family definitions.
-#   3.2, 3.3, 3.12, 3.13 (monotone rows): I and C monotone, the family definitions.
+# The premises each law group uses, in a direction d, with I(A) = r_lower(A, d) and
+# C(A) = r_upper(A, d), and, but for duality, the definitions of the families it reads,
+# compositions of I and C (a lower is A ∩ …, an upper A ∪ …):
+#   sandwich: I deflationary, C inflationary.
+#   3.2, 3.3, 3.12, 3.13 (monotone rows): I and C monotone.
 #   3.18, 3.19 (antitone Neg): I and C monotone, Neg(A, d) = U − upper(A, opp).
 #   3.4, 3.14 (exactness carries over): I deflationary, C inflationary; IA = CA forces A = IA = CA.
 #   3.5, 3.15 (R lower within): I deflationary and monotone, C inflationary.

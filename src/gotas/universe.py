@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # Swaps the binary digits b"0", b"1" and the flag bytes 0, 1, both ways.
 _SWAP = bytes.maketrans(b"01\x00\x01", b"\x00\x0101")
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
 
 def flags(bits: int, width: int = 0) -> bytes:
@@ -32,6 +33,14 @@ def from_flags(data: bytes) -> int:
     """The mask with bit x set where byte x of ``data`` is 1: the inverse
     of ``flags``; 0 for no bytes."""
     return int(data[::-1].translate(_SWAP) or b"0", 2)
+
+
+def _reverse(bits: int, width: int) -> int:
+    """``bits`` with bit x moved to bit width - 1 - x: its bytes, lowest first
+    and each reversed, read back highest first, less the padding."""
+    size = -(-width // 8)
+    data = bits.to_bytes(size, "little").translate(_REVERSED)
+    return int.from_bytes(data, "big") >> 8 * size - width
 
 
 def union_over(masks: Sequence[int], bits: int) -> int:
@@ -50,7 +59,7 @@ class Universe:
     same Universe object, not merely an equal label list.
     """
 
-    __slots__ = ("labels", "full_mask", "positions", "_digits", "_encoded")
+    __slots__ = ("labels", "full_mask", "positions", "_encoded")
 
     def __init__(self, labels: Iterable[str]) -> None:
         labels = tuple(labels)
@@ -64,7 +73,6 @@ class Universe:
         self.labels = labels
         self.full_mask = (1 << len(labels)) - 1
         self.positions = index  # label -> index; ``index`` also names an unknown label
-        self._digits = f"0{len(labels)}b"
         self._encoded: tuple[str, ...] | None = None
 
     @property
@@ -98,7 +106,7 @@ class Universe:
     def reverse(self, bits: int) -> int:
         """``bits`` bit-reversed over the universe, so that point 0 sits in
         the top bit; reversing twice gives ``bits`` back."""
-        return int(format(bits, self._digits)[::-1], 2)
+        return _reverse(bits, len(self.labels))
 
     def texts(self, rmasks: Sequence[int]) -> str:
         """The bit-reversed masks ``rmasks``, each written as ``str`` writes

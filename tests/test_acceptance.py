@@ -22,7 +22,8 @@ from gotas.oracle import (
 )
 from gotas.universe import Universe
 
-from conftest import (EXAMPLE_DOC, acceptance_spaces, invoke, make_example_space, make_probe_space,
+from cli_invoke import invoke
+from conftest import (EXAMPLE_DOC, acceptance_spaces, make_example_space, make_probe_space,
                       partition_space, random_partition)
 
 INC, DEC = Direction.INC, Direction.DEC

@@ -20,7 +20,8 @@ from gotas.cli import (
 )
 from gotas.oracle import POWERSET_CAP
 
-from conftest import EXAMPLE_DOC, REPO_ROOT, invoke, make_example_space
+from cli_invoke import invoke
+from conftest import EXAMPLE_DOC, REPO_ROOT, make_example_space
 from test_cli_digests import COMMANDS, DOC, NEEDLE, corpus
 from test_oracle import FLIPPED_R_LOWER_LINES
 
@@ -1155,7 +1156,7 @@ _CLICK_IMPORT = re.compile(r"\s*(?:from\s+click[\s.]|import\s+(?:[\w.]+\s*,\s*)*
 
 
 def test_click_is_gone_from_the_project():
-    # The tests run the CLI through conftest.invoke, as the benchmark runs it.
+    # The tests run the CLI through cli_invoke.invoke, as the benchmark runs it.
     found = [
         f"{path.relative_to(REPO_ROOT)}: {text.strip()}"
         for top in ("src", "scripts", "tests")

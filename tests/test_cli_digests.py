@@ -8,7 +8,10 @@ output, message or exit code on the corpus shows up as a mismatched case.
 
 For a deliberate change of output, ``PYTHONPATH=src python
 tests/test_cli_digests.py`` rewrites that table from the current code and
-prints the name of each case it adds, changes or removes.
+prints the name of each case it adds, changes or removes. With ``--check``
+it only compares: it prints each mismatched case and a count, and exits 1
+if there is any. That needs no pytest, so it runs under every Python the
+project supports (``test_python_versions.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import random
 from pathlib import Path
 
-from conftest import invoke
+from cli_invoke import invoke
 
 TABLE = Path(__file__).with_name("cli_digests.json")
 DOC = "doc.json"
@@ -137,6 +140,7 @@ def test_cli_bytes_match_the_digest_table(tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     import os
+    import sys
     import tempfile
 
     table = TABLE.resolve()
@@ -144,6 +148,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         new = digests()
+    if sys.argv[1:] == ["--check"]:
+        wrong = [name for name in {**old, **new} if old.get(name) != new.get(name)]
+        for name in wrong:
+            print(name)
+        print(f"{len(new)} cases, {len(wrong)} mismatches")
+        sys.exit(1 if wrong else 0)
     table.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
     for name, digest in new.items():
         if old.get(name) != digest:

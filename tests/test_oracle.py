@@ -35,7 +35,6 @@ from gotas.oracle import (
     random_order,
     random_space,
     _greatest_inside,
-    _smallest_around,
 )
 from gotas.universe import _counting_columns, _points
 
@@ -114,16 +113,13 @@ def test_fast_base_operators_match_the_oracle(g):
             assert ap.r_upper(g, a, d).bits == upper[a.bits]
 
 
-def test_pick_asserts_a_unique_greatest_and_smallest():
-    # {a} and {b} lie inside {a, b} but their union is not a candidate;
-    # {a, c} and {b, c} lie around {c} but their intersection is not.
+def test_pick_asserts_a_unique_greatest():
+    # {a} and {b} lie inside {a, b} but their union is not a candidate. The
+    # smallest pick around a subset is the complement of a greatest one.
     u = Universe(["a", "b", "c"])
     with pytest.raises(RuntimeError) as lower:
         _greatest_inside(u, [0b000, 0b001, 0b010], 0b011)
     assert str(lower.value) == "no unique greatest candidate inside {a, b}: {a} vs {b}"
-    with pytest.raises(RuntimeError) as upper:
-        _smallest_around(u, [0b101, 0b110, 0b111], 0b100)
-    assert str(upper.value) == "no unique smallest candidate around {c}: {a, c} vs {b, c}"
 
 
 def _outcome(build, space):
@@ -137,15 +133,26 @@ def _outcome(build, space):
 
 def _scanned_table(g):
     """The oracle table by one candidate scan per subset, from the order's
-    own monotone tests: the reference for ``oracle_table``."""
+    own monotone tests: the reference for ``oracle_table``. The lower picks
+    come first, Inc then Dec, as the oracle makes them; each upper is then
+    the smallest candidate around the subset, from its definition, and
+    must lie within every other one."""
     u, opens, full = g.universe, oracle.open_family(g.topology), g.universe.full_mask
-    table = {}
+    candidates = {}
     for d, mono in ((INC, g.order.is_increasing), (DEC, g.order.is_decreasing)):
-        monotone = [a.bits for a in u.subsets() if mono(a)]
-        inside = [a for a in monotone if a in opens]
-        around = [a for a in monotone if full ^ a in opens]
-        table[d] = ([_greatest_inside(u, inside, a) for a in range(full + 1)],
-                    [_smallest_around(u, around, a) for a in range(full + 1)])
+        candidates[d] = [a.bits for a in u.subsets() if mono(a)]
+    lower = {d: [_greatest_inside(u, [a for a in monotone if a in opens], a)
+                 for a in range(full + 1)] for d, monotone in candidates.items()}
+    table = {}
+    for d, monotone in candidates.items():
+        closed = [c for c in monotone if full ^ c in opens]
+        upper = []
+        for a in range(full + 1):
+            around = [c for c in closed if not a & ~c]
+            best = min(around, key=int.bit_count)
+            assert all(not best & ~c for c in around), (d, a)
+            upper.append(best)
+        table[d] = (lower[d], upper)
     return table
 
 
@@ -189,8 +196,9 @@ def test_a_family_without_unique_picks_raises_as_the_scan_does(monkeypatch, fami
 
 def test_perturbed_families_raise_as_the_scan_does(monkeypatch):
     # Toggling a few masks of the open family can leave a subset without a
-    # unique pick, inside or around it; the column check must then raise the
-    # per-subset scan's error, at the same subset.
+    # unique pick inside it; the column check must then raise the per-subset
+    # scan's error, at the same subset. A subset without a unique pick around
+    # it leaves its complement without one inside it, in the other direction.
     rng, family = random.Random(29), oracle.open_family
     texts = set()
     for _ in range(300):
@@ -203,7 +211,7 @@ def test_perturbed_families_raise_as_the_scan_does(monkeypatch):
         assert got == _outcome(_scanned_table, space), space
         if isinstance(got, tuple) and got[0] is RuntimeError:
             texts.add(got[1].split(" candidate ")[0])
-    assert texts == {"no unique greatest", "no unique smallest"}
+    assert texts == {"no unique greatest"}
 
 
 def test_table_uses_no_batch_and_no_kernel(monkeypatch):
@@ -237,10 +245,30 @@ def _names(code):
     return names
 
 
-@pytest.mark.parametrize("fn", [oracle.open_family, oracle_table, _greatest_inside,
-                                _smallest_around], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [oracle.open_family, oracle_table, _greatest_inside],
+                         ids=lambda fn: fn.__name__)
 def test_the_oracle_names_nothing_of_the_fast_path(fn):
     assert _names(fn.__code__) & _FAST_PATH == set()
+
+
+def test_the_oracle_reads_only_the_up_sets_of_the_order():
+    # The decreasing lanes are the increasing ones reversed, so the table
+    # names no down-set, and a down-set with a pair dropped changes nothing.
+    assert "pred" not in _names(oracle_table.__code__)
+    rng, dropped = random.Random(31), 0
+    for i in range(60):
+        space = random_space(rng, 2 + i % 6)
+        pred = list(space.order.pred)
+        pairs = [(y, x) for y, down in enumerate(pred) for x in _points(down) if x != y]
+        if not pairs:
+            continue
+        want = oracle_table(space)
+        y, x = rng.choice(pairs)
+        pred[y] ^= 1 << x
+        space.order.pred = tuple(pred)
+        assert oracle_table(space) == want, (space, x, y)
+        dropped += 1
+    assert dropped >= 40
 
 
 def test_discrete_space_at_the_oracle_cap_is_exact():
@@ -747,13 +775,24 @@ def test_chain_laws_hold_iff_each_kernel_has_an_open_upper(probe):
     assert [_chain_laws_hold(probe, d) for d in (INC, DEC)] == [(False, False)] * 2
 
 
-def _broken_premises(space, rows):
+# Each composed family's shipped definition from I and C: its lower is
+# A ∩ t(A) and its upper A ∪ t'(A), for these (t, t').
+_COMPOSITIONS = {
+    ap.OperatorFamily.S: (lambda i, c, a: c(i(a)), lambda i, c, a: i(c(a))),
+    ap.OperatorFamily.P: (lambda i, c, a: i(c(a)), lambda i, c, a: c(i(a))),
+    GAMMA: (lambda i, c, a: c(i(a)) | i(c(a)),) * 2,
+    BETA: (lambda i, c, a: c(i(c(a))), lambda i, c, a: i(c(i(a)))),
+}
+
+
+def _broken_premises(space, suite, rows):
     """The premises of open_upper_failure's proof and of the catalogue's
-    other laws that the shipped I = r_lower and C = r_upper break on the
-    subsets ``rows``, as (direction, premise) pairs. Monotonicity is
-    checked on the cover pairs (A, A ∪ {x}) of each A, which chain to every
-    comparable pair."""
-    lower, upper = DEFAULT_SUITE.lower[R], DEFAULT_SUITE.upper[R]
+    other laws that ``suite`` breaks on the subsets ``rows``, as
+    (direction, premise) pairs: I and C are the suite's own R rows, and a
+    family's definition holds where its rows are the shipped composition
+    of them. Monotonicity is checked on the cover pairs (A, A ∪ {x}) of
+    each A, which chain to every comparable pair."""
+    lower, upper = suite.lower[R], suite.upper[R]
     u = space.universe
     a = Batch.of(u, rows)
     covers = [Batch.of(u, [r | 1 << x for r in rows]) for x in range(u.size)]
@@ -770,6 +809,11 @@ def _broken_premises(space, rows):
             "C is the dual of the opposite I": c.differs(
                 lower(space, a.complement(), d.opposite).complement()),
         }
+        interior, closure = (lambda x: lower(space, x, d)), (lambda x: upper(space, x, d))
+        for family, (t_lower, t_upper) in _COMPOSITIONS.items():
+            lanes[f"{family.label} definition"] = (
+                suite.lower[family](space, a, d).differs(a & t_lower(interior, closure, a))
+                or suite.upper[family](space, a, d).differs(a | t_upper(interior, closure, a)))
         broken += [(d, premise) for premise, failed in lanes.items() if failed]
     return broken
 
@@ -789,7 +833,7 @@ def test_the_base_operators_meet_the_premises_of_the_laws():
     for i in range(80):
         size = 1 + i % 10
         space = random_space(rng, size) if i % 2 else _relation_space(rng, size)
-        assert _broken_premises(space, list(range(1 << size))) == [], space
+        assert _broken_premises(space, DEFAULT_SUITE, list(range(1 << size))) == [], space
     for size in (17, 24, 32, 40, 48, 56, 64):
         u = Universe([f"e{k}" for k in range(size)])
         for space in (random_space(rng, size), _relation_space(rng, size),
@@ -797,7 +841,7 @@ def test_the_base_operators_meet_the_premises_of_the_laws():
             classes = {m for d in (INC, DEC) for m in space.kernel[d]}
             rows = [*classes, *(u.full_mask ^ m for m in classes),
                     *(rng.getrandbits(size) for _ in range(64))]
-            assert _broken_premises(space, rows) == [], space
+            assert _broken_premises(space, DEFAULT_SUITE, rows) == [], space
 
 
 def _preorders(n):
@@ -946,6 +990,68 @@ def test_wrong_suites_fail_every_law_with_pinned_witnesses(g):
                 got[name, r.proposition] = (r.instances, violation.detail)
     assert got == WRONG_SUITE_WITNESSES
     assert {pid for _, pid in got} == set(PROPOSITION_IDS)
+
+
+def _definitions(*families):
+    return {f"{family.label} definition" for family in families}
+
+
+_I_DEFLATES, _I_MONOTONE, _I_IDEMPOTENT = "I deflationary", "I monotone", "I idempotent"
+_C_INFLATES, _C_MONOTONE = "C inflationary", "C monotone"
+_S, _P = ap.OperatorFamily.S, ap.OperatorFamily.P
+_BOUNDS = {_I_DEFLATES, _I_MONOTONE, _C_INFLATES, _C_MONOTONE}  # 3.5, 3.6, 3.15, 3.16 together
+# The premises each law uses, as the catalogue's comment block in
+# gotas/oracle.py gives them; for 3.21 and 3.25, those of the proof's ⇐ in
+# open_upper_failure, which also needs its open-upper condition.
+LAW_PREMISES = {
+    "sandwich": {_I_DEFLATES, _C_INFLATES, *_definitions(_S, _P, GAMMA, BETA)},
+    "3.2": {_I_MONOTONE, _C_MONOTONE, *_definitions(GAMMA)},
+    "3.3": {_I_MONOTONE, _C_MONOTONE, *_definitions(GAMMA)},
+    "3.12": {_I_MONOTONE, _C_MONOTONE, *_definitions(BETA)},
+    "3.13": {_I_MONOTONE, _C_MONOTONE, *_definitions(BETA)},
+    "3.18": {_I_MONOTONE, _C_MONOTONE, *_definitions(GAMMA)},
+    "3.19": {_I_MONOTONE, _C_MONOTONE, *_definitions(BETA)},
+    "3.4": {_I_DEFLATES, _C_INFLATES, *_definitions(GAMMA)},
+    "3.14": {_I_DEFLATES, _C_INFLATES, *_definitions(BETA)},
+    "3.5": {_I_DEFLATES, _I_MONOTONE, _C_INFLATES, *_definitions(GAMMA)},
+    "3.15": {_I_DEFLATES, _I_MONOTONE, _C_INFLATES, *_definitions(BETA)},
+    "3.6": {_I_DEFLATES, _C_INFLATES, _C_MONOTONE, *_definitions(GAMMA)},
+    "3.16": {_I_DEFLATES, _C_INFLATES, _C_MONOTONE, *_definitions(BETA)},
+    "3.7": _definitions(_P, GAMMA),
+    "3.8": _definitions(_S, GAMMA),
+    "3.9": _definitions(_P, GAMMA),
+    "3.10": {_I_DEFLATES, *_definitions(BETA, _P)},
+    "3.20": {_I_MONOTONE, _C_INFLATES, _C_MONOTONE, *_definitions(_S, GAMMA, BETA)},
+    "3.28b": {_I_MONOTONE, _C_INFLATES, _C_MONOTONE, *_definitions(GAMMA, BETA)},
+    "3.23": {*_BOUNDS, *_definitions(GAMMA, BETA)},
+    "3.28a": {*_BOUNDS, *_definitions(GAMMA, BETA)},
+    "3.26": {*_BOUNDS, *_definitions(GAMMA)},
+    "3.27": {*_BOUNDS, *_definitions(BETA)},
+    "duality": {"C is the dual of the opposite I"},
+    "3.21": {_I_DEFLATES, _I_MONOTONE, _I_IDEMPOTENT, _C_MONOTONE,
+             *_definitions(_S, GAMMA, BETA)},
+    "3.25": {_I_DEFLATES, _I_MONOTONE, _I_IDEMPOTENT, _C_MONOTONE,
+             *_definitions(_S, GAMMA, BETA)},
+}
+
+
+def test_every_law_a_wrong_suite_fails_uses_a_premise_it_breaks(g, probe):
+    # On every subset of the worked example and of the probe. Where
+    # open_upper_failure names a point, 3.21 and 3.25 fail under the
+    # shipped suite too, so they are exempt there.
+    assert LAW_PREMISES.keys() == set(PROPOSITION_IDS)
+    suites = {"corrupted": corrupted_suite(), **_wrong_suites()}
+    failed = dict.fromkeys(suites, 0)
+    for space in (g, probe):
+        exempt = {"3.21", "3.25"} if open_upper_failure(space) is not None else set()
+        for name, suite in suites.items():
+            broken = {premise for _, premise in
+                      _broken_premises(space, suite, list(range(1 << space.universe.size)))}
+            for r in check_propositions(space, suite=suite):
+                if not r.passed and r.proposition not in exempt:
+                    assert LAW_PREMISES[r.proposition] & broken, (name, r.proposition, broken)
+                    failed[name] += 1
+    assert all(failed.values()), failed
 
 
 # The row each binary law reads, (family, row field, antitone), and the

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from conftest import REPO_ROOT, invoke
+from cli_invoke import invoke
+from conftest import REPO_ROOT
 
 
 def _load(name):

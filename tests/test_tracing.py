@@ -8,7 +8,8 @@ import importlib.util
 import gotas.approximations as approx
 from gotas import cli, oracle
 
-from conftest import EXAMPLE_DOC, REPO_ROOT, invoke
+from cli_invoke import invoke
+from conftest import EXAMPLE_DOC, REPO_ROOT
 
 
 def _load_tracing():
