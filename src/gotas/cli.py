@@ -30,7 +30,6 @@ from __future__ import annotations
 import codecs
 import json
 import os
-import random
 import reprlib
 import sys
 from collections.abc import Callable, Iterable, Sequence
@@ -39,15 +38,10 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, NoReturn
 
 from . import oracle
-from .approximations import (
-    DIRECTION_ORDER,
-    FAMILY_ORDER,
-    Gotas,
-    full_report,
-)
+from .approximations import Direction, Gotas, OperatorFamily, full_report
 from .order import validate_order
 from .topology import BinaryRelation, generate_topology, topology_from_relation
-from .universe import Subset, Universe, flags
+from .universe import Universe, flags
 
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -208,11 +202,6 @@ def _space_or_exit(path: str) -> Gotas:
         _fail_input(str(e))
 
 
-def _parse_set(g: Gotas, labels: str) -> Subset:
-    names = [part.strip() for part in labels.split(",") if part.strip()]
-    return g.universe.subset(names)
-
-
 def _array(items: Iterable[str], indent: str) -> str:
     """The JSON array of ``items``, each written already, laid out as
     ``json.dumps(..., indent=2)`` lays out an array on a line that starts
@@ -221,9 +210,10 @@ def _array(items: Iterable[str], indent: str) -> str:
     return f"[\n  {indent}{text}\n{indent}]" if text else "[]"
 
 
-def _labels(u: Universe, bits: int, indent: str) -> str:
-    """The labels of ``bits`` as a JSON array, laid out as ``_array`` lays it out."""
-    return _array(compress(u.encoded, flags(bits)), indent)
+def _labels(encoded: Sequence[str], bits: int, indent: str) -> str:
+    """The labels of ``bits`` as a JSON array, laid out as ``_array`` lays it
+    out; ``encoded[x]`` is label x as JSON text."""
+    return _array(compress(encoded, flags(bits)), indent)
 
 
 # The two reports that --format json prints, each written as
@@ -242,9 +232,6 @@ _VIOLATION = '{\n          "space": %s,\n          "detail": %s\n        }'
 # The sets of an analyze row, as table columns and, in this order, _ROW's keys.
 _REGIONS = ("lower", "upper", "boundary", "positive", "negative")
 
-_FAMILY_CHOICES = {f.value: f for f in FAMILY_ORDER}
-_DIRECTION_CHOICES = {d.value: d for d in DIRECTION_ORDER}
-
 
 def cmd_topology(file: str) -> None:
     """Print every open set of the generated topology."""
@@ -261,36 +248,35 @@ def cmd_analyze(file: str, set_labels: str, family: str | None = None,
     regions, accuracy and exactness per family and direction."""
     g = _space_or_exit(file)
     try:
-        a = _parse_set(g, set_labels)
+        a = g.universe.subset(filter(None, map(str.strip, set_labels.split(","))))
     except ValueError as e:
         _fail_input(str(e))
-    fam, d = _FAMILY_CHOICES.get(family), _DIRECTION_CHOICES.get(direction)
-    rows = [(f, dd, r) for (f, dd), r in full_report(g, a).items()
-            if fam in (None, f) and d in (None, dd)]
+    rows = [(f, d, r) for (f, d), r in full_report(g, a).items()
+            if family in (None, f.value) and direction in (None, d.value)]
 
     if fmt == "json":  # rows share most sets, so each distinct set is written once
+        encoded = tuple(map(encode_basestring_ascii, g.universe.labels))
         masks = [[getattr(r, name).bits for name in _REGIONS] for _, _, r in rows]
-        arrays = {m: _labels(g.universe, m, "      ") for m in set(chain.from_iterable(masks))}
-        written = [_ROW % (encode_basestring_ascii(f.label), encode_basestring_ascii(dd.label),
+        arrays = {m: _labels(encoded, m, "      ") for m in set(chain.from_iterable(masks))}
+        written = [_ROW % (encode_basestring_ascii(f.label), encode_basestring_ascii(d.label),
                            *map(arrays.__getitem__, row),
                            encode_basestring_ascii(str(r.accuracy)), _BOOL[r.exact])
-                   for (f, dd, r), row in zip(rows, masks)]
-        _echo(_ANALYZE % (_labels(g.universe, a.bits, "  "), _array(written, "  ")))
+                   for (f, d, r), row in zip(rows, masks)]
+        _echo(_ANALYZE % (_labels(encoded, a.bits, "  "), _array(written, "  ")))
         return
 
     headers = ("family", "dir", *_REGIONS, "accuracy", "exactness")
     body = [
         (
             f.label,
-            dd.label,
+            d.label,
             *(str(getattr(r, name)) for name in _REGIONS),
             str(r.accuracy),
             "exact" if r.exact else "rough",
         )
-        for f, dd, r in rows
+        for f, d, r in rows
     ]
-    widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h)
-              for i, h in enumerate(headers)]
+    widths = [max(len(h), *(len(row[i]) for row in body)) for i, h in enumerate(headers)]
     lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in (headers, *body))
     _echo("\n".join((f"A = {a}", *lines)))
 
@@ -309,20 +295,18 @@ def cmd_check(file: str, exhaustive: bool = False, samples: int | None = None, s
         samples = 256
     suite = oracle.corrupted_suite() if corrupt_gamma else None
     try:
-        reports = oracle.check_propositions(
-            g, suite=suite, samples=samples,
-            rng=None if samples is None else random.Random(seed), space_label=file)
+        reports = oracle.check_propositions(g, suite=suite, samples=samples, seed=seed)
     except oracle.CapExceededError as e:
         _fail_input(str(e))
 
     all_pass = all(r.passed for r in reports)
     if fmt == "json":
         mode = "exhaustive" if samples is None else f"sampled:{samples}"
+        space = encode_basestring_ascii(file)
         written = [
             _PROPOSITION % (encode_basestring_ascii(r.proposition), r.instances, _BOOL[r.passed],
-                            _array([_VIOLATION % (encode_basestring_ascii(v.space),
-                                                  encode_basestring_ascii(v.detail))
-                                    for v in r.violations], "      ") if r.violations else "[]")
+                            _array([_VIOLATION % (space, encode_basestring_ascii(v.detail))
+                                    for v in r.violations], "      "))
             for r in reports]
         _echo(_CHECK % (encode_basestring_ascii(mode), seed, _BOOL[all_pass],
                         _array(written, "  ")))
@@ -381,9 +365,9 @@ COMMANDS: dict[str, tuple[Callable[..., None], tuple[Option, ...]]] = {
     "analyze": (cmd_analyze, (
         Option("--set", "set_labels", str, "LABELS",
                "Comma separated element labels; empty string for the empty set.", required=True),
-        Option("--family", "family", tuple(_FAMILY_CHOICES),
+        Option("--family", "family", tuple(f.value for f in OperatorFamily),
                help="Restrict to one operator family."),
-        Option("--direction", "direction", tuple(_DIRECTION_CHOICES),
+        Option("--direction", "direction", tuple(d.value for d in Direction),
                help="Restrict to one direction."),
         _FORMAT)),
     "check": (cmd_check, (

@@ -100,8 +100,10 @@ def oracle_table(g: Gotas) -> dict[Direction, tuple[tuple[int, ...], tuple[int, 
     inside a is the greatest one iff it is itself one. It has a's candidates
     inside it, so it picks itself, as does every candidate: all picks are
     candidates iff the lanes that pick themselves are the candidate lanes.
-    If not, the columns are transposed and the first subset whose pick is no
-    candidate is handed to the per-subset pick, which raises. Around a, by
+    If not, the first subset b whose pick is no candidate goes to the
+    per-subset pick, which raises. It is the lowest lane that picks itself
+    but is no candidate: each such lane's pick is no candidate, so it lies at
+    b or above, and b's pick is such a lane within b, so it is b. Around a, by
     complement: a set is d-monotone iff U minus it is opposite-monotone, so
     the pick is U minus the opposite pick inside U − a, in lane 2**n − 1 − a,
     which has raised if not unique. So each upper column is an opposite lower
@@ -128,11 +130,8 @@ def oracle_table(g: Gotas) -> dict[Direction, tuple[tuple[int, ...], tuple[int, 
             for k, p in enumerate(has):
                 low |= low << (1 << k) & p  # lane a without k reaches a ∪ {k}
             cols.append(low)
-        if lanes & ~reduce(or_, map(xor, cols, has)) != inside:
-            allowed = list(_points(inside))
-            rows, known = _transpose(cols, width), set(allowed)
-            _greatest_inside(g.universe, allowed,
-                             next(a for a, r in enumerate(rows) if r not in known))
+        if wrong := lanes & ~reduce(or_, map(xor, cols, has)) & ~inside:
+            _greatest_inside(g.universe, list(_points(inside)), (wrong & -wrong).bit_length() - 1)
         lower[d] = tuple(cols)
     return {d: (lower[d], tuple(lanes ^ _reverse(c, width) for c in lower[d.opposite]))
             for d in DIRECTION_ORDER}
@@ -203,9 +202,9 @@ def corrupted_suite() -> OperatorSuite:
 
 @dataclass
 class Violation:
-    """A failing instance of a law; ``space`` is ``space_label``, else "a space of n points"."""
+    """A failing instance of a law: the law's witness, with the operand values
+    at the first failing lane. The caller names the space it checked."""
 
-    space: str
     detail: str
 
 
@@ -422,8 +421,7 @@ def check_propositions(
     *,
     suite: OperatorSuite | None = None,
     samples: int | None = None,
-    rng: random.Random | None = None,
-    space_label: str | None = None,
+    seed: int = 0,
 ) -> list[PropositionReport]:
     """Run the whole law catalogue over a space.
 
@@ -445,10 +443,11 @@ def check_propositions(
     row. Its unary laws also run on each distinct kernel class M_d(x), in
     lanes past the W draws, where 3.21 and 3.25 fail if they fail at all
     (``open_upper_failure`` proves it); a law failing only there reports
-    that lane's index plus one. The W units are the rows of one
-    ``rng.getrandbits(n * W)`` block; the W pairs, drawn next, are those of
-    one ``rng.getrandbits(2n * W)`` block, A in the low n bits of each row
-    and B in the high n (``random_columns``).
+    that lane's index plus one. With ``rng = random.Random(seed)``, the W
+    units are the rows of one ``rng.getrandbits(n * W)`` block; the W pairs,
+    drawn next, are those of one ``rng.getrandbits(2n * W)`` block, A in the
+    low n bits of each row and B in the high n (``random_columns``). An
+    exhaustive check draws nothing and ignores ``seed``.
     """
     suite = suite if suite is not None else DEFAULT_SUITE
     u = g.universe
@@ -461,7 +460,7 @@ def check_propositions(
     else:
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
-        rng = rng if rng is not None else random.Random(0)
+        rng = random.Random(seed)
         n, w = u.size, samples
         # The W units, then the W pairs A, B as 2n columns, A's first.
         units = random_columns(rng, n, w)
@@ -482,7 +481,6 @@ def check_propositions(
         pairs = [(_pack((lanes << start,) * n, 4 * w), start, shift)
                  for start, shift in ((0, w), (0, 2 * w), (w, 2 * w), (2 * w, w))]
 
-    label = space_label or f"a space of {u.size} points"
     reports = []
     for pid, kind, law in _CATALOGUE:
         binary = kind == "binary"
@@ -496,7 +494,7 @@ def check_propositions(
         values = tuple(v.lane(lane) if isinstance(v, Batch) else v[lane] for v in operands)
         if binary and samples is None:
             lane = lane * unit.width + values[1].bits  # the pair's index a·2ⁿ + b
-        reports.append(PropositionReport(pid, lane + 1, [Violation(label, template % values)]))
+        reports.append(PropositionReport(pid, lane + 1, [Violation(template % values)]))
     return reports
 
 

@@ -14,7 +14,6 @@ import random
 import reprlib
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, repeat
-from json.encoder import encode_basestring_ascii
 from operator import and_, lshift, or_, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -59,7 +58,7 @@ class Universe:
     same Universe object, not merely an equal label list.
     """
 
-    __slots__ = ("labels", "full_mask", "positions", "_encoded")
+    __slots__ = ("labels", "full_mask", "positions")
 
     def __init__(self, labels: Iterable[str]) -> None:
         labels = tuple(labels)
@@ -73,7 +72,6 @@ class Universe:
         self.labels = labels
         self.full_mask = (1 << len(labels)) - 1
         self.positions = index  # label -> index; ``index`` also names an unknown label
-        self._encoded: tuple[str, ...] | None = None
 
     @property
     def size(self) -> int:
@@ -95,13 +93,6 @@ class Universe:
         except KeyError as e:  # the label the lookup missed
             self.index(*e.args)
         return Subset(self, bits)
-
-    @property
-    def encoded(self) -> tuple[str, ...]:
-        """Each label as ``json.dumps`` writes it, encoded on first use."""
-        if self._encoded is None:
-            self._encoded = tuple(map(encode_basestring_ascii, self.labels))
-        return self._encoded
 
     def reverse(self, bits: int) -> int:
         """``bits`` bit-reversed over the universe, so that point 0 sits in
@@ -478,7 +469,9 @@ def _beyond(p: int | Groups, q: int | Groups) -> int | Groups:
     return p ^ (p & q)
 
 
-@lru_cache(maxsize=64)
+# A request complements batches of at most two widths, its unit batch and, for a
+# sampled check, its 4W pair table; at 1000 points and 16384 lanes one entry holds 2.2 MB.
+@lru_cache(maxsize=4)
 def _full(n: int, width: int) -> int | Groups:
     """The packed batch whose every lane is the whole universe of n points."""
     return _pack(((1 << width) - 1,) * n, width)

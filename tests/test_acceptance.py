@@ -88,11 +88,11 @@ def test_criterion_3_proposition_suite_on_random_spaces():
 
     spaces = acceptance_spaces()
     for label, g in spaces:
-        for report in check_propositions(g, space_label=label):
+        for report in check_propositions(g):
             if not report.passed:
                 witness = report.violations[0]
                 failures.append(
-                    f"{report.proposition} on {witness.space}: {witness.detail}"
+                    f"{report.proposition} on {label}: {witness.detail}"
                 )
     elapsed = time.monotonic() - started
     summary = (

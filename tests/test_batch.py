@@ -25,12 +25,14 @@ from gotas import (
 )
 from gotas.oracle import (
     _accuracy_exceeds,
+    check_propositions,
     corrupted_gamma_upper,
     corrupted_suite,
     random_order,
     random_space,
 )
-from gotas.universe import GROUP_BITS, Groups, Plan, _counting_columns, _fields, _transpose
+from gotas.universe import (GROUP_BITS, Groups, Plan, _counting_columns, _fields, _full,
+                            _transpose)
 
 from conftest import partition_space, random_partition
 
@@ -134,6 +136,18 @@ def test_counting_columns_repeat_their_period_up_to_twice_the_cap():
                                "little")
                 for k in range(m)]
         assert _counting_columns(m) == want, m
+
+
+def test_the_all_ones_cache_keeps_few_widths():
+    # Each (points, width) key holds a whole packed batch; checks over six
+    # widths in one process must not keep them all.
+    _full.cache_clear()
+    rng = random.Random(45)
+    for size in (2, 3, 4, 5, 6):
+        check_propositions(random_space(rng, size))
+    check_propositions(random_space(rng, 20), samples=8)
+    info = _full.cache_info()
+    assert info.misses > 4 and info.currsize <= 4
 
 
 def test_transpose_round_trips():

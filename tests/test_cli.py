@@ -941,7 +941,7 @@ def test_an_exhaustive_check_builds_no_random_generator(tmp_path, monkeypatch):
     def no_generator(*args):
         raise AssertionError("random.Random called")
 
-    monkeypatch.setattr(cli.random, "Random", no_generator)
+    monkeypatch.setattr(cli.oracle.random, "Random", no_generator)
     for args, before in expected.items():
         result = invoke(["check", *args])
         assert result.exit_code == before.exit_code

@@ -1,6 +1,7 @@
 import operator
 import random
 import re
+import string
 import time
 import types
 from dataclasses import replace
@@ -231,9 +232,11 @@ def test_table_uses_no_batch_and_no_kernel(monkeypatch):
     assert [oracle_table(space) for space in fresh] == want
 
 
-# What the oracle checks: the kernel, its plans and the batch folds over them.
+# What the oracle checks: the kernel, its plans, the batch folds over them and
+# the row codec of Batch.of and Batch.rows.
 _FAST_PATH = {"kernel", "kernel_plan", "Plan", "points_within", "points_meeting", "all_of",
-              "any_of", "Rows", "Batch", "approx", "r_lower", "r_upper", "neighborhoods"}
+              "any_of", "Rows", "Batch", "approx", "r_lower", "r_upper", "neighborhoods",
+              "_transpose"}
 
 
 def _names(code):
@@ -249,6 +252,12 @@ def _names(code):
                          ids=lambda fn: fn.__name__)
 def test_the_oracle_names_nothing_of_the_fast_path(fn):
     assert _names(fn.__code__) & _FAST_PATH == set()
+
+
+def test_random_spaces_label_26_points_by_letter_and_more_by_index():
+    rng = random.Random(45)
+    assert random_space(rng, 26).universe.labels == tuple(string.ascii_lowercase)
+    assert random_space(rng, 27).universe.labels == tuple(f"e{i}" for i in range(27))
 
 
 def test_the_oracle_reads_only_the_up_sets_of_the_order():
@@ -457,7 +466,7 @@ def _classes(space):
 
 
 def test_a_sampled_check_folds_each_base_term_once(g, built_rows, folds):
-    reports = check_propositions(g, samples=256, rng=random.Random(6))
+    reports = check_propositions(g, samples=256, seed=6)
     assert [(r.passed, r.instances) for r in reports] == [(True, 256)] * len(PROPOSITION_IDS)
     # A, the binary laws' table, then the complement of A. A holds the
     # 256 draws, then the kernel classes.
@@ -566,7 +575,7 @@ def test_accuracy_counts_only_where_an_inclusion_fails():
 def test_no_memo_outlives_a_table(g, probe, folds):
     for space in (g, probe):
         check_propositions(space)
-        check_propositions(space, samples=64, rng=random.Random(3))
+        check_propositions(space, samples=64, seed=3)
         ap.Rows(space, space.universe.from_bits(5))
     assert ap._MEMO.get(None) is None
     seen = []
@@ -621,7 +630,7 @@ def test_operands_equal_by_value_keep_their_own_segments(built_rows):
     u = Universe(["a"])
     space = Gotas(u, generate_topology(u, []), equality_order(u))
     for seed in range(8):
-        reports = check_propositions(space, samples=1, rng=random.Random(seed))
+        reports = check_propositions(space, samples=1, seed=seed)
         assert [(r.passed, r.instances) for r in reports] == [(True, 1)] * len(PROPOSITION_IDS)
         [a], [b] = _drawn_pairs(space, 1, seed)
         assert built_rows[-2].rows() == [a & b, a, b, a | b]
@@ -638,7 +647,7 @@ def test_checker_and_diff_read_batches_without_rows(g, probe, monkeypatch):
             [(r.proposition, r.instances, r.violations) for r in reports]
             for space in (g, probe)
             for reports in (check_propositions(space),
-                            check_propositions(space, samples=64, rng=random.Random(2)))
+                            check_propositions(space, samples=64, seed=2))
         ] + [oracle_diff(g)]
 
     want = runs()
@@ -685,7 +694,7 @@ class TestCheckPropositions:
         u = Universe(list("abcdef"))
         blocks = random_partition(random.Random(5), u)
         space = partition_space(u, blocks)
-        reports = check_propositions(space, samples=60, rng=random.Random(5))
+        reports = check_propositions(space, samples=60, seed=5)
         assert all(r.passed for r in reports)
         assert all(r.instances == 60 for r in reports)
 
@@ -893,8 +902,7 @@ def test_sampled_chain_laws_past_the_cap_follow_the_open_upper_condition():
     for k in range(1000):
         space = random_space(rng, rng.randint(POWERSET_CAP + 1, 64), 8)
         samples = rng.choice((1, 8))
-        failed = {r.proposition for r in check_propositions(space, samples=samples,
-                                                            rng=random.Random(k))
+        failed = {r.proposition for r in check_propositions(space, samples=samples, seed=k)
                   if not r.passed}
         cause = open_upper_failure(space) is not None
         assert failed == ({"3.21", "3.25"} if cause else set()), (k, samples)
@@ -986,7 +994,6 @@ def test_wrong_suites_fail_every_law_with_pinned_witnesses(g):
         for r in check_propositions(g, suite=suite):
             if not r.passed:
                 [violation] = r.violations
-                assert violation.space == "a space of 4 points"
                 got[name, r.proposition] = (r.instances, violation.detail)
     assert got == WRONG_SUITE_WITNESSES
     assert {pid for _, pid in got} == set(PROPOSITION_IDS)
@@ -1095,8 +1102,8 @@ def _check_binary_laws_against_scalars(space, suite, samples, seed):
     drawn = list(zip(*_drawn_pairs(space, samples, seed)))
     exhaustive, sampled = ({r.proposition: r for r in reports if r.proposition in BINARY_ROWS}
                            for reports in (check_propositions(space, suite=suite),
-                                           check_propositions(space, suite=suite, samples=samples,
-                                                              rng=random.Random(seed))))
+                                           check_propositions(space, suite=suite,
+                                                              samples=samples, seed=seed)))
     failures = 0
     for pid, (family, field, antitone) in BINARY_ROWS.items():
         f = {d: [getattr(r[family, d], field).bits for r in rows] for d in (INC, DEC)}

@@ -45,8 +45,19 @@ def test_subset_of_named_elements():
 
 def test_subset_unknown_label():
     u = Universe(["a", "b"])
-    with pytest.raises(ValueError, match="unknown label"):
+    with pytest.raises(ValueError, match="unknown label 'z'"):
         u.subset(["z"])
+    with pytest.raises(ValueError, match="unknown label 'z'"):
+        "z" in u.full()
+
+
+def test_membership_agrees_with_the_members_on_seeded_subsets():
+    rng = random.Random(45)
+    for n in (1, 5, 30):
+        u = Universe(_labels(n))
+        for _ in range(20):
+            s = u.from_bits(rng.getrandbits(n))
+            assert [x in s for x in u.labels] == [x in s.members() for x in u.labels]
 
 
 def test_set_algebra_basics():
