@@ -4,6 +4,9 @@ a partial order, with the directed R / semi / pre / gamma / beta lower and
 upper approximation families, their regions and accuracy measures, plus a
 brute-force oracle and a mechanized law checker."""
 
+import importlib.util as _importlib_util
+import sys as _sys
+
 from .approximations import (
     ApproxReport,
     DIRECTION_ORDER,
@@ -38,6 +41,19 @@ from .topology import (
 from .universe import Batch, Subset, Universe, UniverseMismatchError
 
 __version__ = "0.1.0"
+
+# `topology` and `analyze` read nothing of `gotas.oracle`, so the module is
+# registered here and compiled and run on its first attribute read (`check`,
+# `oracle-diff`, the scripts, the tests). Until then `gotas.oracle`,
+# `sys.modules["gotas.oracle"]` and `cli.oracle` are already this one module
+# object. Before Python 3.12 that first read is not thread-safe; no code path
+# reaches `gotas.oracle` from a thread.
+_spec = _importlib_util.find_spec(f"{__name__}.oracle")
+_spec.loader = _importlib_util.LazyLoader(_spec.loader)
+oracle = _importlib_util.module_from_spec(_spec)
+_sys.modules[_spec.name] = oracle
+_spec.loader.exec_module(oracle)
+del _spec
 
 __all__ = [
     "ApproxReport",

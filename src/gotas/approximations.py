@@ -225,6 +225,8 @@ def _accuracy(lo: int, up: int) -> Fraction:
     return Fraction(lo, up) if up else Fraction(1)
 
 
+# A dataclass for ``dataclasses.replace``, which builds every variant suite:
+# ``oracle.corrupted_suite``, perfbench's tracer and the tests call it.
 @dataclass(frozen=True)
 class OperatorSuite:
     """The base operators and the family tables. The law checker runs

@@ -37,6 +37,8 @@ from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, NoReturn
 
+# The package registers `gotas.oracle` lazily: this binds the module object,
+# and its code runs on `check` or `oracle-diff`'s first read of it.
 from . import oracle
 from .approximations import Direction, Gotas, OperatorFamily, full_report
 from .order import validate_order

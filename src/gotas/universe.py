@@ -10,12 +10,14 @@ int operation acts on every point of every subset in the batch.
 
 from __future__ import annotations
 
-import random
 import reprlib
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, repeat
 from operator import and_, lshift, or_, xor
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    import random
 
 # Swaps the binary digits b"0", b"1" and the flag bytes 0, 1, both ways.
 _SWAP = bytes.maketrans(b"01\x00\x01", b"\x00\x0101")

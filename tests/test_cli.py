@@ -1187,6 +1187,40 @@ def test_gotas_cli_runs_without_argparse():
     assert result.stdout == TOPOLOGY_GOLDEN
 
 
+_LAZY_ORACLE = """\
+import contextlib, io, sys
+sys.modules["random"] = None
+from gotas import cli
+
+def run(*args):
+    try:
+        cli.main([*args])
+    except SystemExit as exit_:
+        assert exit_.code == 0, (args, exit_.code)
+
+run("topology", DOC)
+run("analyze", DOC, "--set", "a,c", "--format", "json")
+oracle = sys.modules["gotas.oracle"]
+assert oracle is cli.oracle
+# vars() would itself run the module's code.
+assert "check_propositions" not in object.__getattribute__(oracle, "__dict__")
+del sys.modules["random"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    run("check", DOC, "--exhaustive")
+assert out.getvalue().endswith("result: all laws hold\\n"), out.getvalue()
+assert "check_propositions" in vars(oracle)
+"""
+
+
+def test_topology_and_analyze_run_no_oracle_code_and_no_random():
+    code = _LAZY_ORACLE.replace("DOC", repr(str(EXAMPLE_DOC)))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=_SUBPROCESS_ENV)
+    assert result.returncode == 0, result.stderr
+    analyze = invoke(["analyze", str(EXAMPLE_DOC), "--set", "a,c", "--format", "json"])
+    assert result.stdout == TOPOLOGY_GOLDEN + analyze.stdout
+
+
 @pytest.mark.parametrize("path, reason", [
     ("", "No such file or directory"),
     (f"{EXAMPLE_DOC}/", "Not a directory"),

@@ -4,6 +4,10 @@ of those boundaries would leave its layer reading 0 without any error, so
 this runs one request of each kind through the installed tracer."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 
 import gotas.approximations as approx
 from gotas import cli, oracle
@@ -19,6 +23,44 @@ def _load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# perfbench's traced run takes the modules it patches from sys.modules before
+# any check has run, so `gotas.oracle` must be there while still unloaded.
+_TRACE_FRESH = """\
+import importlib.util, json, sys
+from gotas import cli
+from cli_invoke import invoke
+
+modules = cli, sys.modules["gotas.oracle"], sys.modules["gotas.approximations"]
+spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install(*modules)
+try:
+    codes = [tracer.request(invoke, args).exit_code
+             for args in (["topology", DOC], ["analyze", DOC, "--set", "a,c"])]
+finally:
+    tracer.uninstall()
+print(json.dumps({"codes": codes, "records": tracer.records}))
+"""
+
+
+def test_a_fresh_process_traces_before_the_oracle_loads():
+    code = (_TRACE_FRESH.replace("TRACING", repr(str(REPO_ROOT / "perfbench" / "tracing.py")))
+            .replace("DOC", repr(str(EXAMPLE_DOC))))
+    path = os.pathsep.join(filter(None, (str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"),
+                                         os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["codes"] == [0, 0]
+    assert len(out["records"]) == 2
+    for record in out["records"]:
+        assert record["topology.opens"] == 6
+        assert record["order.pairs"] == 9
 
 
 def test_tracer_sees_every_layer():
