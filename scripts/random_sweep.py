@@ -32,8 +32,7 @@ def run(count: int, sizes: tuple[int, ...], seed: int, show_witnesses: int) -> i
             if not report.passed:
                 failing_spaces[report.proposition] += 1
                 if len(witnesses) < show_witnesses:
-                    v = report.violations[0]
-                    witnesses.append(f"{report.proposition} @ {label}: {v.detail}")
+                    witnesses.append(f"{report.proposition} @ {label}: {report.witness}")
     elapsed = time.monotonic() - started
 
     print(f"{count} spaces, sizes {sizes}, seed {seed}, {elapsed:.1f}s")

@@ -17,7 +17,7 @@ from typing import Callable
 
 from .order import PartialOrder
 from .topology import Topology, points_meeting, points_within
-from .universe import Batch, Plan, Subset, Universe, _cached
+from .universe import Batch, Plan, Subset, Universe, UniverseMismatchError, _cached
 
 
 class Direction(Enum):
@@ -150,6 +150,8 @@ _MEMO: ContextVar[dict] = ContextVar("gotas_base_memo")
 def _base(g: Gotas, a: Sets, d: Direction, meets: bool) -> Sets:
     """The points x whose M_d(x) meets ``a`` (``meets``) or lies inside
     it, computed once per row table; outside a table, afresh."""
+    if a.universe is not g.universe:
+        raise UniverseMismatchError("subset belongs to a different universe")
     memo = _MEMO.get({})
     batch = isinstance(a, Batch)
     key = (g, a if batch else a.bits, d, meets)

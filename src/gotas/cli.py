@@ -220,7 +220,8 @@ def _labels(encoded: Sequence[str], bits: int, indent: str) -> str:
 
 # The two reports that --format json prints, each written as
 # json.dumps(payload, indent=2) writes it: strings by encode_basestring_ascii,
-# ints by %d, booleans from _BOOL and arrays by _array.
+# ints by %d, booleans from _BOOL, arrays by _array, and a failing law's
+# "violations", the one-item array of its witness, by _VIOLATIONS.
 _BOOL = ("false", "true")
 _ANALYZE = '{\n  "set": %s,\n  "rows": %s\n}'
 _ROW = ('{\n      "family": %s,\n      "direction": %s,\n      "lower": %s,\n'
@@ -229,7 +230,7 @@ _ROW = ('{\n      "family": %s,\n      "direction": %s,\n      "lower": %s,\n'
 _CHECK = '{\n  "mode": %s,\n  "seed": %d,\n  "all_pass": %s,\n  "propositions": %s\n}'
 _PROPOSITION = ('{\n      "id": %s,\n      "instances": %d,\n      "pass": %s,\n'
                 '      "violations": %s\n    }')
-_VIOLATION = '{\n          "space": %s,\n          "detail": %s\n        }'
+_VIOLATIONS = '[\n        {\n          "space": %s,\n          "detail": %s\n        }\n      ]'
 
 # The sets of an analyze row, as table columns and, in this order, _ROW's keys.
 _REGIONS = ("lower", "upper", "boundary", "positive", "negative")
@@ -307,8 +308,8 @@ def cmd_check(file: str, exhaustive: bool = False, samples: int | None = None, s
         space = encode_basestring_ascii(file)
         written = [
             _PROPOSITION % (encode_basestring_ascii(r.proposition), r.instances, _BOOL[r.passed],
-                            _array([_VIOLATION % (space, encode_basestring_ascii(v.detail))
-                                    for v in r.violations], "      "))
+                            "[]" if r.passed else
+                            _VIOLATIONS % (space, encode_basestring_ascii(r.witness)))
             for r in reports]
         _echo(_CHECK % (encode_basestring_ascii(mode), seed, _BOOL[all_pass],
                         _array(written, "  ")))
@@ -316,8 +317,8 @@ def cmd_check(file: str, exhaustive: bool = False, samples: int | None = None, s
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
             _echo(f"{r.proposition:<9} {r.instances:>6} instances  {status}")
-            for v in r.violations:
-                _echo(f"          witness: {v.detail}")
+            if not r.passed:
+                _echo(f"          witness: {r.witness}")
         _echo("result: " + ("all laws hold" if all_pass else "violations found"))
     if not all_pass:
         sys.exit(EXIT_CHECK_FAILED)

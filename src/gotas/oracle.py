@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from functools import lru_cache, reduce
 from itertools import chain
 from operator import gt, or_, xor
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import approximations as approx
 from .approximations import (
@@ -113,10 +113,10 @@ def oracle_table(g: Gotas) -> dict[Direction, tuple[tuple[int, ...], tuple[int, 
     has = _counting_columns(g.universe.size)  # has[x]: the lanes holding point x
     width = 1 << len(has)
     lanes = (1 << width) - 1
-    is_open = bytearray(width)  # one flag per lane
+    flagged = bytearray(width)  # one flag per lane, set on the open lanes
     for o in open_family(g.topology):
-        is_open[o] = 1
-    opens = from_flags(is_open)
+        flagged[o] = 1
+    opens = from_flags(flagged)
     rising = 0  # the lanes holding some x but missing a point above x: not increasing
     for x, r in enumerate(g.order.succ):
         for y in _points(r):
@@ -200,23 +200,20 @@ def corrupted_suite() -> OperatorSuite:
 # Law catalogue.
 
 
-@dataclass
-class Violation:
-    """A failing instance of a law: the law's witness, with the operand values
-    at the first failing lane. The caller names the space it checked."""
+class PropositionReport(NamedTuple):
+    """One law's verdict on a space. ``instances`` is how many instances
+    (subsets for a unary law, pairs for a binary one) a one-at-a-time check
+    tests: all of them if the law passes, else those up to and including the
+    first failing one. ``witness`` is None iff the law passed; otherwise it
+    is that instance with its operand values. The caller names the space."""
 
-    detail: str
-
-
-@dataclass
-class PropositionReport:
     proposition: str
     instances: int
-    violations: list[Violation] = field(default_factory=list)
+    witness: str | None = None
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return self.witness is None
 
 
 # Each unary law is a generator of its failing claims over the row table of
@@ -494,7 +491,7 @@ def check_propositions(
         values = tuple(v.lane(lane) if isinstance(v, Batch) else v[lane] for v in operands)
         if binary and samples is None:
             lane = lane * unit.width + values[1].bits  # the pair's index a·2ⁿ + b
-        reports.append(PropositionReport(pid, lane + 1, [Violation(template % values)]))
+        reports.append(PropositionReport(pid, lane + 1, template % values))
     return reports
 
 

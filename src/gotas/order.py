@@ -43,10 +43,6 @@ class PartialOrder:
         """The index pairs (x, y) with x below-or-equal y."""
         return frozenset((x, y) for x, up in enumerate(self.succ) for y in _points(up))
 
-    def holds(self, x: str, y: str) -> bool:
-        """Whether x is below-or-equal y."""
-        return self.succ[self.universe.index(x)] >> self.universe.index(y) & 1 == 1
-
     def is_increasing(self, a: Subset) -> bool:
         """True iff every element above a member of ``a`` is itself a member."""
         return self._closed_under(a, self.succ)

@@ -50,10 +50,6 @@ class BinaryRelation:
         relation.universe, relation.rights = universe, tuple(rights)
         return relation
 
-    def right_neighborhoods(self) -> tuple[Subset, ...]:
-        """The family { xR : x in U }, duplicates removed, in canonical order."""
-        return self.universe.canonical(set(self.rights))
-
     def __repr__(self) -> str:
         size = sum(m.bit_count() for m in self.rights)
         return f"BinaryRelation({self.universe!r}, {size} pairs)"
@@ -61,11 +57,11 @@ class BinaryRelation:
 
 def points_within(masks: tuple[int, ...], bits: int) -> int:
     """Bitmask of the points x whose ``masks[x]`` lies inside ``bits``."""
-    outside = ~bits
+    excluded = ~bits
     found = 0
     point = 1
     for m in masks:
-        if not m & outside:
+        if not m & excluded:
             found |= point
         point <<= 1
     return found
@@ -115,24 +111,8 @@ class Topology:
     def opens(self) -> tuple[Subset, ...]:
         """Every open set in canonical order, listed anew on each call, since
         n points can carry up to 2**n opens."""
-        return self._subsets(self.open_masks())
-
-    @property
-    def closeds(self) -> tuple[Subset, ...]:
-        """Complements of the opens, in canonical order. Reversal commutes
-        with complement over the full mask, so they come from the same masks."""
-        full = self.universe.full_mask
-        return self._subsets(canonical_order(full ^ r for r in self.open_masks()))
-
-    def _subsets(self, rmasks: list[int]) -> tuple[Subset, ...]:
         u = self.universe
-        return tuple(Subset(u, u.reverse(r)) for r in rmasks)
-
-    def is_open(self, s: Subset) -> bool:
-        return s.universe is self.universe and points_within(self.neighborhoods, s.bits) == s.bits
-
-    def is_closed(self, s: Subset) -> bool:
-        return self.is_open(s.complement())
+        return tuple(Subset(u, u.reverse(r)) for r in self.open_masks())
 
     def interior(self, a: Subset) -> Subset:
         """Points whose minimal neighborhood lies inside ``a``: the greatest

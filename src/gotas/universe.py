@@ -122,11 +122,6 @@ class Universe:
                                           map(last.__getitem__, lasts)), repeat(", "))
         return "{" + "}\n{".join(lines) + "}"
 
-    def canonical(self, masks: Iterable[int]) -> tuple[Subset, ...]:
-        """The subsets with these bitmasks, in canonical order."""
-        reverse = self.reverse
-        return tuple(Subset(self, reverse(r)) for r in canonical_order(map(reverse, masks)))
-
     def from_bits(self, bits: int) -> Subset:
         return Subset(self, bits)
 
@@ -135,11 +130,6 @@ class Universe:
 
     def full(self) -> Subset:
         return Subset(self, self.full_mask)
-
-    def subsets(self) -> Iterator[Subset]:
-        """All 2**size subsets, in bitmask order."""
-        for bits in range(self.full_mask + 1):
-            yield Subset(self, bits)
 
     def __repr__(self) -> str:
         return f"Universe({list(self.labels)!r})"
@@ -187,9 +177,6 @@ class Subset:
     def is_subset(self, other: Subset) -> bool:
         self._guard(other)
         return self.bits & ~other.bits == 0
-
-    def is_empty(self) -> bool:
-        return self.bits == 0
 
     __or__ = union
     __and__ = intersect
@@ -400,11 +387,6 @@ class Batch:
             done.append(reduce(op, chain(map(cols.__getitem__, points),
                                          map(done.__getitem__, covers))))
         return Batch(self.universe, tuple(map(done.__getitem__, plan.classes)), self.width)
-
-    def outside(self, other: Batch) -> int:
-        """Lanes where this subset is not within ``other``'s."""
-        self._guard(other)
-        return self.lanes_in(_beyond(self.packed, other.packed))
 
     def differs(self, other: Batch) -> int:
         """Lanes where the two subsets differ."""

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import settings
@@ -10,6 +10,7 @@ from hypothesis import settings
 from gotas import (Batch, Gotas, Subset, Topology, Universe, equality_order,
                    generate_topology, validate_order)
 from gotas.oracle import oracle_table, random_space
+from gotas.universe import canonical_order
 
 # Every hypothesis test draws the same examples on each run; a test's own
 # @settings override only the values it names.
@@ -25,6 +26,11 @@ EXAMPLE_ORDER = [
     ("a", "a"), ("b", "b"), ("c", "c"), ("d", "d"),
     ("a", "b"), ("b", "d"), ("a", "d"), ("a", "c"), ("c", "d"),
 ]
+
+
+def subsets(u: Universe) -> Iterator[Subset]:
+    """Every subset of ``u``, in bitmask order."""
+    return map(u.from_bits, range(u.full_mask + 1))
 
 
 def make_example_space() -> Gotas:
@@ -63,7 +69,9 @@ def random_partition(rng: random.Random, universe: Universe) -> tuple[Subset, ..
     for pos in range(universe.size):
         bucket = rng.randrange(buckets)
         masks[bucket] = masks.get(bucket, 0) | (1 << pos)
-    return universe.canonical(masks.values())
+    reverse = universe.reverse
+    return tuple(universe.from_bits(reverse(r))
+                 for r in canonical_order(map(reverse, masks.values())))
 
 
 def partition_space(universe: Universe, blocks: Iterable[Subset]) -> Gotas:
@@ -72,7 +80,7 @@ def partition_space(universe: Universe, blocks: Iterable[Subset]) -> Gotas:
     blocks = tuple(blocks)
     covered = 0
     for block in blocks:
-        if block.is_empty():
+        if not block:
             raise ValueError("partition blocks must be nonempty")
         if covered & block.bits:
             raise ValueError("partition blocks must be disjoint")

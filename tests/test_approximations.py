@@ -17,6 +17,7 @@ from gotas import (
     Gotas,
     Topology,
     Universe,
+    UniverseMismatchError,
     equality_order,
     generate_topology,
     topology_from_relation,
@@ -25,7 +26,7 @@ from gotas import (
 from gotas.oracle import random_order, random_space
 from gotas.universe import union_over
 
-from conftest import make_example_space, oracle_rows
+from conftest import make_example_space, oracle_rows, subsets
 
 INC, DEC = Direction.INC, Direction.DEC
 R, S, P, GAMMA, BETA = FAMILY_ORDER
@@ -53,19 +54,34 @@ class TestBaseOperators:
         assert ap.r_upper(g, sub(g, "a"), DEC) == sub(g, "a", "b")
         assert ap.r_upper(g, g.universe.empty(), INC) == g.universe.empty()
 
+    def test_base_operators_reject_sets_of_another_universe(self, g):
+        # Past the space's 4 points, {e, f, g, h} of an 8-point universe read
+        # as no point; {a, b} of an equal label list reads as the space's own.
+        wide, twin = Universe("abcdefgh"), Universe(g.universe.labels)
+        foreign = [wide.subset("efgh"), twin.subset("ab"),
+                   Batch.of(wide, [0b11110000, 0b11]), Batch.of(twin, [0b11, 0b1100])]
+        for a in foreign:
+            for d in DIRECTION_ORDER:
+                for run in (ap.r_lower, ap.r_upper, lambda g, a, d: ap.lower(g, a, R, d),
+                            lambda g, a, d: ap.upper(g, a, R, d)):
+                    with pytest.raises(UniverseMismatchError):
+                        run(g, a, d)
+            with pytest.raises(UniverseMismatchError):
+                ap.Rows(g, a)
+
     def test_composed_base_operators_golden(self, g):
         a = sub(g, "a", "c")
         assert ap.r_upper(g, ap.r_lower(g, a, DEC), DEC) == sub(g, "a", "b")
         assert ap.r_lower(g, ap.r_upper(g, a, DEC), DEC) == g.universe.full()
 
     def test_results_are_open_closed_and_monotone(self, g):
-        for a in g.universe.subsets():
+        for a in subsets(g.universe):
             for d in DIRECTION_ORDER:
                 mono = g.order.is_increasing if d is INC else g.order.is_decreasing
                 lo = ap.r_lower(g, a, d)
                 up = ap.r_upper(g, a, d)
-                assert g.topology.is_open(lo) and mono(lo)
-                assert g.topology.is_closed(up) and mono(up)
+                assert g.topology.interior(lo) == lo and mono(lo)
+                assert g.topology.closure(up) == up and mono(up)
 
 
 class TestCompositeFamilies:
@@ -174,7 +190,7 @@ class TestFullReport:
 
     def test_report_internal_consistency(self, g):
         # every row of every subset satisfies the row invariants
-        for a in g.universe.subsets():
+        for a in subsets(g.universe):
             for (family, d), row in ap.full_report(g, a).items():
                 assert row.lower.is_subset(a) and a.is_subset(row.upper)
                 assert row.boundary == row.upper - row.lower
@@ -249,7 +265,7 @@ def test_every_row_matches_the_oracle_table():
 def test_duality_on_random_spaces():
     for seed in range(8):
         g = random_space(random.Random(seed), 4)
-        for a in g.universe.subsets():
+        for a in subsets(g.universe):
             comp = a.complement()
             assert ap.r_upper(g, a, INC) == ap.r_lower(g, comp, DEC).complement()
             assert ap.r_upper(g, a, DEC) == ap.r_lower(g, comp, INC).complement()

@@ -99,7 +99,7 @@ def test_set_algebra_and_lane_masks():
     def mask(flags):
         return sum(1 << s for s, flag in enumerate(flags) if flag)
 
-    assert a.outside(b) == mask(x & ~y for x, y in zip(xs, ys))
+    assert (a - b).nonempty() == mask(x & ~y for x, y in zip(xs, ys))
     assert a.differs(b) == mask(x != y for x, y in zip(xs, ys))
     assert a.nonempty() == mask(xs)
 
@@ -313,7 +313,7 @@ def test_the_packed_form_matches_the_columns_lane_by_lane():
         assert back.columns == a.columns and back.rows() == a.rows()
         results = {"|": (a | b, or_), "&": (a & b, and_), "-": (a - b, lambda x, y: x & ~y),
                    "complement": (a.complement(), lambda x, y: x ^ u.full_mask)}
-        outside, differs, nonempty = a.outside(b), a.differs(b), a.nonempty()
+        outside, differs, nonempty = (a - b).nonempty(), a.differs(b), a.nonempty()
         counts = a.counts()
         assert len(counts) == width
         lanes = {0, width - 1, *(rng.randrange(width) for _ in range(8))} if width else set()
@@ -343,4 +343,4 @@ def test_the_empty_batch_packs_to_nothing():
         assert empty.counts() == [] and empty.rows() == []
         for got in (empty | empty, empty & empty, empty - empty, empty.complement()):
             assert got.columns == (0,) * n and got.packed == 0
-        assert empty.outside(empty) == empty.differs(empty) == empty.nonempty() == 0
+        assert (empty - empty).nonempty() == empty.differs(empty) == empty.nonempty() == 0

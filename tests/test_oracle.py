@@ -39,7 +39,7 @@ from gotas.oracle import (
 )
 from gotas.universe import _counting_columns, _points
 
-from conftest import make_example_space, oracle_rows, partition_space, random_partition
+from conftest import make_example_space, oracle_rows, partition_space, random_partition, subsets
 from strategies import spaces
 
 INC, DEC = Direction.INC, Direction.DEC
@@ -85,7 +85,7 @@ class TestOracleOperators:
             for d in (INC, DEC):
                 lower = ap.r_lower(space, powerset, d).rows()
                 upper = ap.r_upper(space, powerset, d).rows()
-                for a in space.universe.subsets():
+                for a in subsets(space.universe):
                     assert ap.r_lower(space, a, d).bits == lower[a.bits]
                     assert ap.r_upper(space, a, d).bits == upper[a.bits]
 
@@ -109,7 +109,7 @@ def test_fast_base_operators_match_the_oracle(g):
     table = oracle_rows(g)
     for d in (INC, DEC):
         lower, upper = table[d]
-        for a in g.universe.subsets():
+        for a in subsets(g.universe):
             assert ap.r_lower(g, a, d).bits == lower[a.bits]
             assert ap.r_upper(g, a, d).bits == upper[a.bits]
 
@@ -141,7 +141,7 @@ def _scanned_table(g):
     u, opens, full = g.universe, oracle.open_family(g.topology), g.universe.full_mask
     candidates = {}
     for d, mono in ((INC, g.order.is_increasing), (DEC, g.order.is_decreasing)):
-        candidates[d] = [a.bits for a in u.subsets() if mono(a)]
+        candidates[d] = [a.bits for a in subsets(u) if mono(a)]
     lower = {d: [_greatest_inside(u, [a for a in monotone if a in opens], a)
                  for a in range(full + 1)] for d, monotone in candidates.items()}
     table = {}
@@ -607,7 +607,7 @@ def test_a_batch_gets_each_space_its_own_folds():
     for op in (ap.r_lower, ap.r_upper):
         for d in (INC, DEC):
             got = [op(space, batch, d).rows() for space in spaces]
-            assert got == [[op(space, x, d).bits for x in u.subsets()] for space in spaces]
+            assert got == [[op(space, x, d).bits for x in subsets(u)] for space in spaces]
             assert got[0] != got[1]
 
 
@@ -644,7 +644,7 @@ def test_checker_and_diff_read_batches_without_rows(g, probe, monkeypatch):
     # columns; a witness reads one lane through Batch.lane.
     def runs():
         return [
-            [(r.proposition, r.instances, r.violations) for r in reports]
+            [(r.proposition, r.instances, r.witness) for r in reports]
             for space in (g, probe)
             for reports in (check_propositions(space),
                             check_propositions(space, samples=64, seed=2))
@@ -717,7 +717,7 @@ class TestCheckPropositions:
         assert failed == {"3.21", "3.25"}
         for r in reports:
             if not r.passed:
-                assert r.violations[0].detail
+                assert r.witness
 
     def test_no_gamma_upper_meets_both_3_9_and_3_21(self, probe):
         # 3.9 asks pre upper ⊆ gamma upper and 3.21 gamma upper ⊆ semi
@@ -737,8 +737,7 @@ class TestCheckPropositions:
         reports = check_propositions(probe, suite=corrupted_suite())
         failed = {r.proposition for r in reports if not r.passed}
         assert "3.9" in failed
-        witness = next(r for r in reports if r.proposition == "3.9").violations[0]
-        assert "pre upper" in witness.detail
+        assert "pre upper" in next(r for r in reports if r.proposition == "3.9").witness
 
     def test_corrupted_suite_changes_nothing_on_the_worked_example(self, g):
         # On this particular space the intersection collapses to the union,
@@ -753,7 +752,7 @@ def _chain_laws_hold(g, d):
     semi = ap.OperatorFamily.S
     rows = ap.Rows(g, Batch.powerset(g.universe), DEFAULT_SUITE, (semi, GAMMA, BETA))
     chain = [rows[family, d] for family in (BETA, GAMMA, semi)]
-    return tuple(not any(getattr(x, field).outside(getattr(y, field)) for x, y in zip(chain, chain[1:]))
+    return tuple(not any((getattr(x, field) - getattr(y, field)).nonempty() for x, y in zip(chain, chain[1:]))
                  for field in ("upper", "boundary"))
 
 
@@ -809,11 +808,11 @@ def _broken_premises(space, suite, rows):
     for d in (INC, DEC):
         i, c = lower(space, a, d), upper(space, a, d)
         lanes = {
-            "I deflationary": i.outside(a),
-            "I monotone": any(i.outside(lower(space, b, d)) for b in covers),
+            "I deflationary": (i - a).nonempty(),
+            "I monotone": any((i - lower(space, b, d)).nonempty() for b in covers),
             "I idempotent": lower(space, i, d).differs(i),
-            "C inflationary": a.outside(c),
-            "C monotone": any(c.outside(upper(space, b, d)) for b in covers),
+            "C inflationary": (a - c).nonempty(),
+            "C monotone": any((c - upper(space, b, d)).nonempty() for b in covers),
             "C idempotent": upper(space, c, d).differs(c),
             "C is the dual of the opposite I": c.differs(
                 lower(space, a.complement(), d.opposite).complement()),
@@ -993,8 +992,7 @@ def test_wrong_suites_fail_every_law_with_pinned_witnesses(g):
     for name, suite in _wrong_suites().items():
         for r in check_propositions(g, suite=suite):
             if not r.passed:
-                [violation] = r.violations
-                got[name, r.proposition] = (r.instances, violation.detail)
+                got[name, r.proposition] = (r.instances, r.witness)
     assert got == WRONG_SUITE_WITNESSES
     assert {pid for _, pid in got} == set(PROPOSITION_IDS)
 
@@ -1116,8 +1114,8 @@ def _check_binary_laws_against_scalars(space, suite, samples, seed):
             return not (_within(f[d][y], f[d][x]) if antitone else _within(f[d][x], f[d][y]))
 
         def check_witness(report):
-            d, x, y = _witness_pair(u, report.violations[0].detail)
-            assert _within(x, y) and breaks_row(d, x, y), (pid, report.violations)
+            d, x, y = _witness_pair(u, report.witness)
+            assert _within(x, y) and breaks_row(d, x, y), (pid, report.witness)
             return d, x, y
 
         report = exhaustive[pid]

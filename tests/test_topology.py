@@ -16,7 +16,9 @@ from gotas import (
 )
 from gotas.oracle import open_family
 from gotas.topology import points_meeting
+from gotas.universe import canonical_order
 
+from conftest import subsets
 from strategies import topology_with_subsets, universe_with_base
 
 
@@ -27,7 +29,7 @@ def u4():
 def test_right_neighborhoods_of_equality():
     u = u4()
     rel = BinaryRelation.from_labels(u, [(x, x) for x in u.labels])
-    assert {n.members() for n in rel.right_neighborhoods()} == {
+    assert {u.from_bits(n).members() for n in rel.rights} == {
         ("a",), ("b",), ("c",), ("d",)
     }
 
@@ -35,13 +37,13 @@ def test_right_neighborhoods_of_equality():
 def test_right_neighborhoods_of_full_relation():
     u = u4()
     rel = BinaryRelation.from_labels(u, [(x, y) for x in u.labels for y in u.labels])
-    assert [n.members() for n in rel.right_neighborhoods()] == [("a", "b", "c", "d")]
+    assert {u.from_bits(n).members() for n in rel.rights} == {("a", "b", "c", "d")}
 
 
 def test_right_neighborhoods_per_element():
     u = Universe(["a", "b"])
     rel = BinaryRelation.from_labels(u, [("a", "a"), ("b", "a"), ("b", "b")])
-    assert {n.members() for n in rel.right_neighborhoods()} == {("a",), ("a", "b")}
+    assert [u.from_bits(n).members() for n in rel.rights] == [("a",), ("a", "b")]
 
 
 def test_generate_topology_worked_example_base():
@@ -52,7 +54,7 @@ def test_generate_topology_worked_example_base():
     assert {o.members() for o in topology.opens} == {
         (), ("a",), ("a", "b"), ("c", "d"), ("a", "c", "d"), ("a", "b", "c", "d")
     }
-    assert {c.members() for c in topology.closeds} == {
+    assert {c.members() for c in subsets(u) if topology.closure(c) == c} == {
         (), ("b",), ("a", "b"), ("c", "d"), ("b", "c", "d"), ("a", "b", "c", "d")
     }
 
@@ -113,7 +115,10 @@ def test_generated_family_is_a_topology(t):
         for y in bits:
             assert x & y in bits
             assert x | y in bits
-    assert {c.bits for c in topology.closeds} == {u.full_mask ^ b for b in bits}
+    # The opens are the interior's fixpoints, and the closed sets, their
+    # complements, the closure's.
+    assert {s.bits for s in subsets(u) if topology.interior(s) == s} == bits
+    assert {s.bits for s in subsets(u) if topology.closure(s) == s} == {u.full_mask ^ b for b in bits}
     for s in base:
         assert s.bits in bits
     # The listing from the minimal neighborhoods equals the oracle's fixpoint.
@@ -168,7 +173,7 @@ def test_open_masks_list_the_oracle_family_from_neighborhoods_of_unequal_size():
         topology = topology_from_relation(rel)
         unequal += len(set(map(int.bit_count, topology.neighborhoods))) > 1
         listed = topology.open_masks()
-        assert [u.reverse(r) for r in listed] == [s.bits for s in u.canonical(open_family(topology))]
+        assert listed == canonical_order(map(u.reverse, open_family(topology)))
         assert topology.open_masks(len(listed)) == listed
         assert topology.open_masks(len(listed) - 1) is None
     assert unequal >= 50
@@ -183,11 +188,11 @@ def test_relation_topology_matches_its_right_neighborhoods_as_a_base():
         rel = BinaryRelation(
             u, [(x, y) for x in range(size) for y in range(size) if rng.random() < p])
         topology = topology_from_relation(rel)
-        based = generate_topology(u, rel.right_neighborhoods())
+        based = generate_topology(u, map(u.from_bits, rel.rights))
         assert topology.neighborhoods == based.neighborhoods
         assert set(topology.generators) == set(based.generators)
-        full = u.full_mask
-        assert topology.closeds == u.canonical(full ^ o.bits for o in topology.opens)
+        for o in topology.opens:
+            assert topology.closure(o.complement()) == o.complement()
 
 
 def _shuffled_with_repeats(rng, pairs):

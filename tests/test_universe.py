@@ -95,7 +95,7 @@ def test_mixed_universes_rejected():
 
 def test_subsets_enumeration():
     u = Universe(["a", "b"])
-    assert [s.members() for s in u.subsets()] == [(), ("a",), ("b",), ("a", "b")]
+    assert [u.from_bits(b).members() for b in range(4)] == [(), ("a",), ("b",), ("a", "b")]
 
 
 @given(universe_with_subsets())
@@ -127,7 +127,6 @@ def test_canonical_order_is_cardinality_then_universe_order(t):
     n, family = t
     u = Universe(_labels(n))
     want = sorted(family, key=lambda b: (b.bit_count(), [x for x in range(n) if b >> x & 1]))
-    assert [s.bits for s in u.canonical(family)] == want
     assert canonical_order(map(u.reverse, family)) == [u.reverse(b) for b in want]
 
 
