@@ -17,7 +17,7 @@ from typing import Callable
 
 from .order import PartialOrder
 from .topology import Topology, points_meeting, points_within
-from .universe import Batch, Plan, Subset, Universe, UniverseMismatchError, _cached
+from .universe import Batch, Plan, Subset, Universe, _cached, same_universe
 
 
 class Direction(Enum):
@@ -70,10 +70,8 @@ class Gotas:
     order: PartialOrder
 
     def __post_init__(self) -> None:
-        if self.topology.universe is not self.universe:
-            raise ValueError("topology is defined over a different universe")
-        if self.order.universe is not self.universe:
-            raise ValueError("order is defined over a different universe")
+        same_universe(self.universe, self.topology.universe)
+        same_universe(self.universe, self.order.universe)
 
     @_cached
     def kernel(self) -> dict[Direction, tuple[int, ...]]:
@@ -150,8 +148,7 @@ _MEMO: ContextVar[dict] = ContextVar("gotas_base_memo")
 def _base(g: Gotas, a: Sets, d: Direction, meets: bool) -> Sets:
     """The points x whose M_d(x) meets ``a`` (``meets``) or lies inside
     it, computed once per row table; outside a table, afresh."""
-    if a.universe is not g.universe:
-        raise UniverseMismatchError("subset belongs to a different universe")
+    same_universe(g.universe, a.universe)
     memo = _MEMO.get({})
     batch = isinstance(a, Batch)
     key = (g, a if batch else a.bits, d, meets)

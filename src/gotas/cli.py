@@ -2,7 +2,11 @@
 
 Reads a space document (JSON), builds the space and runs reports or
 checks. Exit codes are a stable contract: 0 success / all checks pass,
-1 check failure, 2 input or usage error.
+1 check failure, 2 input or usage error. ``main`` maps each outcome to
+its exit code: a command returns ``EXIT_CHECK_FAILED`` when a check
+fails and raises ``InputError`` on input it cannot use, the parser
+raises ``UsageError``, and ``main`` alone writes their error lines and
+exits; only --help exits on its own, with 0.
 
 ``COMMANDS`` is the table of the four commands: each one's function and
 its ``Option``s. ``parse_command_line`` reads a command line from it in
@@ -63,8 +67,13 @@ MAX_OPENS = 1 << 16
 MAX_POINTS = 1 << 12
 
 
-class DocumentError(ValueError):
-    """A space document failed to parse or validate."""
+class InputError(ValueError):
+    """Input the program cannot use: a document that fails to read, parse or
+    build, a ``--set`` or ``--samples`` value it refuses, or a result past a cap."""
+
+
+class UsageError(Exception):
+    """A refused command line: ``args`` are the command's name, or None, and the message."""
 
 
 # Writes a malformed entry into its error message: nested lists as [...], at
@@ -73,17 +82,16 @@ _ENTRY = reprlib.Repr()
 _ENTRY.maxlevel, _ENTRY.maxlist = 1, 4
 
 
-def _check_pairs(value: object, name: str, source: str) -> None:
+def _check_pairs(value: object, name: str) -> None:
     if not isinstance(value, list):
-        raise DocumentError(f"{source}: field {name!r} must be a list of label pairs")
+        raise InputError(f"field {name!r} must be a list of label pairs")
     for entry in value:
         if not (type(entry) is list and len(entry) == 2
                 and type(entry[0]) is str and type(entry[1]) is str):
-            raise DocumentError(
-                f"{source}: field {name!r}: {_ENTRY.repr(entry)} is not a pair of labels")
+            raise InputError(f"field {name!r}: {_ENTRY.repr(entry)} is not a pair of labels")
 
 
-def parse_document(text: str, source: str = "<document>") -> dict:
+def parse_document(text: str) -> dict:
     """The document's JSON object, once its shape is checked and each
     universe label is valid Unicode and one ``--set`` can name, with
     ``options`` filled in.
@@ -91,18 +99,18 @@ def parse_document(text: str, source: str = "<document>") -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
-        raise DocumentError(f"{source}: line {e.lineno}: {e.msg}") from None
+        raise InputError(f"line {e.lineno}: {e.msg}") from None
     except RecursionError:
-        raise DocumentError(f"{source}: nested too deeply") from None
+        raise InputError("nested too deeply") from None
     except ValueError:  # an integer literal past Python's limit on digits
-        raise DocumentError(f"{source}: an integer literal is too long") from None
+        raise InputError("an integer literal is too long") from None
     if not isinstance(raw, dict):
-        raise DocumentError(f"{source}: top level must be an object")
+        raise InputError("top level must be an object")
 
     known = {"universe", "relation", "base", "order", "options"}
     for key in raw:
         if key not in known:
-            raise DocumentError(f"{source}: unknown field {key!r}")
+            raise InputError(f"unknown field {key!r}")
 
     universe = raw.get("universe")
     if not (
@@ -110,49 +118,47 @@ def parse_document(text: str, source: str = "<document>") -> dict:
         and universe
         and all(isinstance(x, str) for x in universe)
     ):
-        raise DocumentError(f"{source}: field 'universe' must be a nonempty list of labels")
+        raise InputError("field 'universe' must be a nonempty list of labels")
     if len(universe) > MAX_POINTS:
-        raise DocumentError(f"{source}: field 'universe' holds more than {MAX_POINTS} labels")
+        raise InputError(f"field 'universe' holds more than {MAX_POINTS} labels")
     for label in universe:
         # --set splits on commas and strips each name, so it could not name these.
         if not label or label.strip() != label or "," in label:
-            raise DocumentError(
-                f"{source}: field 'universe': label {reprlib.repr(label)} is empty, "
-                "holds a comma or starts or ends with whitespace")
+            raise InputError(f"field 'universe': label {reprlib.repr(label)} is empty, "
+                             "holds a comma or starts or ends with whitespace")
     try:  # JSON admits a lone surrogate such as "\ud800", which no output can write
         "".join(universe).encode("utf-8")
     except UnicodeEncodeError as e:
         label = next(x for x in universe if e.object[e.start] in x)
-        raise DocumentError(f"{source}: field 'universe': label {reprlib.repr(label)} "
-                            "is not valid Unicode") from None
+        raise InputError(f"field 'universe': label {reprlib.repr(label)} "
+                         "is not valid Unicode") from None
 
     has_relation = "relation" in raw
     if has_relation == ("base" in raw):
-        raise DocumentError(f"{source}: exactly one of 'relation' or 'base' is required")
+        raise InputError("exactly one of 'relation' or 'base' is required")
 
     if has_relation:
-        _check_pairs(raw["relation"], "relation", source)
+        _check_pairs(raw["relation"], "relation")
     else:
         base = raw["base"]
         if not isinstance(base, list):
-            raise DocumentError(f"{source}: field 'base' must be a list of label lists")
+            raise InputError("field 'base' must be a list of label lists")
         for entry in base:
             if not (isinstance(entry, list) and all(isinstance(x, str) for x in entry)):
-                raise DocumentError(
-                    f"{source}: field 'base': {_ENTRY.repr(entry)} is not a label list")
+                raise InputError(f"field 'base': {_ENTRY.repr(entry)} is not a label list")
 
     if "order" not in raw:
-        raise DocumentError(f"{source}: field 'order' is required")
-    _check_pairs(raw["order"], "order", source)
+        raise InputError("field 'order' is required")
+    _check_pairs(raw["order"], "order")
 
     options = raw.setdefault("options", {})
     if not isinstance(options, dict):
-        raise DocumentError(f"{source}: field 'options' must be an object")
+        raise InputError("field 'options' must be an object")
     for key in options:
         if key != "auto_reflexive":
-            raise DocumentError(f"{source}: unknown option {key!r}")
+            raise InputError(f"unknown option {key!r}")
     if not isinstance(options.setdefault("auto_reflexive", True), bool):
-        raise DocumentError(f"{source}: option 'auto_reflexive' must be a boolean")
+        raise InputError("option 'auto_reflexive' must be a boolean")
     return raw
 
 
@@ -172,36 +178,22 @@ def build_space(doc: dict) -> Gotas:
 def load_space(path: str | os.PathLike[str]) -> Gotas:
     """The space of the document at ``path``; every input error names it
     as given."""
-    name = str(path)
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
-        raise DocumentError(f"cannot read {name}: {e.strerror}") from None
     except UnicodeDecodeError as e:
-        raise DocumentError(f"{name}: byte {e.start} is not valid UTF-8") from None
-    doc = parse_document(text, source=name)
+        raise InputError(f"{path}: byte {e.start} is not valid UTF-8") from None
+    except (OSError, ValueError) as e:  # open raises ValueError for a path holding a NUL byte
+        raise InputError(f"cannot read {path}: {getattr(e, 'strerror', e)}") from None
     try:
-        return build_space(doc)
+        return build_space(parse_document(text))
     except ValueError as e:
-        raise DocumentError(f"{name}: {e}") from None
+        raise InputError(f"{path}: {e}") from None
 
 
 def _echo(text: str) -> None:
     """Writes a line to stdout as is, ANSI-like sequences in labels included."""
     sys.stdout.write(text + "\n")
-
-
-def _fail_input(message: str) -> NoReturn:
-    sys.stderr.write(f"error: {message}\n")
-    sys.exit(EXIT_INPUT_ERROR)
-
-
-def _space_or_exit(path: str) -> Gotas:
-    try:
-        return load_space(path)
-    except ValueError as e:
-        _fail_input(str(e))
 
 
 def _array(items: Iterable[str], indent: str) -> str:
@@ -238,10 +230,10 @@ _REGIONS = ("lower", "upper", "boundary", "positive", "negative")
 
 def cmd_topology(file: str) -> None:
     """Print every open set of the generated topology."""
-    g = _space_or_exit(file)
+    g = load_space(file)
     opens = g.topology.open_masks(MAX_OPENS)
     if opens is None:
-        _fail_input(f"the topology has more than {MAX_OPENS} opens, too many to list")
+        raise InputError(f"the topology has more than {MAX_OPENS} opens, too many to list")
     _echo(f"{g.universe.texts(opens)}\ncount: {len(opens)}")
 
 
@@ -249,11 +241,11 @@ def cmd_analyze(file: str, set_labels: str, family: str | None = None,
                 direction: str | None = None, fmt: str = "table") -> None:
     """Approximation report for one subset: lower/upper approximations,
     regions, accuracy and exactness per family and direction."""
-    g = _space_or_exit(file)
+    g = load_space(file)
     try:
         a = g.universe.subset(filter(None, map(str.strip, set_labels.split(","))))
     except ValueError as e:
-        _fail_input(str(e))
+        raise InputError(str(e)) from None
     rows = [(f, d, r) for (f, d), r in full_report(g, a).items()
             if family in (None, f.value) and direction in (None, d.value)]
 
@@ -285,22 +277,22 @@ def cmd_analyze(file: str, set_labels: str, family: str | None = None,
 
 
 def cmd_check(file: str, exhaustive: bool = False, samples: int | None = None, seed: int = 0,
-              fmt: str = "table", corrupt_gamma: bool = False) -> None:
+              fmt: str = "table", corrupt_gamma: bool = False) -> int | None:
     """Run the law catalogue; exit 0 only if every law holds."""
     if exhaustive and samples is not None:
-        _fail_input("--exhaustive and --samples are mutually exclusive")
+        raise InputError("--exhaustive and --samples are mutually exclusive")
     if samples is not None and samples < 1:
-        _fail_input("--samples must be positive")
+        raise InputError("--samples must be positive")
     if samples is not None and samples > MAX_SAMPLES:
-        _fail_input(f"--samples must be at most {MAX_SAMPLES}")
-    g = _space_or_exit(file)
+        raise InputError(f"--samples must be at most {MAX_SAMPLES}")
+    g = load_space(file)
     if samples is None and not exhaustive and g.universe.size > oracle.POWERSET_CAP:
         samples = 256
     suite = oracle.corrupted_suite() if corrupt_gamma else None
     try:
         reports = oracle.check_propositions(g, suite=suite, samples=samples, seed=seed)
     except oracle.CapExceededError as e:
-        _fail_input(str(e))
+        raise InputError(str(e)) from None
 
     all_pass = all(r.passed for r in reports)
     if fmt == "json":
@@ -321,22 +313,22 @@ def cmd_check(file: str, exhaustive: bool = False, samples: int | None = None, s
                 _echo(f"          witness: {r.witness}")
         _echo("result: " + ("all laws hold" if all_pass else "violations found"))
     if not all_pass:
-        sys.exit(EXIT_CHECK_FAILED)
+        return EXIT_CHECK_FAILED
 
 
-def cmd_oracle_diff(file: str) -> None:
+def cmd_oracle_diff(file: str) -> int | None:
     """Compare the fast base operators against the powerset oracle on every
     subset, both operators, both directions."""
-    g = _space_or_exit(file)
+    g = load_space(file)
     try:
         comparisons, mismatches = oracle.oracle_diff(g)
     except oracle.CapExceededError as e:
-        _fail_input(str(e))
+        raise InputError(str(e)) from None
     for line in mismatches:
         _echo(line)
     _echo(f"{len(mismatches)} mismatches / {comparisons} comparisons")
     if mismatches:
-        sys.exit(EXIT_CHECK_FAILED)
+        return EXIT_CHECK_FAILED
 
 
 class Option(NamedTuple):
@@ -363,7 +355,7 @@ _FORMAT = Option("--format", "fmt", ("table", "json"), help="Output layout (defa
 # The command table: each command's function and options. It drives
 # `parse_command_line`, the usage lines and --help; each command's help is
 # its function's docstring.
-COMMANDS: dict[str, tuple[Callable[..., None], tuple[Option, ...]]] = {
+COMMANDS: dict[str, tuple[Callable[..., int | None], tuple[Option, ...]]] = {
     "topology": (cmd_topology, ()),
     "analyze": (cmd_analyze, (
         Option("--set", "set_labels", str, "LABELS",
@@ -394,13 +386,6 @@ def _usage(name: str | None) -> str:
     return " ".join(("usage: gotas", name, "[-h]", *shown, "FILE"))
 
 
-def _usage_error(name: str | None, message: str) -> NoReturn:
-    """Writes the usage and ``message`` to stderr and exits 2."""
-    prog = "gotas" if name is None else f"gotas {name}"
-    sys.stderr.write(f"{_usage(name)}\n{prog}: error: {message}\n")
-    sys.exit(EXIT_INPUT_ERROR)
-
-
 def _listing(rows: list[tuple[str, str]]) -> str:
     width = max(len(left) for left, _ in rows) + 2
     return "".join(f"  {left:<{width}}{right}".rstrip() + "\n" for left, right in rows)
@@ -427,34 +412,34 @@ def _help(name: str | None) -> NoReturn:
 
 
 def _value(name: str, option: Option, value: str) -> str | int:
-    """``value`` as ``option`` takes it; a usage error if it cannot."""
+    """``value`` as ``option`` takes it; a ``UsageError`` if it cannot."""
     if option.kind is int:
         try:
             return int(value)
         except ValueError:
-            _usage_error(name, f"argument {option.flag}: invalid int value: {value!r}")
+            raise UsageError(name, f"argument {option.flag}: invalid int value: {value!r}")
     if option.kind is not str and value not in option.kind:
-        _usage_error(name, f"argument {option.flag}: invalid choice: {value!r} "
-                           f"(choose from {', '.join(map(repr, option.kind))})")
+        raise UsageError(name, f"argument {option.flag}: invalid choice: {value!r} "
+                               f"(choose from {', '.join(map(repr, option.kind))})")
     return value
 
 
-def parse_command_line(tokens: Sequence[str]) -> tuple[Callable[..., None], dict]:
+def parse_command_line(tokens: Sequence[str]) -> tuple[Callable[..., int | None], dict]:
     """The function of the command that ``tokens`` name, with its keyword
     arguments, from one pass over the tokens. FILE is given once, before or
     after the options; a value option takes ``--opt value`` or
     ``--opt=value``, the value as is; a switch takes no value; a repeated
     option keeps its last value; ``--`` ends the options. -h/--help exits 0
-    with the help; a usage error exits 2, reported as soon as a value is
-    refused, otherwise once every token is read."""
+    with the help; a ``UsageError`` is raised as soon as a value is refused,
+    otherwise once every token is read."""
     if not tokens:
-        _usage_error(None, "the following arguments are required: COMMAND")
+        raise UsageError(None, "the following arguments are required: COMMAND")
     name = tokens[0]
     if name in _HELP:
         _help(None)
     if name not in COMMANDS:
-        _usage_error(None, f"argument COMMAND: invalid choice: {name!r} "
-                           f"(choose from {', '.join(map(repr, COMMANDS))})")
+        raise UsageError(None, f"argument COMMAND: invalid choice: {name!r} "
+                               f"(choose from {', '.join(map(repr, COMMANDS))})")
     run, options = COMMANDS[name]
     flags = {o.flag: o for o in options}
     kwargs: dict = {}
@@ -477,28 +462,28 @@ def parse_command_line(tokens: Sequence[str]) -> tuple[Callable[..., None], dict
                 extras.append(token)
             elif option.kind is bool:
                 if eq:
-                    _usage_error(name, f"argument {flag}: ignored explicit argument {value!r}")
+                    raise UsageError(name, f"argument {flag}: ignored explicit argument {value!r}")
                 kwargs[option.dest] = True
             else:
                 if not eq:
                     value = next(rest, None)
                     if value is None:
-                        _usage_error(name, f"argument {flag}: expected one argument")
+                        raise UsageError(name, f"argument {flag}: expected one argument")
                 kwargs[option.dest] = _value(name, option, value)
     missing = [o.flag for o in options if o.required and o.dest not in kwargs]
     if file is None:
         missing.insert(0, "FILE")
     if missing:
-        _usage_error(name, f"the following arguments are required: {', '.join(missing)}")
+        raise UsageError(name, f"the following arguments are required: {', '.join(missing)}")
     if extras:
-        _usage_error(name, f"unrecognized arguments: {' '.join(extras)}")
+        raise UsageError(name, f"unrecognized arguments: {' '.join(extras)}")
     return run, {"file": file, **kwargs}
 
 
 def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoReturn:
-    """Runs the command line ``args`` (default ``sys.argv[1:]``) and exits with its
-    code. ``main.main`` is this function, which the benchmark calls; usage lines
-    name ``gotas`` whatever ``prog_name``."""
+    """Runs the command line ``args`` (default ``sys.argv[1:]``), writes its error
+    line if any and exits with its code. ``main.main`` is this function, which
+    the benchmark calls; usage lines name ``gotas`` whatever ``prog_name``."""
     for stream in sys.stdout, sys.stderr:  # labels need not be ASCII or Latin-1
         reconfigure = getattr(stream, "reconfigure", None)
         if reconfigure and codecs.lookup(stream.encoding).name != "utf-8":
@@ -506,16 +491,24 @@ def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoR
     try:
         try:
             run, kwargs = parse_command_line(sys.argv[1:] if args is None else args)
-            run(**kwargs)
+            code = run(**kwargs) or 0
         finally:
             sys.stdout.flush()
+    except UsageError as e:
+        name, message = e.args
+        prog = "gotas" if name is None else f"gotas {name}"
+        sys.stderr.write(f"{_usage(name)}\n{prog}: error: {message}\n")
+        code = EXIT_INPUT_ERROR
+    except InputError as e:
+        sys.stderr.write(f"error: {e}\n")
+        code = EXIT_INPUT_ERROR
     except KeyboardInterrupt:
         sys.stderr.write("\nAborted!\n")
+        code = 1
     except BrokenPipeError:  # the reader is gone: let the flush at exit go to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    else:
-        sys.exit(0)
-    sys.exit(1)
+        code = 1
+    sys.exit(code)
 
 
 main.main = main

@@ -13,7 +13,7 @@ import reprlib
 from typing import Iterable
 
 from .topology import BinaryRelation
-from .universe import Subset, Universe, UniverseMismatchError, _points, _transpose, union_over
+from .universe import Subset, Universe, _points, _transpose, same_universe, union_over
 
 
 class OrderAxiomError(ValueError):
@@ -53,8 +53,7 @@ class PartialOrder:
 
     def _closed_under(self, a: Subset, reach: tuple[int, ...]) -> bool:
         """True iff ``reach[x]`` lies within ``a`` for every member x."""
-        if a.universe is not self.universe:
-            raise UniverseMismatchError("subset belongs to a different universe")
+        same_universe(self.universe, a.universe)
         return not union_over(reach, a.bits) & ~a.bits
 
     def __repr__(self) -> str:
@@ -76,8 +75,7 @@ def validate_order(
     """
     if not isinstance(pairs, BinaryRelation):
         pairs = BinaryRelation(universe, pairs)
-    elif pairs.universe is not universe:
-        raise UniverseMismatchError("relation belongs to a different universe")
+    same_universe(universe, pairs.universe)
     succ = pairs.rights
     if auto_reflexive:
         succ = [up | 1 << i for i, up in enumerate(succ)]

@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import or_
 from typing import Iterable
 
-from .universe import Subset, Universe, UniverseMismatchError, _points, canonical_order
+from .universe import Subset, Universe, _points, canonical_order, same_universe
 
 
 class BinaryRelation:
@@ -117,15 +117,13 @@ class Topology:
     def interior(self, a: Subset) -> Subset:
         """Points whose minimal neighborhood lies inside ``a``: the greatest
         open subset."""
-        if a.universe is not self.universe:
-            raise UniverseMismatchError("subset belongs to a different universe")
+        same_universe(self.universe, a.universe)
         return self.universe.from_bits(points_within(self.neighborhoods, a.bits))
 
     def closure(self, a: Subset) -> Subset:
         """Points whose minimal neighborhood meets ``a``: the smallest closed
         superset."""
-        if a.universe is not self.universe:
-            raise UniverseMismatchError("subset belongs to a different universe")
+        same_universe(self.universe, a.universe)
         return self.universe.from_bits(points_meeting(self.neighborhoods, a.bits))
 
     def __repr__(self) -> str:
@@ -136,8 +134,7 @@ def generate_topology(universe: Universe, base: Iterable[Subset]) -> Topology:
     """Smallest topology containing ``base``."""
     base = tuple(base)
     for s in base:
-        if s.universe is not universe:
-            raise UniverseMismatchError("generator subset belongs to a different universe")
+        same_universe(universe, s.universe)
     return Topology(universe, [s.bits for s in base])
 
 

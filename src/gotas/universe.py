@@ -53,6 +53,13 @@ class UniverseMismatchError(ValueError):
     """Subsets owned by different Universe objects were combined."""
 
 
+def same_universe(owner: Universe, other: Universe) -> None:
+    """Raises ``UniverseMismatchError`` unless ``other`` is ``owner`` itself:
+    values combine only over one Universe object, not an equal one."""
+    if other is not owner:
+        raise UniverseMismatchError("values belong to different universes")
+
+
 class Universe:
     """Ordered collection of distinct element labels.
 
@@ -146,12 +153,6 @@ class Subset:
         self.universe = universe
         self.bits = bits
 
-    def _guard(self, other: Subset) -> None:
-        if self.universe is not other.universe:
-            raise UniverseMismatchError(
-                "subsets belong to different universes"
-            )
-
     def members(self) -> tuple[str, ...]:
         u = self.universe
         return tuple(compress(u.labels, flags(self.bits, u.size)))
@@ -160,22 +161,22 @@ class Subset:
         return self.bits.bit_count()
 
     def union(self, other: Subset) -> Subset:
-        self._guard(other)
+        same_universe(self.universe, other.universe)
         return Subset(self.universe, self.bits | other.bits)
 
     def intersect(self, other: Subset) -> Subset:
-        self._guard(other)
+        same_universe(self.universe, other.universe)
         return Subset(self.universe, self.bits & other.bits)
 
     def difference(self, other: Subset) -> Subset:
-        self._guard(other)
+        same_universe(self.universe, other.universe)
         return Subset(self.universe, self.bits & ~other.bits)
 
     def complement(self) -> Subset:
         return Subset(self.universe, self.universe.full_mask ^ self.bits)
 
     def is_subset(self, other: Subset) -> bool:
-        self._guard(other)
+        same_universe(self.universe, other.universe)
         return self.bits & ~other.bits == 0
 
     __or__ = union
@@ -307,6 +308,8 @@ class Batch:
     @classmethod
     def of(cls, universe: Universe, rows: Sequence[int]) -> Batch:
         """Batch whose lane s is the subset with bitmask ``rows[s]``."""
+        if rows and (min(rows) < 0 or max(rows) > universe.full_mask):
+            raise ValueError("bitmask references indices outside the universe")
         return cls(universe, tuple(_transpose(rows, universe.size)), len(rows))
 
     @classmethod
@@ -346,8 +349,9 @@ class Batch:
         return word
 
     def _guard(self, other: Batch) -> None:
-        if self.universe is not other.universe or self.width != other.width:
-            raise UniverseMismatchError("batches belong to different universes or widths")
+        same_universe(self.universe, other.universe)
+        if self.width != other.width:
+            raise UniverseMismatchError("batches differ in width")
 
     def _with(self, packed: int | Groups) -> Batch:
         batch = Batch(self.universe, None, self.width)

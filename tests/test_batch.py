@@ -112,6 +112,13 @@ def test_set_algebra_rejects_other_universes_and_widths():
             a | other
 
 
+@pytest.mark.parametrize("rows", [[-1, 3], [1 << 4, 3], [3, 1 << 5]])
+def test_of_rejects_a_row_outside_the_universe(rows):
+    # Such a row used to spill into the other lanes: [-1, 3] read back as [11, 0].
+    with pytest.raises(ValueError, match="outside the universe"):
+        Batch.of(Universe("abcd"), rows)
+
+
 def test_powerset_enumerates_in_bitmask_order():
     u = Universe(list("abc"))
     assert Batch.powerset(u).rows() == list(range(8))

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -13,7 +14,7 @@ from gotas import cli
 from gotas.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
-    DocumentError,
+    InputError,
     load_space,
     main,
     parse_document,
@@ -657,19 +658,19 @@ class TestDocumentParsing:
         )
 
     def test_json_error_reports_line(self):
-        with pytest.raises(DocumentError, match="line 2"):
-            parse_document('{\n  "universe": [,]\n}', source="bad.json")
+        with pytest.raises(InputError, match="line 2"):
+            parse_document('{\n  "universe": [,]\n}')
 
     def test_relation_and_base_are_exclusive(self):
-        with pytest.raises(DocumentError, match="exactly one"):
+        with pytest.raises(InputError, match="exactly one"):
             parse_document(json.dumps({
                 "universe": ["a"], "base": [], "relation": [], "order": [],
             }))
-        with pytest.raises(DocumentError, match="exactly one"):
+        with pytest.raises(InputError, match="exactly one"):
             parse_document(json.dumps({"universe": ["a"], "order": []}))
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(DocumentError, match="unknown field"):
+        with pytest.raises(InputError, match="unknown field"):
             parse_document(json.dumps({
                 "universe": ["a"], "base": [], "order": [], "extra": 1,
             }))
@@ -734,10 +735,14 @@ _VALID = {"universe": ["a", "b"], "base": [["a"]], "order": [["a", "b"]]}
     (json.dumps({**_VALID, "options": {"auto_reflexive": 1}}),
      "doc.json: option 'auto_reflexive' must be a boolean"),
 ])
-def test_parse_document_error_text(text, message):
-    with pytest.raises(DocumentError) as err:
-        parse_document(text, source="doc.json")
-    assert str(err.value) == message
+def test_parse_document_error_text(tmp_path, monkeypatch, text, message):
+    with pytest.raises(InputError) as err:
+        parse_document(text)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.json").write_text(text, encoding="utf-8")
+    with pytest.raises(InputError) as named:
+        load_space("doc.json")
+    assert str(named.value) == f"doc.json: {err.value}" == message
 
 
 @pytest.mark.parametrize("content, message", [
@@ -1224,7 +1229,8 @@ def test_topology_and_analyze_run_no_oracle_code_and_no_random():
 @pytest.mark.parametrize("path, reason", [
     ("", "No such file or directory"),
     (f"{EXAMPLE_DOC}/", "Not a directory"),
-], ids=["empty", "trailing-slash"])
+    ("doc\0.json", "embedded null byte"),
+], ids=["empty", "trailing-slash", "nul-byte"])
 def test_the_path_is_opened_as_typed(path, reason):
     # No path library normalizes it: '' is not the current directory, and a
     # file named with a trailing slash is not read, as with `cat`.
@@ -1281,6 +1287,22 @@ def test_main_main_exits_with_the_command_code(tmp_path, capsys, doc, args, code
     if code == 0:
         assert out == TOPOLOGY_GOLDEN
     assert (err == "") == (code != EXIT_INPUT_ERROR)
+
+
+def test_only_main_writes_errors_and_ends_the_process():
+    # Commands and the parser raise or return; main maps each outcome to its
+    # exit code, and --help alone exits on its own.
+    with open(cli.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    users = {"stderr": set(), "exit": set()}
+    for top in tree.body:
+        for node in ast.walk(top):
+            assert not (isinstance(node, ast.ImportFrom) and node.module == "sys")
+            assert not (isinstance(node, ast.Name) and node.id == "SystemExit")
+            if (isinstance(node, ast.Attribute) and node.attr in users
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                users[node.attr].add(getattr(top, "name", "<module>"))
+    assert users == {"stderr": {"main"}, "exit": {"main", "_help"}}
 
 
 def test_pyproject_lists_no_runtime_dependency():

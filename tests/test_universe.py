@@ -7,10 +7,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from gotas import Subset, Universe, UniverseMismatchError
+from gotas import (Batch, BinaryRelation, Direction, Gotas, Subset, Universe,
+                   UniverseMismatchError, generate_topology, r_lower, validate_order)
 from gotas.universe import (_points, canonical_order, flags, from_flags, random_columns,
                             union_over)
 
+from conftest import make_example_space
 from strategies import universe_with_subsets
 
 
@@ -91,6 +93,30 @@ def test_mixed_universes_rejected():
     u2 = Universe(["a", "b"])
     with pytest.raises(UniverseMismatchError):
         u1.subset(["a"]).union(u2.subset(["b"]))
+
+
+# Each entry point that combines values, given space g and a value of space h,
+# which is built alike over an equal but distinct universe.
+_COMBINE = {
+    "Subset": lambda g, h: g.universe.full() | h.universe.full(),
+    "Batch": lambda g, h: Batch.of(g.universe, [0]) | Batch.of(h.universe, [0]),
+    "r_lower": lambda g, h: r_lower(g, h.universe.full(), Direction.INC),
+    "Gotas-topology": lambda g, h: Gotas(g.universe, h.topology, g.order),
+    "Gotas-order": lambda g, h: Gotas(g.universe, g.topology, h.order),
+    "interior": lambda g, h: g.topology.interior(h.universe.full()),
+    "closure": lambda g, h: g.topology.closure(h.universe.full()),
+    "generate_topology": lambda g, h: generate_topology(g.universe, [h.universe.full()]),
+    "is_increasing": lambda g, h: g.order.is_increasing(h.universe.full()),
+    "validate_order": lambda g, h: validate_order(g.universe, BinaryRelation(h.universe, [])),
+}
+
+
+@pytest.mark.parametrize("entry", _COMBINE)
+def test_each_entry_point_rejects_a_value_of_an_equal_universe(entry):
+    g, h = make_example_space(), make_example_space()
+    assert g.universe.labels == h.universe.labels and g.universe is not h.universe
+    with pytest.raises(UniverseMismatchError):
+        _COMBINE[entry](g, h)
 
 
 def test_subsets_enumeration():
