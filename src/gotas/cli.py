@@ -2,11 +2,11 @@
 
 Reads a space document (JSON), builds the space and runs reports or
 checks. Exit codes are a stable contract: 0 success / all checks pass,
-1 check failure, 2 input or usage error. ``main`` maps each outcome to
-its exit code: a command returns ``EXIT_CHECK_FAILED`` when a check
-fails and raises ``InputError`` on input it cannot use, the parser
-raises ``UsageError``, and ``main`` alone writes their error lines and
-exits; only --help exits on its own, with 0.
+1 check failure, 2 input or usage error. A command returns its output
+text and its exit code, ``EXIT_CHECK_FAILED`` when a check fails, and
+raises ``InputError`` on input it cannot use; the parser raises
+``UsageError``. ``main`` alone writes stdout, writes the error lines and
+exits; only --help writes and exits on its own, with 0.
 
 ``COMMANDS`` is the table of the four commands: each one's function and
 its ``Option``s. ``parse_command_line`` reads a command line from it in
@@ -91,13 +91,25 @@ def _check_pairs(value: object, name: str) -> None:
             raise InputError(f"field {name!r}: {_ENTRY.repr(entry)} is not a pair of labels")
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; a key it repeats is refused, where JSON would keep the last value."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"key {reprlib.repr(key)} is repeated")
+        obj[key] = value
+    return obj
+
+
 def parse_document(text: str) -> dict:
     """The document's JSON object, once its shape is checked and each
     universe label is valid Unicode and one ``--set`` can name, with
     ``options`` filled in.
     Labels are resolved later, by ``build_space``."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
+    except InputError:  # a repeated key, which the arm for long integers must not take
+        raise
     except json.JSONDecodeError as e:
         raise InputError(f"line {e.lineno}: {e.msg}") from None
     except RecursionError:
@@ -110,7 +122,7 @@ def parse_document(text: str) -> dict:
     known = {"universe", "relation", "base", "order", "options"}
     for key in raw:
         if key not in known:
-            raise InputError(f"unknown field {key!r}")
+            raise InputError(f"unknown field {reprlib.repr(key)}")
 
     universe = raw.get("universe")
     if not (
@@ -156,7 +168,7 @@ def parse_document(text: str) -> dict:
         raise InputError("field 'options' must be an object")
     for key in options:
         if key != "auto_reflexive":
-            raise InputError(f"unknown option {key!r}")
+            raise InputError(f"unknown option {reprlib.repr(key)}")
     if not isinstance(options.setdefault("auto_reflexive", True), bool):
         raise InputError("option 'auto_reflexive' must be a boolean")
     return raw
@@ -191,11 +203,6 @@ def load_space(path: str | os.PathLike[str]) -> Gotas:
         raise InputError(f"{path}: {e}") from None
 
 
-def _echo(text: str) -> None:
-    """Writes a line to stdout as is, ANSI-like sequences in labels included."""
-    sys.stdout.write(text + "\n")
-
-
 def _array(items: Iterable[str], indent: str) -> str:
     """The JSON array of ``items``, each written already, laid out as
     ``json.dumps(..., indent=2)`` lays out an array on a line that starts
@@ -228,17 +235,17 @@ _VIOLATIONS = '[\n        {\n          "space": %s,\n          "detail": %s\n   
 _REGIONS = ("lower", "upper", "boundary", "positive", "negative")
 
 
-def cmd_topology(file: str) -> None:
+def cmd_topology(file: str) -> tuple[str, int]:
     """Print every open set of the generated topology."""
     g = load_space(file)
     opens = g.topology.open_masks(MAX_OPENS)
     if opens is None:
         raise InputError(f"the topology has more than {MAX_OPENS} opens, too many to list")
-    _echo(f"{g.universe.texts(opens)}\ncount: {len(opens)}")
+    return f"{g.universe.texts(opens)}\ncount: {len(opens)}", 0
 
 
 def cmd_analyze(file: str, set_labels: str, family: str | None = None,
-                direction: str | None = None, fmt: str = "table") -> None:
+                direction: str | None = None, fmt: str = "table") -> tuple[str, int]:
     """Approximation report for one subset: lower/upper approximations,
     regions, accuracy and exactness per family and direction."""
     g = load_space(file)
@@ -257,8 +264,7 @@ def cmd_analyze(file: str, set_labels: str, family: str | None = None,
                            *map(arrays.__getitem__, row),
                            encode_basestring_ascii(str(r.accuracy)), _BOOL[r.exact])
                    for (f, d, r), row in zip(rows, masks)]
-        _echo(_ANALYZE % (_labels(encoded, a.bits, "  "), _array(written, "  ")))
-        return
+        return _ANALYZE % (_labels(encoded, a.bits, "  "), _array(written, "  ")), 0
 
     headers = ("family", "dir", *_REGIONS, "accuracy", "exactness")
     body = [
@@ -273,11 +279,11 @@ def cmd_analyze(file: str, set_labels: str, family: str | None = None,
     ]
     widths = [max(len(h), *(len(row[i]) for row in body)) for i, h in enumerate(headers)]
     lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in (headers, *body))
-    _echo("\n".join((f"A = {a}", *lines)))
+    return "\n".join((f"A = {a}", *lines)), 0
 
 
 def cmd_check(file: str, exhaustive: bool = False, samples: int | None = None, seed: int = 0,
-              fmt: str = "table", corrupt_gamma: bool = False) -> int | None:
+              fmt: str = "table", corrupt_gamma: bool = False) -> tuple[str, int]:
     """Run the law catalogue; exit 0 only if every law holds."""
     if exhaustive and samples is not None:
         raise InputError("--exhaustive and --samples are mutually exclusive")
@@ -303,20 +309,17 @@ def cmd_check(file: str, exhaustive: bool = False, samples: int | None = None, s
                             "[]" if r.passed else
                             _VIOLATIONS % (space, encode_basestring_ascii(r.witness)))
             for r in reports]
-        _echo(_CHECK % (encode_basestring_ascii(mode), seed, _BOOL[all_pass],
-                        _array(written, "  ")))
+        text = _CHECK % (encode_basestring_ascii(mode), seed, _BOOL[all_pass],
+                         _array(written, "  "))
     else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            _echo(f"{r.proposition:<9} {r.instances:>6} instances  {status}")
-            if not r.passed:
-                _echo(f"          witness: {r.witness}")
-        _echo("result: " + ("all laws hold" if all_pass else "violations found"))
-    if not all_pass:
-        return EXIT_CHECK_FAILED
+        text = "".join(f"{r.proposition:<9} {r.instances:>6} instances  " +
+                       ("PASS\n" if r.passed else f"FAIL\n          witness: {r.witness}\n")
+                       for r in reports)
+        text += "result: " + ("all laws hold" if all_pass else "violations found")
+    return text, 0 if all_pass else EXIT_CHECK_FAILED
 
 
-def cmd_oracle_diff(file: str) -> int | None:
+def cmd_oracle_diff(file: str) -> tuple[str, int]:
     """Compare the fast base operators against the powerset oracle on every
     subset, both operators, both directions."""
     g = load_space(file)
@@ -324,11 +327,8 @@ def cmd_oracle_diff(file: str) -> int | None:
         comparisons, mismatches = oracle.oracle_diff(g)
     except oracle.CapExceededError as e:
         raise InputError(str(e)) from None
-    for line in mismatches:
-        _echo(line)
-    _echo(f"{len(mismatches)} mismatches / {comparisons} comparisons")
-    if mismatches:
-        return EXIT_CHECK_FAILED
+    text = "\n".join((*mismatches, f"{len(mismatches)} mismatches / {comparisons} comparisons"))
+    return text, EXIT_CHECK_FAILED if mismatches else 0
 
 
 class Option(NamedTuple):
@@ -355,7 +355,7 @@ _FORMAT = Option("--format", "fmt", ("table", "json"), help="Output layout (defa
 # The command table: each command's function and options. It drives
 # `parse_command_line`, the usage lines and --help; each command's help is
 # its function's docstring.
-COMMANDS: dict[str, tuple[Callable[..., int | None], tuple[Option, ...]]] = {
+COMMANDS: dict[str, tuple[Callable[..., tuple[str, int]], tuple[Option, ...]]] = {
     "topology": (cmd_topology, ()),
     "analyze": (cmd_analyze, (
         Option("--set", "set_labels", str, "LABELS",
@@ -424,7 +424,7 @@ def _value(name: str, option: Option, value: str) -> str | int:
     return value
 
 
-def parse_command_line(tokens: Sequence[str]) -> tuple[Callable[..., int | None], dict]:
+def parse_command_line(tokens: Sequence[str]) -> tuple[Callable[..., tuple[str, int]], dict]:
     """The function of the command that ``tokens`` name, with its keyword
     arguments, from one pass over the tokens. FILE is given once, before or
     after the options; a value option takes ``--opt value`` or
@@ -481,8 +481,8 @@ def parse_command_line(tokens: Sequence[str]) -> tuple[Callable[..., int | None]
 
 
 def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoReturn:
-    """Runs the command line ``args`` (default ``sys.argv[1:]``), writes its error
-    line if any and exits with its code. ``main.main`` is this function, which
+    """Runs the command line ``args`` (default ``sys.argv[1:]``), writes its output
+    or its error line and exits with its code. ``main.main`` is this function, which
     the benchmark calls; usage lines name ``gotas`` whatever ``prog_name``."""
     for stream in sys.stdout, sys.stderr:  # labels need not be ASCII or Latin-1
         reconfigure = getattr(stream, "reconfigure", None)
@@ -491,7 +491,8 @@ def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoR
     try:
         try:
             run, kwargs = parse_command_line(sys.argv[1:] if args is None else args)
-            code = run(**kwargs) or 0
+            text, code = run(**kwargs)
+            sys.stdout.write(text + "\n")
         finally:
             sys.stdout.flush()
     except UsageError as e:

@@ -216,16 +216,17 @@ class PropositionReport(NamedTuple):
         return self.witness is None
 
 
-# Each unary law is a generator of its failing claims over the row table of
-# a batch of subsets: (fail mask, witness template, operands), in the order a
-# check of one instance tests them; a passing law yields nothing. The
-# template's %s fields take the operands' values at the failing lane;
-# templates are built at import. A table's batch is its ``a``; a value in a
-# law is named by its (family, row field). Only duality reads the complement
-# of A, and only its R rows, so it builds that table.
+# A catalogue entry is (id, law). A unary law is a generator of its failing claims
+# over the row table of a batch of subsets: (fail mask, witness template, operands),
+# in the order a check of one instance tests them; a passing law yields nothing. The
+# template's %s fields take the operands' values at the failing lane; templates are
+# built at import. A table's batch is its ``a``; a value in a law is named by its
+# (family, row field). Only duality reads the complement of A, and only its R rows,
+# so it builds that table. The accuracy laws are ``_accuracies`` of specs (direction,
+# families, template): the families' accuracies do not fall, in that order.
 #
-# Each binary law is one row that must be monotone (antitone, for a negative
-# region) in both directions: (family, row field, antitone, witness). It
+# A binary law is the tuple (family, row field, antitone, witness) of one row
+# that must be monotone (antitone, for a negative region) in both directions. It
 # holds on every pair A, B iff that row is. ⇐: each clause follows, since
 # f(A∩B) lies in f(A) and f(B) and both lie in f(A∪B). ⇒: at a pair A ⊆ B
 # that breaks monotonicity, A∩B = A and A∪B = B, so the stated ∩, ∪ or Neg
@@ -279,6 +280,19 @@ def _inclusions(specs):
     return claims
 
 
+def _accuracies(specs):
+    def claims(rows):
+        a = rows.a
+        for d, families, template in specs:
+            fail = 0
+            for x, y in zip(families, families[1:]):
+                fail |= _accuracy_exceeds(a, rows[x, d], rows[y, d])
+            if fail:
+                yield fail, template, (a, *(rows[f, d].accuracy for f in families))
+
+    return claims
+
+
 def _inclusion(first, second, text):
     return _inclusions([(d, first, second, f"{d.label}: A=%s: {text}: %s not within %s")
                         for d in DIRECTION_ORDER])
@@ -302,22 +316,6 @@ def _accuracy_exceeds(a, x, y):
     if not nonempty & a.lanes_in(loose):
         return 0
     return nonempty & from_flags(bytes(map(gt, x.accuracy, y.accuracy)))
-
-
-def _accuracy_floor(rows):
-    a = rows.a
-    for d, fam, template in _FLOOR:
-        base, got = rows[_R, d], rows[fam, d]
-        if fail := _accuracy_exceeds(a, base, got):
-            yield fail, template, (a, base.accuracy, got.accuracy)
-
-
-def _accuracy_chain(rows):
-    a = rows.a
-    for d, template in _ASCENDING:
-        r, g, b = (rows[fam, d] for fam in (_R, _G, _B))
-        if fail := _accuracy_exceeds(a, r, g) | _accuracy_exceeds(a, g, b):
-            yield fail, template, (a, r.accuracy, g.accuracy, b.accuracy)
 
 
 def _duality(rows):
@@ -368,49 +366,47 @@ _R, _S, _P, _G, _B = FAMILY_ORDER
 _NEG_WITNESS = "A=%s, B=%s: Neg(A∪B) %s not within Neg(A)∩Neg(B)"
 _SANDWICH = [((family, d), f"{family.label} {d.label}: expected %s within %s within %s")
              for family in FAMILY_ORDER for d in DIRECTION_ORDER]
-_FLOOR = [(d, fam, f"{d.label}: A=%s: R accuracy %s > {fam.label} accuracy %s")
-          for d in DIRECTION_ORDER for fam in (_G, _B)]
-_ASCENDING = [(d, f"{d.label}: A=%s: accuracies R %s, gamma %s, beta %s not ascending")
-              for d in DIRECTION_ORDER]
 _DUALITY = [f"A=%s: duality {x} {d.label} vs {y} {d.opposite.label}: %s vs %s"
             for x, y in (("upper", "lower"), ("lower", "upper")) for d in DIRECTION_ORDER]
 
-_CATALOGUE: tuple[tuple[str, str, Callable | tuple], ...] = (
-    ("sandwich", "unary", _sandwich),
-    ("3.2", "binary", (_G, "upper", False, "gamma upper not monotone at A=%s, B=%s")),
-    ("3.3", "binary", (_G, "lower", False, "gamma lower not monotone at A=%s, B=%s")),
-    ("3.4", "unary", _exact_transfer(_G, "gamma")),
-    ("3.5", "unary", _inclusion((_R, "lower"), (_G, "lower"), "R lower within gamma lower")),
-    ("3.6", "unary", _inclusion((_G, "upper"), (_R, "upper"), "gamma upper within R upper")),
-    ("3.7", "unary", _inclusion((_P, "lower"), (_G, "lower"), "pre lower within gamma lower")),
-    ("3.8", "unary", _inclusion((_S, "lower"), (_G, "lower"), "semi lower within gamma lower")),
-    ("3.9", "unary", _inclusion((_P, "upper"), (_G, "upper"), "pre upper within gamma upper")),
-    ("3.10", "unary", _inclusion((_B, "upper"), (_P, "upper"), "beta upper within pre upper")),
-    ("3.12", "binary", (_B, "upper", False, "beta upper not monotone at A=%s, B=%s")),
-    ("3.13", "binary", (_B, "lower", False, "beta lower not monotone at A=%s, B=%s")),
-    ("3.14", "unary", _exact_transfer(_B, "beta")),
-    ("3.15", "unary", _inclusion((_R, "lower"), (_B, "lower"), "R lower within beta lower")),
-    ("3.16", "unary", _inclusion((_B, "upper"), (_R, "upper"), "beta upper within R upper")),
-    ("3.18", "binary", (_G, "negative", True, _NEG_WITNESS)),
-    ("3.19", "binary", (_B, "negative", True, _NEG_WITNESS)),
-    ("3.20", "unary", _inclusion_chain(
+_CATALOGUE: tuple[tuple[str, Callable | tuple], ...] = (
+    ("sandwich", _sandwich),
+    ("3.2", (_G, "upper", False, "gamma upper not monotone at A=%s, B=%s")),
+    ("3.3", (_G, "lower", False, "gamma lower not monotone at A=%s, B=%s")),
+    ("3.4", _exact_transfer(_G, "gamma")),
+    ("3.5", _inclusion((_R, "lower"), (_G, "lower"), "R lower within gamma lower")),
+    ("3.6", _inclusion((_G, "upper"), (_R, "upper"), "gamma upper within R upper")),
+    ("3.7", _inclusion((_P, "lower"), (_G, "lower"), "pre lower within gamma lower")),
+    ("3.8", _inclusion((_S, "lower"), (_G, "lower"), "semi lower within gamma lower")),
+    ("3.9", _inclusion((_P, "upper"), (_G, "upper"), "pre upper within gamma upper")),
+    ("3.10", _inclusion((_B, "upper"), (_P, "upper"), "beta upper within pre upper")),
+    ("3.12", (_B, "upper", False, "beta upper not monotone at A=%s, B=%s")),
+    ("3.13", (_B, "lower", False, "beta lower not monotone at A=%s, B=%s")),
+    ("3.14", _exact_transfer(_B, "beta")),
+    ("3.15", _inclusion((_R, "lower"), (_B, "lower"), "R lower within beta lower")),
+    ("3.16", _inclusion((_B, "upper"), (_R, "upper"), "beta upper within R upper")),
+    ("3.18", (_G, "negative", True, _NEG_WITNESS)),
+    ("3.19", (_B, "negative", True, _NEG_WITNESS)),
+    ("3.20", _inclusion_chain(
         (_S, "lower", "semi lower"), (_G, "lower", "gamma lower"), (_B, "lower", "beta lower"))),
-    ("3.21", "unary", _inclusion_chain(
+    ("3.21", _inclusion_chain(
         (_B, "upper", "beta upper"), (_G, "upper", "gamma upper"), (_S, "upper", "semi upper"))),
-    ("3.23", "unary", _accuracy_floor),
-    ("3.25", "unary", _inclusion_chain(
+    ("3.23", _accuracies([(d, (_R, fam), f"{d.label}: A=%s: R accuracy %s > {fam.label} "
+                           "accuracy %s") for d in DIRECTION_ORDER for fam in (_G, _B)])),
+    ("3.25", _inclusion_chain(
         (_B, "boundary", "boundary beta"), (_G, "boundary", "boundary gamma"),
         (_S, "boundary", "boundary S"))),
-    ("3.26", "unary", _inclusion_chain(
+    ("3.26", _inclusion_chain(
         (_G, "boundary", "boundary gamma"), (_R, "boundary", "boundary R"))),
-    ("3.27", "unary", _inclusion_chain(
+    ("3.27", _inclusion_chain(
         (_B, "boundary", "boundary beta"), (_R, "boundary", "boundary R"))),
-    ("3.28a", "unary", _accuracy_chain),
-    ("3.28b", "unary", _inclusion((_G, "lower"), (_B, "lower"), "gamma lower within beta lower")),
-    ("duality", "unary", _duality),
+    ("3.28a", _accuracies([(d, (_R, _G, _B), f"{d.label}: A=%s: accuracies R %s, gamma %s, "
+                            "beta %s not ascending") for d in DIRECTION_ORDER])),
+    ("3.28b", _inclusion((_G, "lower"), (_B, "lower"), "gamma lower within beta lower")),
+    ("duality", _duality),
 )
 
-PROPOSITION_IDS = tuple(pid for pid, _, _ in _CATALOGUE)
+PROPOSITION_IDS = tuple(pid for pid, _ in _CATALOGUE)
 
 
 def check_propositions(
@@ -479,8 +475,8 @@ def check_propositions(
                  for start, shift in ((0, w), (0, 2 * w), (w, 2 * w), (2 * w, w))]
 
     reports = []
-    for pid, kind, law in _CATALOGUE:
-        binary = kind == "binary"
+    for pid, law in _CATALOGUE:
+        binary = isinstance(law, tuple)
         claims = list(_breaks(*law, table, pairs) if binary else law(unary))
         if not claims:
             reports.append(PropositionReport(pid, all_pairs if binary else all_units))

@@ -334,6 +334,8 @@ class Batch:
 
     def lane(self, s: int) -> Subset:
         """The subset in lane s."""
+        if not 0 <= s < self.width:
+            raise IndexError(f"lane {s} is outside a batch of width {self.width}")
         lane = bytes(map((1).__and__, map(s.__rrshift__, self.columns)))
         return Subset(self.universe, from_flags(lane))
 

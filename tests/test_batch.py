@@ -119,6 +119,14 @@ def test_of_rejects_a_row_outside_the_universe(rows):
         Batch.of(Universe("abcd"), rows)
 
 
+@pytest.mark.parametrize("s", [-1, 2, 5])
+def test_lane_rejects_an_index_outside_the_width(s):
+    # Lane 5 of two lanes used to read back as {}, and lane -1 to fail with
+    # "negative shift count".
+    with pytest.raises(IndexError, match=f"^lane {s} is outside a batch of width 2$"):
+        Batch.of(Universe("abcd"), [3, 5]).lane(s)
+
+
 def test_powerset_enumerates_in_bitmask_order():
     u = Universe(list("abc"))
     assert Batch.powerset(u).rows() == list(range(8))

@@ -734,6 +734,12 @@ _VALID = {"universe": ["a", "b"], "base": [["a"]], "order": [["a", "b"]]}
     (json.dumps({**_VALID, "options": {"strict": True}}), "doc.json: unknown option 'strict'"),
     (json.dumps({**_VALID, "options": {"auto_reflexive": 1}}),
      "doc.json: option 'auto_reflexive' must be a boolean"),
+    # JSON keeps a repeated key's last value; a document that repeats one is refused.
+    ('{"universe": ["a", "b"], "base": [["a"]], "order": [["a", "b"]], "order": []}',
+     "doc.json: key 'order' is repeated"),
+    ('{"universe": ["a"], "base": [], "order": [], '
+     '"options": {"auto_reflexive": true, "auto_reflexive": false}}',
+     "doc.json: key 'auto_reflexive' is repeated"),
 ])
 def test_parse_document_error_text(tmp_path, monkeypatch, text, message):
     with pytest.raises(InputError) as err:
@@ -803,7 +809,10 @@ _HUGE, _HUGE_REPR = "x" * 200_000, "'" + "x" * 12 + "..." + "x" * 13 + "'"
      f"antisymmetry violated: both (a, {_HUGE_REPR}) and ({_HUGE_REPR}, a) present"),
     ({**_VALID, "universe": ["a", "b", _HUGE], "order": [["a", _HUGE], [_HUGE, "b"]]}, [],
      f"transitivity violated: (a, {_HUGE_REPR}) and ({_HUGE_REPR}, b) present but (a, b) missing"),
-], ids=["base-label", "duplicate-label", "set-label", "antisymmetry", "transitivity"])
+    ({**_VALID, _HUGE: 1}, [], f"unknown field {_HUGE_REPR}"),
+    ({**_VALID, "options": {_HUGE: True}}, [], f"unknown option {_HUGE_REPR}"),
+], ids=["base-label", "duplicate-label", "set-label", "antisymmetry", "transitivity",
+        "unknown-field", "unknown-option"])
 def test_a_huge_label_gives_a_short_error_line(tmp_path, doc, args, message):
     path = write_doc(tmp_path, doc, name="doc.json")
     result = invoke(["analyze", path, *(args or ["--set", "a"])])
@@ -1290,11 +1299,12 @@ def test_main_main_exits_with_the_command_code(tmp_path, capsys, doc, args, code
 
 
 def test_only_main_writes_errors_and_ends_the_process():
-    # Commands and the parser raise or return; main maps each outcome to its
-    # exit code, and --help alone exits on its own.
+    # Commands and the parser raise or return; main writes each command's
+    # output and maps each outcome to its exit code, and --help alone writes
+    # and exits on its own.
     with open(cli.__file__, encoding="utf-8") as f:
         tree = ast.parse(f.read())
-    users = {"stderr": set(), "exit": set()}
+    users = {"stdout": set(), "stderr": set(), "exit": set()}
     for top in tree.body:
         for node in ast.walk(top):
             assert not (isinstance(node, ast.ImportFrom) and node.module == "sys")
@@ -1302,7 +1312,7 @@ def test_only_main_writes_errors_and_ends_the_process():
             if (isinstance(node, ast.Attribute) and node.attr in users
                     and isinstance(node.value, ast.Name) and node.value.id == "sys"):
                 users[node.attr].add(getattr(top, "name", "<module>"))
-    assert users == {"stderr": {"main"}, "exit": {"main", "_help"}}
+    assert users == {"stdout": {"main", "_help"}, "stderr": {"main"}, "exit": {"main", "_help"}}
 
 
 def test_pyproject_lists_no_runtime_dependency():

@@ -5,8 +5,9 @@ string) in ``src/``, ``scripts/`` or ``perfbench/``, be named in the
 README's code or in ``gotas.__all__``, or be on ``ALLOWED`` with a reason.
 A member that only the tests read belongs in the tests. A method counts as
 read where some code reads an attribute of its name, or its own class body
-reads the name (``__or__ = union``); a function, where code reads or
-imports its name.
+reads the name (``__or__ = union``); a class method, only where code reads
+it through its class (``Batch.powerset``, or ``cls.powerset`` inside
+``Batch``); a function, where code reads or imports its name.
 """
 
 import ast
@@ -22,6 +23,7 @@ USERS = (SRC, REPO_ROOT / "scripts", REPO_ROOT / "perfbench")
 # Public members that no user reaches, each with the reason it stays.
 ALLOWED = {
     "Universe.empty": "the empty subset, beside Universe.full and Universe.subset",
+    "Batch.of": "the batch of given rows, the inverse of Batch.rows; the tests build batches so",
     "PartialOrder.is_increasing": "the tests' reference for the monotone sets the kernel encodes",
     "PartialOrder.is_decreasing": "the tests' reference for the monotone sets the kernel encodes",
 }
@@ -34,18 +36,27 @@ def _trees(roots):
 
 
 def _read_names():
-    """The attribute names and the plain names that code in ``USERS`` reads
-    or imports."""
-    attributes, names = set(), set()
+    """The attribute names, the (owner, attribute) pairs and the plain names
+    that code in ``USERS`` reads or imports. The owner of ``x.name`` and of
+    ``y.x.name`` is ``x``; inside class C, the owner of ``cls.name`` is C."""
+    attributes, owned, names = set(), set(), set()
     for _, tree in _trees(USERS):
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    owned.add((node.value.id, node.attr))
+                elif isinstance(node.value, ast.Attribute):
+                    owned.add((node.value.attr, node.attr))
+            elif isinstance(node, ast.ClassDef):
+                owned |= {(node.name, n.attr) for n in ast.walk(node)
+                          if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                          and n.value.id == "cls"}
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rpartition(".")[2])
-    return attributes, names
+    return attributes, owned, names
 
 
 def _readme_names():
@@ -61,7 +72,7 @@ def _readme_names():
 def _unreached():
     """The qualified names of the public functions and methods of
     ``src/gotas`` that nothing but the tests reaches."""
-    attributes, names = _read_names()
+    attributes, owned, names = _read_names()
     named = _readme_names() | set(gotas.__all__)
     unreached = []
     for path, tree in _trees([SRC]):
@@ -72,10 +83,16 @@ def _unreached():
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 own = {n.id for stmt in node.body if not isinstance(stmt, ast.FunctionDef)
                        for n in ast.walk(stmt) if isinstance(n, ast.Name)}
-                unreached += [f"{node.name}.{item.name}" for item in node.body
-                              if isinstance(item, ast.FunctionDef)
-                              and not item.name.startswith("_")
-                              and item.name not in attributes | own | named]
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
+                        continue
+                    if any(isinstance(d, ast.Name) and d.id == "classmethod"
+                           for d in item.decorator_list):
+                        reached = (node.name, item.name) in owned
+                    else:
+                        reached = item.name in attributes | own | named
+                    if not reached:
+                        unreached.append(f"{node.name}.{item.name}")
     return unreached
 
 
