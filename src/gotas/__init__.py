@@ -38,7 +38,7 @@ from .topology import (
     generate_topology,
     topology_from_relation,
 )
-from .universe import Batch, Subset, Universe, UniverseMismatchError
+from .universe import Subset, Universe, UniverseMismatchError
 
 __version__ = "0.1.0"
 
@@ -54,6 +54,17 @@ oracle = _importlib_util.module_from_spec(_spec)
 _sys.modules[_spec.name] = oracle
 _spec.loader.exec_module(oracle)
 del _spec
+
+
+def __getattr__(name: str):
+    """``gotas.Batch``. The batch engine, ``gotas.batch``, is imported on first
+    use: here, by ``Gotas.kernel_plan`` or by ``gotas.oracle``. These are
+    plain imports, which hold the import lock, so they are thread-safe."""
+    if name == "Batch":
+        from .batch import Batch
+        return Batch
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ApproxReport",

@@ -10,14 +10,21 @@ is a pure function of (space, subset, direction).
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .order import PartialOrder
 from .topology import Topology, points_meeting, points_within
-from .universe import Batch, Plan, Subset, Universe, _cached, same_universe
+from .universe import Subset, Universe, _cached, same_universe
+
+if TYPE_CHECKING:
+    from .batch import Batch, Plan
+    from .oracle import OperatorSuite
+
+    # The operators act on one subset or, lane by lane, on a batch of them.
+    Sets = Subset | Batch
+    OpFn = Callable[[Gotas, Sets, Direction], Sets]
 
 
 class Direction(Enum):
@@ -49,7 +56,6 @@ DIRECTION_ORDER = tuple(Direction)
 Direction.INC.opposite, Direction.DEC.opposite = Direction.DEC, Direction.INC
 
 
-@dataclass(frozen=True, eq=False)
 class Gotas:
     """A universe plus a topology and a partial order over it.
 
@@ -62,16 +68,13 @@ class Gotas:
     call folds each class once, from its own points' columns and its
     covers' results, and every point takes its class's result. The space
     keeps no results of the operators: ``Rows`` remembers them while it
-    builds one table.
+    builds one table. Spaces compare by identity.
     """
 
-    universe: Universe
-    topology: Topology
-    order: PartialOrder
-
-    def __post_init__(self) -> None:
-        same_universe(self.universe, self.topology.universe)
-        same_universe(self.universe, self.order.universe)
+    def __init__(self, universe: Universe, topology: Topology, order: PartialOrder) -> None:
+        same_universe(universe, topology.universe)
+        same_universe(universe, order.universe)
+        self.universe, self.topology, self.order = universe, topology, order
 
     @_cached
     def kernel(self) -> dict[Direction, tuple[int, ...]]:
@@ -87,6 +90,7 @@ class Gotas:
     def kernel_plan(self) -> dict[Direction, Plan]:
         """``kernel`` as the plan the base operators fold a batch over: each
         distinct M_d(x) once, from its own points and its covers."""
+        from .batch import Plan  # the batch engine loads on first use
         return {d: Plan.of(masks) for d, masks in self.kernel.items()}
 
 
@@ -118,10 +122,6 @@ def _closure(nbhd: tuple[int, ...], reach: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(rows.__getitem__, cls))
 
 
-# The operators act on one subset or, lane by lane, on a batch of them.
-Sets = Subset | Batch
-
-
 def r_lower(g: Gotas, a: Sets, d: Direction) -> Sets:
     """Greatest d-monotone open subset of ``a``: the points x with
     M_d(x) inside ``a``. On a batch, column x is the AND of the columns
@@ -150,16 +150,16 @@ def _base(g: Gotas, a: Sets, d: Direction, meets: bool) -> Sets:
     it, computed once per row table; outside a table, afresh."""
     same_universe(g.universe, a.universe)
     memo = _MEMO.get({})
-    batch = isinstance(a, Batch)
-    key = (g, a if batch else a.bits, d, meets)
+    subset = isinstance(a, Subset)
+    key = (g, a.bits if subset else a, d, meets)
     result = memo.get(key)
     if result is None:
-        if batch:
-            plan = g.kernel_plan[d]
-            result = a.any_of(plan) if meets else a.all_of(plan)
-        else:
+        if subset:
             test = points_meeting if meets else points_within
             result = g.universe.from_bits(test(g.kernel[d], a.bits))
+        else:
+            plan = g.kernel_plan[d]
+            result = a.any_of(plan) if meets else a.all_of(plan)
         memo[key] = result
     return result
 
@@ -196,8 +196,6 @@ def beta_upper(g: Gotas, a: Sets, d: Direction) -> Sets:
     return a | r_lower(g, r_upper(g, r_lower(g, a, d), d), d)
 
 
-OpFn = Callable[[Gotas, Sets, Direction], Sets]
-
 _LOWER: dict[OperatorFamily, OpFn] = {
     OperatorFamily.R: r_lower,
     OperatorFamily.S: semi_lower,
@@ -224,25 +222,6 @@ def _accuracy(lo: int, up: int) -> Fraction:
     return Fraction(lo, up) if up else Fraction(1)
 
 
-# A dataclass for ``dataclasses.replace``, which builds every variant suite:
-# ``oracle.corrupted_suite``, perfbench's tracer and the tests call it.
-@dataclass(frozen=True)
-class OperatorSuite:
-    """The base operators and the family tables. The law checker runs
-    against a suite, so a corrupted table entry can be swapped in without
-    touching the real operators."""
-
-    # Unread (rows take R from the tables); perfbench/tracing.py passes them to replace().
-    r_lower: OpFn
-    r_upper: OpFn
-    lower: dict[OperatorFamily, OpFn]
-    upper: dict[OperatorFamily, OpFn]
-
-
-DEFAULT_SUITE = OperatorSuite(r_lower, r_upper, _LOWER, _UPPER)
-
-
-@dataclass(frozen=True)
 class ApproxReport:
     """One (family, direction) row of a subset or, lane by lane, of a batch:
     the lower and upper approximations and the opposite direction's upper
@@ -250,11 +229,19 @@ class ApproxReport:
     the accuracy and exactness are derived here only; on a batch,
     ``accuracy`` is one Fraction per lane, lane 0 first, each the
     ``_accuracy`` of that lane's point counts, and ``exact`` the mask of
-    the exact lanes."""
+    the exact lanes. Reports compare and hash by their three fields."""
 
-    lower: Sets
-    upper: Sets
-    opposite_upper: Sets
+    def __init__(self, lower: Sets, upper: Sets, opposite_upper: Sets) -> None:
+        self.lower, self.upper, self.opposite_upper = lower, upper, opposite_upper
+
+    def _fields(self) -> tuple:
+        return self.lower, self.upper, self.opposite_upper
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is ApproxReport else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @property
     def positive(self) -> Sets:
@@ -270,15 +257,15 @@ class ApproxReport:
 
     @_cached
     def accuracy(self) -> Fraction | tuple[Fraction, ...]:
-        if isinstance(self.lower, Batch):
-            return tuple(map(_accuracy, self.lower.counts(), self.upper.counts()))
-        return _accuracy(self.lower.cardinality(), self.upper.cardinality())
+        if isinstance(self.lower, Subset):
+            return _accuracy(self.lower.cardinality(), self.upper.cardinality())
+        return tuple(map(_accuracy, self.lower.counts(), self.upper.counts()))
 
     @_cached
     def exact(self) -> bool | int:
-        if isinstance(self.lower, Batch):
-            return self.lower.lanes ^ self.lower.differs(self.upper)
-        return self.lower == self.upper
+        if isinstance(self.lower, Subset):
+            return self.lower == self.upper
+        return self.lower.lanes ^ self.lower.differs(self.upper)
 
 
 class Rows(dict):
@@ -289,17 +276,20 @@ class Rows(dict):
     share terms (r_lower A, r_upper(r_lower A), ...): while the table is
     built, each base-operator result is remembered, so each term is
     computed (on a batch, folded) once per direction. The memo is dropped
-    once the rows are built, also when a suite raises."""
+    once the rows are built, also when a suite raises. A ``suite``
+    (``oracle.OperatorSuite``) replaces the family tables ``_LOWER`` and
+    ``_UPPER``."""
 
-    def __init__(self, g: Gotas, a: Sets, suite: OperatorSuite = DEFAULT_SUITE,
+    def __init__(self, g: Gotas, a: Sets, suite: OperatorSuite | None = None,
                  families: tuple[OperatorFamily, ...] = FAMILY_ORDER) -> None:
         super().__init__()
         self.g, self.a, self.suite = g, a, suite
+        lower, upper = (_LOWER, _UPPER) if suite is None else (suite.lower, suite.upper)
         token = _MEMO.set({})
         try:
             for family in families:
-                lo = {d: suite.lower[family](g, a, d) for d in DIRECTION_ORDER}
-                up = {d: suite.upper[family](g, a, d) for d in DIRECTION_ORDER}
+                lo = {d: lower[family](g, a, d) for d in DIRECTION_ORDER}
+                up = {d: upper[family](g, a, d) for d in DIRECTION_ORDER}
                 for d in DIRECTION_ORDER:
                     self[family, d] = ApproxReport(lo[d], up[d], up[d.opposite])
         finally:
@@ -307,11 +297,11 @@ class Rows(dict):
 
 
 def lower(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-    return DEFAULT_SUITE.lower[family](g, a, d)
+    return _LOWER[family](g, a, d)
 
 
 def upper(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:
-    return DEFAULT_SUITE.upper[family](g, a, d)
+    return _UPPER[family](g, a, d)
 
 
 def boundary(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:

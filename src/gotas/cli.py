@@ -101,13 +101,19 @@ def _object(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+# Built once: ``json.loads`` builds a decoder on each call that passes a hook.
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def parse_document(text: str) -> dict:
     """The document's JSON object, once its shape is checked and each
     universe label is valid Unicode and one ``--set`` can name, with
     ``options`` filled in.
     Labels are resolved later, by ``build_space``."""
+    if text.startswith("\ufeff"):  # json.loads's own check, which .decode lacks
+        raise InputError("line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)")
     try:
-        raw = json.loads(text, object_pairs_hook=_object)
+        raw = _DECODER.decode(text)
     except InputError:  # a repeated key, which the arm for long integers must not take
         raise
     except json.JSONDecodeError as e:

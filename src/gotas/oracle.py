@@ -32,25 +32,19 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import chain
 from operator import gt, or_, xor
 from typing import Callable, NamedTuple
 
 from . import approximations as approx
-from .approximations import (
-    DIRECTION_ORDER,
-    FAMILY_ORDER,
-    Direction,
-    Gotas,
-    OperatorFamily,
-    OperatorSuite,
-)
+from .approximations import DIRECTION_ORDER, FAMILY_ORDER, Direction, Gotas, OperatorFamily
+from .batch import Batch, Groups, _beyond, _counting_columns, _pack
 from .order import PartialOrder, validate_order
 from .topology import Topology, generate_topology, points_meeting, points_within
-from .universe import (Batch, Groups, Subset, Universe, _beyond, _counting_columns, _pack,
-                       _points, _reverse, _transpose, from_flags, random_columns, union_over)
+from .universe import (Subset, Universe, _points, _reverse, _transpose, from_flags,
+                       random_columns, union_over)
 
 # The most points whose 2**n subsets the oracle table or an exhaustive check
 # scans: at 16 the slowest measured shape, a failing check, takes about
@@ -176,7 +170,23 @@ def oracle_diff(g: Gotas) -> tuple[int, list[str]]:
     return len(checks) * powerset.width, mismatches
 
 
-DEFAULT_SUITE = approx.DEFAULT_SUITE
+# A dataclass for ``dataclasses.replace``, which builds every variant suite:
+# ``corrupted_suite``, perfbench's tracer and the tests call it.
+@dataclass(frozen=True)
+class OperatorSuite:
+    """The base operators and the family tables. The law checker runs
+    against a suite, so a corrupted table entry can be swapped in without
+    touching the real operators."""
+
+    # Unread (rows take R from the tables); perfbench/tracing.py passes them to replace().
+    r_lower: approx.OpFn
+    r_upper: approx.OpFn
+    lower: dict[OperatorFamily, approx.OpFn]
+    upper: dict[OperatorFamily, approx.OpFn]
+
+
+# The shipped tables themselves, so an entry patched in ``approx._LOWER`` is seen here.
+DEFAULT_SUITE = OperatorSuite(approx.r_lower, approx.r_upper, approx._LOWER, approx._UPPER)
 
 
 def corrupted_gamma_upper(g: Gotas, a: Subset, d: Direction) -> Subset:

@@ -23,7 +23,7 @@ from gotas import (
     topology_from_relation,
     validate_order,
 )
-from gotas.oracle import random_order, random_space
+from gotas.oracle import DEFAULT_SUITE, random_order, random_space
 from gotas.universe import union_over
 
 from conftest import make_example_space, oracle_rows, subsets
@@ -197,6 +197,16 @@ class TestFullReport:
                 assert row.positive == row.lower
                 assert row.exact == (row.lower == row.upper)
 
+    def test_reports_compare_and_hash_by_their_fields(self, g):
+        a = g.universe.subset(["a", "c"])
+        first, again = ap.full_report(g, a), ap.full_report(g, a)
+        for key, row in first.items():
+            assert row is not again[key]
+            assert row == again[key] and hash(row) == hash(again[key])
+            assert row != (row.lower, row.upper, row.opposite_upper)
+        assert first[R, INC] != first[BETA, DEC]
+        assert len({*first.values(), *again.values()}) == len(set(first.values())) > 1
+
 
 def _row_test_spaces():
     """The worked example, then 72 seeded spaces, generator-built and
@@ -360,7 +370,7 @@ def test_a_scalar_report_computes_each_base_term_once(monkeypatch, labels, compu
 
 def _with_r_lower(lower):
     """The default suite with ``lower`` as R's lower operator."""
-    return replace(ap.DEFAULT_SUITE, lower={**ap._LOWER, R: lower})
+    return replace(DEFAULT_SUITE, lower={**ap._LOWER, R: lower})
 
 
 def _churning_suite(log):

@@ -23,7 +23,9 @@ from gotas import (
     topology_from_relation,
     validate_order,
 )
+from gotas.batch import GROUP_BITS, Groups, Plan, _counting_columns, _fields, _full
 from gotas.oracle import (
+    DEFAULT_SUITE,
     _accuracy_exceeds,
     check_propositions,
     corrupted_gamma_upper,
@@ -31,8 +33,7 @@ from gotas.oracle import (
     random_order,
     random_space,
 )
-from gotas.universe import (GROUP_BITS, Groups, Plan, _counting_columns, _fields, _full,
-                            _transpose)
+from gotas.universe import _transpose
 
 from conftest import partition_space, random_partition
 
@@ -72,7 +73,7 @@ def test_every_batch_row_matches_the_rows_of_its_lanes():
     for g in _spaces(rng):
         u = g.universe
         rows = [rng.getrandbits(u.size) for _ in range(rng.randint(1, 64))]
-        for suite in (ap.DEFAULT_SUITE, corrupted_suite()):
+        for suite in (DEFAULT_SUITE, corrupted_suite()):
             table = ap.Rows(g, Batch.of(u, rows), suite)
             singles = [ap.Rows(g, u.from_bits(r), suite) for r in rows]
             for key in product(FAMILY_ORDER, DIRECTION_ORDER):

@@ -755,7 +755,9 @@ def test_parse_document_error_text(tmp_path, monkeypatch, text, message):
     (b'{"universe": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "nested too deeply"),
     (b'{"universe": ["\xff"]}', "byte 15 is not valid UTF-8"),
     (b'{"universe": [' + b"7" * 5000 + b"]}", "an integer literal is too long"),
-], ids=["deep", "latin-1", "long-integer"])
+    (b"\xef\xbb\xbf" + json.dumps(_VALID).encode(),
+     "line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+], ids=["deep", "latin-1", "long-integer", "byte-order-mark"])
 def test_unreadable_document_is_an_input_error_naming_the_file(
     tmp_path, content, message
 ):
@@ -1201,9 +1203,12 @@ def test_gotas_cli_runs_without_argparse():
     assert result.stdout == TOPOLOGY_GOLDEN
 
 
+# `topology` and `analyze` run no code of the oracle and load neither `random`,
+# `dataclasses`, `inspect` nor the batch engine; `check` then loads them all.
 _LAZY_ORACLE = """\
 import contextlib, io, sys
-sys.modules["random"] = None
+sys.modules["random"] = sys.modules["dataclasses"] = sys.modules["inspect"] = None
+import gotas
 from gotas import cli
 
 def run(*args):
@@ -1218,11 +1223,13 @@ oracle = sys.modules["gotas.oracle"]
 assert oracle is cli.oracle
 # vars() would itself run the module's code.
 assert "check_propositions" not in object.__getattribute__(oracle, "__dict__")
-del sys.modules["random"]
+assert "gotas.batch" not in sys.modules
+del sys.modules["random"], sys.modules["dataclasses"], sys.modules["inspect"]
 with contextlib.redirect_stdout(io.StringIO()) as out:
     run("check", DOC, "--exhaustive")
 assert out.getvalue().endswith("result: all laws hold\\n"), out.getvalue()
 assert "check_propositions" in vars(oracle)
+assert gotas.Batch is gotas.batch.Batch
 """
 
 
@@ -1233,6 +1240,46 @@ def test_topology_and_analyze_run_no_oracle_code_and_no_random():
     assert result.returncode == 0, result.stderr
     analyze = invoke(["analyze", str(EXAMPLE_DOC), "--set", "a,c", "--format", "json"])
     assert result.stdout == TOPOLOGY_GOLDEN + analyze.stdout
+
+
+# Eight threads make the first use of the batch engine at once, switching often:
+# each one's gotas.Batch imports it, and its Rows builds the shared space's plan.
+_THREADED_FIRST_USE = """\
+import sys, threading
+sys.setswitchinterval(1e-6)
+import gotas
+from gotas.approximations import Rows
+from gotas.cli import load_space
+
+def table(rows):
+    return {key: (r.lower.rows(), r.upper.rows(), r.opposite_upper.rows())
+            for key, r in rows.items()}
+
+g = load_space(DOC)
+start, tables = threading.Barrier(8), []
+
+def first_use():
+    start.wait(timeout=30)
+    tables.append(table(Rows(g, gotas.Batch.powerset(g.universe))))
+
+assert "gotas.batch" not in sys.modules
+threads = [threading.Thread(target=first_use) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+assert len(tables) == 8, len(tables)
+assert all(t == table(Rows(g, gotas.Batch.powerset(g.universe))) for t in tables)
+"""
+
+
+def test_the_batch_engine_loads_safely_from_threads():
+    code = _THREADED_FIRST_USE.replace("DOC", repr(str(EXAMPLE_DOC)))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=_SUBPROCESS_ENV, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 @pytest.mark.parametrize("path, reason", [

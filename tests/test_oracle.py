@@ -37,7 +37,8 @@ from gotas.oracle import (
     random_space,
     _greatest_inside,
 )
-from gotas.universe import _counting_columns, _points
+from gotas.batch import _counting_columns
+from gotas.universe import _points
 
 from conftest import make_example_space, oracle_rows, partition_space, random_partition, subsets
 from strategies import spaces
