@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from enum import Enum
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from .order import PartialOrder
@@ -19,6 +18,8 @@ from .topology import Topology, points_meeting, points_within
 from .universe import Subset, Universe, _cached, same_universe
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .batch import Batch, Plan
     from .oracle import OperatorSuite
 
@@ -219,6 +220,8 @@ def _accuracy(lo: int, up: int) -> Fraction:
     The empty set is a total-function extension: it is exact for every
     family, so its accuracy is 1.
     """
+    from fractions import Fraction  # on first use: topology never computes an accuracy
+
     return Fraction(lo, up) if up else Fraction(1)
 
 

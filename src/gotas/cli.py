@@ -313,7 +313,7 @@ def cmd_check(file: str, exhaustive: bool = False, samples: int | None = None, s
         written = [
             _PROPOSITION % (encode_basestring_ascii(r.proposition), r.instances, _BOOL[r.passed],
                             "[]" if r.passed else
-                            _VIOLATIONS % (space, encode_basestring_ascii(r.witness)))
+                            _VIOLATIONS % (space, encode_basestring_ascii(str(r.witness))))
             for r in reports]
         text = _CHECK % (encode_basestring_ascii(mode), seed, _BOOL[all_pass],
                          _array(written, "  "))
@@ -508,6 +508,9 @@ def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoR
         code = EXIT_INPUT_ERROR
     except InputError as e:
         sys.stderr.write(f"error: {e}\n")
+        code = EXIT_INPUT_ERROR
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         code = EXIT_INPUT_ERROR
     except KeyboardInterrupt:
         sys.stderr.write("\nAborted!\n")

@@ -210,16 +210,30 @@ def corrupted_suite() -> OperatorSuite:
 # Law catalogue.
 
 
+class Witness(NamedTuple):
+    """A failing law's first failing instance: the direction it fails in,
+    the template of its text, and the operand values there (subsets, or
+    accuracies as Fractions), in the template's order. ``str()`` gives the
+    printed text."""
+
+    direction: Direction
+    template: str
+    values: tuple
+
+    def __str__(self) -> str:
+        return self.template % self.values
+
+
 class PropositionReport(NamedTuple):
     """One law's verdict on a space. ``instances`` is how many instances
     (subsets for a unary law, pairs for a binary one) a one-at-a-time check
     tests: all of them if the law passes, else those up to and including the
     first failing one. ``witness`` is None iff the law passed; otherwise it
-    is that instance with its operand values. The caller names the space."""
+    is the ``Witness`` of that instance. The caller names the space."""
 
     proposition: str
     instances: int
-    witness: str | None = None
+    witness: Witness | None = None
 
     @property
     def passed(self) -> bool:
@@ -227,13 +241,14 @@ class PropositionReport(NamedTuple):
 
 
 # A catalogue entry is (id, law). A unary law is a generator of its failing claims
-# over the row table of a batch of subsets: (fail mask, witness template, operands),
-# in the order a check of one instance tests them; a passing law yields nothing. The
-# template's %s fields take the operands' values at the failing lane; templates are
-# built at import. A table's batch is its ``a``; a value in a law is named by its
-# (family, row field). Only duality reads the complement of A, and only its R rows,
-# so it builds that table. The accuracy laws are ``_accuracies`` of specs (direction,
-# families, template): the families' accuracies do not fall, in that order.
+# over the row table of a batch of subsets: (fail mask, direction, witness template,
+# operands), in the order a check of one instance tests them; a passing law yields
+# nothing. The template's %s fields take the operands' values at the failing lane,
+# which a ``Witness`` keeps with the direction; templates are built at import. A
+# table's batch is its ``a``; a value in a law is named by its (family, row field).
+# Only duality reads the complement of A, and only its R rows, so it builds that
+# table. The accuracy laws are ``_accuracies`` of specs (direction, families,
+# template): the families' accuracies do not fall, in that order.
 #
 # A binary law is the tuple (family, row field, antitone, witness) of one row
 # that must be monotone (antitone, for a negative region) in both directions. It
@@ -263,10 +278,10 @@ class PropositionReport(NamedTuple):
 def _sandwich(rows):
     a = rows.a
     p = a.packed
-    for key, template in _SANDWICH:
-        lo, up = rows[key].lower, rows[key].upper
+    for (family, d), template in _SANDWICH:
+        lo, up = rows[family, d].lower, rows[family, d].upper
         if fail := _beyond(lo.packed, p) | _beyond(p, up.packed):
-            yield a.lanes_in(fail), template, (lo, a, up)
+            yield a.lanes_in(fail), d, template, (lo, a, up)
 
 
 def _exact_transfer(fam, label):
@@ -274,7 +289,7 @@ def _exact_transfer(fam, label):
     def claims(rows):
         for d, template in specs:
             if fail := rows[_R, d].exact & ~rows[fam, d].exact:
-                yield fail, template, (rows.a,)
+                yield fail, d, template, (rows.a,)
 
     return claims
 
@@ -285,7 +300,7 @@ def _inclusions(specs):
         for d, (fam_x, fx), (fam_y, fy), template in specs:
             x, y = getattr(rows[fam_x, d], fx), getattr(rows[fam_y, d], fy)
             if fail := _beyond(x.packed, y.packed):
-                yield rows.a.lanes_in(fail), template, (rows.a, x, y)
+                yield rows.a.lanes_in(fail), d, template, (rows.a, x, y)
 
     return claims
 
@@ -298,7 +313,7 @@ def _accuracies(specs):
             for x, y in zip(families, families[1:]):
                 fail |= _accuracy_exceeds(a, rows[x, d], rows[y, d])
             if fail:
-                yield fail, template, (a, *(rows[f, d].accuracy for f in families))
+                yield fail, d, template, (a, *(rows[f, d].accuracy for f in families))
 
     return claims
 
@@ -334,9 +349,9 @@ def _duality(rows):
     cases = [(rows[_R, d].upper, comp[_R, d.opposite].lower.complement()) for d in DIRECTION_ORDER]
     # A negative region is the complement of the opposite direction's upper.
     cases += [(rows[_R, d].lower, comp[_R, d].negative) for d in DIRECTION_ORDER]
-    for template, (left, right) in zip(_DUALITY, cases):
+    for (d, template), (left, right) in zip(_DUALITY, cases):
         if fail := left.packed ^ right.packed:
-            yield a.lanes_in(fail), template, (a, left, right)
+            yield a.lanes_in(fail), d, template, (a, left, right)
 
 
 def _breaks(family, field, antitone, witness, table, pairs):
@@ -355,7 +370,7 @@ def _breaks(family, field, antitone, witness, table, pairs):
                 x, y = _shifted(table.a, start), _shifted(table.a, start + shift)
                 # The negative-region witness names the row at Y, Neg(A∪B), too.
                 operands = (x, y, _shifted(row, start + shift)) if antitone else (x, y)
-                yield table.a.lanes_in(fail) >> start, f"{d.label}: {witness}", operands
+                yield table.a.lanes_in(fail) >> start, d, f"{d.label}: {witness}", operands
 
 
 @lru_cache(maxsize=POWERSET_CAP + 1)
@@ -376,7 +391,7 @@ _R, _S, _P, _G, _B = FAMILY_ORDER
 _NEG_WITNESS = "A=%s, B=%s: Neg(A∪B) %s not within Neg(A)∩Neg(B)"
 _SANDWICH = [((family, d), f"{family.label} {d.label}: expected %s within %s within %s")
              for family in FAMILY_ORDER for d in DIRECTION_ORDER]
-_DUALITY = [f"A=%s: duality {x} {d.label} vs {y} {d.opposite.label}: %s vs %s"
+_DUALITY = [(d, f"A=%s: duality {x} {d.label} vs {y} {d.opposite.label}: %s vs %s")
             for x, y in (("upper", "lower"), ("lower", "upper")) for d in DIRECTION_ORDER]
 
 _CATALOGUE: tuple[tuple[str, Callable | tuple], ...] = (
@@ -491,13 +506,13 @@ def check_propositions(
         if not claims:
             reports.append(PropositionReport(pid, all_pairs if binary else all_units))
             continue
-        failed = reduce(or_, (mask for mask, _, _ in claims))
+        failed = reduce(or_, (mask for mask, *_ in claims))
         lane = (failed & -failed).bit_length() - 1
-        template, operands = next((t, v) for mask, t, v in claims if mask >> lane & 1)
+        d, template, operands = next(c[1:] for c in claims if c[0] >> lane & 1)
         values = tuple(v.lane(lane) if isinstance(v, Batch) else v[lane] for v in operands)
         if binary and samples is None:
             lane = lane * unit.width + values[1].bits  # the pair's index a·2ⁿ + b
-        reports.append(PropositionReport(pid, lane + 1, template % values))
+        reports.append(PropositionReport(pid, lane + 1, Witness(d, template, values)))
     return reports
 
 

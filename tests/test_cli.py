@@ -1161,6 +1161,15 @@ def test_an_interrupt_exits_1_with_aborted(example_doc, monkeypatch):
     assert result.stderr == "\nAborted!\n"
 
 
+def test_running_out_of_memory_exits_2(monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.oracle, "check_propositions", exhaust)
+    result = invoke(["check", str(EXAMPLE_DOC)])
+    assert result == (2, "", "error: out of memory\n")
+
+
 def test_gotas_imports_without_click():
     code = 'import sys; sys.modules["click"] = None; import gotas, gotas.cli'
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -1204,10 +1213,12 @@ def test_gotas_cli_runs_without_argparse():
 
 
 # `topology` and `analyze` run no code of the oracle and load neither `random`,
-# `dataclasses`, `inspect` nor the batch engine; `check` then loads them all.
+# `dataclasses`, `inspect` nor the batch engine, and `topology` loads no
+# `fractions` (nor `decimal`, which it imports); `check` then loads them all.
 _LAZY_ORACLE = """\
 import contextlib, io, sys
 sys.modules["random"] = sys.modules["dataclasses"] = sys.modules["inspect"] = None
+sys.modules["fractions"] = None
 import gotas
 from gotas import cli
 
@@ -1218,6 +1229,8 @@ def run(*args):
         assert exit_.code == 0, (args, exit_.code)
 
 run("topology", DOC)
+assert "decimal" not in sys.modules
+del sys.modules["fractions"]
 run("analyze", DOC, "--set", "a,c", "--format", "json")
 oracle = sys.modules["gotas.oracle"]
 assert oracle is cli.oracle

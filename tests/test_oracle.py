@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 import re
@@ -445,7 +446,7 @@ def test_unary_laws_reuse_their_witness_templates(g):
     for suite in _wrong_suites().values():
         tables = [ap.Rows(g, unit, suite), ap.Rows(g, unit, suite)]
         for pid, law in unary:
-            first, second = ([template for _, template, _ in law(rows)] for rows in tables)
+            first, second = ([template for _, _, template, _ in law(rows)] for rows in tables)
             assert len(first) == len(second) and all(map(operator.is_, first, second)), pid
             reused += len(first)
     assert reused == 67
@@ -738,7 +739,10 @@ class TestCheckPropositions:
         reports = check_propositions(probe, suite=corrupted_suite())
         failed = {r.proposition for r in reports if not r.passed}
         assert "3.9" in failed
-        assert "pre upper" in next(r for r in reports if r.proposition == "3.9").witness
+        witness = next(r for r in reports if r.proposition == "3.9").witness
+        assert "pre upper" in str(witness)
+        a, pre, gamma = witness.values
+        assert pre == ap.pre_upper(probe, a, witness.direction) and not pre.is_subset(gamma)
 
     def test_corrupted_suite_changes_nothing_on_the_worked_example(self, g):
         # On this particular space the intersection collapses to the union,
@@ -993,7 +997,9 @@ def test_wrong_suites_fail_every_law_with_pinned_witnesses(g):
     for name, suite in _wrong_suites().items():
         for r in check_propositions(g, suite=suite):
             if not r.passed:
-                got[name, r.proposition] = (r.instances, r.witness)
+                got[name, r.proposition] = (r.instances, str(r.witness))
+                # The first direction the text names is the one the law failed in.
+                assert re.search("Inc|Dec", str(r.witness))[0] == r.witness.direction.label
     assert got == WRONG_SUITE_WITNESSES
     assert {pid for _, pid in got} == set(PROPOSITION_IDS)
 
@@ -1084,14 +1090,6 @@ def _clauses(antitone, a, b, fa, fb, fi, fu):
     return (not _within(a, b) or _within(fa, fb), _within(fi, fa & fb), _within(fa | fb, fu))
 
 
-def _witness_pair(u, detail):
-    """The direction and the (A, B) bitmasks a binary law's witness names."""
-    m = re.match(r"(Inc|Dec): .*?A=\{([^}]*)\}, B=\{([^}]*)\}", detail)
-    x, y = (u.subset([label for label in part.split(", ") if label]).bits
-            for part in m.group(2, 3))
-    return {"Inc": INC, "Dec": DEC}[m.group(1)], x, y
-
-
 def _check_binary_laws_against_scalars(space, suite, samples, seed):
     """Check each binary law's exhaustive and sampled reports against the
     scalar rows of every subset; returns how many laws fail exhaustively."""
@@ -1115,8 +1113,11 @@ def _check_binary_laws_against_scalars(space, suite, samples, seed):
             return not (_within(f[d][y], f[d][x]) if antitone else _within(f[d][x], f[d][y]))
 
         def check_witness(report):
-            d, x, y = _witness_pair(u, report.witness)
-            assert _within(x, y) and breaks_row(d, x, y), (pid, report.witness)
+            w = report.witness
+            d, x, y = w.direction, w.values[0].bits, w.values[1].bits
+            assert _within(x, y) and breaks_row(d, x, y), (pid, str(w))
+            # The negative-region witness also names the row at B.
+            assert [v.bits for v in w.values[2:]] == ([f[d][y]] if antitone else []), pid
             return d, x, y
 
         report = exhaustive[pid]
@@ -1189,6 +1190,50 @@ def test_binary_law_scans_drop_what_a_shift_carries_across_fields():
                        for key, row in rows.items() if key[0] in (GAMMA, BETA))
             for suite in suites.values():
                 _check_binary_laws_against_scalars(space, suite, samples, seed)
+
+
+def _relabelled(space, labels):
+    """``space`` over a universe of ``labels``, point for point."""
+    u = Universe(labels)
+    topology = generate_topology(u, map(u.from_bits, space.topology.generators))
+    return Gotas(u, topology, validate_order(u, space.order.pairs))
+
+
+# Labels that hold braces: a witness's text cannot be split back into its subsets.
+_BRACED = ("a}", "{b", "c", "d")
+
+
+def test_witnesses_keep_their_operands_whatever_the_labels(g, probe):
+    # 3.21 and 3.25 on the probe fail at the first subset, then direction and
+    # step of their chain, where x is not within y, as one-at-a-time checks find.
+    space = _relabelled(probe, _BRACED[:3])
+    failed = {r.proposition: r for r in check_propositions(space) if not r.passed}
+    assert failed.keys() == {"3.21", "3.25"}
+    chains = {"3.21": ("upper", ("beta upper", "gamma upper", "semi upper")),
+              "3.25": ("boundary", ("boundary beta", "boundary gamma", "boundary S"))}
+    for pid, (field, names) in chains.items():
+        first = next(
+            (d, a, x, y, f"{d.label}: A={a}: {nx} {x} not within {ny} {y}")
+            for a in subsets(space.universe) for rows in [ap.Rows(space, a)]
+            for d in (INC, DEC)
+            for (fx, nx), (fy, ny) in itertools.pairwise(zip((BETA, GAMMA, _S), names))
+            for x, y in [(getattr(rows[fx, d], field), getattr(rows[fy, d], field))]
+            if not x.is_subset(y))
+        witness = failed[pid].witness
+        assert (witness.direction, *witness.values) == first[:4], pid
+        assert str(witness) == first[4] and failed[pid].instances == first[1].bits + 1
+
+    # Every binary law fails on the worked example under the nonmonotone suite;
+    # the scalar reference reads each witness's direction and pair.
+    space, suite = _relabelled(g, _BRACED), _wrong_suites()["nonmonotone"]
+    assert _check_binary_laws_against_scalars(space, suite, 24, 0) == len(BINARY_ROWS)
+    for r in check_propositions(space, suite=suite):
+        if r.proposition in BINARY_ROWS:
+            family, field, antitone = BINARY_ROWS[r.proposition]
+            d, (a, b, *neg) = r.witness.direction, r.witness.values
+            assert str(r.witness) == (
+                f"{d.label}: A={a}, B={b}: Neg(A∪B) {neg[0]} not within Neg(A)∩Neg(B)"
+                if antitone else f"{d.label}: {family.label} {field} not monotone at A={a}, B={b}")
 
 
 class TestGenerators:
