@@ -9,9 +9,12 @@ is a pure function of (space, subset, direction).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextvars import ContextVar
 from enum import Enum
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
+from weakref import proxy
 
 from .order import PartialOrder
 from .topology import Topology, points_meeting, points_within
@@ -67,9 +70,11 @@ class Gotas:
     ``kernel_plan[d]`` lists them as classes, smallest first, each with its
     own points and its covers (the greatest classes inside it); a batch
     call folds each class once, from its own points' columns and its
-    covers' results, and every point takes its class's result. The space
-    keeps no results of the operators: ``Rows`` remembers them while it
-    builds one table. Spaces compare by identity.
+    covers' results, and every point takes its class's result.
+    ``direction_sum`` is the space beside its order dual, where one call of
+    an operator at Inc gives both directions. The space keeps no results of
+    the operators: ``Rows`` remembers them while it builds one table.
+    Spaces compare by identity.
     """
 
     def __init__(self, universe: Universe, topology: Topology, order: PartialOrder) -> None:
@@ -87,12 +92,64 @@ class Gotas:
             Direction.DEC: _closure(nbhd, self.order.pred),
         }
 
+    def scan(self, d: Direction, bits: int, meets: bool) -> int:
+        """The points x whose M_d(x) meets ``bits`` (``meets``) or lies inside it."""
+        return (points_meeting if meets else points_within)(self.kernel[d], bits)
+
     @_cached
     def kernel_plan(self) -> dict[Direction, Plan]:
         """``kernel`` as the plan the base operators fold a batch over: each
         distinct M_d(x) once, from its own points and its covers."""
         from .batch import Plan  # the batch engine loads on first use
         return {d: Plan.of(masks) for d, masks in self.kernel.items()}
+
+    @_cached
+    def direction_sum(self) -> Gotas:
+        """The disjoint sum g ⊔ g∂ of the space and its order dual, over 2n
+        points: point n + x is x in the copy with the order reversed. The
+        decreasing sets of an order are the increasing sets of its dual
+        (Nachbin, *Topology and Order*, 1965), so the sum's Inc kernel is
+        M_inc ⊔ M_dec, its Dec kernel the mirror, and each operator at Inc on
+        A ⊔ A gives the space's Inc and Dec values of A side by side. Its
+        kernels and plans are the space's two placed one after the other, so
+        no closure and no ``Plan.of`` runs on its 2n masks, and a subset is
+        scanned one half at a time over the space's own kernel; it keeps no
+        topology or order. It reads the space through a weak proxy, so the
+        two form no reference cycle and a space is freed as soon as it is
+        dropped, not at the next garbage collection; it is valid only while
+        the space lives."""
+        return _Sum(self)
+
+
+class _Sum(Gotas):
+    """``Gotas.direction_sum`` of the space ``halves``."""
+
+    def __init__(self, g: Gotas) -> None:
+        self.halves, self.universe = proxy(g), _numbered(2 * g.universe.size)
+
+    @_cached
+    def kernel(self) -> dict[Direction, tuple[int, ...]]:
+        n, k = self.halves.universe.size, self.halves.kernel
+        return {d: k[d] + tuple([m << n for m in k[d.opposite]]) for d in DIRECTION_ORDER}
+
+    def scan(self, d: Direction, bits: int, meets: bool) -> int:
+        """Each half scanned over the space's own kernel, so that no shifted
+        mask is built."""
+        k, u = self.halves.kernel, self.halves.universe
+        test = points_meeting if meets else points_within
+        return test(k[d], bits & u.full_mask) | test(k[d.opposite], bits >> u.size) << u.size
+
+    @_cached
+    def kernel_plan(self) -> dict[Direction, Plan]:
+        n, p = self.halves.universe.size, self.halves.kernel_plan
+        return {d: p[d].beside(p[d.opposite], n) for d in DIRECTION_ORDER}
+
+
+@lru_cache(maxsize=8)
+def _numbered(n: int) -> Universe:
+    """A universe of the points 0 … n − 1, shared by the direction sums of all
+    spaces of n / 2 points, as one universe is by the spaces over it."""
+    return Universe(range(n))
 
 
 def _closure(nbhd: tuple[int, ...], reach: tuple[int, ...]) -> tuple[int, ...]:
@@ -156,8 +213,7 @@ def _base(g: Gotas, a: Sets, d: Direction, meets: bool) -> Sets:
     result = memo.get(key)
     if result is None:
         if subset:
-            test = points_meeting if meets else points_within
-            result = g.universe.from_bits(test(g.kernel[d], a.bits))
+            result = g.universe.from_bits(g.scan(d, a.bits, meets))
         else:
             plan = g.kernel_plan[d]
             result = a.any_of(plan) if meets else a.all_of(plan)
@@ -234,8 +290,16 @@ class ApproxReport:
     ``_accuracy`` of that lane's point counts, and ``exact`` the mask of
     the exact lanes. Reports compare and hash by their three fields."""
 
-    def __init__(self, lower: Sets, upper: Sets, opposite_upper: Sets) -> None:
-        self.lower, self.upper, self.opposite_upper = lower, upper, opposite_upper
+    def __init__(self, lower: Sets, upper: Sets, opposite_upper: Sets | None = None) -> None:
+        self.lower, self.upper = lower, upper
+        if opposite_upper is not None:
+            self.opposite_upper = opposite_upper
+
+    @_cached
+    def opposite_upper(self) -> Batch:
+        """Unless given: on a batch over a direction sum, the upper with its
+        halves swapped."""
+        return self.upper.swapped()
 
     def _fields(self) -> tuple:
         return self.lower, self.upper, self.opposite_upper
@@ -270,33 +334,69 @@ class ApproxReport:
             return self.lower == self.upper
         return self.lower.lanes ^ self.lower.differs(self.upper)
 
+    @_cached
+    def rough(self) -> tuple[int, int]:
+        """On a batch over a direction sum, the lanes where lower and upper
+        differ in the first half of the points, then in the second."""
+        return self.lower.halves(self.lower.packed ^ self.upper.packed)
 
-class Rows(dict):
-    """The rows of one operand for ``families``, keyed by (family,
-    direction) in canonical order. Both directions of a family are derived
-    together, so each row's negative region is the other direction's upper
-    approximation. The families are compositions of the base operators and
-    share terms (r_lower A, r_upper(r_lower A), ...): while the table is
-    built, each base-operator result is remembered, so each term is
-    computed (on a batch, folded) once per direction. The memo is dropped
-    once the rows are built, also when a suite raises. A ``suite``
-    (``oracle.OperatorSuite``) replaces the family tables ``_LOWER`` and
-    ``_UPPER``."""
+
+class Rows(Mapping):
+    """The rows of one operand ``a`` for ``families``, keyed by (family,
+    direction) in canonical order. Each family is called once, at Inc, on
+    the space's direction sum with the operand A ⊔ A, ``doubled``: its
+    report there, in ``sums``, holds the family's Inc row of A in the
+    first n points and its Dec row in the last n, so its opposite upper,
+    the upper with the halves swapped, holds each direction's negative
+    region. ``rows[family, d]`` splits the family's two reports from the
+    halves on first read and keeps them in ``reports``. The families are
+    compositions of the base operators and share terms (r_lower A,
+    r_upper(r_lower A), ...): while the table is built, each base-operator
+    result is remembered, so each term is computed (on a batch, folded)
+    once. The memo is dropped once the rows are built, also when a suite
+    raises. A ``suite`` (``oracle.OperatorSuite``) replaces the family
+    tables ``_LOWER`` and ``_UPPER``; like them, its families must use the
+    direction only through the base operators and ``.opposite``."""
 
     def __init__(self, g: Gotas, a: Sets, suite: OperatorSuite | None = None,
                  families: tuple[OperatorFamily, ...] = FAMILY_ORDER) -> None:
-        super().__init__()
-        self.g, self.a, self.suite = g, a, suite
+        same_universe(g.universe, a.universe)
+        self.g, self.a, self.suite, self.reports = g, a, suite, {}
+        s, n = g.direction_sum, g.universe.size
+        self.doubled = aa = (Subset(s.universe, a.bits | a.bits << n) if isinstance(a, Subset)
+                             else type(a)(s.universe, a.columns * 2, a.width))
         lower, upper = (_LOWER, _UPPER) if suite is None else (suite.lower, suite.upper)
         token = _MEMO.set({})
         try:
-            for family in families:
-                lo = {d: lower[family](g, a, d) for d in DIRECTION_ORDER}
-                up = {d: upper[family](g, a, d) for d in DIRECTION_ORDER}
-                for d in DIRECTION_ORDER:
-                    self[family, d] = ApproxReport(lo[d], up[d], up[d.opposite])
+            self.sums = {f: ApproxReport(lower[f](s, aa, Direction.INC),
+                                         upper[f](s, aa, Direction.INC)) for f in families}
         finally:
             _MEMO.reset(token)
+
+    def split(self, x: Sets) -> tuple[Sets, Sets]:
+        """The Inc and Dec halves of ``x``, a value over the direction sum (its
+        first n points, then its last n), as values over the operand's
+        universe; a value over that universe is both its halves."""
+        u = self.g.universe
+        if x.universe is u:
+            return x, x
+        if isinstance(x, Subset):
+            return Subset(u, x.bits & u.full_mask), Subset(u, x.bits >> u.size)
+        return tuple(type(x)(u, x.columns[k:k + u.size], x.width) for k in (0, u.size))
+
+    def __getitem__(self, key: tuple[OperatorFamily, Direction]) -> ApproxReport:
+        if key not in self.reports:
+            family, row = key[0], self.sums[key[0]]
+            (li, ld), (ui, ud) = self.split(row.lower), self.split(row.upper)
+            self.reports[family, Direction.INC] = ApproxReport(li, ui, ud)
+            self.reports[family, Direction.DEC] = ApproxReport(ld, ud, ui)
+        return self.reports[key]
+
+    def __iter__(self):
+        return ((f, d) for f in self.sums for d in DIRECTION_ORDER)
+
+    def __len__(self) -> int:
+        return 2 * len(self.sums)
 
 
 def lower(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Subset:

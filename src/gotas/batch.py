@@ -10,7 +10,7 @@ package imports this module on first use.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import chain, count
+from itertools import count
 from operator import and_, lshift, or_, xor
 from typing import NamedTuple, Sequence
 
@@ -56,6 +56,17 @@ class Plan(NamedTuple):
             steps.append((tuple(own), tuple(covers)))
         index = {m: c for c, m in enumerate(distinct)}
         return cls(tuple(distinct), tuple(steps), tuple(map(index.__getitem__, masks)))
+
+    def beside(self, other: Plan, n: int) -> Plan:
+        """The plan of this plan's n points followed by ``other``'s, moved up
+        by n: ``other``'s classes follow, with points and covers offset. Each
+        class keeps its mask over its own plan's n points, as a mask moved up
+        by n would take n bits more for each class."""
+        c = len(self.masks)
+        steps = [(tuple([x + n for x in own]), tuple([b + c for b in covers]))
+                 for own, covers in other.steps]
+        return Plan(self.masks + other.masks, self.steps + tuple(steps),
+                    self.classes + tuple([k + c for k in other.classes]))
 
 
 class Batch:
@@ -103,7 +114,7 @@ class Batch:
     def powerset(cls, universe: Universe) -> Batch:
         """Every subset: lane s holds the subset with bitmask s."""
         n = universe.size
-        return cls(universe, tuple(_counting_columns(n)), 1 << n)
+        return cls(universe, _counting_columns(n), 1 << n)
 
     @property
     def bits(self) -> int | Groups:
@@ -136,6 +147,28 @@ class Batch:
             fields = (fields + 1) // 2
             word = word & (1 << fields * width) - 1 | word >> fields * width
         return word
+
+    def halves(self, word: int | Groups) -> tuple[int, int]:
+        """On a batch of 2n points, the lanes set in some field of the first n
+        fields of ``word``, laid out as ``packed``, then of the last n. A group
+        of ``Groups`` that holds fields of both halves is cut at field n."""
+        n, width = self.universe.size // 2, self.width
+        if isinstance(word, Groups):
+            q, r = divmod(n, _fields(width))
+            low = Groups((*word[:q], word[q] & (1 << r * width) - 1))
+            high = Groups((word[q] >> r * width, *word[q + 1:]))
+        else:
+            low, high = word & (1 << n * width) - 1, word >> n * width
+        return self.lanes_in(low), self.lanes_in(high)
+
+    def swapped(self) -> Batch:
+        """On a batch of 2n points, the batch with its first n points and its
+        last n exchanged."""
+        n = self.universe.size // 2
+        if isinstance(p := self.packed, Groups):
+            return Batch(self.universe, self.columns[n:] + self.columns[:n], self.width)
+        cut = n * self.width
+        return self._with(p >> cut | (p & (1 << cut) - 1) << cut)
 
     def _guard(self, other: Batch) -> None:
         same_universe(self.universe, other.universe)
@@ -175,10 +208,10 @@ class Batch:
     def _fold(self, plan: Plan, op) -> Batch:
         """One result per class of ``plan``, folding its own points'
         columns with its covers' results; each point takes its class's."""
-        cols, done = self.columns, []
+        get, done = self.columns.__getitem__, []
         for points, covers in plan.steps:
-            done.append(reduce(op, chain(map(cols.__getitem__, points),
-                                         map(done.__getitem__, covers))))
+            result = reduce(op, map(get, points))
+            done.append(reduce(op, map(done.__getitem__, covers), result) if covers else result)
         return Batch(self.universe, tuple(map(done.__getitem__, plan.classes)), self.width)
 
     def differs(self, other: Batch) -> int:
@@ -246,15 +279,19 @@ def _beyond(p: int | Groups, q: int | Groups) -> int | Groups:
     return p ^ (p & q)
 
 
-# A request complements batches of at most two widths, its unit batch and, for a
-# sampled check, its 4W pair table; at 1000 points and 16384 lanes one entry holds 2.2 MB.
+# A request complements batches of at most two widths, over the direction sum's 2n
+# points: its unit batch and, for a sampled check, its 4W pair table; at 2000 points
+# (a sum of 1000) and 16384 lanes one entry holds 4.4 MB.
 @lru_cache(maxsize=4)
 def _full(n: int, width: int) -> int | Groups:
     """The packed batch whose every lane is the whole universe of n points."""
     return _pack(((1 << width) - 1,) * n, width)
 
 
-def _counting_columns(m: int) -> list[int]:
+# The powerset batch, the oracle table and the cover pairs read the columns of at
+# most POWERSET_CAP points; at 16 points an entry holds 128 KB.
+@lru_cache(maxsize=17)
+def _counting_columns(m: int) -> tuple[int, ...]:
     """Over 2**m lanes, where lane s holds the bitmask s: for each bit k,
     the lanes with bit k set, which are 2**k clear lanes then 2**k set ones,
     repeated."""
@@ -264,4 +301,4 @@ def _counting_columns(m: int) -> list[int]:
         for j in range(k + 1, m):
             column |= column << (1 << j)  # doubled to 2**(j+1) lanes
         columns.append(column)
-    return columns
+    return tuple(columns)

@@ -52,9 +52,9 @@ from .universe import Universe, flags
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 # A sampled check's memory grows with the samples and the points: 65536 samples on a
-# sparse relation (n loops, n random pairs) peak near 154 MB in 0.6 s at 200 points,
-# 291 MB in 1.4 s at 400 and 567 MB in 3.4 s at 800, about 0.7 MB a point, so roughly
-# 2.9 GB at MAX_POINTS (BENCH_44.json). Its pairs are one getrandbits block of 2n bits
+# sparse relation (n loops, n random pairs) peak near 154 MB in 0.69 s at 200 points,
+# 289 MB in 1.3 s at 400 and 557 MB in 3.1 s at 800, about 0.67 MB a point, so roughly
+# 2.8 GB at MAX_POINTS (BENCH_52.json). Its pairs are one getrandbits block of 2n bits
 # per sample, at most 2**29 bits under this cap and MAX_POINTS (getrandbits takes a C int).
 MAX_SAMPLES = 1 << 16
 # The most opens `topology` lists; n points can carry up to 2**n. Listing the 65536
@@ -62,8 +62,9 @@ MAX_SAMPLES = 1 << 16
 MAX_OPENS = 1 << 16
 # The most labels a universe may hold. The kernel's closure takes c**2 steps for the c
 # classes of points with equal N(x), n**2 only when every N(x) differs: `check` takes
-# 3.9-4.6 s (113 MB peak) on a 4096-point identity relation, where c = n, and
-# 0.37-0.40 s on `"base": []`, where c = 1 (BENCH_41.json).
+# 4.2-5.9 s, 4.9 s in the median, with a 117 MB peak, on a 4096-point identity relation,
+# where c = n (BENCH_52.json), and 0.37-0.40 s on `"base": []`, where c = 1
+# (BENCH_41.json).
 MAX_POINTS = 1 << 12
 
 

@@ -9,19 +9,23 @@ time, by one upward closure in the subset lattice per direction, asserting
 each pick is unique. The smallest candidate around A, the upper, is U minus
 the opposite pick inside U − A: in the powerset, a reversal of the lanes.
 The picks form one table of columns per space, ``oracle_table``;
-``oracle_diff`` compares it, column by column, with the fast operators run
-on the powerset batch. The table and an exhaustive check both scan the 2ⁿ
-subsets, so one cap, ``POWERSET_CAP``, bounds both.
+``oracle_diff`` compares it, column by column, with the fast operators,
+each run once on the powerset doubled over the direction sum. The table
+and an exhaustive check both scan the 2ⁿ subsets, so one cap,
+``POWERSET_CAP``, bounds both.
 
 The checker runs a catalogue of algebraic laws over all subsets (and all
 pairs, for the binary laws) of a space, bit-sliced into batches, and
 reports one result per law, with the first counterexample kept as a
 witness. A table of rows (``approx.Rows``) holds the families its laws
-read, folding each base term of its batch once per direction; each law
-then tests packed rows with a few int operations over all lanes at once,
-calls no operator, and builds lane masks and a witness only where it
-fails. Each binary law is one row that must be monotone (antitone, for a
-negative region), checked on comparable pairs X ⊆ Y, each one shift of
+read, each as one row over the direction sum, the space beside its order
+dual, that holds the Inc row in its first n points and the Dec row in its
+last n; each base term of its batch is folded once for both directions.
+Each law then tests these doubled packed rows with a few int operations
+over all lanes of both directions at once, calls no operator, and splits
+a fail word into its Inc and Dec lanes, and builds a witness, only where
+it fails. Each binary law is one row that must be monotone (antitone, for
+a negative region), checked on comparable pairs X ⊆ Y, each one shift of
 the packed row. The accuracy laws count points only in lanes where an
 inclusion that bounds the accuracies fails, which the shipped families
 never do. A deliberately corrupted gamma-upper operator is provided so the
@@ -34,21 +38,21 @@ import random
 import string
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, repeat
 from operator import gt, or_, xor
 from typing import Callable, NamedTuple
 
 from . import approximations as approx
 from .approximations import DIRECTION_ORDER, FAMILY_ORDER, Direction, Gotas, OperatorFamily
-from .batch import Batch, Groups, _beyond, _counting_columns, _pack
+from .batch import Batch, Groups, _beyond, _counting_columns, _fields
 from .order import PartialOrder, validate_order
 from .topology import Topology, generate_topology, points_meeting, points_within
 from .universe import (Subset, Universe, _points, _reverse, _transpose, from_flags,
                        random_columns, union_over)
 
 # The most points whose 2**n subsets the oracle table or an exhaustive check
-# scans: at 16 the slowest measured shape, a failing check, takes about
-# 0.14 s and 28 MB, at 17 about 0.30 s (BENCH_38.json).
+# scans: at 16 the slowest measured shape, a check whose accuracy laws fail and
+# so build a Fraction per lane, takes 1.3-1.8 s and 44 MB (BENCH_52.json).
 POWERSET_CAP = 16
 
 
@@ -146,28 +150,28 @@ def _greatest_inside(u: Universe, candidates: list[int], a: int) -> int:
 
 
 def oracle_diff(g: Gotas) -> tuple[int, list[str]]:
-    """Compare the fast base operators, run once per operator and direction
-    on the powerset batch, against the oracle table. Returns (comparisons,
-    mismatches), the mismatches by subset, then direction, then operator."""
+    """Compare the fast base operators against the oracle table. Each runs
+    once, at Inc, on the powerset doubled over the direction sum, and its Inc
+    and Dec columns are its halves. Returns (comparisons, mismatches), the
+    mismatches by subset, then direction, then operator."""
     table = oracle_table(g)
-    u = g.universe
-    powerset = Batch.powerset(u)
-    checks = [
-        (f"{name} {d.label}", fast(g, powerset, d), Batch(u, want, powerset.width))
-        for d in DIRECTION_ORDER
-        for (name, fast), want in zip(
-            (("r_lower", approx.r_lower), ("r_upper", approx.r_upper)), table[d]
-        )
-    ]
+    u, s, n = g.universe, g.direction_sum, g.universe.size
+    width = 1 << n
+    doubled = Batch(s.universe, _counting_columns(n) * 2, width)
+    fast = [(name, op(s, doubled, Direction.INC).columns)
+            for name, op in (("r_lower", approx.r_lower), ("r_upper", approx.r_upper))]
+    checks = [(f"{name} {d.label}", got[k:k + n], want)
+              for k, d in zip((0, n), DIRECTION_ORDER) for (name, got), want in zip(fast, table[d])]
     # Columns against columns: packing both sides would cost more than the compare.
-    differs = [reduce(or_, map(xor, got.columns, want.columns), 0) for _, got, want in checks]
+    differs = [reduce(or_, map(xor, got, want), 0) for _, got, want in checks]
     mismatches = [
-        f"{what} of {u.from_bits(a)}: main {got.lane(a)}, oracle {want.lane(a)}"
+        f"{what} of {u.from_bits(a)}: main {Batch(u, got, width).lane(a)}, "
+        f"oracle {Batch(u, want, width).lane(a)}"
         for a in _points(reduce(or_, differs, 0))
         for (what, got, want), mask in zip(checks, differs)
         if mask >> a & 1
     ]
-    return len(checks) * powerset.width, mismatches
+    return len(checks) * width, mismatches
 
 
 # A dataclass for ``dataclasses.replace``, which builds every variant suite:
@@ -176,7 +180,11 @@ def oracle_diff(g: Gotas) -> tuple[int, list[str]]:
 class OperatorSuite:
     """The base operators and the family tables. The law checker runs
     against a suite, so a corrupted table entry can be swapped in without
-    touching the real operators."""
+    touching the real operators. A family runs once, at Inc, on the
+    direction sum (``Gotas.direction_sum``), whose Inc operators are the
+    space's Inc and Dec operators side by side: so it must use its direction
+    only through the base operators and ``.opposite``. One that branches on
+    ``d is Direction.INC`` is evaluated wrongly, as Inc in both halves."""
 
     # Unread (rows take R from the tables); perfbench/tracing.py passes them to replace().
     r_lower: approx.OpFn
@@ -240,15 +248,18 @@ class PropositionReport(NamedTuple):
         return self.witness is None
 
 
-# A catalogue entry is (id, law). A unary law is a generator of its failing claims
+# A catalogue entry is (id, law). A unary law is an iterable of its failing claims
 # over the row table of a batch of subsets: (fail mask, direction, witness template,
 # operands), in the order a check of one instance tests them; a passing law yields
 # nothing. The template's %s fields take the operands' values at the failing lane,
-# which a ``Witness`` keeps with the direction; templates are built at import. A
-# table's batch is its ``a``; a value in a law is named by its (family, row field).
-# Only duality reads the complement of A, and only its R rows, so it builds that
-# table. The accuracy laws are ``_accuracies`` of specs (direction, families,
-# template): the families' accuracies do not fall, in that order.
+# which a ``Witness`` keeps with the direction; templates are built at import, one
+# per direction. A table's batch is its ``a``; a value in a law is named by its
+# (family, row field). A law tests each of its rows once, over the direction sum,
+# where it holds both directions (``approx.Rows``); only a nonzero fail word is
+# split into its Inc and Dec lanes, and the operands of a failing claim into
+# their halves. Only duality reads the complement of A, and only its R rows, so it
+# folds those two itself, outside any table. The accuracy laws are ``_accuracies``
+# of specs (families, templates): the families' accuracies do not fall, in that order.
 #
 # A binary law is the tuple (family, row field, antitone, witness) of one row
 # that must be monotone (antitone, for a negative region) in both directions. It
@@ -275,58 +286,85 @@ class PropositionReport(NamedTuple):
 #   3.21, 3.25: these premises do not suffice; see the proof in ``open_upper_failure``.
 
 
+def _claims(rows, word, templates, operands):
+    """The claims of a nonzero fail word over the direction sum: for each
+    direction whose half of ``word`` has lanes in some field, Inc first,
+    those lanes, the direction, its template and the operands' halves."""
+    return [(lanes, d, templates[d], tuple(rows.split(v)[i] for v in operands))
+            for i, (lanes, d) in enumerate(zip(rows.doubled.halves(word), DIRECTION_ORDER))
+            if lanes]
+
+
+def _direction_major(claims):
+    """``claims`` with the Inc ones first, each in its own order."""
+    return sorted(claims, key=lambda claim: claim[1] is Direction.DEC)
+
+
 def _sandwich(rows):
-    a = rows.a
-    p = a.packed
-    for (family, d), template in _SANDWICH:
-        lo, up = rows[family, d].lower, rows[family, d].upper
-        if fail := _beyond(lo.packed, p) | _beyond(p, up.packed):
-            yield a.lanes_in(fail), d, template, (lo, a, up)
+    p = rows.doubled.packed
+    for family, templates in _SANDWICH:
+        row = rows.sums[family]
+        if fail := _beyond(row.lower.packed, p) | _beyond(p, row.upper.packed):
+            yield from _claims(rows, fail, templates, (row.lower, rows.a, row.upper))
 
 
 def _exact_transfer(fam, label):
-    specs = [(d, f"{d.label}: A=%s is R exact but not {label} exact") for d in DIRECTION_ORDER]
+    templates = [f"{d.label}: A=%s is R exact but not {label} exact" for d in DIRECTION_ORDER]
+
     def claims(rows):
-        for d, template in specs:
-            if fail := rows[_R, d].exact & ~rows[fam, d].exact:
+        for d, template, r, f in zip(DIRECTION_ORDER, templates, rows.sums[_R].rough,
+                                     rows.sums[fam].rough):
+            if fail := f & ~r:
                 yield fail, d, template, (rows.a,)
 
     return claims
 
 
-def _inclusions(specs):
-    # specs: direction, (family, row field) of x and of y, and the template of "x within y"
+def _inclusions(steps):
+    # steps: (family, row field) of x and of y, and the templates of "x within y"
     def claims(rows):
-        for d, (fam_x, fx), (fam_y, fy), template in specs:
-            x, y = getattr(rows[fam_x, d], fx), getattr(rows[fam_y, d], fy)
+        found = []
+        for (fam_x, fx), (fam_y, fy), templates in steps:
+            x, y = getattr(rows.sums[fam_x], fx), getattr(rows.sums[fam_y], fy)
             if fail := _beyond(x.packed, y.packed):
-                yield rows.a.lanes_in(fail), d, template, (rows.a, x, y)
+                found += _claims(rows, fail, templates, (rows.a, x, y))
+        return _direction_major(found)
 
     return claims
 
 
 def _accuracies(specs):
     def claims(rows):
-        a = rows.a
-        for d, families, template in specs:
-            fail = 0
-            for x, y in zip(families, families[1:]):
-                fail |= _accuracy_exceeds(a, rows[x, d], rows[y, d])
-            if fail:
-                yield fail, d, template, (a, *(rows[f, d].accuracy for f in families))
+        a, found = rows.a, []
+        for families, templates in specs:
+            sums = [rows.sums[f] for f in families]
+            if any(map(_loose, sums, sums[1:])):
+                for d in DIRECTION_ORDER:
+                    row = [rows[f, d] for f in families]
+                    if fail := reduce(or_, map(_accuracy_exceeds, repeat(a), row, row[1:])):
+                        found.append((fail, d, templates[d], (a, *(r.accuracy for r in row))))
+        return _direction_major(found)
 
     return claims
 
 
 def _inclusion(first, second, text):
-    return _inclusions([(d, first, second, f"{d.label}: A=%s: {text}: %s not within %s")
-                        for d in DIRECTION_ORDER])
+    return _inclusions([(first, second, {d: f"{d.label}: A=%s: {text}: %s not within %s"
+                                         for d in DIRECTION_ORDER})])
 
 
 def _inclusion_chain(*steps):
     # steps: (family, row field, name), asserted pairwise along the chain
-    return _inclusions([(d, x[:2], y[:2], f"{d.label}: A=%s: {x[2]} %s not within {y[2]} %s")
-                        for d in DIRECTION_ORDER for x, y in zip(steps, steps[1:])])
+    return _inclusions([(x[:2], y[:2], {d: f"{d.label}: A=%s: {x[2]} %s not within {y[2]} %s"
+                                        for d in DIRECTION_ORDER})
+                        for x, y in zip(steps, steps[1:])])
+
+
+def _loose(x, y):
+    """The packed word of the lanes where x's lower is not within y's or x's
+    upper, or y's upper not within x's."""
+    xl, xu = x.lower.packed, x.upper.packed
+    return _beyond(xl, y.lower.packed) | _beyond(y.upper.packed, xu) | _beyond(xl, xu)
 
 
 def _accuracy_exceeds(a, x, y):
@@ -335,8 +373,7 @@ def _accuracy_exceeds(a, x, y):
     if x's upper is empty so is y's, and both are 1; if only y's is, x's is
     at most 1; else |lo_x|·|up_y| ≤ |lo_y|·|up_x|. So points are counted
     only when one of those inclusions fails in a nonempty lane."""
-    xl, xu = x.lower.packed, x.upper.packed
-    loose = _beyond(xl, y.lower.packed) | _beyond(y.upper.packed, xu) | _beyond(xl, xu)
+    loose = _loose(x, y)
     nonempty = a.nonempty() if loose else 0
     if not nonempty & a.lanes_in(loose):
         return 0
@@ -344,42 +381,73 @@ def _accuracy_exceeds(a, x, y):
 
 
 def _duality(rows):
-    a = rows.a
-    comp = approx.Rows(rows.g, a.complement(), rows.suite, (_R,))
-    cases = [(rows[_R, d].upper, comp[_R, d.opposite].lower.complement()) for d in DIRECTION_ORDER]
-    # A negative region is the complement of the opposite direction's upper.
-    cases += [(rows[_R, d].lower, comp[_R, d].negative) for d in DIRECTION_ORDER]
-    for (d, template), (left, right) in zip(_DUALITY, cases):
+    suite, s, r, a = rows.suite or DEFAULT_SUITE, rows.g.direction_sum, rows.sums[_R], rows.a
+    # U − A in both halves, column by column. At Dec on the sum, a row of it holds
+    # its Dec row first, then its Inc row; a negative region is the complement of
+    # the opposite direction's upper.
+    comp = Batch(s.universe, tuple(map(a.lanes.__xor__, a.columns)) * 2, a.width)
+    for templates, left, op in zip(_DUALITY, (r.upper, r.lower),
+                                   (suite.lower[_R], suite.upper[_R])):
+        right = op(s, comp, Direction.DEC).complement()
         if fail := left.packed ^ right.packed:
-            yield a.lanes_in(fail), d, template, (a, left, right)
+            yield from _claims(rows, fail, templates, (a, left, right))
 
 
 def _breaks(family, field, antitone, witness, table, pairs):
     """The failing claims of a binary law on comparable pairs X ⊆ Y of
     ``table``'s lanes, each (mask, start, shift): X's lane s is table lane
     start + s and Y's is start + shift + s, for the lanes in each field of
-    the packed ``mask``. For each pair, then each direction, the lanes where
-    the row at X is not within the row at Y (the reverse, if antitone): one
-    shift of the packed row, whose lanes moved across fields the mask drops."""
-    rows = {d: getattr(table[family, d], field) for d in DIRECTION_ORDER}
+    the packed ``mask``. For each pair, the lanes where the row at X is not
+    within the row at Y (the reverse, if antitone), Inc, then Dec: one shift
+    of the packed row over the direction sum, whose lanes moved across
+    fields the mask drops (``_broken``)."""
+    row = getattr(table.sums[family], field)
     for mask, start, shift in pairs:
-        for d in DIRECTION_ORDER:
-            row, p = rows[d], rows[d].packed
-            q = p >> shift
-            if fail := (q ^ (q & p) if antitone else p ^ (p & q)) & mask:
-                x, y = _shifted(table.a, start), _shifted(table.a, start + shift)
-                # The negative-region witness names the row at Y, Neg(A∪B), too.
-                operands = (x, y, _shifted(row, start + shift)) if antitone else (x, y)
-                yield table.a.lanes_in(fail) >> start, d, f"{d.label}: {witness}", operands
+        if fail := _broken(row.packed, mask, shift, antitone):
+            # The negative-region witness names the row at Y, Neg(A∪B), too.
+            operands = (_shifted(table.a, start), *(_shifted(x, start + shift)
+                                                    for x in (table.a, row)[:1 + antitone]))
+            templates = {d: f"{d.label}: {witness}" for d in DIRECTION_ORDER}
+            for lanes, *claim in _claims(table, fail, templates, operands):
+                yield lanes >> start, *claim
+
+
+def _broken(p, mask, shift, antitone):
+    """The lanes of ``mask`` where packed row p at lane s is not within p at
+    lane s + ``shift`` (the reverse, if antitone); on ``Groups``, a group at a
+    time, so that no shifted copy of the whole row is held, with ``mask``
+    covering the fields of one group."""
+    if isinstance(p, Groups):
+        return Groups(map(_broken, p, repeat(mask), repeat(shift), repeat(antitone)))
+    q = p >> shift
+    return (q ^ (q & p) if antitone else p ^ (p & q)) & mask
 
 
 @lru_cache(maxsize=POWERSET_CAP + 1)
-def _cover_pairs(n: int) -> list[tuple[int | Groups, int, int]]:
+def _cover_pairs(n: int) -> list[tuple[int, int, int]]:
     """The cover pairs (A, A ∪ {x}) of the powerset of n points, whose lane
-    A ∪ {x} is lane A + 2**x, on the lanes without x."""
+    A ∪ {x} is lane A + 2**x, on the lanes without x, in the 2n fields of a
+    row over the direction sum, or in one group of them (``_broken``)."""
     width = 1 << n
-    return [(_pack(((1 << width) - 1 ^ c,) * n, width), 0, 1 << x)
+    return [(_in_fields((1 << width) - 1 ^ c, width, n), 0, 1 << x)
             for x, c in enumerate(_counting_columns(n))]
+
+
+# Each entry holds four masks, each as wide as one group of a packed row at most.
+@lru_cache(maxsize=4)
+def _segment_pairs(n: int, w: int) -> list[tuple[int, int, int]]:
+    """The comparable pairs (A∩B, A), (A∩B, B), (A, A∪B) and (B, A∪B) of a
+    table of 4W lanes A∩B | A | B | A∪B, in the 2n fields of a row over the
+    direction sum of n points, or in one group of them (``_broken``)."""
+    lanes = (1 << w) - 1
+    return [(_in_fields(lanes << start, 4 * w, n), start, shift)
+            for start, shift in ((0, w), (0, 2 * w), (w, 2 * w), (2 * w, w))]
+
+
+def _in_fields(value: int, width: int, n: int) -> int:
+    """``value`` in each field of a packed row over the direction sum of n
+    points, fields ``width`` bits wide, or of one group of them."""
+    return sum(value << k * width for k in range(min(2 * n, _fields(width))))
 
 
 def _shifted(batch: Batch, k: int) -> Batch:
@@ -389,10 +457,10 @@ def _shifted(batch: Batch, k: int) -> Batch:
 
 _R, _S, _P, _G, _B = FAMILY_ORDER
 _NEG_WITNESS = "A=%s, B=%s: Neg(A∪B) %s not within Neg(A)∩Neg(B)"
-_SANDWICH = [((family, d), f"{family.label} {d.label}: expected %s within %s within %s")
-             for family in FAMILY_ORDER for d in DIRECTION_ORDER]
-_DUALITY = [(d, f"A=%s: duality {x} {d.label} vs {y} {d.opposite.label}: %s vs %s")
-            for x, y in (("upper", "lower"), ("lower", "upper")) for d in DIRECTION_ORDER]
+_SANDWICH = [(family, {d: f"{family.label} {d.label}: expected %s within %s within %s"
+                       for d in DIRECTION_ORDER}) for family in FAMILY_ORDER]
+_DUALITY = [{d: f"A=%s: duality {x} {d.label} vs {y} {d.opposite.label}: %s vs %s"
+             for d in DIRECTION_ORDER} for x, y in (("upper", "lower"), ("lower", "upper"))]
 
 _CATALOGUE: tuple[tuple[str, Callable | tuple], ...] = (
     ("sandwich", _sandwich),
@@ -416,8 +484,9 @@ _CATALOGUE: tuple[tuple[str, Callable | tuple], ...] = (
         (_S, "lower", "semi lower"), (_G, "lower", "gamma lower"), (_B, "lower", "beta lower"))),
     ("3.21", _inclusion_chain(
         (_B, "upper", "beta upper"), (_G, "upper", "gamma upper"), (_S, "upper", "semi upper"))),
-    ("3.23", _accuracies([(d, (_R, fam), f"{d.label}: A=%s: R accuracy %s > {fam.label} "
-                           "accuracy %s") for d in DIRECTION_ORDER for fam in (_G, _B)])),
+    ("3.23", _accuracies([((_R, fam), {d: f"{d.label}: A=%s: R accuracy %s > {fam.label} "
+                                       "accuracy %s" for d in DIRECTION_ORDER})
+                          for fam in (_G, _B)])),
     ("3.25", _inclusion_chain(
         (_B, "boundary", "boundary beta"), (_G, "boundary", "boundary gamma"),
         (_S, "boundary", "boundary S"))),
@@ -425,8 +494,8 @@ _CATALOGUE: tuple[tuple[str, Callable | tuple], ...] = (
         (_G, "boundary", "boundary gamma"), (_R, "boundary", "boundary R"))),
     ("3.27", _inclusion_chain(
         (_B, "boundary", "boundary beta"), (_R, "boundary", "boundary R"))),
-    ("3.28a", _accuracies([(d, (_R, _G, _B), f"{d.label}: A=%s: accuracies R %s, gamma %s, "
-                            "beta %s not ascending") for d in DIRECTION_ORDER])),
+    ("3.28a", _accuracies([((_R, _G, _B), {d: f"{d.label}: A=%s: accuracies R %s, gamma %s, "
+                                           "beta %s not ascending" for d in DIRECTION_ORDER})])),
     ("3.28b", _inclusion((_G, "lower"), (_B, "lower"), "gamma lower within beta lower")),
     ("duality", _duality),
 )
@@ -483,7 +552,7 @@ def check_propositions(
         # The W units, then the W pairs A, B as 2n columns, A's first.
         units = random_columns(rng, n, w)
         draws = random_columns(rng, 2 * n, w)
-        a, b, lanes = draws[:n], draws[n:], (1 << w) - 1
+        a, b = draws[:n], draws[n:]
         # Past the W draws, the unary lanes hold each distinct kernel class, Inc
         # then Dec: where 3.21 or 3.25 fails, it fails at one, which draws can miss.
         classes = list(dict.fromkeys(chain(*(g.kernel_plan[d].masks for d in DIRECTION_ORDER))))
@@ -496,8 +565,7 @@ def check_propositions(
                                   for x, y in zip(a, b)), 4 * w)
         table = approx.Rows(g, segments, suite, (_G, _B))
         all_units = all_pairs = w
-        pairs = [(_pack((lanes << start,) * n, 4 * w), start, shift)
-                 for start, shift in ((0, w), (0, 2 * w), (w, 2 * w), (2 * w, w))]
+        pairs = _segment_pairs(n, w)
 
     reports = []
     for pid, law in _CATALOGUE:

@@ -1,7 +1,9 @@
+import gc
 import random
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -349,14 +351,33 @@ def test_a_space_holds_only_its_kernel_caches():
     rng = random.Random(0)
     for _ in range(4000):
         ap.full_report(g, u.from_bits(rng.getrandbits(40)))
-    assert set(vars(g)) == _PARTS | {"kernel"}
+    assert set(vars(g)) == _PARTS | {"kernel", "direction_sum"}
+    # Reports on subsets scan the space's own kernel for each half of the
+    # direction sum: the sum builds no kernel and no plan.
+    assert set(vars(g.direction_sum)) == {"halves", "universe"}
+
+
+def test_a_dropped_space_is_freed_without_a_garbage_collection():
+    # The direction sum reads its space through a weak proxy: a space that
+    # held its sum, which held the space, would wait for the cycle collector.
+    g = random_space(random.Random(3), 5)
+    ap.Rows(g, Batch.powerset(g.universe))
+    assert set(vars(g.direction_sum)) == {"halves", "universe", "kernel_plan"}
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("labels, computed", [
-    (("a", "c"), 12), (("a",), 10), ((), 4), (("a", "b", "c", "d"), 4),
+    (("a", "c"), 12), (("a",), 12), ((), 4), (("a", "b", "c", "d"), 4),
 ])
 def test_a_scalar_report_computes_each_base_term_once(monkeypatch, labels, computed):
-    # 48 base-operator calls per report; equal terms, within or across
+    # 24 base-operator calls per report, each on the direction sum, which
+    # scans the space's kernel once per half; equal terms, within or across
     # families, are computed once. A second report computes them afresh.
     done = []
     for name in ("points_within", "points_meeting"):
@@ -398,9 +419,11 @@ def test_base_operators_on_temporaries_inside_a_table_are_exact():
     g = random_space(random.Random(2), 5)
     powerset, log = Batch.powerset(g.universe), []
     rows = ap.Rows(g, powerset, _churning_suite(log), (R,))
-    assert len(log) == 16
+    # R's lower runs once, at Inc on the direction sum, logging four
+    # temporaries in each of two spaces over the sum's universe.
+    assert len(log) == 8
     for space, operand, d, lower, upper in log:
-        x = Batch.of(g.universe, operand)
+        x = Batch.of(space.universe, operand)
         assert (lower, upper) == (ap.r_lower(space, x, d).rows(), ap.r_upper(space, x, d).rows())
     for d in DIRECTION_ORDER:
         assert rows[R, d].lower.rows() == ap.r_lower(g, powerset, d).rows()
@@ -436,9 +459,10 @@ def test_threads_sharing_a_space_build_tables_with_their_own_memos():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == {k: want[k % 4] for k in range(8)}
-    # Each table keeps its own memo, read twice (Inc and Dec) while it is built.
+    # Each table keeps its own memo, read once (at Inc, on the direction sum)
+    # while it is built.
     assert None not in memos
-    assert len(memos) == 2 * 8 * 20 and len({id(m) for m in memos}) == 8 * 20
+    assert len(memos) == 8 * 20 and len({id(m) for m in memos}) == 8 * 20
 
 
 def test_threads_racing_on_first_reads_see_equal_values():

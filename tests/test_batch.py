@@ -138,7 +138,7 @@ def test_counting_columns_match_the_division_form():
         every = (1 << (1 << m)) - 1
         want = [(((1 << (1 << k)) - 1) << (1 << k)) * (every // ((1 << (2 << k)) - 1))
                 for k in range(m)]
-        assert _counting_columns(m) == want, m
+        assert _counting_columns(m) == tuple(want), m
 
 
 def test_counting_columns_repeat_their_period_up_to_twice_the_cap():
@@ -151,7 +151,7 @@ def test_counting_columns_repeat_their_period_up_to_twice_the_cap():
                                (bytes(1 << k - 3) + b"\xff" * (1 << k - 3)) * (1 << m - k - 1),
                                "little")
                 for k in range(m)]
-        assert _counting_columns(m) == want, m
+        assert _counting_columns(m) == tuple(want), m
 
 
 def test_the_all_ones_cache_keeps_few_widths():

@@ -38,7 +38,7 @@ from gotas.oracle import (
     random_space,
     _greatest_inside,
 )
-from gotas.batch import _counting_columns
+from gotas.batch import Plan, _counting_columns
 from gotas.universe import _points
 
 from conftest import make_example_space, oracle_rows, partition_space, random_partition, subsets
@@ -102,7 +102,9 @@ class TestOracleOperators:
     def test_diff_leaves_only_the_kernel_caches(self):
         space = random_space(random.Random(8), 8)
         assert oracle_diff(space) == (1024, [])
-        assert set(vars(space)) == {"universe", "topology", "order", "kernel", "kernel_plan"}
+        assert set(vars(space)) == {"universe", "topology", "order", "kernel", "kernel_plan",
+                                    "direction_sum"}
+        assert set(vars(space.direction_sum)) == {"halves", "universe", "kernel_plan"}
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -230,15 +232,17 @@ def test_table_uses_no_batch_and_no_kernel(monkeypatch):
     monkeypatch.setattr(oracle, "_transpose", refuse)
     monkeypatch.setattr(Gotas, "kernel", property(refuse))
     monkeypatch.setattr(Gotas, "kernel_plan", property(refuse))
+    monkeypatch.setattr(Gotas, "direction_sum", property(refuse))
     fresh = [random_space(random.Random(23), size) for size in (1, 4, 8)]
     assert [oracle_table(space) for space in fresh] == want
 
 
-# What the oracle checks: the kernel, its plans, the batch folds over them and
-# the row codec of Batch.of and Batch.rows.
-_FAST_PATH = {"kernel", "kernel_plan", "Plan", "points_within", "points_meeting", "all_of",
-              "any_of", "Rows", "Batch", "approx", "r_lower", "r_upper", "neighborhoods",
-              "_transpose"}
+# What the oracle checks: the kernel, its plans, the direction sum that
+# places them side by side, the batch folds over them and the row codec of
+# Batch.of and Batch.rows.
+_FAST_PATH = {"kernel", "kernel_plan", "direction_sum", "Plan", "points_within",
+              "points_meeting", "all_of", "any_of", "Rows", "Batch", "approx", "r_lower",
+              "r_upper", "neighborhoods", "_transpose"}
 
 
 def _names(code):
@@ -394,16 +398,17 @@ def folds(monkeypatch):
     return done
 
 
-# Per operand batch and direction, the distinct base terms: r_lower A,
-# r_upper A, r_upper(r_lower A), r_lower(r_upper A), and for beta
-# r_lower(r_upper(r_lower A)), r_upper(r_lower(r_upper A)). Six each for A
-# and for the binary laws' table, R's two for the complement of A. An
-# exhaustive check reads the binary laws off A's table, passing or failing,
-# and builds only A's and its complement's: (6 + 2) · 2 = 16 folds. A
-# sampled check builds one more table, A∩B | A | B | A∪B of the drawn
-# pairs side by side: (6 + 6 + 2) · 2 = 28 folds.
-FOLDS_PER_CHECK = 16
-FOLDS_WITH_PAIR_TABLES = 28
+# Per operand batch, the distinct base terms: r_lower A, r_upper A,
+# r_upper(r_lower A), r_lower(r_upper A), and for beta
+# r_lower(r_upper(r_lower A)), r_upper(r_lower(r_upper A)). Each is folded
+# once, at Inc on the direction sum, where one fold gives both directions.
+# Six each for A and for the binary laws' table; duality folds R's two for
+# the complement of A, at Dec on the sum, outside any table. An exhaustive
+# check reads the binary laws off A's table, passing or failing, and builds
+# only A's: 6 + 2 = 8 folds. A sampled check builds one more table,
+# A∩B | A | B | A∪B of the drawn pairs side by side: 6 + 6 + 2 = 14 folds.
+FOLDS_PER_CHECK = 8
+FOLDS_WITH_PAIR_TABLES = 14
 
 
 def _minus_interior_lower(g, a, d):
@@ -428,8 +433,7 @@ def widths(monkeypatch):
 def test_check_builds_each_operand_once(g, built_rows, folds):
     assert all(r.passed for r in check_propositions(g))
     unit = Batch.powerset(g.universe)
-    assert (sorted((x.width, x.columns) for x in built_rows)
-            == sorted((x.width, x.columns) for x in (unit, unit.complement())))
+    assert [(x.width, x.columns) for x in built_rows] == [(unit.width, unit.columns)]
     assert len(folds) == FOLDS_PER_CHECK
 
 
@@ -470,10 +474,10 @@ def _classes(space):
 def test_a_sampled_check_folds_each_base_term_once(g, built_rows, folds):
     reports = check_propositions(g, samples=256, seed=6)
     assert [(r.passed, r.instances) for r in reports] == [(True, 256)] * len(PROPOSITION_IDS)
-    # A, the binary laws' table, then the complement of A. A holds the
-    # 256 draws, then the kernel classes.
+    # A, then the binary laws' table. A holds the 256 draws, then the
+    # kernel classes.
     classes = _classes(g)
-    assert [x.width for x in built_rows] == [256 + len(classes), 4 * 256, 256 + len(classes)]
+    assert [x.width for x in built_rows] == [256 + len(classes), 4 * 256]
     assert built_rows[0].rows()[256:] == classes
     a, b = _drawn_pairs(g, 256, 6)
     assert built_rows[1].rows() == ([x & y for x, y in zip(a, b)] + a + b
@@ -492,8 +496,7 @@ def test_an_exhaustive_check_at_the_cap_reads_only_the_powerset(suite, built_row
     failed = {r.proposition for r in reports if not r.passed}
     assert "3.3" in failed if suite is NONMONOTONE_GAMMA_LOWER else not failed
     unit = Batch.powerset(u)
-    assert (sorted((x.width, x.columns) for x in built_rows)
-            == sorted((x.width, x.columns) for x in (unit, unit.complement())))
+    assert [(x.width, x.columns) for x in built_rows] == [(unit.width, unit.columns)]
     assert max(widths) == 2 ** POWERSET_CAP
     assert len(folds) == FOLDS_PER_CHECK
 
@@ -635,10 +638,10 @@ def test_operands_equal_by_value_keep_their_own_segments(built_rows):
         reports = check_propositions(space, samples=1, seed=seed)
         assert [(r.passed, r.instances) for r in reports] == [(True, 1)] * len(PROPOSITION_IDS)
         [a], [b] = _drawn_pairs(space, 1, seed)
-        assert built_rows[-2].rows() == [a & b, a, b, a | b]
+        assert built_rows[-1].rows() == [a & b, a, b, a | b]
     assert _classes(space) == [1]
-    assert [x.width for x in built_rows] == [2, 4, 2] * 8
-    assert len({tuple(x.rows()) for x in built_rows[1::3]}) > 1
+    assert [x.width for x in built_rows] == [2, 4] * 8
+    assert len({tuple(x.rows()) for x in built_rows[1::2]}) > 1
 
 
 def test_checker_and_diff_read_batches_without_rows(g, probe, monkeypatch):
@@ -1167,6 +1170,160 @@ def test_binary_laws_match_a_scalar_reference(g, probe):
     # each other one fails some, so the reports are compared on failures too.
     assert [name for name, count in failures.items() if not count] == [
         "default", "corrupted", "swapped_r", "flipped_r"]
+
+
+def _plan_by_mask(plan, first=None, n=0):
+    """A plan with its classes named by their masks: each class's own points
+    and cover masks, and each point's class mask. Past the ``first`` classes,
+    masks are moved up by n points, as a plan ``beside`` another keeps them."""
+    masks = [m << n * (c >= first) for c, m in enumerate(plan.masks)] if first else plan.masks
+    steps = {m: (own, {masks[c] for c in covers}) for m, (own, covers) in zip(masks, plan.steps)}
+    return steps, [masks[c] for c in plan.classes]
+
+
+def test_the_direction_sum_splits_into_each_directions_rows():
+    # Each family runs once, at Inc, on the direction sum with A ⊔ A; the
+    # halves of its report are its per-direction rows, under every suite, on
+    # subsets and on batches. The sum's kernels and plans are the space's two
+    # side by side: the plans Plan.of builds on the joined masks, up to the
+    # numbering of the classes, which Plan.of sorts by size across both, and
+    # to the masks of the second half, which the sum keeps unshifted.
+    suites = {"default": DEFAULT_SUITE, "corrupted": corrupted_suite(), **_wrong_suites()}
+    rng = random.Random(33)
+    for i in range(60):
+        space = random_space(rng, 1 + i % 9)
+        u, n, pair = space.universe, space.universe.size, space.direction_sum
+        for d in (INC, DEC):
+            joined = space.kernel[d] + tuple(m << n for m in space.kernel[d.opposite])
+            assert pair.kernel[d] == joined
+            first = len(space.kernel_plan[d].masks)
+            assert (_plan_by_mask(pair.kernel_plan[d], first, n)
+                    == _plan_by_mask(Plan.of(joined)))
+        rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 12))]
+        for operand in (Batch.of(u, rows), u.from_bits(rows[0])):
+            for name, suite in suites.items():
+                table = ap.Rows(space, operand, suite)
+                for (family, d), row in table.items():
+                    up = suite.upper[family](space, operand, d.opposite).complement()
+                    want = (suite.lower[family](space, operand, d),
+                            suite.upper[family](space, operand, d), up)
+                    got = (row.lower, row.upper, row.negative)
+                    if isinstance(operand, Batch):
+                        got, want = ([x.rows() for x in v] for v in (got, want))
+                    assert got == want, (name, family, d)
+
+
+def _scalar_unary_claims(space, suite, a):
+    """The failing claims of each unary law on the subset ``a``, in the order
+    a one-at-a-time check tests them, as (direction, text, operands), from
+    the suite's operators in each direction."""
+    u, full = space.universe, space.universe.full()
+    comp = full - a
+
+    def row(family, x=a):
+        got = {d: (suite.lower[family](space, x, d), suite.upper[family](space, x, d))
+               for d in (INC, DEC)}
+        return {(family, d): types.SimpleNamespace(
+                    lower=lo, upper=up, boundary=up - lo, negative=full - got[d.opposite][1],
+                    accuracy=ap._accuracy(len(lo), len(up))) for d, (lo, up) in got.items()}
+
+    rows = {key: r for f in ap.FAMILY_ORDER for key, r in row(f).items()}
+    names = {R: "R", _S: "semi", _P: "pre", GAMMA: "gamma", BETA: "beta"}
+    claims = {pid: [] for pid, law in oracle._CATALOGUE if callable(law)}
+    for f in ap.FAMILY_ORDER:
+        for d in (INC, DEC):
+            r = rows[f, d]
+            if not (r.lower <= a <= r.upper):
+                claims["sandwich"].append((d, f"{f.label} {d.label}: expected %s within %s "
+                                              "within %s", (r.lower, a, r.upper)))
+    for pid, fam in (("3.4", GAMMA), ("3.14", BETA)):
+        for d in (INC, DEC):
+            exact = [rows[f, d].lower == rows[f, d].upper for f in (R, fam)]
+            if exact[0] and not exact[1]:
+                claims[pid].append((d, f"{d.label}: A=%s is R exact but not {names[fam]} exact",
+                                    (a,)))
+    inclusions = {"3.5": [(R, GAMMA, "lower")], "3.6": [(GAMMA, R, "upper")],
+                  "3.7": [(_P, GAMMA, "lower")], "3.8": [(_S, GAMMA, "lower")],
+                  "3.9": [(_P, GAMMA, "upper")], "3.10": [(BETA, _P, "upper")],
+                  "3.15": [(R, BETA, "lower")], "3.16": [(BETA, R, "upper")],
+                  "3.28b": [(GAMMA, BETA, "lower")]}
+    chains = {"3.20": ((_S, GAMMA, BETA), "lower"), "3.21": ((BETA, GAMMA, _S), "upper"),
+              "3.25": ((BETA, GAMMA, _S), "boundary"), "3.26": ((GAMMA, R), "boundary"),
+              "3.27": ((BETA, R), "boundary")}
+    for pid, [(fx, fy, field)] in inclusions.items():
+        for d in (INC, DEC):
+            x, y = getattr(rows[fx, d], field), getattr(rows[fy, d], field)
+            if not x <= y:
+                text = f"{names[fx]} {field} within {names[fy]} {field}"
+                claims[pid].append((d, f"{d.label}: A=%s: {text}: %s not within %s", (a, x, y)))
+    for pid, (families, field) in chains.items():
+        def name(f):
+            return f"boundary {'S' if f is _S else names[f]}" if field == "boundary" \
+                else f"{names[f]} {field}"
+        for d in (INC, DEC):
+            for fx, fy in itertools.pairwise(families):
+                x, y = getattr(rows[fx, d], field), getattr(rows[fy, d], field)
+                if not x <= y:
+                    claims[pid].append((d, f"{d.label}: A=%s: {name(fx)} %s not within "
+                                           f"{name(fy)} %s", (a, x, y)))
+    for d in (INC, DEC):
+        acc = {f: rows[f, d].accuracy for f in (R, GAMMA, BETA)}
+        for fam in (GAMMA, BETA):
+            if a and acc[R] > acc[fam]:
+                claims["3.23"].append((d, f"{d.label}: A=%s: R accuracy %s > {names[fam]} "
+                                          "accuracy %s", (a, acc[R], acc[fam])))
+        if a and not acc[R] <= acc[GAMMA] <= acc[BETA]:
+            claims["3.28a"].append((d, f"{d.label}: A=%s: accuracies R %s, gamma %s, beta %s "
+                                       "not ascending", (a, acc[R], acc[GAMMA], acc[BETA])))
+    for x, y in (("upper", "lower"), ("lower", "upper")):
+        for d in (INC, DEC):
+            left = getattr(rows[R, d], x)
+            right = (full - row(R, comp)[R, d.opposite].lower if x == "upper"
+                     else row(R, comp)[R, d].negative)
+            if left != right:
+                claims["duality"].append((d, f"A=%s: duality {x} {d.label} vs {y} "
+                                             f"{d.opposite.label}: %s vs %s", (a, left, right)))
+    return claims
+
+
+def _interior_of_opposite_closure(g, a, d):
+    return ap.r_lower(g, ap.r_upper(g, a, d.opposite), d)
+
+
+def test_unary_laws_match_a_scalar_reference(g, probe):
+    # Each unary law's instances and witness, from one doubled row table,
+    # equal those of a check that tests one subset at a time, each direction
+    # apart: the first failing subset, then its first failing claim. The
+    # "bounds" suite breaks the sandwich in two families, in directions that
+    # differ at some first failing subset.
+    lower, upper = DEFAULT_SUITE.lower, DEFAULT_SUITE.upper
+    suites = {"default": DEFAULT_SUITE, "corrupted": corrupted_suite(), **_wrong_suites(),
+              "gamma lower": NONMONOTONE_GAMMA_LOWER,
+              "bounds": replace(DEFAULT_SUITE, lower={**lower, R: _interior_of_opposite_closure},
+                                upper={**upper, GAMMA: ap.r_lower})}
+    # The draws include spaces where, at the first failing subset, one
+    # direction fails an earlier step of a chain than the other does.
+    rng = random.Random(42)
+    spaces = [g, probe] + [random_space(rng, 1 + i % 6) for i in range(48)]
+    failed = dict.fromkeys(suites, 0)
+    for space in spaces:
+        u = space.universe
+        for name, suite in suites.items():
+            want = {}
+            for a in subsets(u):
+                for pid, claims in _scalar_unary_claims(space, suite, a).items():
+                    if claims and pid not in want:
+                        want[pid] = (a.bits + 1, *claims[0])
+            for r in check_propositions(space, suite=suite):
+                if r.proposition not in want and callable(dict(oracle._CATALOGUE)[r.proposition]):
+                    assert (r.passed, r.instances) == (True, u.full_mask + 1), (name, r)
+                elif r.proposition in want:
+                    instances, d, template, operands = want[r.proposition]
+                    w = r.witness
+                    assert (r.instances, w.direction, str(w), w.values) == (
+                        instances, d, template % operands, operands), (name, r.proposition)
+                    failed[name] += 1
+    assert all(failed.values()), failed
 
 
 def test_binary_law_scans_drop_what_a_shift_carries_across_fields():

@@ -88,15 +88,15 @@ def test_tracer_sees_every_layer():
         assert record["order.pairs"] == 9
     assert "approximations.base_calls" not in topology
     assert analyze["approximations.report_ms"] > 0
-    # A row table derives each family's rows once, so the ten rows of
-    # analyze take 48 base calls and the exhaustive check 52; deriving
-    # every region or law value on its own takes 72 and 528. The count
-    # takes in the calls that the row table's memo answers, since batches
-    # keep no folds: the check folds 16 times.
-    assert 0 < analyze["approximations.base_calls"] < 72
+    # A row table derives each family's rows once, both directions at once
+    # on the direction sum, so the ten rows of analyze take 24 base calls and
+    # the exhaustive check 26; deriving every region or law value on its own
+    # takes 72 and 528. The count takes in the calls that the row table's
+    # memo answers, since batches keep no folds: the check folds 8 times.
+    assert analyze["approximations.base_calls"] == 24
     assert check["oracle.law_instances"] > 0
-    assert 0 < check["approximations.base_calls"] <= 264
-    # oracle-diff runs each base operator once per direction on the
-    # powerset batch; one call per subset would take 64.
+    assert check["approximations.base_calls"] == 26
+    # oracle-diff runs each base operator once, on the powerset doubled over
+    # the direction sum; one call per subset and direction would take 64.
     assert diff["oracle.diff_ms"] > 0
-    assert diff["approximations.base_calls"] == 4
+    assert diff["approximations.base_calls"] == 2
