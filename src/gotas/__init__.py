@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 
 # `topology` and `analyze` read nothing of `gotas.oracle`, so the module is
 # registered here and compiled and run on its first attribute read (`check`,
-# `oracle-diff`, the scripts, the tests). Until then `gotas.oracle`,
+# `oracle-diff`, `sweep`, the tests). Until then `gotas.oracle`,
 # `sys.modules["gotas.oracle"]` and `cli.oracle` are already this one module
 # object. Before Python 3.12 that first read is not thread-safe; no code path
 # reaches `gotas.oracle` from a thread.

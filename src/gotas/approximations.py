@@ -111,13 +111,13 @@ class Gotas:
         (Nachbin, *Topology and Order*, 1965), so the sum's Inc kernel is
         M_inc ⊔ M_dec, its Dec kernel the mirror, and each operator at Inc on
         A ⊔ A gives the space's Inc and Dec values of A side by side. Its
-        kernels and plans are the space's two placed one after the other, so
-        no closure and no ``Plan.of`` runs on its 2n masks, and a subset is
-        scanned one half at a time over the space's own kernel; it keeps no
-        topology or order. It reads the space through a weak proxy, so the
-        two form no reference cycle and a space is freed as soon as it is
-        dropped, not at the next garbage collection; it is valid only while
-        the space lives."""
+        plans are the space's two placed one after the other, so no closure
+        and no ``Plan.of`` runs on its 2n masks, and a subset is scanned one
+        half at a time over the space's own kernel; it keeps no kernel,
+        topology or order of its own. It reads the space through a weak
+        proxy, so the two form no reference cycle and a space is freed as
+        soon as it is dropped, not at the next garbage collection; it is
+        valid only while the space lives."""
         return _Sum(self)
 
 
@@ -126,11 +126,6 @@ class _Sum(Gotas):
 
     def __init__(self, g: Gotas) -> None:
         self.halves, self.universe = proxy(g), _numbered(2 * g.universe.size)
-
-    @_cached
-    def kernel(self) -> dict[Direction, tuple[int, ...]]:
-        n, k = self.halves.universe.size, self.halves.kernel
-        return {d: k[d] + tuple([m << n for m in k[d.opposite]]) for d in DIRECTION_ORDER}
 
     def scan(self, d: Direction, bits: int, meets: bool) -> int:
         """Each half scanned over the space's own kernel, so that no shifted
@@ -420,7 +415,8 @@ def accuracy(g: Gotas, a: Subset, family: OperatorFamily, d: Direction) -> Fract
 
 
 def full_report(
-    g: Gotas, a: Subset
+    g: Gotas, a: Subset, families: tuple[OperatorFamily, ...] = FAMILY_ORDER
 ) -> dict[tuple[OperatorFamily, Direction], ApproxReport]:
-    """All ten (family, direction) rows, in canonical order."""
-    return dict(Rows(g, a))
+    """The (family, direction) rows of ``families``, by default all ten, in
+    canonical order."""
+    return dict(Rows(g, a, families=families))

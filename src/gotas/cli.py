@@ -1,14 +1,15 @@
 """Command line front end.
 
 Reads a space document (JSON), builds the space and runs reports or
-checks. Exit codes are a stable contract: 0 success / all checks pass,
-1 check failure, 2 input or usage error. A command returns its output
-text and its exit code, ``EXIT_CHECK_FAILED`` when a check fails, and
-raises ``InputError`` on input it cannot use; the parser raises
-``UsageError``. ``main`` alone writes stdout, writes the error lines and
-exits; only --help writes and exits on its own, with 0.
+checks, or runs the checks on seeded random spaces. Exit codes are a
+stable contract: 0 success / all checks pass, 1 check failure, 2 input or
+usage error. A command returns its output text and its exit code,
+``EXIT_CHECK_FAILED`` when a check fails, and raises ``InputError`` on
+input it cannot use; the parser raises ``UsageError``. ``main`` alone
+writes stdout, writes the error lines and exits; only --help writes and
+exits on its own, with 0.
 
-``COMMANDS`` is the table of the four commands: each one's function and
+``COMMANDS`` is the table of the five commands: each one's function and
 its ``Option``s. ``parse_command_line`` reads a command line from it in
 one pass over the tokens, and the usage lines and --help are written
 from it.
@@ -42,9 +43,9 @@ from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, NoReturn
 
 # The package registers `gotas.oracle` lazily: this binds the module object,
-# and its code runs on `check` or `oracle-diff`'s first read of it.
+# and its code runs on the first read of it by `check`, `oracle-diff` or `sweep`.
 from . import oracle
-from .approximations import Direction, Gotas, OperatorFamily, full_report
+from .approximations import FAMILY_ORDER, Direction, Gotas, OperatorFamily, full_report
 from .order import validate_order
 from .topology import BinaryRelation, generate_topology, topology_from_relation
 from .universe import Universe, flags
@@ -260,8 +261,9 @@ def cmd_analyze(file: str, set_labels: str, family: str | None = None,
         a = g.universe.subset(filter(None, map(str.strip, set_labels.split(","))))
     except ValueError as e:
         raise InputError(str(e)) from None
-    rows = [(f, d, r) for (f, d), r in full_report(g, a).items()
-            if family in (None, f.value) and direction in (None, d.value)]
+    families = FAMILY_ORDER if family is None else (OperatorFamily(family),)
+    rows = [(f, d, r) for (f, d), r in full_report(g, a, families).items()
+            if direction in (None, d.value)]
 
     if fmt == "json":  # rows share most sets, so each distinct set is written once
         encoded = tuple(map(encode_basestring_ascii, g.universe.labels))
@@ -338,6 +340,41 @@ def cmd_oracle_diff(file: str) -> tuple[str, int]:
     return text, EXIT_CHECK_FAILED if mismatches else 0
 
 
+def cmd_sweep(count: int = 100, sizes: str = "3,4,5", seed: int = 0,
+              show_witnesses: int = 3) -> tuple[str, int]:
+    """Run the law catalogue on seeded random spaces and count, per law, the
+    spaces where it fails; exit 0 only if no law fails. The spaces take the
+    sizes in turn."""
+    import random  # here, so that topology and analyze load none
+
+    if count < 1:
+        raise InputError("--count must be positive")
+    if show_witnesses < 0:
+        raise InputError("--show-witnesses must not be negative")
+    try:
+        cycle = tuple(map(int, sizes.split(",")))
+    except ValueError:  # not an integer, or one past Python's limit on digits
+        cycle = ()
+    if not cycle or not all(1 <= size <= oracle.POWERSET_CAP for size in cycle):
+        raise InputError(f"--sizes must be comma separated sizes within "
+                         f"1-{oracle.POWERSET_CAP}: {sizes}")
+    rng = random.Random(seed)
+    failing = dict.fromkeys(oracle.PROPOSITION_IDS, 0)
+    witnesses = []
+    for i in range(count):
+        size = cycle[i % len(cycle)]
+        for r in oracle.check_propositions(oracle.random_space(rng, size)):
+            if not r.passed:
+                failing[r.proposition] += 1
+                if len(witnesses) < show_witnesses:
+                    witnesses.append(f"  {r.proposition} @ space #{i} (size {size}): {r.witness}")
+    lines = [f"{count} spaces, sizes {cycle}, seed {seed}",
+             *(f"  {pid:<9} failed on {n} spaces" for pid, n in failing.items())]
+    if witnesses:
+        lines += ["sample witnesses:", *witnesses]
+    return "\n".join(lines), EXIT_CHECK_FAILED if any(failing.values()) else 0
+
+
 class Option(NamedTuple):
     """One option of a command: ``flag`` sets the keyword ``dest`` of the
     command's function, which gives the default. ``kind`` is ``bool`` for a
@@ -381,16 +418,28 @@ COMMANDS: dict[str, tuple[Callable[..., tuple[str, int]], tuple[Option, ...]]] =
         _FORMAT,
         Option("--corrupt-gamma", "corrupt_gamma", bool, hidden=True))),
     "oracle-diff": (cmd_oracle_diff, ()),
+    "sweep": (cmd_sweep, (
+        Option("--count", "count", int, "N", "Number of random spaces (default: 100)."),
+        Option("--sizes", "sizes", str, "SIZES", "Space sizes, comma separated (default: 3,4,5)."),
+        Option("--seed", "seed", int, "SEED", "Seed of the random spaces (default: 0)."),
+        Option("--show-witnesses", "show_witnesses", int, "N", "Witnesses shown (default: 3)."))),
 }
 _HELP = ("-h", "--help")
+
+
+def _takes_file(run: Callable[..., tuple[str, int]]) -> bool:
+    """Whether a command reads a FILE: its function's first parameter is ``file``."""
+    return run.__code__.co_varnames[:1] == ("file",)
 
 
 def _usage(name: str | None) -> str:
     if name is None:
         return "usage: gotas [-h] COMMAND ..."
-    shown = [o.shown() if o.required else f"[{o.shown()}]"
-             for o in COMMANDS[name][1] if not o.hidden]
-    return " ".join(("usage: gotas", name, "[-h]", *shown, "FILE"))
+    run, options = COMMANDS[name]
+    shown = [o.shown() if o.required else f"[{o.shown()}]" for o in options if not o.hidden]
+    if _takes_file(run):
+        shown.append("FILE")
+    return " ".join(("usage: gotas", name, "[-h]", *shown))
 
 
 def _listing(rows: list[tuple[str, str]]) -> str:
@@ -433,12 +482,12 @@ def _value(name: str, option: Option, value: str) -> str | int:
 
 def parse_command_line(tokens: Sequence[str]) -> tuple[Callable[..., tuple[str, int]], dict]:
     """The function of the command that ``tokens`` name, with its keyword
-    arguments, from one pass over the tokens. FILE is given once, before or
-    after the options; a value option takes ``--opt value`` or
-    ``--opt=value``, the value as is; a switch takes no value; a repeated
-    option keeps its last value; ``--`` ends the options. -h/--help exits 0
-    with the help; a ``UsageError`` is raised as soon as a value is refused,
-    otherwise once every token is read."""
+    arguments, from one pass over the tokens. FILE, for a command that
+    reads one, is given once, before or after the options; a value option
+    takes ``--opt value`` or ``--opt=value``, the value as is; a switch
+    takes no value; a repeated option keeps its last value; ``--`` ends the
+    options. -h/--help exits 0 with the help; a ``UsageError`` is raised as
+    soon as a value is refused, otherwise once every token is read."""
     if not tokens:
         raise UsageError(None, "the following arguments are required: COMMAND")
     name = tokens[0]
@@ -449,6 +498,7 @@ def parse_command_line(tokens: Sequence[str]) -> tuple[Callable[..., tuple[str, 
                                f"(choose from {', '.join(map(repr, COMMANDS))})")
     run, options = COMMANDS[name]
     flags = {o.flag: o for o in options}
+    takes_file = _takes_file(run)
     kwargs: dict = {}
     file, extras, ended = None, [], False
     rest = iter(tokens[1:])
@@ -456,7 +506,7 @@ def parse_command_line(tokens: Sequence[str]) -> tuple[Callable[..., tuple[str, 
         if token == "--" and not ended:
             ended = True
         elif ended or token[:1] != "-" or token == "-":
-            if file is None:
+            if file is None and takes_file:
                 file = token
             else:
                 extras.append(token)
@@ -478,13 +528,13 @@ def parse_command_line(tokens: Sequence[str]) -> tuple[Callable[..., tuple[str, 
                         raise UsageError(name, f"argument {flag}: expected one argument")
                 kwargs[option.dest] = _value(name, option, value)
     missing = [o.flag for o in options if o.required and o.dest not in kwargs]
-    if file is None:
+    if file is None and takes_file:
         missing.insert(0, "FILE")
     if missing:
         raise UsageError(name, f"the following arguments are required: {', '.join(missing)}")
     if extras:
         raise UsageError(name, f"unrecognized arguments: {' '.join(extras)}")
-    return run, {"file": file, **kwargs}
+    return run, {"file": file, **kwargs} if takes_file else kwargs
 
 
 def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoReturn:

@@ -19,7 +19,7 @@ from gotas.cli import (
     main,
     parse_document,
 )
-from gotas.oracle import POWERSET_CAP
+from gotas.oracle import POWERSET_CAP, PROPOSITION_IDS
 
 from cli_invoke import invoke
 from conftest import EXAMPLE_DOC, REPO_ROOT, make_example_space
@@ -642,6 +642,97 @@ class TestOracleDiffCommand:
         assert result.stderr == f"error: universe size {cap + 1} exceeds the powerset cap {cap}\n"
 
 
+# Criterion 3's sweep: laws 3.21 and 3.25 fail on 5 of its 52 spaces, first on
+# random space #8 of seed 0 (5 points).
+CRITERION_3_SWEEP = ["sweep", "--count", "52", "--sizes", "3,4,5", "--seed", "0"]
+SWEEP_WITNESSES = [
+    "sample witnesses:",
+    "  3.21 @ space #8 (size 5): Dec: A={a, b}: gamma upper {a, b, c} not within semi upper {a, b}",
+    "  3.25 @ space #8 (size 5): Dec: A={a, b}: boundary gamma {c} not within boundary S {}",
+    "  3.21 @ space #17 (size 5): Dec: A={a}: gamma upper {a, b, c, d} not within semi upper {a}",
+]
+
+
+def _sweep_lines(result):
+    """The header, the per-law counts as {law: spaces} and the witness lines
+    of a sweep's stdout."""
+    header, *lines = result.stdout.splitlines()
+    laws, witnesses = lines[:len(PROPOSITION_IDS)], lines[len(PROPOSITION_IDS):]
+    assert [line.split()[0] for line in laws] == list(PROPOSITION_IDS)
+    assert all(re.fullmatch(r"  \S+ +failed on \d+ spaces", line) for line in laws), laws
+    return header, {line.split()[0]: int(line.split()[3]) for line in laws}, witnesses
+
+
+class TestSweepCommand:
+    def test_criterion_3_counts_and_witnesses(self):
+        result = invoke(CRITERION_3_SWEEP)
+        header, failing, witnesses = _sweep_lines(result)
+        assert (result.exit_code, result.stderr) == (EXIT_CHECK_FAILED, "")
+        assert header == "52 spaces, sizes (3, 4, 5), seed 0"
+        assert failing == {pid: 5 if pid in ("3.21", "3.25") else 0 for pid in PROPOSITION_IDS}
+        assert witnesses == SWEEP_WITNESSES
+        assert invoke(CRITERION_3_SWEEP) == result  # no clock in the output
+
+    def test_defaults(self):
+        explicit = ["--count", "100", "--sizes", "3,4,5", "--seed", "0", "--show-witnesses", "3"]
+        result = invoke(["sweep"])
+        header, failing, witnesses = _sweep_lines(result)
+        assert result.exit_code == EXIT_CHECK_FAILED
+        assert header == "100 spaces, sizes (3, 4, 5), seed 0"
+        assert failing["3.21"] == failing["3.25"] == 9
+        assert witnesses == SWEEP_WITNESSES
+        assert invoke(["sweep", *explicit]) == result
+
+    @pytest.mark.parametrize("args, header", [
+        (["--count", "6", "--sizes", "3,4"], "6 spaces, sizes (3, 4), seed 0"),
+        # Sizes above the worked example's and the acceptance sweep's 3-5.
+        (["--count", "3", "--sizes", "6", "--show-witnesses", "0"], "3 spaces, sizes (6,), seed 0"),
+    ], ids=["sizes-3-4", "size-6"])
+    def test_a_sweep_where_every_law_holds_exits_0(self, args, header):
+        result = invoke(["sweep", *args])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        assert _sweep_lines(result) == (header, dict.fromkeys(PROPOSITION_IDS, 0), [])
+
+    @pytest.mark.parametrize("show", [2, 0])
+    def test_show_witnesses_caps_the_witness_lines(self, show):
+        result = invoke(["sweep", "--count", "9", "--show-witnesses", str(show)])
+        header, failing, witnesses = _sweep_lines(result)
+        assert result.exit_code == EXIT_CHECK_FAILED
+        assert header == "9 spaces, sizes (3, 4, 5), seed 0"
+        assert failing == {pid: int(pid in ("3.21", "3.25")) for pid in PROPOSITION_IDS}
+        assert witnesses == (SWEEP_WITNESSES[:show + 1] if show else [])
+
+    @pytest.mark.parametrize("args, message", [
+        (["--sizes", f"3,{POWERSET_CAP + 1}"],
+         f"--sizes must be comma separated sizes within 1-{POWERSET_CAP}: 3,{POWERSET_CAP + 1}"),
+        (["--sizes", "0"], f"--sizes must be comma separated sizes within 1-{POWERSET_CAP}: 0"),
+        (["--sizes", "3,,4"],
+         f"--sizes must be comma separated sizes within 1-{POWERSET_CAP}: 3,,4"),
+        (["--sizes="], f"--sizes must be comma separated sizes within 1-{POWERSET_CAP}: "),
+        (["--sizes", "3,x"], f"--sizes must be comma separated sizes within 1-{POWERSET_CAP}: 3,x"),
+        (["--sizes", "9" * 5000],  # past int()'s limit on digits
+         f"--sizes must be comma separated sizes within 1-{POWERSET_CAP}: {'9' * 5000}"),
+        (["--count", "0"], "--count must be positive"),
+        (["--count", "-5"], "--count must be positive"),
+        (["--show-witnesses", "-1"], "--show-witnesses must not be negative"),
+    ], ids=["size-over-cap", "size-0", "empty-size", "no-sizes", "size-not-int",
+            "size-past-the-digit-limit", "count-0", "count-negative", "witnesses-negative"])
+    def test_a_refused_value_is_an_input_error(self, args, message):
+        assert invoke(["sweep", *args]) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("args", [[str(EXAMPLE_DOC)], ["--", str(EXAMPLE_DOC)],
+                                      ["--count", "1", str(EXAMPLE_DOC)]],
+                             ids=["file", "file-after-double-dash", "file-after-options"])
+    def test_a_file_is_an_unrecognized_argument(self, args):
+        result = invoke(["sweep", *args])
+        assert result.exit_code == EXIT_INPUT_ERROR
+        assert result.stdout == ""
+        assert result.stderr == (
+            "usage: gotas sweep [-h] [--count N] [--sizes SIZES] [--seed SEED] "
+            f"[--show-witnesses N]\ngotas sweep: error: unrecognized arguments: {EXAMPLE_DOC}\n")
+
+
 def _space_signature(g):
     labels = g.universe.labels
     return (
@@ -1045,12 +1136,13 @@ def _gotas(*args, stdout=subprocess.PIPE):
 
 # What each help lists: the program's lists the commands, a command's its options.
 HELP_LISTS = {
-    (): ["topology", "analyze", "check", "oracle-diff"],
+    (): ["topology", "analyze", "check", "oracle-diff", "sweep"],
     ("topology",): [],
     ("analyze",): ["--set LABELS", "--family {r,s,p,gamma,beta}", "--direction {inc,dec}",
                    "--format {table,json}"],
     ("check",): ["--exhaustive", "--samples N", "--seed SEED", "--format {table,json}"],
     ("oracle-diff",): [],
+    ("sweep",): ["--count N", "--sizes SIZES", "--seed SEED", "--show-witnesses N"],
 }
 
 
@@ -1066,7 +1158,8 @@ def test_help_exits_0_with_usage_on_stdout(args):
 
 @pytest.mark.parametrize("args, named", [
     ([], ["COMMAND"]),
-    (["bogus", "{doc}"], ["'bogus'"]),
+    (["bogus", "{doc}"], ["'bogus'", "(choose from 'topology', 'analyze', 'check', "
+                                     "'oracle-diff', 'sweep')"]),
     (["topology", "{doc}", "--bogus"], ["--bogus"]),
     (["analyze", "{doc}"], ["--set"]),
     (["check", "{doc}", "--samples", "x"], ["--samples", "'x'"]),
@@ -1184,7 +1277,7 @@ def test_click_is_gone_from_the_project():
     # The tests run the CLI through cli_invoke.invoke, as the benchmark runs it.
     found = [
         f"{path.relative_to(REPO_ROOT)}: {text.strip()}"
-        for top in ("src", "scripts", "tests")
+        for top in ("src", "tests")
         for path in sorted((REPO_ROOT / top).rglob("*.py"))
         for text in path.read_text(encoding="utf-8").splitlines()
         if _CLICK_IMPORT.match(text)

@@ -1,4 +1,4 @@
-"""Total and code lines of ``src/`` + ``scripts/``, by one rule.
+"""Total and code lines of ``src/``, by one rule.
 
 A code line is a line that holds a token other than a comment, where the
 module, class and function docstrings count as no token. The size records
@@ -16,7 +16,7 @@ import io
 import tokenize
 from pathlib import Path
 
-ROOTS = ("src", "scripts")
+ROOTS = ("src",)
 _NO_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
@@ -75,4 +75,4 @@ def test_code_lines_skip_comments_blanks_and_docstrings():
 
 if __name__ == "__main__":
     total, code = counts(Path(__file__).resolve().parent.parent)
-    print(f"src/ + scripts/: {total} lines, {code} code lines")
+    print(f"src/: {total} lines, {code} code lines")

@@ -39,6 +39,7 @@ from gotas.oracle import (
     _greatest_inside,
 )
 from gotas.batch import Plan, _counting_columns
+from gotas.topology import points_meeting, points_within
 from gotas.universe import _points
 
 from conftest import make_example_space, oracle_rows, partition_space, random_partition, subsets
@@ -1184,10 +1185,11 @@ def _plan_by_mask(plan, first=None, n=0):
 def test_the_direction_sum_splits_into_each_directions_rows():
     # Each family runs once, at Inc, on the direction sum with A ⊔ A; the
     # halves of its report are its per-direction rows, under every suite, on
-    # subsets and on batches. The sum's kernels and plans are the space's two
-    # side by side: the plans Plan.of builds on the joined masks, up to the
-    # numbering of the classes, which Plan.of sorts by size across both, and
-    # to the masks of the second half, which the sum keeps unshifted.
+    # subsets and on batches. The sum scans and folds over the space's two
+    # kernels side by side: its scans are those over the joined masks, and
+    # its plans those Plan.of builds on them, up to the numbering of the
+    # classes, which Plan.of sorts by size across both, and to the masks of
+    # the second half, which the sum keeps unshifted.
     suites = {"default": DEFAULT_SUITE, "corrupted": corrupted_suite(), **_wrong_suites()}
     rng = random.Random(33)
     for i in range(60):
@@ -1195,7 +1197,9 @@ def test_the_direction_sum_splits_into_each_directions_rows():
         u, n, pair = space.universe, space.universe.size, space.direction_sum
         for d in (INC, DEC):
             joined = space.kernel[d] + tuple(m << n for m in space.kernel[d.opposite])
-            assert pair.kernel[d] == joined
+            for bits in (0, (1 << 2 * n) - 1, *(rng.getrandbits(2 * n) for _ in range(4))):
+                assert pair.scan(d, bits, False) == points_within(joined, bits)
+                assert pair.scan(d, bits, True) == points_meeting(joined, bits)
             first = len(space.kernel_plan[d].masks)
             assert (_plan_by_mask(pair.kernel_plan[d], first, n)
                     == _plan_by_mask(Plan.of(joined)))

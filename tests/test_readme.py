@@ -38,9 +38,11 @@ def test_quick_start_prints_what_its_comment_says():
 
 COMMANDS = [shlex.split(line, comments=True)[1:]
             for line in _block("sh", "gotas ").splitlines() if line.startswith("gotas ")]
+# Every command but sweep names its FILE first.
+ON_FILES = [a for a in COMMANDS if a[0] != "sweep"]
 
 
-@pytest.mark.parametrize("args", [a for a in COMMANDS if (REPO_ROOT / a[1]).is_file()],
+@pytest.mark.parametrize("args", [a for a in ON_FILES if (REPO_ROOT / a[1]).is_file()],
                          ids=" ".join)
 def test_each_command_on_a_repository_file_exits_0(args, monkeypatch, capsys):
     monkeypatch.chdir(REPO_ROOT)
@@ -50,8 +52,18 @@ def test_each_command_on_a_repository_file_exits_0(args, monkeypatch, capsys):
 
 
 def test_only_the_placeholder_document_is_skipped():
-    skipped = [a[1] for a in COMMANDS if not (REPO_ROOT / a[1]).is_file()]
+    skipped = [a[1] for a in ON_FILES if not (REPO_ROOT / a[1]).is_file()]
     assert skipped == ["big-space.json"]
+
+
+def test_the_sweep_example_finds_criterion_3s_failures_and_exits_1(capsys):
+    (args,) = [a for a in COMMANDS if a[0] == "sweep"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 1
+    counts = {line.split()[0]: int(line.split()[3])
+              for line in capsys.readouterr().out.splitlines() if " failed on " in line}
+    assert {law: n for law, n in counts.items() if n} == {"3.21": 5, "3.25": 5}
 
 
 NAMES = sorted({m for span in re.findall(r"`([^`\n]+)`", README)
@@ -83,7 +95,7 @@ def test_each_cap_row_gives_its_constant_as_its_first_integer():
 
 
 PATHS = sorted(set(re.findall(
-    r"\b(?:src|tests|scripts|perfbench|examples)/(?:[\w./-]*\w)?(?:::\w+)*"
+    r"\b(?:src|tests|perfbench|examples)/(?:[\w./-]*\w)?(?:::\w+)*"
     r"|\b[A-Z][A-Z0-9_]*\.(?:md|json)\b", README)))
 
 

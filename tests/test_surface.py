@@ -1,7 +1,7 @@
 """The public surface of ``src/gotas`` is what its users reach.
 
 Every public function and method must be read by code (not named in a
-string) in ``src/``, ``scripts/`` or ``perfbench/``, be named in the
+string) in ``src/`` or ``perfbench/``, be named in the
 README's code or in ``gotas.__all__``, or be on ``ALLOWED`` with a reason.
 A member that only the tests read belongs in the tests. A method counts as
 read where some code reads an attribute of its name, or its own class body
@@ -18,7 +18,7 @@ import gotas
 from conftest import REPO_ROOT
 
 SRC = REPO_ROOT / "src" / "gotas"
-USERS = (SRC, REPO_ROOT / "scripts", REPO_ROOT / "perfbench")
+USERS = (SRC, REPO_ROOT / "perfbench")
 
 # Public members that no user reaches, each with the reason it stays.
 ALLOWED = {

@@ -100,3 +100,17 @@ def test_tracer_sees_every_layer():
     # the direction sum; one call per subset and direction would take 64.
     assert diff["oracle.diff_ms"] > 0
     assert diff["approximations.base_calls"] == 2
+
+
+def test_analyze_builds_only_the_family_it_prints():
+    # Beta's lower and upper make three base calls each; all five families
+    # make 24. --direction still builds both directions, which cost one call.
+    tracer = _load_tracing().Tracer()
+    tracer.install(cli, oracle, approx)
+    try:
+        for filters in ([], ["--family", "beta"], ["--family", "beta", "--direction", "dec"]):
+            tracer.request(invoke, ["analyze", str(EXAMPLE_DOC), "--set", "a,c", *filters])
+    finally:
+        tracer.uninstall()
+    assert [r["approximations.base_calls"] for r in tracer.records] == [24, 6, 6]
+    assert all(r["approximations.report_ms"] > 0 for r in tracer.records)
